@@ -43,13 +43,11 @@ from .rates import (
     rate_bound,
 )
 from .simulator import (
+    SHAPE_KINDS,
     ChannelModel,
-    DiscreteDisplacement,
     EprSource,
     GaussianNoise,
     SiftingMode,
-    TwoComponentMixture,
-    UniformNoise,
     analytic_covariance,
     run_session,
 )
@@ -77,7 +75,7 @@ class ExperimentConfig:
     rho_block: float = 0.0
     n: int = 1
     l: int = 100_000
-    sifting: str = SiftingMode.RANDOM_BASIS
+    sifting: str = SiftingMode.RANDOM_BASIS.value
     seed: int = 0
     beta: float = 1.0
     n0: float = 1.0
@@ -102,9 +100,8 @@ class ExperimentConfig:
         return EprSource(self.v, self.n0)
 
     def channel(self) -> ChannelModel:
-        noise_var = (1.0 - self.t) * self.n0 + self.t * self.eps * self.n0
-        return ChannelModel(self.t, self.eps,
-                            _resolve_shape(self.shape, noise_var), self.rho_block)
+        return ChannelModel(self.t, self.eps, _resolve_shape(self.shape, self),
+                            self.rho_block)
 
     def protocol_kind(self) -> ProtocolKind:
         return ProtocolKind(self.protocol)
@@ -150,7 +147,7 @@ class SweepSpec:
             raise ConfigurationError(f"{self.param}={value:g}: {exc}") from exc
 
 
-def _resolve_shape(spec: str, noise_variance: float):
+def _resolve_shape(spec: str, cfg: ExperimentConfig):
     """Turn a shape spec into a noise-shape object.
 
     Bare names (gaussian, mixture, uniform, displacement) are fitted to
@@ -160,19 +157,15 @@ def _resolve_shape(spec: str, noise_variance: float):
     """
     if ":" in spec:
         return records.shape_from_string(spec)
-    if spec == "gaussian":
-        return GaussianNoise()
-    if noise_variance <= 0:
+    if spec not in SHAPE_KINDS:
+        raise ConfigurationError(f"unknown noise shape {spec!r}")
+    shape = SHAPE_KINDS[spec]
+    noise_variance = ChannelModel(cfg.t, cfg.eps).noise_variance(cfg.n0)
+    if shape is not GaussianNoise and noise_variance <= 0:
         raise ConfigurationError(
             f"shape {spec!r} needs a positive channel noise variance; "
             "this channel adds no noise")
-    if spec == "mixture":
-        return TwoComponentMixture.matching(noise_variance)
-    if spec == "uniform":
-        return UniformNoise.matching(noise_variance)
-    if spec == "displacement":
-        return DiscreteDisplacement.matching(noise_variance)
-    raise ConfigurationError(f"unknown noise shape {spec!r}")
+    return shape.matching(noise_variance)
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
@@ -240,7 +233,7 @@ _config_options = [
                  help="Intra-block noise correlation (Gaussian shape only)."),
     click.option("--n", type=int, default=None, help="Pulses per block."),
     click.option("--l", type=int, default=None, help="Number of blocks."),
-    click.option("--sifting", type=click.Choice(SiftingMode.ALL), default=None),
+    click.option("--sifting", type=click.Choice([m.value for m in SiftingMode]), default=None),
     click.option("--seed", type=int, default=None),
     click.option("--beta", type=float, default=None,
                  help="Reconciliation efficiency in [0, 1]."),
@@ -268,8 +261,8 @@ def simulate(config, out, fmt, **overrides):
     path = resolve_out(cfg.out)
     records.write_record(record, path, cfg.format)
     click.echo(f"wrote {path} ({cfg.format}, {record.total_pulses} pulses)")
-    click.echo(f"kept {int(record.kept.sum())} pulses "
-               f"(fraction {record.kept_fraction:.4f}, sifting {cfg.sifting})")
+    click.echo(f"kept {int(record.kept.sum())} pulses (fraction {record.kept_fraction:.4f}, "
+               f"sifting {record.sifting_mode.value})")
     k = estimate_covariance(record.samples())
     click.echo(f"sample covariance (pooled): var_a={k.var_a:.6g} "
                f"var_b={k.var_b:.6g} cov_ab={k.cov_ab:.6g}")
@@ -306,8 +299,7 @@ def rate(record_path, cov, protocol, beta, n, n0, transform, fmt, out):
     if not 0.0 <= beta <= 1.0:
         raise ConfigurationError(f"beta must be in [0, 1], got {beta}")
 
-    sifted = False
-    sample_count = None
+    record = sample_count = None
     if record_path is not None:
         record = records.read_record(record_path)
         kind = record.protocol if protocol is None else ProtocolKind(protocol)
@@ -316,7 +308,6 @@ def rate(record_path, cov, protocol, beta, n, n0, transform, fmt, out):
         samples = record.samples()
         sample_count = len(samples)
         k = estimate_covariance(samples)
-        sifted = record.sifting_mode == SiftingMode.RANDOM_BASIS
     else:
         if protocol is None:
             raise ConfigurationError("--cov needs --protocol")
@@ -331,10 +322,9 @@ def rate(record_path, cov, protocol, beta, n, n0, transform, fmt, out):
         raise InconsistentStatisticsError(
             f"{exc} (the printed variance convention rejects these statistics; "
             f"try --transform beamsplitter)") from exc
-    effective = beta * report.i_ab - report.i_be_bound
-    if sifted:
+    if record is not None and record.sifting_mode is SiftingMode.RANDOM_BASIS:
         report = report.with_sifting()
-        effective /= 2.0
+    effective = report.effective_rate(beta * report.i_ab)
     verdict = "secure key obtainable" if effective > 0 else "no secure key"
 
     payload = {
@@ -483,24 +473,19 @@ def _sweep_row(spec: SweepSpec, value: float,
     row["param"] = spec.param
     row["value"] = value
     source, channel = point.source(), point.channel()
-
-    k_hom = analytic_covariance(source, channel, ProtocolKind.SQUEEZED_HOMODYNE)
-    squeezed = rate_bound(k_hom, point.n, ProtocolKind.SQUEEZED_HOMODYNE, point.n0)
-    row["delta_i_min_squeezed"] = beta * squeezed.i_ab - squeezed.i_be_bound
-    row["i_ab_squeezed"] = squeezed.i_ab
-    row["i_be_bound_squeezed"] = squeezed.i_be_bound
-    row["cond_var_squeezed"] = squeezed.cond_var_b_given_a
-
-    k_het = analytic_covariance(source, channel, ProtocolKind.COHERENT_HETERODYNE)
-    try:
-        coherent = rate_bound(k_het, point.n, ProtocolKind.COHERENT_HETERODYNE,
-                              point.n0, transform)
-    except DomainError:
-        return row
-    row["delta_i_min_coherent"] = beta * coherent.i_ab - coherent.i_be_bound
-    row["i_ab_coherent"] = coherent.i_ab
-    row["i_be_bound_coherent"] = coherent.i_be_bound
-    row["cond_var_coherent"] = coherent.cond_var_b_given_a
+    for kind, suffix in ((ProtocolKind.SQUEEZED_HOMODYNE, "squeezed"),
+                         (ProtocolKind.COHERENT_HETERODYNE, "coherent")):
+        k = analytic_covariance(source, channel, kind)
+        try:
+            report = rate_bound(k, point.n, kind, point.n0, transform)
+        except DomainError:
+            if kind is ProtocolKind.SQUEEZED_HOMODYNE:
+                raise
+            break  # the coherent bound is undefined here; its cells stay empty
+        row[f"delta_i_min_{suffix}"] = report.effective_rate(beta * report.i_ab)
+        row[f"i_ab_{suffix}"] = report.i_ab
+        row[f"i_be_bound_{suffix}"] = report.i_be_bound
+        row[f"cond_var_{suffix}"] = report.cond_var_b_given_a
     return row
 
 

@@ -4,8 +4,9 @@ The entropy estimator is the classic nearest-neighbor construction
 (digamma-corrected log of k-th neighbor distances), applied after an
 affine whitening of the data so strongly correlated quadrature pairs do
 not bias the neighbor search; the whitening log-determinant is added
-back. A plain histogram estimator is provided as a fallback. Standard
-errors come from 10-fold subsampling.
+back. A plain histogram (plug-in) estimator of scalar entropy is
+provided alongside, as an independent estimator: nothing falls back to
+it. Standard errors come from 10-fold subsampling.
 
 Estimates are deterministic for a fixed input ordering and jitter seed.
 """
@@ -147,18 +148,16 @@ def _knn_entropy_bits(x: np.ndarray, k: int, jitter_seed: int) -> float:
     return nats / LOG2 + log_det_bits
 
 
-def _fold_std_error(estimates: np.ndarray) -> float:
-    return float(estimates.std(ddof=1) / math.sqrt(len(estimates)))
-
-
-def _knn_with_error(x: np.ndarray, k: int, jitter_seed: int,
-                    folds: int) -> tuple[float, float]:
-    value = _knn_entropy_bits(x, k, jitter_seed)
-    per_fold = np.array([
-        _knn_entropy_bits(x[f::folds], k, jitter_seed + 1 + f)
-        for f in range(folds)
-    ])
-    return value, _fold_std_error(per_fold)
+def _fold_estimate(estimate, count: int, k: int, jitter_seed: int,
+                   folds: int) -> EntropyEstimate:
+    """The k-NN estimate(rows, seed) on all `count` samples, with the
+    standard error from the interleaved folds f::folds, fold f jittered
+    with seed jitter_seed + 1 + f."""
+    value = estimate(slice(None), jitter_seed)
+    per_fold = np.array([estimate(slice(f, None, folds), jitter_seed + 1 + f)
+                         for f in range(folds)])
+    err = float(per_fold.std(ddof=1) / math.sqrt(folds))
+    return EntropyEstimate(value, err, "knn", count, k)
 
 
 def knn_differential_entropy(values, k: int = 4, jitter_seed: int = 0,
@@ -176,14 +175,14 @@ def knn_differential_entropy(values, k: int = 4, jitter_seed: int = 0,
         raise InsufficientDataError(
             f"need at least {max(k + 1, folds * (k + 1))} samples for "
             f"k={k} with {folds}-fold errors, got {len(x)}")
-    value, err = _knn_with_error(x, k, jitter_seed, folds)
-    return EntropyEstimate(value, err, "knn", len(x), k)
+    return _fold_estimate(lambda rows, seed: _knn_entropy_bits(x[rows], k, seed),
+                          len(x), k, jitter_seed, folds)
 
 
 def histogram_differential_entropy(values, bins: int | None = None) -> EntropyEstimate:
     """Histogram (plug-in) differential entropy of a scalar sample, in
-    bits. Coarser than the neighbor estimator; kept as a fallback for
-    data where the neighbor search degenerates."""
+    bits. Coarser than the neighbor estimator, and independent of it: a
+    cross-check that needs no neighbor search."""
     x = _as_matrix(values)
     if x.shape[1] != 1:
         raise DomainError("histogram estimator is one-dimensional")
@@ -212,14 +211,12 @@ def conditional_entropy_estimate(s: SampleSet, k: int = 4, jitter_seed: int = 0,
     if sample_conditional_variance(s) <= 0:
         raise DegenerateDataError("B is an exact linear function of A: "
                                   "conditional spread is zero")
-    value = (_knn_entropy_bits(xy, k, jitter_seed)
-             - _knn_entropy_bits(s.a[:, None], k, jitter_seed))
-    per_fold = np.array([
-        _knn_entropy_bits(xy[f::folds], k, jitter_seed + 1 + f)
-        - _knn_entropy_bits(s.a[f::folds, None], k, jitter_seed + 1 + f)
-        for f in range(folds)
-    ])
-    return EntropyEstimate(value, _fold_std_error(per_fold), "knn", len(s), k)
+
+    def h_b_given_a(rows, seed: int) -> float:
+        return (_knn_entropy_bits(xy[rows], k, seed)
+                - _knn_entropy_bits(s.a[rows, None], k, seed))
+
+    return _fold_estimate(h_b_given_a, len(s), k, jitter_seed, folds)
 
 
 def mutual_information_estimate(s: SampleSet, k: int = 4, jitter_seed: int = 0,
@@ -230,16 +227,12 @@ def mutual_information_estimate(s: SampleSet, k: int = 4, jitter_seed: int = 0,
     xy = np.column_stack([s.a, s.b])
     _require_count(s, k, folds)
 
-    def mi(sl, seed: int) -> float:
-        return (_knn_entropy_bits(s.a[sl, None], k, seed)
-                + _knn_entropy_bits(s.b[sl, None], k, seed)
-                - _knn_entropy_bits(xy[sl], k, seed))
+    def mi(rows, seed: int) -> float:
+        return (_knn_entropy_bits(s.a[rows, None], k, seed)
+                + _knn_entropy_bits(s.b[rows, None], k, seed)
+                - _knn_entropy_bits(xy[rows], k, seed))
 
-    value = mi(slice(None), jitter_seed)
-    per_fold = np.array([
-        mi(slice(f, None, folds), jitter_seed + 1 + f) for f in range(folds)
-    ])
-    return EntropyEstimate(value, _fold_std_error(per_fold), "knn", len(s), k)
+    return _fold_estimate(mi, len(s), k, jitter_seed, folds)
 
 
 def sample_conditional_variance(s: SampleSet) -> float:

@@ -93,16 +93,30 @@ class RateReport:
     cond_var_b_given_a_prime: float | None = None
 
     def with_sifting(self) -> "RateReport":
-        """Halve every per-pulse information rate (random independent
-        quadrature choices make Alice and Bob agree half of the time)."""
+        """Halve every per-pulse information rate with `apply_sifting` (random
+        independent quadrature choices make Alice and Bob agree half of the time)."""
         return replace(
             self,
-            delta_i_min_per_pulse=self.delta_i_min_per_pulse / 2,
-            delta_i_min_block=self.delta_i_min_block / 2,
-            i_ab=self.i_ab / 2,
-            i_be_bound=self.i_be_bound / 2,
+            delta_i_min_per_pulse=apply_sifting(self.delta_i_min_per_pulse),
+            delta_i_min_block=apply_sifting(self.delta_i_min_block),
+            i_ab=apply_sifting(self.i_ab),
+            i_be_bound=apply_sifting(self.i_be_bound),
             sifting_applied=True,
         )
+
+    def effective_rate(self, i_eff: float) -> float:
+        """Per-pulse key rate when reconciliation extracts only i_eff of
+        the i_ab shared bits per pulse: i_eff - i_be_bound.
+
+        i_eff = i_ab (perfect reconciliation) recovers the plain bound;
+        i_eff above the Gaussian mutual information is impossible and raises.
+        """
+        if i_eff < 0:
+            raise DomainError(f"reconciled information cannot be negative, got {i_eff}")
+        if i_eff > self.i_ab * (1.0 + 1e-12):
+            raise DomainError(
+                f"reconciled information {i_eff} exceeds the Shannon limit {self.i_ab}")
+        return i_eff - self.i_be_bound
 
 
 def gaussian_entropy(variance: float) -> float:
@@ -155,24 +169,11 @@ def squeezed_rate_bound(k: Covariance2, n: int, n0: float = 1.0) -> RateReport:
     they mean no secure key at this covariance, which the caller decides
     how to report.
     """
-    _check_block_size(n)
-    if not n0 > 0:
-        raise DomainError(f"shot-noise unit must be positive, got {n0}")
+    _check_bound_args(n, n0)
     cv = conditional_variance(k)
     if cv <= 0:
         raise DomainError("conditional variance must be positive for a rate bound")
-    per_pulse = math.log2(n0 / cv)
-    i_ab = gaussian_mutual_information(k)
-    return RateReport(
-        delta_i_min_per_pulse=per_pulse,
-        delta_i_min_block=n * per_pulse,
-        i_ab=i_ab,
-        i_be_bound=i_ab - per_pulse,
-        cond_var_b_given_a=cv,
-        sifting_applied=False,
-        protocol=ProtocolKind.SQUEEZED_HOMODYNE,
-        block_size=n,
-    )
+    return _report(ProtocolKind.SQUEEZED_HOMODYNE, k, n, math.log2(n0 / cv), cv)
 
 
 def heterodyne_covariance_transform(
@@ -218,27 +219,26 @@ def coherent_rate_bound(
     2*H0 - H_G(B|A) - H_G(B|A'), which the test suite checks against this
     closed form.
     """
-    _check_block_size(n)
-    if not n0 > 0:
-        raise DomainError(f"shot-noise unit must be positive, got {n0}")
+    _check_bound_args(n, n0)
     cv1 = conditional_variance(k_measured)
     k_prime = heterodyne_covariance_transform(k_measured, n0, transform)
     cv2 = conditional_variance(k_prime)
     if cv1 <= 0 or cv2 <= 0:
         raise DomainError("both conditional variances must be positive")
     per_pulse = math.log2(n0 / math.sqrt(cv1 * cv2))
-    i_ab = gaussian_mutual_information(k_measured)
+    return _report(ProtocolKind.COHERENT_HETERODYNE, k_measured, n, per_pulse, cv1, cv2)
+
+
+def _report(protocol: ProtocolKind, k: Covariance2, n: int, per_pulse: float,
+            cv: float, cv_prime: float | None = None) -> RateReport:
+    """The unsifted report of a bound of per_pulse bits; i_be_bound is
+    defined so that delta_i_min = i_ab - i_be_bound holds."""
+    i_ab = gaussian_mutual_information(k)
     return RateReport(
-        delta_i_min_per_pulse=per_pulse,
-        delta_i_min_block=n * per_pulse,
-        i_ab=i_ab,
-        i_be_bound=i_ab - per_pulse,
-        cond_var_b_given_a=cv1,
-        sifting_applied=False,
-        protocol=ProtocolKind.COHERENT_HETERODYNE,
-        block_size=n,
-        cond_var_b_given_a_prime=cv2,
-    )
+        delta_i_min_per_pulse=per_pulse, delta_i_min_block=n * per_pulse,
+        i_ab=i_ab, i_be_bound=i_ab - per_pulse, cond_var_b_given_a=cv,
+        sifting_applied=False, protocol=protocol, block_size=n,
+        cond_var_b_given_a_prime=cv_prime)
 
 
 def rate_bound(
@@ -261,19 +261,8 @@ def effective_rate(
     n0: float = 1.0,
     transform: HeterodyneTransform = HeterodyneTransform.PRINTED,
 ) -> float:
-    """Per-pulse key rate when reconciliation extracts only i_eff bits per
-    pulse of the shared information: i_eff - i_be_bound.
-
-    i_eff = i_ab (perfect reconciliation) recovers the plain bound;
-    i_eff above the Gaussian mutual information is impossible and raises.
-    """
-    report = rate_bound(k_measured, 1, protocol, n0, transform)
-    if i_eff < 0:
-        raise DomainError(f"reconciled information cannot be negative, got {i_eff}")
-    if i_eff > report.i_ab * (1.0 + 1e-12):
-        raise DomainError(
-            f"reconciled information {i_eff} exceeds the Shannon limit {report.i_ab}")
-    return i_eff - report.i_be_bound
+    """`RateReport.effective_rate` of the bound at this covariance."""
+    return rate_bound(k_measured, 1, protocol, n0, transform).effective_rate(i_eff)
 
 
 def apply_sifting(rate: float) -> float:
@@ -295,6 +284,8 @@ def conditional_squeezing_check(k: Covariance2, n0: float = 1.0) -> str:
     return SECURE if conditional_variance(k) < n0 else INSECURE
 
 
-def _check_block_size(n: int) -> None:
+def _check_bound_args(n: int, n0: float) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"block size must be a positive integer, got {n!r}")
+    if not n0 > 0:
+        raise DomainError(f"shot-noise unit must be positive, got {n0}")

@@ -23,14 +23,14 @@ import numpy as np
 from .errors import ParseError
 from .rates import ProtocolKind
 from .simulator import (
+    COLUMN_DTYPES,
+    LABEL_CHARS,
+    NOISE_SHAPES,
+    SHAPE_KINDS,
     BlockRecord,
     ChannelModel,
-    DiscreteDisplacement,
     EprSource,
-    GaussianNoise,
-    LABEL_CHARS,
-    TwoComponentMixture,
-    UniformNoise,
+    SiftingMode,
 )
 
 HEADER_MAGIC = "#cvqkd-record"
@@ -39,21 +39,16 @@ FORMATS = ("csv", "json-lines")
 
 
 def shape_to_string(shape) -> str:
-    if isinstance(shape, GaussianNoise):
-        return "gaussian"
-    if isinstance(shape, TwoComponentMixture):
-        return ("mixture:w1={!r},w2={!r},v1={!r},v2={!r}".format(
-            shape.weights[0], shape.weights[1],
-            shape.variances[0], shape.variances[1]))
-    if isinstance(shape, UniformNoise):
-        return f"uniform:halfwidth={shape.halfwidth!r}"
-    if isinstance(shape, DiscreteDisplacement):
-        return (f"displacement:magnitude={shape.magnitude!r},"
-                f"probability={shape.probability!r}")
-    raise ParseError(f"cannot serialize noise shape {shape!r}")
+    """``kind`` alone, or ``kind:key=value,...`` with shortest round-trip
+    floats, e.g. ``uniform:halfwidth=1.5``."""
+    if not isinstance(shape, NOISE_SHAPES):
+        raise ParseError(f"cannot serialize noise shape {shape!r}")
+    params = ",".join(f"{key}={value!r}" for key, value in shape.spec().items())
+    return f"{shape.kind}:{params}" if params else shape.kind
 
 
 def shape_from_string(text: str):
+    """The noise shape a spec string names, taken literally."""
     kind, _, params_text = text.partition(":")
     params = {}
     if params_text:
@@ -62,25 +57,18 @@ def shape_from_string(text: str):
                       (item.split("=") for item in params_text.split(","))}
         except ValueError as exc:
             raise ParseError(f"bad noise-shape parameters {params_text!r}") from exc
+    if kind not in SHAPE_KINDS:
+        raise ParseError(f"unknown noise shape {kind!r}")
     try:
-        if kind == "gaussian":
-            return GaussianNoise()
-        if kind == "mixture":
-            return TwoComponentMixture((params["w1"], params["w2"]),
-                                       (params["v1"], params["v2"]))
-        if kind == "uniform":
-            return UniformNoise(params["halfwidth"])
-        if kind == "displacement":
-            return DiscreteDisplacement(params["magnitude"], params["probability"])
+        return SHAPE_KINDS[kind].from_spec(params)
     except KeyError as exc:
         raise ParseError(f"noise shape {text!r} is missing {exc}") from exc
-    raise ParseError(f"unknown noise shape {kind!r}")
 
 
 def _header_fields(record: BlockRecord) -> dict:
     return {
         "protocol": record.protocol.value,
-        "sifting": record.sifting_mode,
+        "sifting": record.sifting_mode.value,
         "n": record.n,
         "l": record.l,
         "seed": record.seed,
@@ -93,17 +81,29 @@ def _header_fields(record: BlockRecord) -> dict:
     }
 
 
+def _check_rows(a, b, label_a, label_b, kept) -> None:
+    """Row invariants, checked on whole columns: a pulse is kept exactly
+    when the labels agree, and every kept pulse has finite values. The
+    first offending row is reported by its line (the header is line 1)."""
+    for bad, problem in (
+            (kept != (label_a == label_b), "kept flag contradicts the labels"),
+            (kept & ~(np.isfinite(a) & np.isfinite(b)), "kept pulse has a non-finite value")):
+        if bad.any():
+            raise ParseError(f"line {int(bad.argmax()) + 2}: {problem}")
+
+
 def _record_from_header(fields: dict, a, b, label_a, label_b, kept) -> BlockRecord:
+    """The record both loaders decode: header fields plus checked rows."""
+    _check_rows(a, b, label_a, label_b, kept)
     try:
         source = EprSource(float(fields["v"]), float(fields["n0"]))
         channel = ChannelModel(float(fields["t"]), float(fields["eps"]),
-                               shape_from_string(fields["shape"]) if isinstance(fields["shape"], str)
-                               else shape_from_string(str(fields["shape"])),
+                               shape_from_string(str(fields["shape"])),
                                float(fields["rho_block"]))
         return BlockRecord(
             n=int(fields["n"]), l=int(fields["l"]),
             protocol=ProtocolKind(fields["protocol"]),
-            sifting_mode=str(fields["sifting"]),
+            sifting_mode=SiftingMode(fields["sifting"]),
             seed=int(fields["seed"]),
             source=source, channel=channel,
             a=a, b=b, label_a=label_a, label_b=label_b, kept=kept,
@@ -175,11 +175,7 @@ def _loads_csv(text: str) -> BlockRecord:
     lines = text.splitlines()
     fields = _parse_header_line(lines[0])
     rows = [line for line in lines[1:] if line]
-    a = np.empty(len(rows))
-    b = np.empty(len(rows))
-    label_a = np.empty(len(rows), dtype=np.uint8)
-    label_b = np.empty(len(rows), dtype=np.uint8)
-    kept = np.empty(len(rows), dtype=bool)
+    a, b, label_a, label_b, kept = (np.empty(len(rows), dtype) for dtype in COLUMN_DTYPES)
     for i, line in enumerate(rows):
         parts = line.split(",")
         if len(parts) != 7:
@@ -204,11 +200,7 @@ def _loads_jsonl(text: str) -> BlockRecord:
     if header.get("record") != "cvqkd":
         raise ParseError("json-lines file is not a cvqkd record")
     rows = lines[1:]
-    a = np.empty(len(rows))
-    b = np.empty(len(rows))
-    label_a = np.empty(len(rows), dtype=np.uint8)
-    label_b = np.empty(len(rows), dtype=np.uint8)
-    kept = np.empty(len(rows), dtype=bool)
+    a, b, label_a, label_b, kept = (np.empty(len(rows), dtype) for dtype in COLUMN_DTYPES)
     for i, line in enumerate(rows):
         try:
             row = json.loads(line)

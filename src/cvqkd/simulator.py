@@ -15,7 +15,8 @@ generation is reproducible and chunks could run on parallel workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 
 import numpy as np
 
@@ -32,12 +33,27 @@ SHAPE_RTOL = 1e-9
 Q, P = 0, 1  # quadrature label codes used in record arrays
 LABEL_CHARS = ("q", "p")
 
+#: dtypes of a record's a, b, label_a, label_b and kept columns
+COLUMN_DTYPES = (float, float, np.uint8, np.uint8, bool)
+
 
 # ---------------------------------------------------------------------------
 # noise shapes
 
+class _ShapeSpec:
+    """Spec strings ``kind:key=value,...`` are written from `spec` and read
+    back by `from_spec`; the keys default to the dataclass fields."""
+
+    def spec(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_spec(cls, params: dict):
+        return cls(*(params[f.name] for f in fields(cls)))
+
+
 @dataclass(frozen=True)
-class GaussianNoise:
+class GaussianNoise(_ShapeSpec):
     """Gaussian channel noise; adapts to whatever variance the channel
     declares, and is the shape the covariance bounds implicitly assume."""
 
@@ -47,12 +63,16 @@ class GaussianNoise:
     def declared_variance(self):
         return None
 
+    @classmethod
+    def matching(cls, variance: float) -> "GaussianNoise":
+        return cls()
+
     def draw(self, size: int, rng: np.random.Generator, variance: float) -> np.ndarray:
         return rng.normal(0.0, math.sqrt(variance), size)
 
 
 @dataclass(frozen=True)
-class TwoComponentMixture:
+class TwoComponentMixture(_ShapeSpec):
     """Zero-mean mixture of two Gaussians with distinct spreads."""
 
     weights: tuple[float, float]
@@ -78,6 +98,13 @@ class TwoComponentMixture:
         v1 = variance / (weight + (1.0 - weight) * ratio)
         return cls((weight, 1.0 - weight), (v1, ratio * v1))
 
+    def spec(self) -> dict:
+        return dict(zip(("w1", "w2", "v1", "v2"), (*self.weights, *self.variances)))
+
+    @classmethod
+    def from_spec(cls, params: dict) -> "TwoComponentMixture":
+        return cls((params["w1"], params["w2"]), (params["v1"], params["v2"]))
+
     def draw(self, size, rng, variance):
         pick = rng.random(size) < self.weights[0]
         std = np.where(pick, math.sqrt(self.variances[0]), math.sqrt(self.variances[1]))
@@ -85,7 +112,7 @@ class TwoComponentMixture:
 
 
 @dataclass(frozen=True)
-class UniformNoise:
+class UniformNoise(_ShapeSpec):
     """Uniform noise on [-halfwidth, halfwidth]."""
 
     halfwidth: float
@@ -108,7 +135,7 @@ class UniformNoise:
 
 
 @dataclass(frozen=True)
-class DiscreteDisplacement:
+class DiscreteDisplacement(_ShapeSpec):
     """Noise of +magnitude or -magnitude (probability/2 each), else 0.
 
     Maximally structured: the second moment matches a Gaussian attack
@@ -140,6 +167,9 @@ class DiscreteDisplacement:
 
 
 NOISE_SHAPES = (GaussianNoise, TwoComponentMixture, UniformNoise, DiscreteDisplacement)
+
+#: the one lookup from a shape name (bare, or the kind of a spec) to its class
+SHAPE_KINDS = {shape.kind: shape for shape in NOISE_SHAPES}
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +237,11 @@ class ChannelModel:
                 f"(1-t)*n0 + t*eps*n0 = {target:.6g}")
 
 
-class SiftingMode:
+class SiftingMode(Enum):
     """How Bob's quadrature choice relates to Alice's."""
 
     RANDOM_BASIS = "random_basis"
     QUANTUM_MEMORY = "quantum_memory"
-    ALL = (RANDOM_BASIS, QUANTUM_MEMORY)
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +265,34 @@ def simulate_epr_pulse(src: EprSource, rng: np.random.Generator, size=None):
 
 
 def apply_attack(qb0, pb0, ch: ChannelModel, rng: np.random.Generator,
-                 n0: float = 1.0):
+                 n0: float = 1.0, n: int = 1):
     """Send Bob's beam through the channel: attenuate by sqrt(t) and add
-    noise drawn from the channel's shape, independently per quadrature."""
+    noise drawn from the channel's shape, independently per quadrature.
+
+    The pulses form consecutive blocks of n; with rho_block > 0 and n > 1
+    the noise within a block is correlated (all q noise is drawn first).
+    """
     ch.validate_shape(n0)
     qb0 = np.asarray(qb0, dtype=float)
     pb0 = np.asarray(pb0, dtype=float)
+    if n < 1 or qb0.size % n:
+        raise ConfigurationError(f"{qb0.size} pulses do not fill blocks of n={n}")
     var = ch.noise_variance(n0)
     root_t = math.sqrt(ch.t)
-    qb = root_t * qb0 + ch.shape.draw(qb0.shape[0] if qb0.ndim else 1, rng, var).reshape(qb0.shape)
-    pb = root_t * pb0 + ch.shape.draw(pb0.shape[0] if pb0.ndim else 1, rng, var).reshape(pb0.shape)
+
+    def noise(size):
+        rho = ch.rho_block
+        if not (rho > 0.0 and n > 1):
+            return ch.shape.draw(size, rng, var)
+        # exchangeable within-block correlation: every pulse's noise shares
+        # a common block component with weight sqrt(rho)
+        common = rng.normal(0.0, 1.0, size // n)
+        private = rng.normal(0.0, 1.0, size)
+        mixed = math.sqrt(rho) * np.repeat(common, n) + math.sqrt(1.0 - rho) * private
+        return math.sqrt(var) * mixed
+
+    qb = root_t * qb0 + noise(qb0.size).reshape(qb0.shape)
+    pb = root_t * pb0 + noise(pb0.size).reshape(pb0.shape)
     return qb, pb
 
 
@@ -284,7 +331,7 @@ class BlockRecord:
     n: int
     l: int
     protocol: ProtocolKind
-    sifting_mode: str
+    sifting_mode: SiftingMode
     seed: int
     source: EprSource
     channel: ChannelModel
@@ -326,24 +373,29 @@ class BlockRecord:
 
 
 def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind,
-                n: int, l: int, sifting_mode: str = SiftingMode.RANDOM_BASIS,
+                n: int, l: int, sifting_mode: SiftingMode | str = SiftingMode.RANDOM_BASIS,
                 rng_seed: int = 0) -> BlockRecord:
     """Generate l blocks of n pulses. Deterministic for a given seed."""
     if n < 1 or l < 1:
         raise ConfigurationError(f"need n >= 1 and l >= 1, got n={n}, l={l}")
-    if sifting_mode not in SiftingMode.ALL:
-        raise ConfigurationError(f"unknown sifting mode {sifting_mode!r}")
-    ch.validate_shape(src.n0)
+    try:
+        sifting_mode = SiftingMode(sifting_mode)
+    except ValueError:
+        raise ConfigurationError(f"unknown sifting mode {sifting_mode!r}") from None
 
+    # each chunk is written straight into its slice of the columns, so the
+    # peak holds the finished columns plus one chunk, never a second copy
+    columns = [np.empty(n * l, dtype) for dtype in COLUMN_DTYPES]
     blocks_per_chunk = max(1, CHUNK_PULSES // n)
     master = np.random.Philox(rng_seed)
-    parts = []
     for chunk, start in enumerate(range(0, l, blocks_per_chunk)):
         blocks = min(blocks_per_chunk, l - start)
         rng = np.random.Generator(master.jumped(chunk))
-        parts.append(_generate_chunk(src, ch, protocol, n, blocks, sifting_mode, rng))
+        part = _generate_chunk(src, ch, protocol, n, blocks, sifting_mode, rng)
+        for column, values in zip(columns, part):
+            column[start * n:(start + blocks) * n] = values
 
-    a, b, label_a, label_b, kept = (np.concatenate(cols) for cols in zip(*parts))
+    a, b, label_a, label_b, kept = columns
     return BlockRecord(n=n, l=l, protocol=protocol, sifting_mode=sifting_mode,
                        seed=rng_seed, source=src, channel=ch,
                        a=a, b=b, label_a=label_a, label_b=label_b, kept=kept)
@@ -354,20 +406,13 @@ def _generate_chunk(src, ch, protocol, n, blocks, sifting_mode, rng):
     qa, pa, qb0, pb0 = simulate_epr_pulse(src, rng, size=m)
 
     label_a = rng.integers(0, 2, m).astype(np.uint8)
-    if sifting_mode == SiftingMode.RANDOM_BASIS:
+    if sifting_mode is SiftingMode.RANDOM_BASIS:
         label_b = rng.integers(0, 2, m).astype(np.uint8)
     else:
         label_b = label_a.copy()
     kept = label_a == label_b
 
-    var = ch.noise_variance(src.n0)
-    root_t = math.sqrt(ch.t)
-    if ch.rho_block > 0.0 and n > 1:
-        qb = root_t * qb0 + _block_correlated_noise(var, ch.rho_block, n, blocks, rng)
-        pb = root_t * pb0 + _block_correlated_noise(var, ch.rho_block, n, blocks, rng)
-    else:
-        qb = root_t * qb0 + ch.shape.draw(m, rng, var)
-        pb = root_t * pb0 + ch.shape.draw(m, rng, var)
+    qb, pb = apply_attack(qb0, pb0, ch, rng, src.n0, n)
     b = np.where(label_b == Q, qb, pb)
 
     if protocol is ProtocolKind.SQUEEZED_HOMODYNE:
@@ -378,22 +423,14 @@ def _generate_chunk(src, ch, protocol, n, blocks, sifting_mode, rng):
     return a, b, label_a, label_b, kept
 
 
-def _block_correlated_noise(var, rho, n, blocks, rng):
-    """Exchangeable within-block correlation: every pulse's noise shares a
-    common block component with weight sqrt(rho)."""
-    common = rng.normal(0.0, 1.0, blocks)
-    private = rng.normal(0.0, 1.0, n * blocks)
-    mixed = (math.sqrt(rho) * np.repeat(common, n)
-             + math.sqrt(1.0 - rho) * private)
-    return math.sqrt(var) * mixed
-
-
 def analytic_covariance(src: EprSource, ch: ChannelModel,
                         protocol: ProtocolKind) -> Covariance2:
     """Exact second moments of the kept (sign-pooled) session data, the
     closed-form oracle for the Monte Carlo pipeline. Independent of the
     noise shape by construction."""
     n0 = src.n0
+    # summed left to right, not as t*v + ch.noise_variance(n0): regrouping
+    # the terms changes the last bit of var_b at some grid points
     var_b = ch.t * src.v + (1.0 - ch.t) * n0 + ch.t * ch.eps * n0
     cov = math.sqrt(ch.t) * src.cross_correlation
     if protocol is ProtocolKind.SQUEEZED_HOMODYNE:
@@ -419,7 +456,7 @@ def _catalog() -> dict[str, AttackConfig]:
     # noise-only channel (t = 1) with two shot-noise units of excess noise:
     # every shape below carries exactly the same second moments
     t, eps = 1.0, 2.0
-    var = (1.0 - t) + t * eps
+    var = ChannelModel(t, eps).noise_variance()
     entries = [
         AttackConfig("gaussian", EprSource(v), ChannelModel(t, eps),
                      "saturates the Gaussian bounds"),

@@ -90,6 +90,33 @@ class TestSimulate:
         assert runner.invoke(main, ["simulate"]).exit_code == 2
 
 
+class TestShapeErrors:
+    """Exit statuses of bad --shape values: a configuration error is 2, a
+    spec that does not parse is 3."""
+
+    def simulate(self, runner, tmp_path, *args):
+        return runner.invoke(main, ["simulate", *args, "--out", str(tmp_path / "x.csv")])
+
+    def test_unknown_bare_name(self, runner, tmp_path):
+        result = self.simulate(runner, tmp_path, "--shape", "pink")
+        assert result.exit_code == 2
+        assert "unknown noise shape 'pink'" in result.output
+
+    def test_bare_name_on_noiseless_channel(self, runner, tmp_path):
+        result = self.simulate(runner, tmp_path, "--shape", "mixture", "--eps", "0", "--t", "1")
+        assert result.exit_code == 2
+        assert "needs a positive channel noise variance" in result.output
+
+    def test_parameterized_variance_mismatch(self, runner, tmp_path):
+        result = self.simulate(runner, tmp_path, "--shape", "uniform:halfwidth=1",
+                               "--t", "1", "--eps", "2")
+        assert result.exit_code == 2
+
+    def test_parameterized_missing_key(self, runner, tmp_path):
+        result = self.simulate(runner, tmp_path, "--shape", "uniform:width=1")
+        assert result.exit_code == 3
+
+
 class TestRate:
     def test_covariance_literal_worked_example(self, runner):
         result = run_ok(runner, [

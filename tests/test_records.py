@@ -108,6 +108,53 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             loads(json.dumps({"record": "other"}) + "\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_unknown_sifting_mode(self, record, fmt):
+        lines = dumps(record, fmt).splitlines()
+        lines[0] = lines[0].replace("random_basis", "bogus_mode")
+        with pytest.raises(ParseError, match="bogus_mode"):
+            loads("\n".join(lines))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_kept_flags_contradicting_labels(self, record, fmt):
+        lines = dumps(record, fmt).splitlines()
+        lines[1:] = [_edit_row(line, fmt, kept=lambda k: 1 - k) for line in lines[1:]]
+        with pytest.raises(ParseError, match="line 2: kept flag"):
+            loads("\n".join(lines))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("column", ["a", "b"])
+    def test_non_finite_kept_value(self, record, fmt, column):
+        row = int(np.flatnonzero(record.kept)[1])
+        lines = dumps(record, fmt).splitlines()
+        lines[row + 1] = _edit_row(lines[row + 1], fmt, **{column: lambda v: float("nan")})
+        with pytest.raises(ParseError, match=f"line {row + 2}: kept pulse has a non-finite"):
+            loads("\n".join(lines))
+
+    def test_non_finite_discarded_value_loads(self, record):
+        row = int(np.flatnonzero(~record.kept)[0])
+        lines = dumps(record, "csv").splitlines()
+        lines[row + 1] = _edit_row(lines[row + 1], "csv", a=lambda v: float("inf"))
+        assert np.isinf(loads("\n".join(lines)).a[row])
+
+
+CSV_COLUMNS = ("block", "pulse", "a", "b", "label_a", "label_b", "kept")
+
+
+def _edit_row(line: str, fmt: str, **edits) -> str:
+    """One pulse line of either format with some fields passed through a
+    function; kept is handled as an int, a and b as floats."""
+    if fmt == "csv":
+        parts = line.split(",")
+        for key, fn in edits.items():
+            i = CSV_COLUMNS.index(key)
+            parts[i] = repr(fn(int(parts[i]) if key == "kept" else float(parts[i])))
+        return ",".join(parts)
+    row = json.loads(line)
+    for key, fn in edits.items():
+        row[key] = fn(row[key])
+    return json.dumps(row)
+
 
 class TestFormats:
     def test_csv_header_carries_channel(self, record):

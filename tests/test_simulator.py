@@ -303,3 +303,40 @@ class TestSecondMomentEquivalence:
     def test_catalog_shapes_are_matched(self):
         for name, cfg in ATTACK_CATALOG.items():
             cfg.channel.validate_shape(cfg.source.n0)
+
+
+class TestSessionPipeline:
+    @pytest.mark.parametrize("protocol", [HOMODYNE, HETERODYNE])
+    @pytest.mark.parametrize("rho_block", [0.0, 0.3])
+    def test_session_is_the_public_pipeline(self, protocol, rho_block):
+        # one chunk of a session is exactly the public operations on the
+        # chunk's substream, in draw order: EPR pair, label_a, label_b, q
+        # noise, p noise, then Alice's vacuum noise
+        src, ch, n, l = EprSource(6.0), ChannelModel(0.7, 0.2, rho_block=rho_block), 4, 50
+        rec = run_session(src, ch, protocol, n=n, l=l,
+                          sifting_mode=SiftingMode.RANDOM_BASIS, rng_seed=23)
+        rng = np.random.Generator(np.random.Philox(23).jumped(0))
+        qa, pa, qb0, pb0 = simulate_epr_pulse(src, rng, size=n * l)
+        label_a = rng.integers(0, 2, n * l).astype(np.uint8)
+        label_b = rng.integers(0, 2, n * l).astype(np.uint8)
+        qb, pb = apply_attack(qb0, pb0, ch, rng, src.n0, n)
+        if protocol is HOMODYNE:
+            a, _ = measure_alice(qa, pa, protocol, rng, src.n0, labels=label_a)
+        else:
+            qa_m, pa_m = measure_alice(qa, pa, protocol, rng, src.n0)
+            a = np.where(label_a == 0, qa_m, pa_m)
+        assert np.array_equal(rec.a, a)
+        assert np.array_equal(rec.b, np.where(label_b == 0, qb, pb))
+        assert np.array_equal(rec.kept, label_a == label_b)
+
+    def test_block_noise_needs_whole_blocks(self):
+        rng = np.random.default_rng(24)
+        with pytest.raises(ConfigurationError):
+            apply_attack(np.zeros(10), np.zeros(10), ChannelModel(0.5, 0.0, rho_block=0.5),
+                         rng, n=4)
+
+    def test_sifting_mode_by_value(self):
+        rec = run_session(EprSource(4.0), ChannelModel(1.0, 0.0), HOMODYNE,
+                          n=1, l=10, sifting_mode="quantum_memory")
+        assert rec.sifting_mode is SiftingMode.QUANTUM_MEMORY
+        assert rec.kept.all()
