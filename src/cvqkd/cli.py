@@ -61,6 +61,7 @@ EXIT_VERIFY = 5
 
 PROTOCOL_NAMES = [p.value for p in ProtocolKind]
 TRANSFORM_NAMES = [t.value for t in HeterodyneTransform]
+SIFTING_NAMES = [m.value for m in SiftingMode]
 
 
 @dataclasses.dataclass
@@ -87,6 +88,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown record format {self.format!r}")
         if self.protocol not in PROTOCOL_NAMES:
             raise ConfigurationError(f"unknown protocol {self.protocol!r}")
+        if self.sifting not in SIFTING_NAMES:
+            raise ConfigurationError(f"unknown sifting mode {self.sifting!r}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigurationError(
                 f"reconciliation efficiency must be in [0, 1], got {self.beta}")
@@ -233,7 +236,7 @@ _config_options = [
                  help="Intra-block noise correlation (Gaussian shape only)."),
     click.option("--n", type=int, default=None, help="Pulses per block."),
     click.option("--l", type=int, default=None, help="Number of blocks."),
-    click.option("--sifting", type=click.Choice([m.value for m in SiftingMode]), default=None),
+    click.option("--sifting", type=click.Choice(SIFTING_NAMES), default=None),
     click.option("--seed", type=int, default=None),
     click.option("--beta", type=float, default=None,
                  help="Reconciliation efficiency in [0, 1]."),

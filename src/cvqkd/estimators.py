@@ -4,7 +4,11 @@ The entropy estimator is the classic nearest-neighbor construction
 (digamma-corrected log of k-th neighbor distances), applied after an
 affine whitening of the data so strongly correlated quadrature pairs do
 not bias the neighbor search; the whitening log-determinant is added
-back. A plain histogram (plug-in) estimator of scalar entropy is
+back. In 1-d the k-th neighbor distances come from one sort and a
+window of k neighbors on each side, exactly equal to a k-d tree's; in
+2-d and above they come from scipy's ``cKDTree``. scipy is imported on
+the first estimate, so code that never estimates an entropy does not
+load it. A plain histogram (plug-in) estimator of scalar entropy is
 provided alongside, as an independent estimator: nothing falls back to
 it. Standard errors come from 10-fold subsampling.
 
@@ -17,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma, gammaln
 
 from .errors import DegenerateDataError, DomainError, InsufficientDataError
 from .rates import Covariance2
@@ -132,13 +134,53 @@ def _whiten(x: np.ndarray) -> tuple[np.ndarray, float]:
     return y, 0.5 * float(np.log2(eigval).sum())
 
 
+def _kth_neighbor_distance_1d(y: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each point of a 1-d sample to its k-th nearest other
+    point, in input order, with inf where fewer than k others exist.
+
+    The k nearest of a sorted point are its m nearest on the left and
+    k - m nearest on the right for some m, so the k-th distance is the
+    least of max(L_m, R_{k-m}) over m = 0..k (L_0 = R_0 = 0), where L_m
+    and R_m are the distances to the m-th point on either side. Each is
+    one subtraction of sorted values, and equals a k-d tree's Euclidean
+    distance bit for bit: fl(u - v) == -fl(v - u), and sqrt(fl(d*d)) ==
+    |d| in IEEE doubles unless d*d underflows or overflows, which needs
+    gaps below 1e-154 or above 1e154, far from whitened unit-variance data.
+    """
+    order = np.argsort(y, kind="stable")
+    s = y[order]
+    n = len(s)
+    padded = np.concatenate([np.full(k, -np.inf), s, np.full(k, np.inf)])
+
+    def left(m):
+        return s - padded[k - m:k - m + n]
+
+    def right(m):
+        return padded[k + m:k + m + n] - s
+
+    kth = np.minimum(left(k), right(k))
+    for m in range(1, k):
+        np.minimum(kth, np.maximum(left(m), right(k - m)), out=kth)
+    eps = np.empty(n)
+    eps[order] = kth
+    return eps
+
+
 def _knn_entropy_bits(x: np.ndarray, k: int, jitter_seed: int) -> float:
     """Point estimate of the nearest-neighbor entropy (bits) for an
     (n, d) sample matrix."""
+    # scipy is imported here, not at module level, so that commands which
+    # never estimate an entropy do not pay its import time
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma, gammaln
+
     n, d = x.shape
     y, log_det_bits = _whiten(_jitter(x, jitter_seed))
-    dist, _ = cKDTree(y).query(y, k=k + 1, workers=-1)
-    eps = dist[:, k]
+    if d == 1:
+        eps = _kth_neighbor_distance_1d(y[:, 0], k)
+    else:
+        dist, _ = cKDTree(y).query(y, k=k + 1, workers=-1)
+        eps = dist[:, k]
     if not eps.all():
         raise DegenerateDataError(
             f"zero distance to neighbor {k}: data is duplicate-heavy")

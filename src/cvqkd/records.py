@@ -81,20 +81,21 @@ def _header_fields(record: BlockRecord) -> dict:
     }
 
 
-def _check_rows(a, b, label_a, label_b, kept) -> None:
+def _check_rows(line_numbers, a, b, label_a, label_b, kept) -> None:
     """Row invariants, checked on whole columns: a pulse is kept exactly
     when the labels agree, and every kept pulse has finite values. The
-    first offending row is reported by its line (the header is line 1)."""
+    first offending row is reported by its file line, line_numbers[i]."""
     for bad, problem in (
             (kept != (label_a == label_b), "kept flag contradicts the labels"),
             (kept & ~(np.isfinite(a) & np.isfinite(b)), "kept pulse has a non-finite value")):
         if bad.any():
-            raise ParseError(f"line {int(bad.argmax()) + 2}: {problem}")
+            raise ParseError(f"line {line_numbers[int(bad.argmax())]}: {problem}")
 
 
-def _record_from_header(fields: dict, a, b, label_a, label_b, kept) -> BlockRecord:
+def _record_from_header(fields: dict, line_numbers, a, b, label_a, label_b,
+                        kept) -> BlockRecord:
     """The record both loaders decode: header fields plus checked rows."""
-    _check_rows(a, b, label_a, label_b, kept)
+    _check_rows(line_numbers, a, b, label_a, label_b, kept)
     try:
         source = EprSource(float(fields["v"]), float(fields["n0"]))
         channel = ChannelModel(float(fields["t"]), float(fields["eps"]),
@@ -171,15 +172,23 @@ def _parse_header_line(line: str) -> dict:
     return fields
 
 
-def _loads_csv(text: str) -> BlockRecord:
+def _numbered_lines(text: str) -> tuple[list[int], list[str]]:
+    """The non-blank lines of a record and their file line numbers, so
+    errors cite the line a user sees."""
     lines = text.splitlines()
+    numbers = [number for number, line in enumerate(lines, 1) if line]
+    return numbers, [line for line in lines if line]
+
+
+def _loads_csv(text: str) -> BlockRecord:
+    numbers, lines = _numbered_lines(text)
     fields = _parse_header_line(lines[0])
-    rows = [line for line in lines[1:] if line]
+    numbers, rows = numbers[1:], lines[1:]
     a, b, label_a, label_b, kept = (np.empty(len(rows), dtype) for dtype in COLUMN_DTYPES)
     for i, line in enumerate(rows):
         parts = line.split(",")
         if len(parts) != 7:
-            raise ParseError(f"line {i + 2}: expected 7 fields, got {len(parts)}")
+            raise ParseError(f"line {numbers[i]}: expected 7 fields, got {len(parts)}")
         try:
             a[i] = float(parts[2])
             b[i] = float(parts[3])
@@ -187,19 +196,19 @@ def _loads_csv(text: str) -> BlockRecord:
             label_b[i] = LABEL_CHARS.index(parts[5])
             kept[i] = bool(int(parts[6]))
         except ValueError as exc:
-            raise ParseError(f"line {i + 2}: {exc}") from exc
-    return _record_from_header(fields, a, b, label_a, label_b, kept)
+            raise ParseError(f"line {numbers[i]}: {exc}") from exc
+    return _record_from_header(fields, numbers, a, b, label_a, label_b, kept)
 
 
 def _loads_jsonl(text: str) -> BlockRecord:
-    lines = [line for line in text.splitlines() if line]
+    numbers, lines = _numbered_lines(text)
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad json-lines header: {exc}") from exc
     if header.get("record") != "cvqkd":
         raise ParseError("json-lines file is not a cvqkd record")
-    rows = lines[1:]
+    numbers, rows = numbers[1:], lines[1:]
     a, b, label_a, label_b, kept = (np.empty(len(rows), dtype) for dtype in COLUMN_DTYPES)
     for i, line in enumerate(rows):
         try:
@@ -210,8 +219,8 @@ def _loads_jsonl(text: str) -> BlockRecord:
             label_b[i] = LABEL_CHARS.index(row["label_b"])
             kept[i] = bool(row["kept"])
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise ParseError(f"line {i + 2}: {exc}") from exc
-    return _record_from_header(fields=header, a=a, b=b,
+            raise ParseError(f"line {numbers[i]}: {exc}") from exc
+    return _record_from_header(fields=header, line_numbers=numbers, a=a, b=b,
                                label_a=label_a, label_b=label_b, kept=kept)
 
 

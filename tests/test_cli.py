@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import cvqkd
 from cvqkd.cli import main
 from cvqkd import (
     ProtocolKind,
@@ -237,6 +242,17 @@ class TestVerify:
 
 
 class TestSweep:
+    def test_bad_sifting_in_config_writes_nothing(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sifting": "bogus"}))
+        out = tmp_path / "sweep.csv"
+        result = runner.invoke(main, [
+            "sweep", "--config", str(cfg), "--param", "t", "--start", "0.5",
+            "--stop", "0.9", "--steps", "3", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "unknown sifting mode 'bogus'" in result.output
+        assert not out.exists()
+
     def test_eps_sweep_monotone(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"
         run_ok(runner, ["sweep", "--param", "eps", "--start", "0",
@@ -294,3 +310,32 @@ class TestSweep:
             run_ok(runner, ["sweep", "--param", "t", "--start", "0.2",
                             "--stop", "0.9", "--steps", "5", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
+
+
+SCIPY_FREE_SCRIPT = """
+import sys
+import cvqkd, cvqkd.cli
+from click.testing import CliRunner
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), ("import", scipy_modules())
+for args in (["rate", "--cov", "20,10.5,14.124446891825535",
+              "--protocol", "squeezed_homodyne"],
+             ["verify", "--scope", "discrete", "--trials", "20"]):
+    result = CliRunner().invoke(cvqkd.cli.main, args)
+    assert result.exit_code == 0, (args, result.output)
+    assert not scipy_modules(), (args, scipy_modules())
+"""
+
+
+def test_scipy_loads_only_for_entropy_estimates():
+    # scipy's import costs about 0.5 s, and only the k-NN entropy
+    # estimator uses it: a fresh interpreter must not load it for the
+    # package, the CLI, or commands that estimate no entropy
+    src = str(Path(cvqkd.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT],
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr

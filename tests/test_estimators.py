@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from cvqkd import (
     Covariance2,
     DegenerateDataError,
     DomainError,
+    EntropyEstimate,
     InsufficientDataError,
     SampleSet,
     conditional_entropy_estimate,
@@ -18,6 +20,7 @@ from cvqkd import (
     mutual_information_estimate,
     vacuum_entropy,
 )
+from cvqkd.estimators import _kth_neighbor_distance_1d
 
 N = 100_000
 
@@ -145,6 +148,65 @@ class TestKnnEntropy:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientDataError):
             knn_differential_entropy(np.arange(10.0), k=4)
+
+
+class TestKthNeighborDistance1d:
+    """The sort-and-window distances equal a k-d tree's bit for bit."""
+
+    @staticmethod
+    def tree(y, k):
+        return cKDTree(y[:, None]).query(y[:, None], k=k + 1)[0][:, k]
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_matches_tree(self, rng, k):
+        # at n = k + 1 every point's k neighbors are all the others; at
+        # n = 2k + 1 only the middle point has k on each side
+        for n in (k + 1, 2 * k + 1, 3 * k, 2000):
+            for y in (rng.normal(size=n), rng.uniform(size=n),
+                      np.round(rng.normal(size=n), 1)):  # ties
+                assert np.array_equal(_kth_neighbor_distance_1d(y, k), self.tree(y, k))
+
+    def test_exact_duplicates_degenerate(self):
+        # at 1e8 the jitter is below one ulp, so the duplicates stay exact
+        x = 1e8 + np.repeat(np.arange(100.0), 10)
+        y = x - x.mean()
+        eps = _kth_neighbor_distance_1d(y, 4)
+        assert np.array_equal(eps, self.tree(y, 4)) and not eps.any()
+        with pytest.raises(DegenerateDataError, match="zero distance"):
+            knn_differential_entropy(x)
+
+
+class TestPinnedEstimates:
+    """Estimates at fixed seeds, recorded with the k-d tree in every
+    dimension; equality of floats taken from repr is equality of bits."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        rng = np.random.default_rng(2024)
+        a = rng.normal(size=3000)
+        return SampleSet(a, 0.8 * a + 0.6 * rng.normal(size=3000))
+
+    def test_knn_1d(self, pair):
+        assert knn_differential_entropy(pair.a, jitter_seed=5) == EntropyEstimate(
+            2.0349471239175863, 0.03138189037170705, "knn", 3000, 4)
+
+    def test_knn_1d_ties(self, pair):
+        assert knn_differential_entropy(
+            np.round(pair.a, 2), k=7, jitter_seed=1) == EntropyEstimate(
+            -18.48991010657216, 0.026226901580768697, "knn", 3000, 7)
+
+    def test_knn_2d(self, pair):
+        assert knn_differential_entropy(
+            np.column_stack([pair.a, pair.b]), k=3, jitter_seed=5) == EntropyEstimate(
+            3.347751635815775, 0.03462669485733536, "knn", 3000, 3)
+
+    def test_conditional(self, pair):
+        assert conditional_entropy_estimate(pair, jitter_seed=5) == EntropyEstimate(
+            1.2958715612020173, 0.02973218191997204, "knn", 3000, 4)
+
+    def test_mutual_information(self, pair):
+        assert mutual_information_estimate(pair, k=2, jitter_seed=5) == EntropyEstimate(
+            0.7389557246576368, 0.0552250828572959, "knn", 3000, 2)
 
 
 class TestHistogramEntropy:

@@ -49,6 +49,10 @@ class TestRoundTrip:
         text = dumps(record, fmt)
         assert dumps(loads(text), fmt) == text
 
+    def test_leading_blank_line(self, record, fmt):
+        back = loads("\n" + dumps(record, fmt))
+        assert np.array_equal(back.a, record.a)
+
     def test_file_round_trip(self, record, fmt, tmp_path):
         path = write_record(record, tmp_path / "rec.dat", fmt)
         back = read_record(path)
@@ -129,6 +133,20 @@ class TestParseErrors:
         lines = dumps(record, fmt).splitlines()
         lines[row + 1] = _edit_row(lines[row + 1], fmt, **{column: lambda v: float("nan")})
         with pytest.raises(ParseError, match=f"line {row + 2}: kept pulse has a non-finite"):
+            loads("\n".join(lines))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("edit, problem", [
+        pytest.param({"a": lambda v: "x"}, "could not convert string to float",
+                     id="bad-float"),
+        pytest.param({"kept": lambda k: 1 - k}, "kept flag contradicts the labels",
+                     id="bad-kept-flag"),
+    ])
+    def test_error_cites_file_line_after_blank_line(self, record, fmt, edit, problem):
+        lines = dumps(record, fmt).splitlines()
+        lines[5] = _edit_row(lines[5], fmt, **edit)
+        lines.insert(3, "")  # the edited row is now file line 7
+        with pytest.raises(ParseError, match=f"line 7: .*{problem}"):
             loads("\n".join(lines))
 
     def test_non_finite_discarded_value_loads(self, record):
