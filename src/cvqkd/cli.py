@@ -115,41 +115,6 @@ CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 SWEEP_PARAMS = ("t", "eps", "v", "beta")
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepSpec:
-    """A grid over one channel parameter, everything else fixed."""
-
-    param: str
-    start: float
-    stop: float
-    steps: int
-    base: ExperimentConfig
-
-    def __post_init__(self):
-        if self.param not in SWEEP_PARAMS:
-            raise ConfigurationError(f"cannot sweep {self.param!r}; "
-                                     f"choose one of {', '.join(SWEEP_PARAMS)}")
-        if self.steps < 2:
-            raise ConfigurationError(f"need at least 2 steps, got {self.steps}")
-
-    def grid(self) -> list[float]:
-        return [self.start + (self.stop - self.start) * i / (self.steps - 1)
-                for i in range(self.steps)]
-
-    def point(self, value: float) -> tuple[ExperimentConfig, float]:
-        """The experiment at one grid value plus the beta to apply."""
-        settings = dataclasses.asdict(self.base)
-        beta = settings.pop("beta")
-        if self.param == "beta":
-            beta = value
-        else:
-            settings[self.param] = value
-        try:
-            return ExperimentConfig(**settings, beta=beta), beta
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{self.param}={value:g}: {exc}") from exc
-
-
 def _resolve_shape(spec: str, cfg: ExperimentConfig):
     """Turn a shape spec into a noise-shape object.
 
@@ -440,9 +405,12 @@ SWEEP_COLUMNS = (
 def sweep(config, param, start, stop, steps, transform, out, plot_out, **overrides):
     """Rate bounds on a grid of one channel parameter (analytic, no
     simulation; quantum-memory-mode rates, no sifting factor)."""
-    spec = SweepSpec(param, start, stop, steps, load_config(config, overrides))
-    rows = [_sweep_row(spec, value, HeterodyneTransform(transform))
-            for value in spec.grid()]
+    base = load_config(config, overrides)
+    if steps < 2:
+        raise ConfigurationError(f"need at least 2 steps, got {steps}")
+    rows = [_sweep_row(base, param, start + (stop - start) * i / (steps - 1),
+                       HeterodyneTransform(transform))
+            for i in range(steps)]
 
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
@@ -469,13 +437,17 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _sweep_row(spec: SweepSpec, value: float,
+def _sweep_row(base: ExperimentConfig, param: str, value: float,
                transform: HeterodyneTransform) -> dict:
-    point, beta = spec.point(value)
+    """The rate columns at one grid value, everything else as in base."""
+    try:
+        point = dataclasses.replace(base, **{param: value})
+        source, channel = point.source(), point.channel()
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{param}={value:g}: {exc}") from exc
     row = {c: None for c in SWEEP_COLUMNS}
-    row["param"] = spec.param
+    row["param"] = param
     row["value"] = value
-    source, channel = point.source(), point.channel()
     for kind, suffix in ((ProtocolKind.SQUEEZED_HOMODYNE, "squeezed"),
                          (ProtocolKind.COHERENT_HETERODYNE, "coherent")):
         k = analytic_covariance(source, channel, kind)
@@ -485,7 +457,7 @@ def _sweep_row(spec: SweepSpec, value: float,
             if kind is ProtocolKind.SQUEEZED_HOMODYNE:
                 raise
             break  # the coherent bound is undefined here; its cells stay empty
-        row[f"delta_i_min_{suffix}"] = report.effective_rate(beta * report.i_ab)
+        row[f"delta_i_min_{suffix}"] = report.effective_rate(point.beta * report.i_ab)
         row[f"i_ab_{suffix}"] = report.i_ab
         row[f"i_be_bound_{suffix}"] = report.i_be_bound
         row[f"cond_var_{suffix}"] = report.cond_var_b_given_a

@@ -190,11 +190,28 @@ def _knn_entropy_bits(x: np.ndarray, k: int, jitter_seed: int) -> float:
     return nats / LOG2 + log_det_bits
 
 
-def _fold_estimate(estimate, count: int, k: int, jitter_seed: int,
-                   folds: int) -> EntropyEstimate:
-    """The k-NN estimate(rows, seed) on all `count` samples, with the
-    standard error from the interleaved folds f::folds, fold f jittered
-    with seed jitter_seed + 1 + f."""
+def _knn_estimate(terms, k: int, jitter_seed: int, folds: int,
+                  check=None) -> EntropyEstimate:
+    """The k-NN estimate of sum(sign * H(x)) over the (sign, matrix) terms,
+    whose matrices share their rows, on all rows, with the standard error
+    from the interleaved folds f::folds, fold f jittered with seed
+    jitter_seed + 1 + f. check, if given, runs after the argument checks
+    and before any estimate."""
+    count = len(terms[0][1])
+    if k < 1:
+        raise DomainError(f"neighbor order must be >= 1, got {k}")
+    if count < max(k + 1, folds * (k + 1)):
+        raise InsufficientDataError(
+            f"need at least {max(k + 1, folds * (k + 1))} samples for "
+            f"k={k} with {folds}-fold errors, got {count}")
+    if check is not None:
+        check()
+
+    def estimate(rows, seed: int) -> float:
+        # summed left to right from 0, so a difference of two terms is
+        # the float subtraction H(x) - H(y) exactly
+        return sum(sign * _knn_entropy_bits(x[rows], k, seed) for sign, x in terms)
+
     value = estimate(slice(None), jitter_seed)
     per_fold = np.array([estimate(slice(f, None, folds), jitter_seed + 1 + f)
                          for f in range(folds)])
@@ -210,15 +227,7 @@ def knn_differential_entropy(values, k: int = 4, jitter_seed: int = 0,
     Consistent for any distribution with a density; duplicate-heavy data
     degenerates the neighbor distances and raises DegenerateDataError.
     """
-    x = _as_matrix(values)
-    if k < 1:
-        raise DomainError(f"neighbor order must be >= 1, got {k}")
-    if len(x) < max(k + 1, folds * (k + 1)):
-        raise InsufficientDataError(
-            f"need at least {max(k + 1, folds * (k + 1))} samples for "
-            f"k={k} with {folds}-fold errors, got {len(x)}")
-    return _fold_estimate(lambda rows, seed: _knn_entropy_bits(x[rows], k, seed),
-                          len(x), k, jitter_seed, folds)
+    return _knn_estimate([(1, _as_matrix(values))], k, jitter_seed, folds)
 
 
 def histogram_differential_entropy(values, bins: int | None = None) -> EntropyEstimate:
@@ -248,17 +257,13 @@ def conditional_entropy_estimate(s: SampleSet, k: int = 4, jitter_seed: int = 0,
     """H(B|A) in bits, computed as H(A, B) - H(A) with the neighbor
     estimator; the standard error is taken on the per-fold differences so
     the two estimates' shared fluctuations cancel."""
-    xy = np.column_stack([s.a, s.b])
-    _require_count(s, k, folds)
-    if sample_conditional_variance(s) <= 0:
-        raise DegenerateDataError("B is an exact linear function of A: "
-                                  "conditional spread is zero")
+    def require_spread():
+        if sample_conditional_variance(s) <= 0:
+            raise DegenerateDataError("B is an exact linear function of A: "
+                                      "conditional spread is zero")
 
-    def h_b_given_a(rows, seed: int) -> float:
-        return (_knn_entropy_bits(xy[rows], k, seed)
-                - _knn_entropy_bits(s.a[rows, None], k, seed))
-
-    return _fold_estimate(h_b_given_a, len(s), k, jitter_seed, folds)
+    return _knn_estimate([(1, np.column_stack([s.a, s.b])), (-1, s.a[:, None])],
+                         k, jitter_seed, folds, require_spread)
 
 
 def mutual_information_estimate(s: SampleSet, k: int = 4, jitter_seed: int = 0,
@@ -266,23 +271,10 @@ def mutual_information_estimate(s: SampleSet, k: int = 4, jitter_seed: int = 0,
     """I(A;B) in bits as H(A) + H(B) - H(A, B). Non-negative up to
     estimator error; small negative values on independent data are
     expected scatter."""
-    xy = np.column_stack([s.a, s.b])
-    _require_count(s, k, folds)
-
-    def mi(rows, seed: int) -> float:
-        return (_knn_entropy_bits(s.a[rows, None], k, seed)
-                + _knn_entropy_bits(s.b[rows, None], k, seed)
-                - _knn_entropy_bits(xy[rows], k, seed))
-
-    return _fold_estimate(mi, len(s), k, jitter_seed, folds)
+    return _knn_estimate([(1, s.a[:, None]), (1, s.b[:, None]),
+                          (-1, np.column_stack([s.a, s.b]))], k, jitter_seed, folds)
 
 
 def sample_conditional_variance(s: SampleSet) -> float:
     """Best-linear-estimate residual variance of the samples themselves."""
     return rates_conditional_variance(estimate_covariance(s))
-
-
-def _require_count(s: SampleSet, k: int, folds: int) -> None:
-    if len(s) < folds * (k + 1):
-        raise InsufficientDataError(
-            f"need at least {folds * (k + 1)} samples, got {len(s)}")

@@ -37,6 +37,9 @@ HEADER_MAGIC = "#cvqkd-record"
 
 FORMATS = ("csv", "json-lines")
 
+#: the fields of one pulse row, in file order, in both formats
+ROW_KEYS = ("block", "pulse", "a", "b", "label_a", "label_b", "kept")
+
 
 def shape_to_string(shape) -> str:
     """``kind`` alone, or ``kind:key=value,...`` with shortest round-trip
@@ -65,22 +68,6 @@ def shape_from_string(text: str):
         raise ParseError(f"noise shape {text!r} is missing {exc}") from exc
 
 
-def _header_fields(record: BlockRecord) -> dict:
-    return {
-        "protocol": record.protocol.value,
-        "sifting": record.sifting_mode.value,
-        "n": record.n,
-        "l": record.l,
-        "seed": record.seed,
-        "v": record.source.v,
-        "n0": record.source.n0,
-        "t": record.channel.t,
-        "eps": record.channel.eps,
-        "shape": shape_to_string(record.channel.shape),
-        "rho_block": record.channel.rho_block,
-    }
-
-
 def _check_rows(line_numbers, a, b, label_a, label_b, kept) -> None:
     """Row invariants, checked on whole columns: a pulse is kept exactly
     when the labels agree, and every kept pulse has finite values. The
@@ -94,72 +81,62 @@ def _check_rows(line_numbers, a, b, label_a, label_b, kept) -> None:
 
 def _record_from_header(fields: dict, line_numbers, a, b, label_a, label_b,
                         kept) -> BlockRecord:
-    """The record both loaders decode: header fields plus checked rows."""
+    """The record both formats decode: header fields plus checked rows."""
     _check_rows(line_numbers, a, b, label_a, label_b, kept)
     try:
         source = EprSource(float(fields["v"]), float(fields["n0"]))
         channel = ChannelModel(float(fields["t"]), float(fields["eps"]),
                                shape_from_string(str(fields["shape"])),
                                float(fields["rho_block"]))
-        return BlockRecord(
-            n=int(fields["n"]), l=int(fields["l"]),
-            protocol=ProtocolKind(fields["protocol"]),
-            sifting_mode=SiftingMode(fields["sifting"]),
-            seed=int(fields["seed"]),
-            source=source, channel=channel,
-            a=a, b=b, label_a=label_a, label_b=label_b, kept=kept,
-        )
+        n, l = int(fields["n"]), int(fields["l"])
+        protocol = ProtocolKind(fields["protocol"])
+        sifting_mode = SiftingMode(fields["sifting"])
+        seed = int(fields["seed"])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad record header: {exc}") from exc
+    if len(a) != n * l:
+        raise ParseError(f"record has {len(a)} pulse rows, but its header "
+                         f"declares n*l = {n}*{l} = {n * l}")
+    return BlockRecord(n=n, l=l, protocol=protocol, sifting_mode=sifting_mode,
+                       seed=seed, source=source, channel=channel,
+                       a=a, b=b, label_a=label_a, label_b=label_b, kept=kept)
 
 
 def dumps(record: BlockRecord, fmt: str = "csv") -> str:
     """Serialize a record to text in the requested format."""
+    fields = {
+        "protocol": record.protocol.value,
+        "sifting": record.sifting_mode.value,
+        "n": record.n,
+        "l": record.l,
+        "seed": record.seed,
+        "v": record.source.v,
+        "n0": record.source.n0,
+        "t": record.channel.t,
+        "eps": record.channel.eps,
+        "shape": shape_to_string(record.channel.shape),
+        "rho_block": record.channel.rho_block,
+    }
     if fmt == "csv":
-        return _dumps_csv(record)
-    if fmt == "json-lines":
-        return _dumps_jsonl(record)
-    raise ParseError(f"unknown record format {fmt!r}")
+        header = HEADER_MAGIC + " " + " ".join(
+            f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"
+            for key, value in fields.items())
+        format_row = "{},{},{!r},{!r},{},{},{}".format
+    elif fmt == "json-lines":
+        header = json.dumps({"record": "cvqkd", **fields})
 
-
-def _dumps_csv(record: BlockRecord) -> str:
-    fields = _header_fields(record)
-    header = HEADER_MAGIC + " " + " ".join(
-        f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"
-        for key, value in fields.items())
-    lines = [header]
-    n = record.n
-    for i in range(record.total_pulses):
-        lines.append("{},{},{!r},{!r},{},{},{}".format(
-            i // n, i % n, float(record.a[i]), float(record.b[i]),
-            LABEL_CHARS[record.label_a[i]], LABEL_CHARS[record.label_b[i]],
-            int(record.kept[i])))
-    return "\n".join(lines) + "\n"
-
-
-def _dumps_jsonl(record: BlockRecord) -> str:
-    header = {"record": "cvqkd", **_header_fields(record)}
-    lines = [json.dumps(header)]
-    n = record.n
-    for i in range(record.total_pulses):
-        lines.append(json.dumps({
-            "block": i // n, "pulse": i % n,
-            "a": float(record.a[i]), "b": float(record.b[i]),
-            "label_a": LABEL_CHARS[record.label_a[i]],
-            "label_b": LABEL_CHARS[record.label_b[i]],
-            "kept": int(record.kept[i]),
-        }))
-    return "\n".join(lines) + "\n"
-
-
-def loads(text: str) -> BlockRecord:
-    """Parse a record from text, auto-detecting the format."""
-    stripped = text.lstrip()
-    if stripped.startswith(HEADER_MAGIC):
-        return _loads_csv(text)
-    if stripped.startswith("{"):
-        return _loads_jsonl(text)
-    raise ParseError("not a cvqkd record: unrecognized first line")
+        def format_row(*row):
+            return json.dumps(dict(zip(ROW_KEYS, row)))
+    else:
+        raise ParseError(f"unknown record format {fmt!r}")
+    # stream the columns: a list copy of each would raise the peak memory
+    n, total = record.n, record.total_pulses
+    label = LABEL_CHARS.__getitem__
+    rows = map(format_row, (i // n for i in range(total)), (i % n for i in range(total)),
+               map(float, record.a), map(float, record.b),
+               map(label, record.label_a), map(label, record.label_b),
+               map(int, record.kept))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def _parse_header_line(line: str) -> dict:
@@ -172,56 +149,54 @@ def _parse_header_line(line: str) -> dict:
     return fields
 
 
-def _numbered_lines(text: str) -> tuple[list[int], list[str]]:
-    """The non-blank lines of a record and their file line numbers, so
-    errors cite the line a user sees."""
-    lines = text.splitlines()
-    numbers = [number for number, line in enumerate(lines, 1) if line]
-    return numbers, [line for line in lines if line]
+def _split_csv_row(line: str):
+    parts = line.split(",")
+    if len(parts) != 7:
+        raise ValueError(f"expected 7 fields, got {len(parts)}")
+    return float(parts[2]), float(parts[3]), parts[4], parts[5], int(parts[6])
 
 
-def _loads_csv(text: str) -> BlockRecord:
-    numbers, lines = _numbered_lines(text)
-    fields = _parse_header_line(lines[0])
-    numbers, rows = numbers[1:], lines[1:]
-    a, b, label_a, label_b, kept = (np.empty(len(rows), dtype) for dtype in COLUMN_DTYPES)
-    for i, line in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ParseError(f"line {numbers[i]}: expected 7 fields, got {len(parts)}")
-        try:
-            a[i] = float(parts[2])
-            b[i] = float(parts[3])
-            label_a[i] = LABEL_CHARS.index(parts[4])
-            label_b[i] = LABEL_CHARS.index(parts[5])
-            kept[i] = bool(int(parts[6]))
-        except ValueError as exc:
-            raise ParseError(f"line {numbers[i]}: {exc}") from exc
-    return _record_from_header(fields, numbers, a, b, label_a, label_b, kept)
-
-
-def _loads_jsonl(text: str) -> BlockRecord:
-    numbers, lines = _numbered_lines(text)
+def _parse_json_header(line: str) -> dict:
     try:
-        header = json.loads(lines[0])
+        header = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad json-lines header: {exc}") from exc
     if header.get("record") != "cvqkd":
         raise ParseError("json-lines file is not a cvqkd record")
-    numbers, rows = numbers[1:], lines[1:]
-    a, b, label_a, label_b, kept = (np.empty(len(rows), dtype) for dtype in COLUMN_DTYPES)
-    for i, line in enumerate(rows):
+    return header
+
+
+def _split_json_row(line: str):
+    row = json.loads(line)
+    if not isinstance(row, dict):
+        raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+    return row["a"], row["b"], row["label_a"], row["label_b"], row["kept"]
+
+
+def loads(text: str) -> BlockRecord:
+    """Parse a record from text, detecting the format from its first
+    non-blank line. Blank lines are skipped but counted, so errors cite
+    the line a user sees."""
+    lines = text.splitlines()
+    numbers = [number for number, line in enumerate(lines, 1) if line]
+    first = lines[numbers[0] - 1] if numbers else ""
+    if first.startswith(HEADER_MAGIC):
+        fields, split_row = _parse_header_line(first), _split_csv_row
+    elif first.startswith("{"):
+        fields, split_row = _parse_json_header(first), _split_json_row
+    else:
+        raise ParseError("not a cvqkd record: unrecognized first line")
+    numbers = numbers[1:]
+    a, b, label_a, label_b, kept = (np.empty(len(numbers), dtype) for dtype in COLUMN_DTYPES)
+    for i, number in enumerate(numbers):
         try:
-            row = json.loads(line)
-            a[i] = row["a"]
-            b[i] = row["b"]
-            label_a[i] = LABEL_CHARS.index(row["label_a"])
-            label_b[i] = LABEL_CHARS.index(row["label_b"])
-            kept[i] = bool(row["kept"])
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise ParseError(f"line {numbers[i]}: {exc}") from exc
-    return _record_from_header(fields=header, line_numbers=numbers, a=a, b=b,
-                               label_a=label_a, label_b=label_b, kept=kept)
+            a[i], b[i], label_a_char, label_b_char, kept_flag = split_row(lines[number - 1])
+            label_a[i] = LABEL_CHARS.index(label_a_char)
+            label_b[i] = LABEL_CHARS.index(label_b_char)
+            kept[i] = bool(kept_flag)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"line {number}: {exc}") from exc
+    return _record_from_header(fields, numbers, a, b, label_a, label_b, kept)
 
 
 def write_record(record: BlockRecord, path, fmt: str = "csv") -> Path:

@@ -287,6 +287,21 @@ class TestSweep:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values == [2.0, 10.0]
 
+    @pytest.mark.parametrize("args, code, message", [
+        (["--param", "t", "--start", "0", "--stop", "1"], 2,
+         "error: t=0: transmission must be in (0, 1]"),
+        (["--param", "v", "--start", "0.5", "--stop", "2"], 2,
+         "error: v=0.5: source variance 0.5 below the vacuum variance"),
+        (["--param", "eps", "--start", "0", "--stop", "1", "--shape", "uniform:width=1"], 3,
+         "error: noise shape 'uniform:width=1' is missing 'halfwidth'"),
+    ], ids=["transmission", "source", "shape-spec"])
+    def test_bad_grid_point(self, runner, tmp_path, args, code, message):
+        out = tmp_path / "s.csv"
+        result = runner.invoke(main, ["sweep", *args, "--steps", "5", "--out", str(out)])
+        assert result.exit_code == code
+        assert message in result.output
+        assert not out.exists()
+
     def test_single_step_rejected(self, runner, tmp_path):
         result = runner.invoke(main, [
             "sweep", "--param", "t", "--start", "0.5", "--stop", "1",

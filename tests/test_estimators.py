@@ -150,6 +150,18 @@ class TestKnnEntropy:
             knn_differential_entropy(np.arange(10.0), k=4)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("estimate", [
+    lambda s, k: knn_differential_entropy(s.a, k=k),
+    lambda s, k: conditional_entropy_estimate(s, k=k),
+    lambda s, k: mutual_information_estimate(s, k=k),
+], ids=["knn", "conditional", "mutual-information"])
+def test_neighbor_order_below_one_rejected(rng, estimate, k):
+    a = rng.normal(size=500)
+    with pytest.raises(DomainError, match="neighbor order must be >= 1"):
+        estimate(SampleSet(a, a + rng.normal(size=500)), k)
+
+
 class TestKthNeighborDistance1d:
     """The sort-and-window distances equal a k-d tree's bit for bit."""
 

@@ -1,9 +1,10 @@
-"""Exact bytes of the closed-form CLI outputs.
+"""Exact bytes of the closed-form CLI outputs and of serialized records.
 
 `sweep` and `rate --cov` evaluate the bounds with Python float arithmetic
 only, so their bytes do not depend on numpy's random streams. The digests
 below pin them: regrouping a sum or reordering a division changes a last
-bit that every tolerance-based test lets through.
+bit that every tolerance-based test lets through. The record digests pin
+both text formats of fixed-seed sessions, row codec and header alike.
 """
 
 import hashlib
@@ -11,7 +12,16 @@ import hashlib
 import pytest
 from click.testing import CliRunner
 
+from cvqkd import (
+    ChannelModel,
+    EprSource,
+    ProtocolKind,
+    SiftingMode,
+    TwoComponentMixture,
+    run_session,
+)
 from cvqkd.cli import main
+from cvqkd.records import dumps
 
 #: sweep arguments, with the sha256 of the CSV table and of the plot JSON
 SWEEPS = {
@@ -71,3 +81,34 @@ def test_rate_json_bytes(name):
     result = CliRunner().invoke(main, ["rate", *args, "--format", "json"])
     assert result.exit_code == 0, result.output
     assert sha256(result.stdout_bytes) == digest
+
+
+#: run_session arguments, with the sha256 of the csv and json-lines records
+RECORDS = {
+    "squeezed-random-basis": (
+        dict(src=EprSource(20.0), ch=ChannelModel(0.5, 0.05),
+             protocol=ProtocolKind.SQUEEZED_HOMODYNE, n=1, l=300,
+             sifting_mode=SiftingMode.RANDOM_BASIS, rng_seed=7),
+        "2f0a0b867df9b38bc4ca3e07294e7d9ee8f438fa547390c73ee58ce3504750e5",
+        "9f7805ad2038e4b3914be5fed142d448500d092413775c4c7f3b957b59195557"),
+    "heterodyne-block-memory": (
+        dict(src=EprSource(12.0), ch=ChannelModel(0.7, 0.1, rho_block=0.4),
+             protocol=ProtocolKind.COHERENT_HETERODYNE, n=5, l=60,
+             sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=8),
+        "a2cdffe8f0a11851f9bc806208d96106496636dfe2544eded898c05f1ea04625",
+        "9be47fb26d1d8ce7962fabb6ffedf5bb4302d34e0ca72c70e0ba8ac20c8b9e34"),
+    "mixture-blocks": (
+        dict(src=EprSource(9.0),
+             ch=ChannelModel(0.6, 0.1, TwoComponentMixture.matching(0.46)),
+             protocol=ProtocolKind.SQUEEZED_HOMODYNE, n=3, l=100, rng_seed=9),
+        "241e0999e735524ce602cc684a31f6bf5e389e8504fe3ad35648ccb9b7d48321",
+        "e16e0e19db936cb73cace215f97f37c7646103ea69a289ca5751c6a82770b38b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_bytes(name):
+    session, csv_digest, jsonl_digest = RECORDS[name]
+    record = run_session(**session)
+    assert sha256(dumps(record, "csv").encode()) == csv_digest
+    assert sha256(dumps(record, "json-lines").encode()) == jsonl_digest

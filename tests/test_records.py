@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqkd import (
     ChannelModel,
@@ -17,6 +19,7 @@ from cvqkd import (
     write_record,
 )
 from cvqkd.records import dumps, loads, shape_from_string, shape_to_string
+from cvqkd.simulator import SHAPE_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +152,20 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=f"line 7: .*{problem}"):
             loads("\n".join(lines))
 
+    @pytest.mark.parametrize("row", ["[1, 2]", "3", '"x"', "null"])
+    def test_json_row_not_an_object(self, record, row):
+        lines = dumps(record, "json-lines").splitlines()
+        lines[2] = row
+        with pytest.raises(ParseError, match="line 3: expected a JSON object"):
+            loads("\n".join(lines))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("rows", [0, 199], ids=["header-only", "last-row-dropped"])
+    def test_truncated_record(self, record, fmt, rows):
+        lines = dumps(record, fmt).splitlines()[:rows + 1]
+        with pytest.raises(ParseError, match=rf"{rows} pulse rows, .* n\*l = 5\*40 = 200"):
+            loads("\n".join(lines))
+
     def test_non_finite_discarded_value_loads(self, record):
         row = int(np.flatnonzero(~record.kept)[0])
         lines = dumps(record, "csv").splitlines()
@@ -172,6 +189,34 @@ def _edit_row(line: str, fmt: str, **edits) -> str:
     for key, fn in edits.items():
         row[key] = fn(row[key])
     return json.dumps(row)
+
+
+SHAPE_NAMES = ("gaussian", "mixture", "uniform", "displacement")
+
+
+@st.composite
+def sessions(draw):
+    """Small sessions over every protocol, sifting mode and noise shape."""
+    channel = ChannelModel(draw(st.floats(0.1, 0.95)), draw(st.floats(0.0, 0.5)))
+    shape = SHAPE_KINDS[draw(st.sampled_from(SHAPE_NAMES))].matching(channel.noise_variance())
+    return run_session(
+        EprSource(draw(st.floats(1.0, 30.0))), ChannelModel(channel.t, channel.eps, shape),
+        draw(st.sampled_from(ProtocolKind)), n=draw(st.integers(1, 4)),
+        l=draw(st.integers(1, 12)), sifting_mode=draw(st.sampled_from(SiftingMode)),
+        rng_seed=draw(st.integers(0, 2**32)))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+@settings(max_examples=40, deadline=None)
+@given(session=sessions())
+def test_round_trip_property(fmt, session):
+    text = dumps(session, fmt)
+    back = loads(text)
+    for column in ("a", "b", "label_a", "label_b", "kept"):
+        assert np.array_equal(getattr(back, column), getattr(session, column))
+    for field in ("n", "l", "protocol", "sifting_mode", "seed", "source", "channel"):
+        assert getattr(back, field) == getattr(session, field)
+    assert dumps(back, fmt) == text
 
 
 class TestFormats:
