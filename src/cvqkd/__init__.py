@@ -22,9 +22,7 @@ from .estimators import (
     SampleSet,
     conditional_entropy_estimate,
     estimate_covariance,
-    histogram_differential_entropy,
     knn_differential_entropy,
-    mutual_information_estimate,
 )
 from .rates import (
     Covariance2,
@@ -35,7 +33,6 @@ from .rates import (
     coherent_rate_bound,
     conditional_squeezing_check,
     conditional_variance,
-    effective_rate,
     gaussian_conditional_entropy,
     gaussian_entropy,
     gaussian_mutual_information,
@@ -44,7 +41,7 @@ from .rates import (
     squeezed_rate_bound,
     vacuum_entropy,
 )
-from .records import read_record, read_samples, write_record
+from .records import read_record, write_record
 from .simulator import (
     ATTACK_CATALOG,
     AttackConfig,

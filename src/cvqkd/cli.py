@@ -84,6 +84,14 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
+        # config files can hold any JSON value, so check types before values
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "float"):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+            elif not (isinstance(value, str) or (value is None and f.default is None)):
+                raise ConfigurationError(f"{f.name} must be a string, got {value!r}")
         if self.format not in records.FORMATS:
             raise ConfigurationError(f"unknown record format {self.format!r}")
         if self.protocol not in PROTOCOL_NAMES:
@@ -105,9 +113,6 @@ class ExperimentConfig:
     def channel(self) -> ChannelModel:
         return ChannelModel(self.t, self.eps, _resolve_shape(self.shape, self),
                             self.rho_block)
-
-    def protocol_kind(self) -> ProtocolKind:
-        return ProtocolKind(self.protocol)
 
 
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -144,6 +149,9 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             values = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(values, dict):
+            raise ParseError(f"config {path} must hold a JSON object, "
+                             f"got {type(values).__name__}")
         unknown = set(values) - CONFIG_FIELDS
         if unknown:
             raise ConfigurationError(
@@ -224,7 +232,7 @@ def simulate(config, out, fmt, **overrides):
     cfg = load_config(config, {**overrides, "out": out, "format": fmt})
     if cfg.out is None:
         raise ConfigurationError("no output path: pass --out or set 'out' in the config")
-    record = run_session(cfg.source(), cfg.channel(), cfg.protocol_kind(),
+    record = run_session(cfg.source(), cfg.channel(), ProtocolKind(cfg.protocol),
                          cfg.n, cfg.l, cfg.sifting, cfg.seed)
     path = resolve_out(cfg.out)
     records.write_record(record, path, cfg.format)
@@ -234,7 +242,7 @@ def simulate(config, out, fmt, **overrides):
     k = estimate_covariance(record.samples())
     click.echo(f"sample covariance (pooled): var_a={k.var_a:.6g} "
                f"var_b={k.var_b:.6g} cov_ab={k.cov_ab:.6g}")
-    ka = analytic_covariance(cfg.source(), cfg.channel(), cfg.protocol_kind())
+    ka = analytic_covariance(cfg.source(), cfg.channel(), ProtocolKind(cfg.protocol))
     click.echo(f"analytic covariance:        var_a={ka.var_a:.6g} "
                f"var_b={ka.var_b:.6g} cov_ab={ka.cov_ab:.6g}")
     # full-precision literal: feeding it to `rate --cov` reproduces the
@@ -443,6 +451,7 @@ def _sweep_row(base: ExperimentConfig, param: str, value: float,
     try:
         point = dataclasses.replace(base, **{param: value})
         source, channel = point.source(), point.channel()
+        channel.validate_shape(point.n0)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{param}={value:g}: {exc}") from exc
     row = {c: None for c in SWEEP_COLUMNS}

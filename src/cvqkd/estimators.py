@@ -8,9 +8,7 @@ back. In 1-d the k-th neighbor distances come from one sort and a
 window of k neighbors on each side, exactly equal to a k-d tree's; in
 2-d and above they come from scipy's ``cKDTree``. scipy is imported on
 the first estimate, so code that never estimates an entropy does not
-load it. A plain histogram (plug-in) estimator of scalar entropy is
-provided alongside, as an independent estimator: nothing falls back to
-it. Standard errors come from 10-fold subsampling.
+load it. Standard errors come from 10-fold subsampling.
 
 Estimates are deterministic for a fixed input ordering and jitter seed.
 """
@@ -18,13 +16,12 @@ Estimates are deterministic for a fixed input ordering and jitter seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, InsufficientDataError
-from .rates import Covariance2
-from .rates import conditional_variance as rates_conditional_variance
+from .rates import Covariance2, conditional_variance
 
 #: jitter magnitude relative to the per-axis sample standard deviation,
 #: applied before the neighbor search so exact duplicates do not produce
@@ -39,11 +36,10 @@ LOG2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Paired Alice/Bob quadrature outcomes for one quadrature label."""
+    """Paired Alice/Bob quadrature outcomes."""
 
     a: np.ndarray
     b: np.ndarray
-    label: str = "q"
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -56,33 +52,19 @@ class SampleSet:
             raise InsufficientDataError(f"need at least 2 samples, got {len(a)}")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise DomainError("samples must be finite")
-        if self.label not in ("q", "p"):
-            raise DomainError(f"label must be 'q' or 'p', got {self.label!r}")
 
     def __len__(self) -> int:
         return len(self.a)
 
-    @classmethod
-    def from_pairs(cls, pairs, label: str = "q") -> "SampleSet":
-        arr = np.asarray(list(pairs), dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise DomainError("pairs must be a sequence of (a, b) tuples")
-        return cls(arr[:, 0], arr[:, 1], label)
-
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """A differential-entropy value in bits with estimator metadata."""
+    """A k-NN differential-entropy value in bits with estimator metadata."""
 
     value: float
     std_error: float
-    estimator_id: str
     sample_count: int
-    neighbor_order: int | None = field(default=None)
-
-    def __post_init__(self):
-        if self.std_error < 0:
-            raise DomainError("standard error cannot be negative")
+    neighbor_order: int
 
 
 def estimate_covariance(s: SampleSet) -> Covariance2:
@@ -216,7 +198,7 @@ def _knn_estimate(terms, k: int, jitter_seed: int, folds: int,
     per_fold = np.array([estimate(slice(f, None, folds), jitter_seed + 1 + f)
                          for f in range(folds)])
     err = float(per_fold.std(ddof=1) / math.sqrt(folds))
-    return EntropyEstimate(value, err, "knn", count, k)
+    return EntropyEstimate(value, err, count, k)
 
 
 def knn_differential_entropy(values, k: int = 4, jitter_seed: int = 0,
@@ -230,51 +212,16 @@ def knn_differential_entropy(values, k: int = 4, jitter_seed: int = 0,
     return _knn_estimate([(1, _as_matrix(values))], k, jitter_seed, folds)
 
 
-def histogram_differential_entropy(values, bins: int | None = None) -> EntropyEstimate:
-    """Histogram (plug-in) differential entropy of a scalar sample, in
-    bits. Coarser than the neighbor estimator, and independent of it: a
-    cross-check that needs no neighbor search."""
-    x = _as_matrix(values)
-    if x.shape[1] != 1:
-        raise DomainError("histogram estimator is one-dimensional")
-    x = x[:, 0]
-    n = len(x)
-    if bins is None:
-        bins = max(int(round(n ** (1 / 3))), 8)
-    counts, edges = np.histogram(x, bins=bins)
-    width = edges[1] - edges[0]
-    if width <= 0:
-        raise DegenerateDataError("all samples identical")
-    p = counts[counts > 0] / n
-    value = float(-(p * np.log2(p)).sum() + math.log2(width))
-    # crude multinomial error on the plug-in term
-    err = float(np.sqrt(np.sum(p * (np.log2(p)) ** 2) / n))
-    return EntropyEstimate(value, err, "histogram", n)
-
-
 def conditional_entropy_estimate(s: SampleSet, k: int = 4, jitter_seed: int = 0,
                                  folds: int = DEFAULT_FOLDS) -> EntropyEstimate:
     """H(B|A) in bits, computed as H(A, B) - H(A) with the neighbor
     estimator; the standard error is taken on the per-fold differences so
     the two estimates' shared fluctuations cancel."""
     def require_spread():
-        if sample_conditional_variance(s) <= 0:
+        if conditional_variance(estimate_covariance(s)) <= 0:
             raise DegenerateDataError("B is an exact linear function of A: "
                                       "conditional spread is zero")
 
     return _knn_estimate([(1, np.column_stack([s.a, s.b])), (-1, s.a[:, None])],
                          k, jitter_seed, folds, require_spread)
 
-
-def mutual_information_estimate(s: SampleSet, k: int = 4, jitter_seed: int = 0,
-                                folds: int = DEFAULT_FOLDS) -> EntropyEstimate:
-    """I(A;B) in bits as H(A) + H(B) - H(A, B). Non-negative up to
-    estimator error; small negative values on independent data are
-    expected scatter."""
-    return _knn_estimate([(1, s.a[:, None]), (1, s.b[:, None]),
-                          (-1, np.column_stack([s.a, s.b]))], k, jitter_seed, folds)
-
-
-def sample_conditional_variance(s: SampleSet) -> float:
-    """Best-linear-estimate residual variance of the samples themselves."""
-    return rates_conditional_variance(estimate_covariance(s))

@@ -254,17 +254,6 @@ def rate_bound(
     return coherent_rate_bound(k, n, n0, transform)
 
 
-def effective_rate(
-    i_eff: float,
-    k_measured: Covariance2,
-    protocol: ProtocolKind,
-    n0: float = 1.0,
-    transform: HeterodyneTransform = HeterodyneTransform.PRINTED,
-) -> float:
-    """`RateReport.effective_rate` of the bound at this covariance."""
-    return rate_bound(k_measured, 1, protocol, n0, transform).effective_rate(i_eff)
-
-
 def apply_sifting(rate: float) -> float:
     """Rate penalty of random independent quadrature choices: the bases
     agree half of the time, so every information rate is halved."""

@@ -7,7 +7,8 @@ Two on-disk formats carry the same fields:
   ``block,pulse,a,b,label_a,label_b,kept`` with labels ``q``/``p`` and
   kept ``0``/``1``.
 * ``json-lines`` - a header object on the first line, then one object
-  per pulse with keys block, pulse, a, b, label_a, label_b, kept.
+  per pulse with keys block, pulse, a, b, label_a, label_b, kept; block,
+  pulse and kept are JSON integers, a and b JSON numbers.
 
 Floats are written with ``repr`` (shortest round-trip form), so a record
 re-serialized from the same session is byte-identical.
@@ -25,7 +26,6 @@ from .rates import ProtocolKind
 from .simulator import (
     COLUMN_DTYPES,
     LABEL_CHARS,
-    NOISE_SHAPES,
     SHAPE_KINDS,
     BlockRecord,
     ChannelModel,
@@ -40,12 +40,14 @@ FORMATS = ("csv", "json-lines")
 #: the fields of one pulse row, in file order, in both formats
 ROW_KEYS = ("block", "pulse", "a", "b", "label_a", "label_b", "kept")
 
+#: the Python types json may give the numeric fields of a row (not bool)
+JSON_NUMBER_TYPES = {"block": (int,), "pulse": (int,), "a": (int, float),
+                     "b": (int, float), "kept": (int,)}
+
 
 def shape_to_string(shape) -> str:
     """``kind`` alone, or ``kind:key=value,...`` with shortest round-trip
     floats, e.g. ``uniform:halfwidth=1.5``."""
-    if not isinstance(shape, NOISE_SHAPES):
-        raise ParseError(f"cannot serialize noise shape {shape!r}")
     params = ",".join(f"{key}={value!r}" for key, value in shape.spec().items())
     return f"{shape.kind}:{params}" if params else shape.kind
 
@@ -68,21 +70,24 @@ def shape_from_string(text: str):
         raise ParseError(f"noise shape {text!r} is missing {exc}") from exc
 
 
-def _check_rows(line_numbers, a, b, label_a, label_b, kept) -> None:
+def _check_rows(line_numbers, n, block, pulse, a, b, label_a, label_b, kept) -> None:
     """Row invariants, checked on whole columns: a pulse is kept exactly
-    when the labels agree, and every kept pulse has finite values. The
-    first offending row is reported by its file line, line_numbers[i]."""
+    when the labels agree, every kept pulse has finite values, and row i
+    is pulse i % n of block i // n. The first offending row is reported
+    by its file line, line_numbers[i]."""
+    position_block, position_pulse = np.divmod(np.arange(len(a)), n)
     for bad, problem in (
             (kept != (label_a == label_b), "kept flag contradicts the labels"),
-            (kept & ~(np.isfinite(a) & np.isfinite(b)), "kept pulse has a non-finite value")):
+            (kept & ~(np.isfinite(a) & np.isfinite(b)), "kept pulse has a non-finite value"),
+            ((block != position_block) | (pulse != position_pulse),
+             f"block and pulse do not follow the row's position (n={n})")):
         if bad.any():
             raise ParseError(f"line {line_numbers[int(bad.argmax())]}: {problem}")
 
 
-def _record_from_header(fields: dict, line_numbers, a, b, label_a, label_b,
-                        kept) -> BlockRecord:
+def _record_from_header(fields: dict, line_numbers, block, pulse, a, b, label_a,
+                        label_b, kept) -> BlockRecord:
     """The record both formats decode: header fields plus checked rows."""
-    _check_rows(line_numbers, a, b, label_a, label_b, kept)
     try:
         source = EprSource(float(fields["v"]), float(fields["n0"]))
         channel = ChannelModel(float(fields["t"]), float(fields["eps"]),
@@ -97,6 +102,7 @@ def _record_from_header(fields: dict, line_numbers, a, b, label_a, label_b,
     if len(a) != n * l:
         raise ParseError(f"record has {len(a)} pulse rows, but its header "
                          f"declares n*l = {n}*{l} = {n * l}")
+    _check_rows(line_numbers, n, block, pulse, a, b, label_a, label_b, kept)
     return BlockRecord(n=n, l=l, protocol=protocol, sifting_mode=sifting_mode,
                        seed=seed, source=source, channel=channel,
                        a=a, b=b, label_a=label_a, label_b=label_b, kept=kept)
@@ -149,11 +155,20 @@ def _parse_header_line(line: str) -> dict:
     return fields
 
 
+def _kept_flag(value, flags) -> bool:
+    """The kept flag a row field holds, given the field values of 0 and 1."""
+    if value not in flags:
+        raise ValueError(f"kept must be 0 or 1, got {value!r}")
+    return value == flags[1]
+
+
 def _split_csv_row(line: str):
     parts = line.split(",")
     if len(parts) != 7:
         raise ValueError(f"expected 7 fields, got {len(parts)}")
-    return float(parts[2]), float(parts[3]), parts[4], parts[5], int(parts[6])
+    block, pulse, a, b, label_a, label_b, kept = parts
+    return (int(block), int(pulse), float(a), float(b), label_a, label_b,
+            _kept_flag(kept, ("0", "1")))
 
 
 def _parse_json_header(line: str) -> dict:
@@ -170,7 +185,12 @@ def _split_json_row(line: str):
     row = json.loads(line)
     if not isinstance(row, dict):
         raise ValueError(f"expected a JSON object, got {type(row).__name__}")
-    return row["a"], row["b"], row["label_a"], row["label_b"], row["kept"]
+    for key, types in JSON_NUMBER_TYPES.items():
+        if type(row[key]) not in types:
+            kind = "an integer" if types == (int,) else "a number"
+            raise ValueError(f"{key} must be {kind}, got {row[key]!r}")
+    return (row["block"], row["pulse"], row["a"], row["b"], row["label_a"],
+            row["label_b"], _kept_flag(row["kept"], (0, 1)))
 
 
 def loads(text: str) -> BlockRecord:
@@ -187,16 +207,17 @@ def loads(text: str) -> BlockRecord:
     else:
         raise ParseError("not a cvqkd record: unrecognized first line")
     numbers = numbers[1:]
+    block, pulse = np.empty((2, len(numbers)), dtype=np.int64)
     a, b, label_a, label_b, kept = (np.empty(len(numbers), dtype) for dtype in COLUMN_DTYPES)
     for i, number in enumerate(numbers):
         try:
-            a[i], b[i], label_a_char, label_b_char, kept_flag = split_row(lines[number - 1])
+            (block[i], pulse[i], a[i], b[i], label_a_char, label_b_char,
+             kept[i]) = split_row(lines[number - 1])
             label_a[i] = LABEL_CHARS.index(label_a_char)
             label_b[i] = LABEL_CHARS.index(label_b_char)
-            kept[i] = bool(kept_flag)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"line {number}: {exc}") from exc
-    return _record_from_header(fields, numbers, a, b, label_a, label_b, kept)
+    return _record_from_header(fields, numbers, block, pulse, a, b, label_a, label_b, kept)
 
 
 def write_record(record: BlockRecord, path, fmt: str = "csv") -> Path:
@@ -207,9 +228,3 @@ def write_record(record: BlockRecord, path, fmt: str = "csv") -> Path:
 
 def read_record(path) -> BlockRecord:
     return loads(Path(path).read_text())
-
-
-def read_samples(path, label: str | None = None):
-    """Kept pulses of a record file as a SampleSet ready for the
-    estimators (label None pools both quadratures)."""
-    return read_record(path).samples(label)

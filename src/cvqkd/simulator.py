@@ -247,20 +247,17 @@ class SiftingMode(Enum):
 # ---------------------------------------------------------------------------
 # elementary sampling operations
 
-def simulate_epr_pulse(src: EprSource, rng: np.random.Generator, size=None):
+def simulate_epr_pulse(src: EprSource, rng: np.random.Generator, size: int):
     """Draw quadrature outcomes (qa, pa, qb0, pb0) of the twin beams before
-    the channel. Scalars for size=None, arrays otherwise."""
-    m = 1 if size is None else size
+    the channel, as arrays of size pulses."""
     sv = math.sqrt(src.v)
     gain = src.cross_correlation / sv
     residual = src.n0 / sv
-    x1, x2, y1, y2 = rng.normal(0.0, 1.0, (4, m))
+    x1, x2, y1, y2 = rng.normal(0.0, 1.0, (4, size))
     qa = sv * x1
     qb0 = gain * x1 + residual * x2
     pa = sv * y1
     pb0 = -gain * y1 + residual * y2
-    if size is None:
-        return qa[0], pa[0], qb0[0], pb0[0]
     return qa, pa, qb0, pb0
 
 
@@ -297,21 +294,18 @@ def apply_attack(qb0, pb0, ch: ChannelModel, rng: np.random.Generator,
 
 
 def measure_alice(qa, pa, protocol: ProtocolKind, rng: np.random.Generator,
-                  n0: float = 1.0, labels=None):
-    """Alice's detection.
+                  n0: float = 1.0):
+    """Alice's detection of both quadratures; returns (qa_measured,
+    pa_measured), of which the caller keeps the labeled one.
 
-    Homodyne: measure the labeled quadrature exactly; returns
-    (a_measured, labels), drawing uniform labels when none are given.
-    Heterodyne: measure both through the 50:50 splitter, each picking up
-    an independent vacuum contribution, (value + vacuum)/sqrt(2); returns
-    (qa_measured, pa_measured).
+    Homodyne: exact, the inputs as float arrays, drawing nothing.
+    Heterodyne: both through the 50:50 splitter, each picking up an
+    independent vacuum contribution, (value + vacuum)/sqrt(2).
     """
     qa = np.atleast_1d(np.asarray(qa, dtype=float))
     pa = np.atleast_1d(np.asarray(pa, dtype=float))
     if protocol is ProtocolKind.SQUEEZED_HOMODYNE:
-        if labels is None:
-            labels = rng.integers(0, 2, qa.shape[0]).astype(np.uint8)
-        return np.where(labels == Q, qa, pa), labels
+        return qa, pa
     root_half = math.sqrt(0.5)
     vac_std = math.sqrt(n0)
     qa_m = (qa + rng.normal(0.0, vac_std, qa.shape)) * root_half
@@ -366,10 +360,10 @@ class BlockRecord:
         if label is None:
             keep = self.kept
             sign = np.where(self.label_b == P, -1.0, 1.0)
-            return SampleSet(self.a[keep], (sign * self.b)[keep], "q")
+            return SampleSet(self.a[keep], (sign * self.b)[keep])
         code = LABEL_CHARS.index(label)
         keep = self.kept & (self.label_b == code)
-        return SampleSet(self.a[keep], self.b[keep], label)
+        return SampleSet(self.a[keep], self.b[keep])
 
 
 def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind,
@@ -415,11 +409,8 @@ def _generate_chunk(src, ch, protocol, n, blocks, sifting_mode, rng):
     qb, pb = apply_attack(qb0, pb0, ch, rng, src.n0, n)
     b = np.where(label_b == Q, qb, pb)
 
-    if protocol is ProtocolKind.SQUEEZED_HOMODYNE:
-        a, _ = measure_alice(qa, pa, protocol, rng, src.n0, labels=label_a)
-    else:
-        qa_m, pa_m = measure_alice(qa, pa, protocol, rng, src.n0)
-        a = np.where(label_a == Q, qa_m, pa_m)
+    qa_m, pa_m = measure_alice(qa, pa, protocol, rng, src.n0)
+    a = np.where(label_a == Q, qa_m, pa_m)
     return a, b, label_a, label_b, kept
 
 

@@ -69,9 +69,6 @@ class InequalityReport:
         slack = rhs - lhs
         return cls(identifier, lhs, rhs, slack, bool(slack >= -tolerance), tolerance)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 # ---------------------------------------------------------------------------
 # exact discrete checks
@@ -424,5 +421,5 @@ def manifest(reports: list[InequalityReport], scope: str, seed: int) -> dict:
         "scope": scope,
         "seed": seed,
         "all_hold": all(r.holds for r in reports),
-        "reports": [r.as_dict() for r in reports],
+        "reports": [asdict(r) for r in reports],
     }

@@ -94,6 +94,26 @@ class TestSimulate:
     def test_missing_output_path(self, runner):
         assert runner.invoke(main, ["simulate"]).exit_code == 2
 
+    @pytest.mark.parametrize("config, code, message", [
+        ({"n": "x"}, 2, "n must be a number, got 'x'"),
+        ({"v": "x"}, 2, "v must be a number, got 'x'"),
+        ({"t": "0.5"}, 2, "t must be a number, got '0.5'"),
+        ({"rho_block": "x"}, 2, "rho_block must be a number, got 'x'"),
+        ({"beta": "0.5"}, 2, "beta must be a number, got '0.5'"),
+        ({"seed": True}, 2, "seed must be a number, got True"),
+        ({"shape": 3}, 2, "shape must be a string, got 3"),
+        ({"format": ["csv"]}, 2, "format must be a string, got ['csv']"),
+        ([1, 2], 3, "must hold a JSON object, got list"),
+    ], ids=["n", "v", "t", "rho_block", "beta", "seed", "shape", "format", "array"])
+    def test_config_value_of_wrong_type(self, runner, tmp_path, config, code, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == code
+        assert message in result.output
+        assert not out.exists()
+
 
 class TestShapeErrors:
     """Exit statuses of bad --shape values: a configuration error is 2, a
@@ -294,7 +314,9 @@ class TestSweep:
          "error: v=0.5: source variance 0.5 below the vacuum variance"),
         (["--param", "eps", "--start", "0", "--stop", "1", "--shape", "uniform:width=1"], 3,
          "error: noise shape 'uniform:width=1' is missing 'halfwidth'"),
-    ], ids=["transmission", "source", "shape-spec"])
+        (["--param", "eps", "--start", "0", "--stop", "1", "--shape", "uniform:halfwidth=1"], 2,
+         "error: eps=0: noise shape variance 0.333333 does not match the channel's"),
+    ], ids=["transmission", "source", "shape-spec", "shape-variance"])
     def test_bad_grid_point(self, runner, tmp_path, args, code, message):
         out = tmp_path / "s.csv"
         result = runner.invoke(main, ["sweep", *args, "--steps", "5", "--out", str(out)])

@@ -5,9 +5,13 @@ only, so their bytes do not depend on numpy's random streams. The digests
 below pin them: regrouping a sum or reordering a division changes a last
 bit that every tolerance-based test lets through. The record digests pin
 both text formats of fixed-seed sessions, row codec and header alike.
+The CLI digests pin `simulate` (stdout and record) for both protocols in
+both sifting modes, `rate --record` on one of those records, and the
+`verify --scope discrete` manifest.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -112,3 +116,62 @@ def test_record_bytes(name):
     record = run_session(**session)
     assert sha256(dumps(record, "csv").encode()) == csv_digest
     assert sha256(dumps(record, "json-lines").encode()) == jsonl_digest
+
+
+#: simulate arguments shared by every protocol and sifting mode pinned below
+SIMULATE_ARGS = ["--v", "20", "--t", "0.5", "--eps", "0.05", "--n", "2", "--l", "150",
+                 "--seed", "11", "--out", "rec.csv"]
+
+#: (protocol, sifting), with the sha256 of simulate's stdout and of the record
+SIMULATIONS = {
+    ("squeezed_homodyne", "random_basis"): (
+        "c78a7e17da126c17ea2ed1a409a07c8a120d742ff365c921f5b904786d69d106",
+        "cc436ad8ed54a0961e3426486309ab36a48b31213d7ab3bec679b9007253e851"),
+    ("squeezed_homodyne", "quantum_memory"): (
+        "ea6ab2a82a625200a44e5213890f82878b18f58ab636a5e5bb40cf9b4ee411d7",
+        "103169a18ae79a64083482cbd84a739fc54303a666d62454932dceaeb978f1a2"),
+    ("coherent_heterodyne", "random_basis"): (
+        "662738efc060577191ff41b9ff9ae90d99ea62ba4847b9647b19ccc806da2544",
+        "4e1d3b87fc5c24337bb7b5d1bef62c8b24113019299516f2d205779c12ae4de9"),
+    ("coherent_heterodyne", "quantum_memory"): (
+        "1d0e93e15bde2fadf61d7220bec9c59d95f0cf58148e8163defd191640e42891",
+        "eaddc82dc58f6df70f53393d952b2c3681bd08364305c3a88757e48de327b0ff"),
+}
+
+#: sha256 of `rate --record` text output on the squeezed random-basis record
+RATE_RECORD_DIGEST = "67a501c10bb6221e1f1d95663fcd8f1d5dd149c8cb11179d93227d1afa7e201d"
+
+#: sha256 of the `verify --scope discrete --trials 200` manifest
+VERIFY_DISCRETE_DIGEST = "f7b3cc8daa816869e64f5d1f8118e9397534da4ac453a84047adbb00d0c2b414"
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    """A runner inside an empty directory, so output paths print relative."""
+    monkeypatch.delenv("CVQKD_OUT_DIR", raising=False)
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path) as path:
+        yield runner, Path(path)
+
+
+@pytest.mark.parametrize("protocol, sifting", sorted(SIMULATIONS))
+def test_simulate_bytes(workdir, protocol, sifting):
+    runner, path = workdir
+    result = runner.invoke(main, ["simulate", "--protocol", protocol,
+                                  "--sifting", sifting, *SIMULATE_ARGS])
+    assert result.exit_code == 0, result.output
+    stdout_digest, record_digest = SIMULATIONS[protocol, sifting]
+    assert sha256(result.stdout_bytes) == stdout_digest
+    assert sha256((path / "rec.csv").read_bytes()) == record_digest
+    if (protocol, sifting) == ("squeezed_homodyne", "random_basis"):
+        rate = runner.invoke(main, ["rate", "--record", "rec.csv"])
+        assert rate.exit_code == 0, rate.output
+        assert sha256(rate.stdout_bytes) == RATE_RECORD_DIGEST
+
+
+def test_verify_discrete_manifest_bytes(workdir):
+    runner, path = workdir
+    result = runner.invoke(main, ["verify", "--scope", "discrete", "--trials", "200",
+                                  "--out", "manifest.json"])
+    assert result.exit_code == 0, result.output
+    assert sha256((path / "manifest.json").read_bytes()) == VERIFY_DISCRETE_DIGEST

@@ -15,11 +15,11 @@ from cvqkd import (
     coherent_rate_bound,
     conditional_squeezing_check,
     conditional_variance,
-    effective_rate,
     gaussian_conditional_entropy,
     gaussian_entropy,
     gaussian_mutual_information,
     heterodyne_covariance_transform,
+    rate_bound,
     squeezed_rate_bound,
     vacuum_entropy,
 )
@@ -278,33 +278,30 @@ class TestCoherentRateBound:
 
 class TestEffectiveRate:
     def test_perfect_reconciliation_recovers_bound(self):
-        report = squeezed_rate_bound(K_WORKED, 1)
-        assert effective_rate(report.i_ab, K_WORKED,
-                              ProtocolKind.SQUEEZED_HOMODYNE) == pytest.approx(
+        report = rate_bound(K_WORKED, 1, ProtocolKind.SQUEEZED_HOMODYNE)
+        assert report.effective_rate(report.i_ab) == pytest.approx(
             report.delta_i_min_per_pulse)
 
     def test_no_reconciled_bits_no_key(self):
-        report = squeezed_rate_bound(K_WORKED, 1)
-        value = effective_rate(0.0, K_WORKED, ProtocolKind.SQUEEZED_HOMODYNE)
+        report = rate_bound(K_WORKED, 1, ProtocolKind.SQUEEZED_HOMODYNE)
+        value = report.effective_rate(0.0)
         assert value == pytest.approx(-report.i_be_bound)
         assert value <= 0.0
 
     def test_ninety_percent_reconciliation(self):
-        report = squeezed_rate_bound(K_WORKED, 1)
+        report = rate_bound(K_WORKED, 1, ProtocolKind.SQUEEZED_HOMODYNE)
         i_eff = 0.9 * report.i_ab
         expected = i_eff - (report.i_ab - math.log2(1 / 0.525))
-        assert effective_rate(i_eff, K_WORKED,
-                              ProtocolKind.SQUEEZED_HOMODYNE) == pytest.approx(expected)
+        assert report.effective_rate(i_eff) == pytest.approx(expected)
 
     def test_rejects_super_shannon_efficiency(self):
-        report = squeezed_rate_bound(K_WORKED, 1)
+        report = rate_bound(K_WORKED, 1, ProtocolKind.SQUEEZED_HOMODYNE)
         with pytest.raises(DomainError):
-            effective_rate(report.i_ab * 1.01, K_WORKED,
-                           ProtocolKind.SQUEEZED_HOMODYNE)
+            report.effective_rate(report.i_ab * 1.01)
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
-            effective_rate(-0.1, K_WORKED, ProtocolKind.SQUEEZED_HOMODYNE)
+            rate_bound(K_WORKED, 1, ProtocolKind.SQUEEZED_HOMODYNE).effective_rate(-0.1)
 
 
 class TestApplySifting:

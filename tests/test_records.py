@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -140,16 +141,49 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
     @pytest.mark.parametrize("edit, problem", [
-        pytest.param({"a": lambda v: "x"}, "could not convert string to float",
+        pytest.param({"a": lambda v: "x"}, {"csv": "could not convert string to float",
+                                            "json-lines": "a must be a number, got 'x'"},
                      id="bad-float"),
-        pytest.param({"kept": lambda k: 1 - k}, "kept flag contradicts the labels",
+        pytest.param({"kept": lambda k: 1 - k},
+                     dict.fromkeys(("csv", "json-lines"), "kept flag contradicts the labels"),
                      id="bad-kept-flag"),
     ])
     def test_error_cites_file_line_after_blank_line(self, record, fmt, edit, problem):
         lines = dumps(record, fmt).splitlines()
         lines[5] = _edit_row(lines[5], fmt, **edit)
         lines.insert(3, "")  # the edited row is now file line 7
-        with pytest.raises(ParseError, match=f"line 7: .*{problem}"):
+        with pytest.raises(ParseError, match=f"line 7: .*{problem[fmt]}"):
+            loads("\n".join(lines))
+
+    @pytest.mark.parametrize("fmt, key, value, problem", [
+        pytest.param(*case, id=f"{case[0]}-{case[1]}={case[2]!r:.12}") for case in [
+            ("csv", "kept", "7", "kept must be 0 or 1, got '7'"),
+            ("csv", "kept", "01", "kept must be 0 or 1, got '01'"),
+            ("csv", "block", "zzz", "invalid literal for int() with base 10: 'zzz'"),
+            ("csv", "block", "-5", "block and pulse do not follow the row's position"),
+            ("csv", "pulse", "1", "block and pulse do not follow the row's position"),
+            ("csv", "block", "9" * 20, "Python int too large to convert to C long"),
+            ("json-lines", "kept", "0", "kept must be an integer, got '0'"),
+            ("json-lines", "kept", True, "kept must be an integer, got True"),
+            ("json-lines", "kept", 1.0, "kept must be an integer, got 1.0"),
+            ("json-lines", "kept", 7, "kept must be 0 or 1, got 7"),
+            ("json-lines", "a", "1.5", "a must be a number, got '1.5'"),
+            ("json-lines", "b", False, "b must be a number, got False"),
+            ("json-lines", "a", 10 ** 400, "int too large to convert to float"),
+            ("json-lines", "block", "0", "block must be an integer, got '0'"),
+            ("json-lines", "pulse", 3, "block and pulse do not follow the row's position"),
+        ]])
+    def test_strict_row_field(self, record, fmt, key, value, problem):
+        # file line 6 holds block 0, pulse 4 (n = 5), whose kept flag and
+        # values are otherwise valid
+        lines = dumps(record, fmt).splitlines()
+        if fmt == "csv":
+            parts = lines[5].split(",")
+            parts[CSV_COLUMNS.index(key)] = value
+            lines[5] = ",".join(parts)
+        else:
+            lines[5] = json.dumps({**json.loads(lines[5]), key: value})
+        with pytest.raises(ParseError, match=re.escape(f"line 6: {problem}")):
             loads("\n".join(lines))
 
     @pytest.mark.parametrize("row", ["[1, 2]", "3", '"x"', "null"])
