@@ -11,8 +11,8 @@ the single seed, outputs carry no timestamps, and reruns with the same
 configuration are byte-identical. Relative output paths land in
 ``$CVQKD_OUT_DIR`` when that variable is set.
 
-Exit status: 0 success, 2 configuration or domain error, 3 parse error,
-4 capacity error, 5 verification failure.
+Exit status: 0 success, 2 configuration or domain error, 3 parse error
+or unreadable/unwritable file, 4 capacity error, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     if path is not None:
         try:
             values = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise ParseError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(values, dict):
             raise ParseError(f"config {path} must hold a JSON object, "
@@ -157,10 +157,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             raise ConfigurationError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
     values.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return ExperimentConfig(**values)
 
 
 def resolve_out(path: str) -> Path:
@@ -171,8 +168,8 @@ def resolve_out(path: str) -> Path:
     return p
 
 
-def _exit_code(exc: CvqkdError) -> int:
-    if isinstance(exc, ParseError):
+def _exit_code(exc: CvqkdError | OSError) -> int:
+    if isinstance(exc, (ParseError, OSError)):
         return EXIT_PARSE
     if isinstance(exc, CapacityError):
         return EXIT_CAPACITY
@@ -183,7 +180,7 @@ class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except CvqkdError as exc:
+        except (CvqkdError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(_exit_code(exc))
 
@@ -232,7 +229,8 @@ def simulate(config, out, fmt, **overrides):
     cfg = load_config(config, {**overrides, "out": out, "format": fmt})
     if cfg.out is None:
         raise ConfigurationError("no output path: pass --out or set 'out' in the config")
-    record = run_session(cfg.source(), cfg.channel(), ProtocolKind(cfg.protocol),
+    source, channel = cfg.source(), cfg.channel()
+    record = run_session(source, channel, ProtocolKind(cfg.protocol),
                          cfg.n, cfg.l, cfg.sifting, cfg.seed)
     path = resolve_out(cfg.out)
     records.write_record(record, path, cfg.format)
@@ -242,7 +240,7 @@ def simulate(config, out, fmt, **overrides):
     k = estimate_covariance(record.samples())
     click.echo(f"sample covariance (pooled): var_a={k.var_a:.6g} "
                f"var_b={k.var_b:.6g} cov_ab={k.cov_ab:.6g}")
-    ka = analytic_covariance(cfg.source(), cfg.channel(), ProtocolKind(cfg.protocol))
+    ka = analytic_covariance(source, channel, ProtocolKind(cfg.protocol))
     click.echo(f"analytic covariance:        var_a={ka.var_a:.6g} "
                f"var_b={ka.var_b:.6g} cov_ab={ka.cov_ab:.6g}")
     # full-precision literal: feeding it to `rate --cov` reproduces the

@@ -29,7 +29,7 @@ from .rates import Covariance2, conditional_variance
 JITTER_SCALE = 1e-12
 
 #: subsampling folds used for standard errors
-DEFAULT_FOLDS = 10
+FOLDS = 10
 
 LOG2 = math.log(2.0)
 
@@ -172,20 +172,19 @@ def _knn_entropy_bits(x: np.ndarray, k: int, jitter_seed: int) -> float:
     return nats / LOG2 + log_det_bits
 
 
-def _knn_estimate(terms, k: int, jitter_seed: int, folds: int,
-                  check=None) -> EntropyEstimate:
+def _knn_estimate(terms, k: int, jitter_seed: int, check=None) -> EntropyEstimate:
     """The k-NN estimate of sum(sign * H(x)) over the (sign, matrix) terms,
     whose matrices share their rows, on all rows, with the standard error
-    from the interleaved folds f::folds, fold f jittered with seed
+    from the interleaved folds f::FOLDS, fold f jittered with seed
     jitter_seed + 1 + f. check, if given, runs after the argument checks
     and before any estimate."""
     count = len(terms[0][1])
     if k < 1:
         raise DomainError(f"neighbor order must be >= 1, got {k}")
-    if count < max(k + 1, folds * (k + 1)):
+    if count < FOLDS * (k + 1):
         raise InsufficientDataError(
-            f"need at least {max(k + 1, folds * (k + 1))} samples for "
-            f"k={k} with {folds}-fold errors, got {count}")
+            f"need at least {FOLDS * (k + 1)} samples for "
+            f"k={k} with {FOLDS}-fold errors, got {count}")
     if check is not None:
         check()
 
@@ -195,25 +194,24 @@ def _knn_estimate(terms, k: int, jitter_seed: int, folds: int,
         return sum(sign * _knn_entropy_bits(x[rows], k, seed) for sign, x in terms)
 
     value = estimate(slice(None), jitter_seed)
-    per_fold = np.array([estimate(slice(f, None, folds), jitter_seed + 1 + f)
-                         for f in range(folds)])
-    err = float(per_fold.std(ddof=1) / math.sqrt(folds))
+    per_fold = np.array([estimate(slice(f, None, FOLDS), jitter_seed + 1 + f)
+                         for f in range(FOLDS)])
+    err = float(per_fold.std(ddof=1) / math.sqrt(FOLDS))
     return EntropyEstimate(value, err, count, k)
 
 
-def knn_differential_entropy(values, k: int = 4, jitter_seed: int = 0,
-                             folds: int = DEFAULT_FOLDS) -> EntropyEstimate:
+def knn_differential_entropy(values, k: int = 4, jitter_seed: int = 0) -> EntropyEstimate:
     """Nearest-neighbor differential entropy of a scalar (or vector)
     sample, in bits.
 
     Consistent for any distribution with a density; duplicate-heavy data
     degenerates the neighbor distances and raises DegenerateDataError.
     """
-    return _knn_estimate([(1, _as_matrix(values))], k, jitter_seed, folds)
+    return _knn_estimate([(1, _as_matrix(values))], k, jitter_seed)
 
 
-def conditional_entropy_estimate(s: SampleSet, k: int = 4, jitter_seed: int = 0,
-                                 folds: int = DEFAULT_FOLDS) -> EntropyEstimate:
+def conditional_entropy_estimate(s: SampleSet, k: int = 4,
+                                 jitter_seed: int = 0) -> EntropyEstimate:
     """H(B|A) in bits, computed as H(A, B) - H(A) with the neighbor
     estimator; the standard error is taken on the per-fold differences so
     the two estimates' shared fluctuations cancel."""
@@ -223,5 +221,5 @@ def conditional_entropy_estimate(s: SampleSet, k: int = 4, jitter_seed: int = 0,
                                       "conditional spread is zero")
 
     return _knn_estimate([(1, np.column_stack([s.a, s.b])), (-1, s.a[:, None])],
-                         k, jitter_seed, folds, require_spread)
+                         k, jitter_seed, require_spread)
 

@@ -16,6 +16,7 @@ re-serialized from the same session is byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -48,12 +49,12 @@ JSON_NUMBER_TYPES = {"block": (int,), "pulse": (int,), "a": (int, float),
 def shape_to_string(shape) -> str:
     """``kind`` alone, or ``kind:key=value,...`` with shortest round-trip
     floats, e.g. ``uniform:halfwidth=1.5``."""
-    params = ",".join(f"{key}={value!r}" for key, value in shape.spec().items())
+    params = ",".join(f"{key}={value!r}" for key, value in dataclasses.asdict(shape).items())
     return f"{shape.kind}:{params}" if params else shape.kind
 
 
 def shape_from_string(text: str):
-    """The noise shape a spec string names, taken literally."""
+    """The noise shape a spec string names; its keys must be the shape's fields."""
     kind, _, params_text = text.partition(":")
     params = {}
     if params_text:
@@ -64,10 +65,13 @@ def shape_from_string(text: str):
             raise ParseError(f"bad noise-shape parameters {params_text!r}") from exc
     if kind not in SHAPE_KINDS:
         raise ParseError(f"unknown noise shape {kind!r}")
-    try:
-        return SHAPE_KINDS[kind].from_spec(params)
-    except KeyError as exc:
-        raise ParseError(f"noise shape {text!r} is missing {exc}") from exc
+    cls = SHAPE_KINDS[kind]
+    keys = [f.name for f in dataclasses.fields(cls)]
+    problems = [f"is missing {key!r}" for key in keys if key not in params]
+    problems += [f"has unknown key {key!r}" for key in params if key not in keys]
+    if problems:
+        raise ParseError(f"noise shape {text!r} {problems[0]}")
+    return cls(**params)
 
 
 def _check_rows(line_numbers, n, block, pulse, a, b, label_a, label_b, kept) -> None:

@@ -15,7 +15,7 @@ generation is reproducible and chunks could run on parallel workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -40,20 +40,8 @@ COLUMN_DTYPES = (float, float, np.uint8, np.uint8, bool)
 # ---------------------------------------------------------------------------
 # noise shapes
 
-class _ShapeSpec:
-    """Spec strings ``kind:key=value,...`` are written from `spec` and read
-    back by `from_spec`; the keys default to the dataclass fields."""
-
-    def spec(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_spec(cls, params: dict):
-        return cls(*(params[f.name] for f in fields(cls)))
-
-
 @dataclass(frozen=True)
-class GaussianNoise(_ShapeSpec):
+class GaussianNoise:
     """Gaussian channel noise; adapts to whatever variance the channel
     declares, and is the shape the covariance bounds implicitly assume."""
 
@@ -72,54 +60,46 @@ class GaussianNoise(_ShapeSpec):
 
 
 @dataclass(frozen=True)
-class TwoComponentMixture(_ShapeSpec):
-    """Zero-mean mixture of two Gaussians with distinct spreads."""
+class TwoComponentMixture:
+    """Zero-mean mixture of two Gaussians: weights w1, w2 on variances v1, v2."""
 
-    weights: tuple[float, float]
-    variances: tuple[float, float]
+    w1: float
+    w2: float
+    v1: float
+    v2: float
     kind = "mixture"
 
     def __post_init__(self):
-        w1, w2 = self.weights
-        if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-12:
+        if not (self.w1 >= 0 and self.w2 >= 0 and abs(self.w1 + self.w2 - 1.0) <= 1e-12):
             raise ConfigurationError("mixture weights must be non-negative and sum to 1")
-        if min(self.variances) < 0:
+        if not (self.v1 >= 0 and self.v2 >= 0):
             raise ConfigurationError("mixture component variances must be non-negative")
 
     @property
     def declared_variance(self) -> float:
-        return (self.weights[0] * self.variances[0]
-                + self.weights[1] * self.variances[1])
+        return self.w1 * self.v1 + self.w2 * self.v2
 
     @classmethod
-    def matching(cls, variance: float, weight: float = 0.5,
-                 ratio: float = 9.0) -> "TwoComponentMixture":
-        """Components with spread ratio `ratio` mixed to hit `variance`."""
-        v1 = variance / (weight + (1.0 - weight) * ratio)
-        return cls((weight, 1.0 - weight), (v1, ratio * v1))
-
-    def spec(self) -> dict:
-        return dict(zip(("w1", "w2", "v1", "v2"), (*self.weights, *self.variances)))
-
-    @classmethod
-    def from_spec(cls, params: dict) -> "TwoComponentMixture":
-        return cls((params["w1"], params["w2"]), (params["v1"], params["v2"]))
+    def matching(cls, variance: float) -> "TwoComponentMixture":
+        # equal weights on spreads 1:9, so v1 = variance / (0.5 + 0.5 * 9)
+        v1 = variance / 5.0
+        return cls(0.5, 0.5, v1, 9.0 * v1)
 
     def draw(self, size, rng, variance):
-        pick = rng.random(size) < self.weights[0]
-        std = np.where(pick, math.sqrt(self.variances[0]), math.sqrt(self.variances[1]))
+        pick = rng.random(size) < self.w1
+        std = np.where(pick, math.sqrt(self.v1), math.sqrt(self.v2))
         return rng.normal(0.0, 1.0, size) * std
 
 
 @dataclass(frozen=True)
-class UniformNoise(_ShapeSpec):
+class UniformNoise:
     """Uniform noise on [-halfwidth, halfwidth]."""
 
     halfwidth: float
     kind = "uniform"
 
     def __post_init__(self):
-        if self.halfwidth <= 0:
+        if not self.halfwidth > 0:
             raise ConfigurationError("halfwidth must be positive")
 
     @property
@@ -135,7 +115,7 @@ class UniformNoise(_ShapeSpec):
 
 
 @dataclass(frozen=True)
-class DiscreteDisplacement(_ShapeSpec):
+class DiscreteDisplacement:
     """Noise of +magnitude or -magnitude (probability/2 each), else 0.
 
     Maximally structured: the second moment matches a Gaussian attack
@@ -148,7 +128,7 @@ class DiscreteDisplacement(_ShapeSpec):
     kind = "displacement"
 
     def __post_init__(self):
-        if self.magnitude <= 0:
+        if not self.magnitude > 0:
             raise ConfigurationError("displacement magnitude must be positive")
         if not 0.0 < self.probability <= 1.0:
             raise ConfigurationError("displacement probability must be in (0, 1]")
@@ -158,8 +138,8 @@ class DiscreteDisplacement(_ShapeSpec):
         return self.probability * self.magnitude ** 2
 
     @classmethod
-    def matching(cls, variance: float, probability: float = 1.0) -> "DiscreteDisplacement":
-        return cls(math.sqrt(variance / probability), probability)
+    def matching(cls, variance: float) -> "DiscreteDisplacement":
+        return cls(math.sqrt(variance), 1.0)
 
     def draw(self, size, rng, variance):
         u = rng.random(size)
@@ -187,7 +167,7 @@ class EprSource:
     def __post_init__(self):
         if not self.n0 > 0:
             raise ConfigurationError(f"shot-noise unit must be positive, got {self.n0}")
-        if self.v < self.n0:
+        if not self.v >= self.n0:
             raise ConfigurationError(
                 f"source variance {self.v} below the vacuum variance {self.n0}")
 
@@ -211,7 +191,7 @@ class ChannelModel:
     def __post_init__(self):
         if not 0.0 < self.t <= 1.0:
             raise ConfigurationError(f"transmission must be in (0, 1], got {self.t}")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ConfigurationError(f"excess noise must be >= 0, got {self.eps}")
         if not isinstance(self.shape, NOISE_SHAPES):
             raise ConfigurationError(f"unknown noise shape {self.shape!r}")
@@ -231,7 +211,7 @@ class ChannelModel:
         if declared is None:
             return
         target = self.noise_variance(n0)
-        if abs(declared - target) > SHAPE_RTOL * max(target, 1.0):
+        if not abs(declared - target) <= SHAPE_RTOL * max(target, 1.0):
             raise ConfigurationError(
                 f"noise shape variance {declared:.6g} does not match the channel's "
                 f"(1-t)*n0 + t*eps*n0 = {target:.6g}")
@@ -349,21 +329,12 @@ class BlockRecord:
     def kept_fraction(self) -> float:
         return float(self.kept.mean())
 
-    def samples(self, label: str | None = None) -> SampleSet:
-        """Kept pulses as a SampleSet.
-
-        label 'q' or 'p' selects one quadrature. label None pools both by
-        flipping the sign of Bob's p values (the EPR correlation is
-        anti-symmetric in p, so the flip makes both labels share one
-        joint law).
-        """
-        if label is None:
-            keep = self.kept
-            sign = np.where(self.label_b == P, -1.0, 1.0)
-            return SampleSet(self.a[keep], (sign * self.b)[keep])
-        code = LABEL_CHARS.index(label)
-        keep = self.kept & (self.label_b == code)
-        return SampleSet(self.a[keep], self.b[keep])
+    def samples(self) -> SampleSet:
+        """Kept pulses as a SampleSet, both quadratures pooled by flipping
+        the sign of Bob's p values (the EPR correlation is anti-symmetric
+        in p, so the flip makes both labels share one joint law)."""
+        sign = np.where(self.label_b == P, -1.0, 1.0)
+        return SampleSet(self.a[self.kept], (sign * self.b)[self.kept])
 
 
 def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind,
@@ -439,7 +410,6 @@ class AttackConfig:
     name: str
     source: EprSource
     channel: ChannelModel
-    note: str = ""
 
 
 def _catalog() -> dict[str, AttackConfig]:
@@ -449,19 +419,19 @@ def _catalog() -> dict[str, AttackConfig]:
     t, eps = 1.0, 2.0
     var = ChannelModel(t, eps).noise_variance()
     entries = [
-        AttackConfig("gaussian", EprSource(v), ChannelModel(t, eps),
-                     "saturates the Gaussian bounds"),
+        # saturates the Gaussian bounds
+        AttackConfig("gaussian", EprSource(v), ChannelModel(t, eps)),
+        # two-spread Gaussian mixture at matched moments
         AttackConfig("mixture", EprSource(v),
-                     ChannelModel(t, eps, TwoComponentMixture.matching(var)),
-                     "two-spread Gaussian mixture at matched moments"),
+                     ChannelModel(t, eps, TwoComponentMixture.matching(var))),
+        # uniform noise at matched moments
         AttackConfig("uniform", EprSource(v),
-                     ChannelModel(t, eps, UniformNoise.matching(var)),
-                     "uniform noise at matched moments"),
+                     ChannelModel(t, eps, UniformNoise.matching(var))),
+        # destroys conditional squeezing but not entropic squeezing
         AttackConfig("displacement", EprSource(v),
-                     ChannelModel(t, eps, DiscreteDisplacement.matching(var)),
-                     "destroys conditional squeezing but not entropic squeezing"),
-        AttackConfig("gaussian-lossy", EprSource(v), ChannelModel(0.5, 0.0),
-                     "3 dB loss, no excess noise"),
+                     ChannelModel(t, eps, DiscreteDisplacement.matching(var))),
+        # 3 dB loss, no excess noise
+        AttackConfig("gaussian-lossy", EprSource(v), ChannelModel(0.5, 0.0)),
     ]
     return {cfg.name: cfg for cfg in entries}
 

@@ -221,7 +221,7 @@ def check_pure_state_entropic_sum(vq: float, vp: float,
 # ---------------------------------------------------------------------------
 # statistical checks
 
-def check_gaussian_dominance(s: SampleSet, k: int = 4,
+def check_gaussian_dominance(s: SampleSet,
                              identifier: str = "gaussian-conditional-dominance",
                              estimate: EntropyEstimate | None = None) -> InequalityReport:
     """Empirical H(B|A) cannot exceed the Gaussian conditional entropy of
@@ -229,7 +229,7 @@ def check_gaussian_dominance(s: SampleSet, k: int = 4,
     if len(s) < 10_000:
         raise DomainError(f"need at least 10000 samples, got {len(s)}")
     if estimate is None:
-        estimate = conditional_entropy_estimate(s, k)
+        estimate = conditional_entropy_estimate(s)
     bound = gaussian_conditional_entropy(estimate_covariance(s))
     return InequalityReport.check(identifier, estimate.value, bound,
                                   tolerance=3.0 * estimate.std_error)
@@ -305,8 +305,7 @@ def _redundant_block() -> DiscreteJoint:
     return DiscreteJoint(2, table)
 
 
-def statistical_suite(seed: int = 0, pulses: int = 1_000_000,
-                      k: int = 4) -> list[InequalityReport]:
+def statistical_suite(seed: int = 0, pulses: int = 1_000_000) -> list[InequalityReport]:
     """Estimator-based checks on the attack catalog: Gaussian dominance
     for every noise shape, saturation for the Gaussian shape, strictness
     and the conditional-squeezing counterexample for the displacement
@@ -320,13 +319,13 @@ def statistical_suite(seed: int = 0, pulses: int = 1_000_000,
                              n=1, l=pulses, sifting_mode=SiftingMode.QUANTUM_MEMORY,
                              rng_seed=seed + offset)
         samples = record.samples()
-        estimate = conditional_entropy_estimate(samples, k)
+        estimate = conditional_entropy_estimate(samples)
         k_hat = estimate_covariance(samples)
         h_gauss = gaussian_conditional_entropy(k_hat)
         tol = 3.0 * estimate.std_error
 
         reports.append(check_gaussian_dominance(
-            samples, k, f"gaussian-conditional-dominance[{name}]", estimate))
+            samples, f"gaussian-conditional-dominance[{name}]", estimate))
 
         if name == "gaussian":
             # Gaussian attacks saturate the bound: slack vanishes within error
@@ -334,7 +333,15 @@ def statistical_suite(seed: int = 0, pulses: int = 1_000_000,
                 "gaussian-attack-saturation", abs(h_gauss - estimate.value), tol,
                 tolerance=0.0))
         if name == SQUEEZING_COUNTEREXAMPLE:
-            reports.extend(_counterexample_reports(samples, estimate, cfg.source))
+            # the displacement attack destroys conditional squeezing while
+            # the conditional entropy stays below the vacuum entropy
+            n0 = cfg.source.n0
+            reports.append(InequalityReport.check(
+                "counterexample-conditional-variance-at-least-vacuum",
+                n0, conditional_variance(k_hat), tolerance=0.0))
+            reports.append(InequalityReport.check(
+                "counterexample-conditional-entropy-below-vacuum",
+                estimate.value + tol, vacuum_entropy(n0), tolerance=0.0))
 
         # the covariance-only rate bound never exceeds the entropic rate
         entropic_rate = 2.0 * (vacuum_entropy(cfg.source.n0) - estimate.value)
@@ -348,25 +355,8 @@ def statistical_suite(seed: int = 0, pulses: int = 1_000_000,
     return reports
 
 
-def _counterexample_reports(samples: SampleSet, estimate: EntropyEstimate,
-                            source: EprSource) -> list[InequalityReport]:
-    """The displacement attack destroys conditional squeezing while the
-    conditional entropy stays below the vacuum entropy."""
-    n0 = source.n0
-    cond_var = conditional_variance(estimate_covariance(samples))
-    tol = 3.0 * estimate.std_error
-    return [
-        InequalityReport.check(
-            "counterexample-conditional-variance-at-least-vacuum",
-            n0, cond_var, tolerance=0.0),
-        InequalityReport.check(
-            "counterexample-conditional-entropy-below-vacuum",
-            estimate.value + tol, vacuum_entropy(n0), tolerance=0.0),
-    ]
-
-
-def heterodyne_transform_crosscheck(seed: int = 0, pulses: int = 10_000_000,
-                                    v: float = 20.0) -> list[InequalityReport]:
+def heterodyne_transform_crosscheck(seed: int = 0,
+                                    pulses: int = 10_000_000) -> list[InequalityReport]:
     """Simulate a heterodyne session on a lossless channel, where Alice's
     pre-beam-splitter variance is the source variance itself, and record
     which covariance transform reconstructs it.
@@ -375,7 +365,7 @@ def heterodyne_transform_crosscheck(seed: int = 0, pulses: int = 10_000_000,
     transform reconstructs one shot-noise unit below it, and that deficit
     is recorded as its own check.
     """
-    source = EprSource(v)
+    source = EprSource(20.0)
     record = run_session(source, ChannelModel(1.0, 0.0),
                          ProtocolKind.COHERENT_HETERODYNE, n=1, l=pulses,
                          sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=seed)
@@ -392,10 +382,10 @@ def heterodyne_transform_crosscheck(seed: int = 0, pulses: int = 10_000_000,
     return [
         InequalityReport.check(
             "presplit-variance-matches-beamsplitter-transform",
-            abs(transformed.var_a - v), tolerance, tolerance=0.0),
+            abs(transformed.var_a - source.v), tolerance, tolerance=0.0),
         InequalityReport.check(
             "printed-transform-reconstructs-one-unit-below-physical",
-            abs(printed_var - (v - source.n0)), tolerance, tolerance=0.0),
+            abs(printed_var - (source.v - source.n0)), tolerance, tolerance=0.0),
         InequalityReport.check(
             "printed-transform-violates-psd-on-lossless-statistics",
             printed_var * k_hat.var_b, transformed.cov_ab ** 2, tolerance=0.0),

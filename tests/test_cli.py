@@ -141,6 +141,24 @@ class TestShapeErrors:
         result = self.simulate(runner, tmp_path, "--shape", "uniform:width=1")
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("spec", ["gaussian:foo=1", "uniform:halfwidth=1.0,bogus=7"])
+    def test_parameterized_unknown_key(self, runner, tmp_path, spec):
+        result = self.simulate(runner, tmp_path, "--shape", spec)
+        assert result.exit_code == 3
+        assert "has unknown key" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--v", "nan"],
+        ["--eps", "nan"],
+        ["--shape", "uniform:halfwidth=nan"],
+    ], ids=["v", "eps", "halfwidth"])
+    def test_nan_rejected_before_writing(self, runner, tmp_path, args):
+        result = self.simulate(runner, tmp_path, *args)
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestRate:
     def test_covariance_literal_worked_example(self, runner):
@@ -347,6 +365,23 @@ class TestSweep:
             run_ok(runner, ["sweep", "--param", "t", "--start", "0.2",
                             "--stop", "0.9", "--steps", "5", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["rate", "--record", "{missing}/r.csv"],
+    ["simulate", "--l", "100", "--out", "{missing}/r.csv"],
+    ["verify", "--scope", "discrete", "--trials", "20", "--out", "{missing}/m.json"],
+    ["sweep", "--param", "eps", "--start", "0", "--stop", "1", "--steps", "2",
+     "--out", "{missing}/s.csv"],
+    ["rate", "--cov", "20,10.5,14.124446891825535", "--protocol", "squeezed_homodyne",
+     "--out", "{missing}/r.json"],
+], ids=["rate-record", "simulate-out", "verify-out", "sweep-out", "rate-out"])
+def test_file_system_error_exits_3(runner, tmp_path, args):
+    missing = tmp_path / "no-such-dir"
+    result = runner.invoke(main, [arg.format(missing=missing) for arg in args])
+    assert result.exit_code == 3, result.output
+    assert any(line.startswith("error: ") for line in result.output.splitlines())
+    assert not missing.exists()
 
 
 SCIPY_FREE_SCRIPT = """

@@ -65,7 +65,7 @@ class TestRoundTrip:
 
 class TestShapeStrings:
     @pytest.mark.parametrize("shape", [
-        TwoComponentMixture((0.25, 0.75), (0.4, 1.2)),
+        TwoComponentMixture(0.25, 0.75, 0.4, 1.2),
         UniformNoise(2.5),
         DiscreteDisplacement(1.25, 0.5),
     ])
@@ -80,8 +80,16 @@ class TestShapeStrings:
             shape_from_string("pink")
 
     def test_missing_parameter(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="is missing 'halfwidth'"):
             shape_from_string("uniform:width=1.0")
+
+    @pytest.mark.parametrize("text, key", [
+        ("gaussian:foo=1", "foo"),
+        ("uniform:halfwidth=1.0,bogus=7", "bogus"),
+    ])
+    def test_unknown_parameter(self, text, key):
+        with pytest.raises(ParseError, match=f"has unknown key '{key}'"):
+            shape_from_string(text)
 
 
 class TestParseErrors:
@@ -110,6 +118,12 @@ class TestParseErrors:
         lines = text.splitlines()
         lines[0] = lines[0].replace("t=0.6", "t=maybe")
         with pytest.raises(ParseError):
+            loads("\n".join(lines))
+
+    def test_nan_header_value(self, record):
+        lines = dumps(record, "csv").splitlines()
+        lines[0] = lines[0].replace("v=9.0", "v=nan")
+        with pytest.raises(ParseError, match="below the vacuum"):
             loads("\n".join(lines))
 
     def test_foreign_json_lines(self):

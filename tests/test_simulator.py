@@ -11,6 +11,7 @@ from cvqkd import (
     EprSource,
     GaussianNoise,
     ProtocolKind,
+    SampleSet,
     SiftingMode,
     TwoComponentMixture,
     UniformNoise,
@@ -21,6 +22,7 @@ from cvqkd import (
     run_session,
     simulate_epr_pulse,
 )
+from cvqkd.simulator import P, Q
 
 HOMODYNE = ProtocolKind.SQUEEZED_HOMODYNE
 HETERODYNE = ProtocolKind.COHERENT_HETERODYNE
@@ -32,27 +34,30 @@ def five_sigma_var(var, n):
 
 class TestNoiseShapes:
     def test_mixture_matching(self):
-        shape = TwoComponentMixture.matching(2.0, weight=0.5, ratio=9.0)
+        shape = TwoComponentMixture.matching(2.0)
         assert shape.declared_variance == pytest.approx(2.0)
+        assert (shape.w1, shape.w2) == (0.5, 0.5)
+        assert shape.v2 == pytest.approx(9.0 * shape.v1)
 
     def test_uniform_matching(self):
         assert UniformNoise.matching(2.0).declared_variance == pytest.approx(2.0)
 
     def test_displacement_matching(self):
-        shape = DiscreteDisplacement.matching(2.0, probability=0.5)
+        shape = DiscreteDisplacement.matching(2.0)
         assert shape.declared_variance == pytest.approx(2.0)
-        assert shape.magnitude == pytest.approx(2.0)
+        assert shape.magnitude == pytest.approx(math.sqrt(2.0))
+        assert shape.probability == 1.0
 
     def test_bad_mixture_weights(self):
         with pytest.raises(ConfigurationError):
-            TwoComponentMixture((0.7, 0.7), (1.0, 1.0))
+            TwoComponentMixture(0.7, 0.7, 1.0, 1.0)
 
     def test_draw_variances_match(self):
         rng = np.random.default_rng(0)
         n = 400_000
         for shape in (GaussianNoise(), TwoComponentMixture.matching(2.0),
                       UniformNoise.matching(2.0),
-                      DiscreteDisplacement.matching(2.0, 0.5)):
+                      DiscreteDisplacement(2.0, 0.5)):
             draw = shape.draw(n, rng, 2.0)
             assert float(draw.mean()) == pytest.approx(0.0, abs=0.02)
             assert float(draw.var()) == pytest.approx(2.0, rel=0.02)
@@ -77,6 +82,24 @@ class TestSourceAndChannel:
     def test_rho_block_needs_gaussian(self):
         with pytest.raises(ConfigurationError):
             ChannelModel(1.0, 2.0, UniformNoise.matching(2.0), rho_block=0.5)
+
+    @pytest.mark.parametrize("make", [
+        lambda: EprSource(math.nan),
+        lambda: EprSource(4.0, math.nan),
+        lambda: ChannelModel(math.nan),
+        lambda: ChannelModel(0.5, math.nan),
+        lambda: ChannelModel(0.5, 0.0, rho_block=math.nan),
+        lambda: TwoComponentMixture(math.nan, 0.5, 1.0, 1.0),
+        lambda: TwoComponentMixture(0.5, 0.5, 1.0, math.nan),
+        lambda: UniformNoise(math.nan),
+        lambda: DiscreteDisplacement(math.nan, 1.0),
+        lambda: DiscreteDisplacement(1.0, math.nan),
+        lambda: ChannelModel(1.0, 2.0, UniformNoise(3.0)).validate_shape(math.nan),
+    ], ids=["v", "n0", "t", "eps", "rho_block", "mixture-weight", "mixture-variance",
+            "halfwidth", "magnitude", "probability", "validate-shape"])
+    def test_nan_rejected(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
 
 
 class TestEprPulse:
@@ -212,8 +235,12 @@ class TestRunSession:
         rec = run_session(EprSource(10.0), ChannelModel(1.0, 0.0), HOMODYNE,
                           n=1, l=200_000, sifting_mode=SiftingMode.QUANTUM_MEMORY,
                           rng_seed=16)
-        kq = estimate_covariance(rec.samples("q"))
-        kp = estimate_covariance(rec.samples("p"))
+
+        def covariance(code):
+            keep = rec.kept & (rec.label_b == code)
+            return estimate_covariance(SampleSet(rec.a[keep], rec.b[keep]))
+
+        kq, kp = covariance(Q), covariance(P)
         assert kq.cov_ab > 0 > kp.cov_ab
         assert kq.cov_ab == pytest.approx(-kp.cov_ab, rel=0.05)
 
