@@ -111,34 +111,25 @@ class ExperimentConfig:
         return EprSource(self.v, self.n0)
 
     def channel(self) -> ChannelModel:
-        return ChannelModel(self.t, self.eps, _resolve_shape(self.shape, self),
-                            self.rho_block)
+        """The channel; a bare shape name is fitted to its noise variance, and a
+        spec like ``displacement:magnitude=1.4,probability=1.0`` taken literally."""
+        if ":" in self.shape:
+            shape = records.shape_from_string(self.shape)
+        elif self.shape not in SHAPE_KINDS:
+            raise ConfigurationError(f"unknown noise shape {self.shape!r}")
+        else:
+            noise_variance = ChannelModel(self.t, self.eps).noise_variance(self.n0)
+            if SHAPE_KINDS[self.shape] is not GaussianNoise and noise_variance <= 0:
+                raise ConfigurationError(
+                    f"shape {self.shape!r} needs a positive channel noise variance; "
+                    "this channel adds no noise")
+            shape = SHAPE_KINDS[self.shape].matching(noise_variance)
+        return ChannelModel(self.t, self.eps, shape, self.rho_block)
 
 
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 SWEEP_PARAMS = ("t", "eps", "v", "beta")
-
-
-def _resolve_shape(spec: str, cfg: ExperimentConfig):
-    """Turn a shape spec into a noise-shape object.
-
-    Bare names (gaussian, mixture, uniform, displacement) are fitted to
-    the channel's noise variance; a parameterized spec such as
-    ``displacement:magnitude=1.4,probability=1.0`` is taken literally and
-    must match the channel.
-    """
-    if ":" in spec:
-        return records.shape_from_string(spec)
-    if spec not in SHAPE_KINDS:
-        raise ConfigurationError(f"unknown noise shape {spec!r}")
-    shape = SHAPE_KINDS[spec]
-    noise_variance = ChannelModel(cfg.t, cfg.eps).noise_variance(cfg.n0)
-    if shape is not GaussianNoise and noise_variance <= 0:
-        raise ConfigurationError(
-            f"shape {spec!r} needs a positive channel noise variance; "
-            "this channel adds no noise")
-    return shape.matching(noise_variance)
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
@@ -161,15 +152,18 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 
 
 def resolve_out(path: str) -> Path:
+    """The output path; raises, before any work is done, if its directory is missing."""
     base = os.environ.get("CVQKD_OUT_DIR")
     p = Path(path)
     if base and not p.is_absolute():
-        return Path(base) / p
+        p = Path(base) / p
+    if not p.parent.is_dir():
+        raise FileNotFoundError(f"cannot write {p}: no directory {p.parent}")
     return p
 
 
-def _exit_code(exc: CvqkdError | OSError) -> int:
-    if isinstance(exc, (ParseError, OSError)):
+def _exit_code(exc: CvqkdError | OSError | UnicodeDecodeError) -> int:
+    if isinstance(exc, (ParseError, OSError, UnicodeDecodeError)):
         return EXIT_PARSE
     if isinstance(exc, CapacityError):
         return EXIT_CAPACITY
@@ -180,7 +174,7 @@ class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (CvqkdError, OSError) as exc:
+        except (CvqkdError, OSError, UnicodeDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(_exit_code(exc))
 
@@ -190,32 +184,31 @@ def main():
     """Security analysis for continuous-variable QKD."""
 
 
-_config_options = [
-    click.option("--config", type=click.Path(), default=None,
-                 help="JSON config file; flags override its values."),
-    click.option("--protocol", type=click.Choice(PROTOCOL_NAMES), default=None),
-    click.option("--v", type=float, default=None,
-                 help="Source quadrature variance (shot-noise units)."),
-    click.option("--t", type=float, default=None, help="Channel transmission."),
-    click.option("--eps", type=float, default=None,
-                 help="Excess noise at the channel input (shot-noise units)."),
-    click.option("--shape", default=None,
-                 help="Noise shape: gaussian, mixture, uniform, displacement, "
-                      "or a parameterized spec like displacement:magnitude=1.4,probability=1.0."),
-    click.option("--rho-block", "rho_block", type=float, default=None,
-                 help="Intra-block noise correlation (Gaussian shape only)."),
-    click.option("--n", type=int, default=None, help="Pulses per block."),
-    click.option("--l", type=int, default=None, help="Number of blocks."),
-    click.option("--sifting", type=click.Choice(SIFTING_NAMES), default=None),
-    click.option("--seed", type=int, default=None),
-    click.option("--beta", type=float, default=None,
-                 help="Reconciliation efficiency in [0, 1]."),
-    click.option("--n0", type=float, default=None, help="Shot-noise unit."),
-]
-
-
 def config_options(cmd):
-    for option in reversed(_config_options):
+    """The experiment flags that simulate and sweep share."""
+    for option in reversed([
+        click.option("--config", type=click.Path(), default=None,
+                     help="JSON config file; flags override its values."),
+        click.option("--protocol", type=click.Choice(PROTOCOL_NAMES), default=None),
+        click.option("--v", type=float, default=None,
+                     help="Source quadrature variance (shot-noise units)."),
+        click.option("--t", type=float, default=None, help="Channel transmission."),
+        click.option("--eps", type=float, default=None,
+                     help="Excess noise at the channel input (shot-noise units)."),
+        click.option("--shape", default=None,
+                     help="Noise shape: gaussian, mixture, uniform, displacement, "
+                          "or a parameterized spec like "
+                          "displacement:magnitude=1.4,probability=1.0."),
+        click.option("--rho-block", "rho_block", type=float, default=None,
+                     help="Intra-block noise correlation (Gaussian shape only)."),
+        click.option("--n", type=int, default=None, help="Pulses per block."),
+        click.option("--l", type=int, default=None, help="Number of blocks."),
+        click.option("--sifting", type=click.Choice(SIFTING_NAMES), default=None),
+        click.option("--seed", type=int, default=None),
+        click.option("--beta", type=float, default=None,
+                     help="Reconciliation efficiency in [0, 1]."),
+        click.option("--n0", type=float, default=None, help="Shot-noise unit."),
+    ]):
         cmd = option(cmd)
     return cmd
 
@@ -230,9 +223,9 @@ def simulate(config, out, fmt, **overrides):
     if cfg.out is None:
         raise ConfigurationError("no output path: pass --out or set 'out' in the config")
     source, channel = cfg.source(), cfg.channel()
+    path = resolve_out(cfg.out)
     record = run_session(source, channel, ProtocolKind(cfg.protocol),
                          cfg.n, cfg.l, cfg.sifting, cfg.seed)
-    path = resolve_out(cfg.out)
     records.write_record(record, path, cfg.format)
     click.echo(f"wrote {path} ({cfg.format}, {record.total_pulses} pulses)")
     click.echo(f"kept {int(record.kept.sum())} pulses (fraction {record.kept_fraction:.4f}, "
@@ -272,6 +265,7 @@ def rate(record_path, cov, protocol, beta, n, n0, transform, fmt, out):
         raise ConfigurationError("give exactly one of --record or --cov")
     if not 0.0 <= beta <= 1.0:
         raise ConfigurationError(f"beta must be in [0, 1], got {beta}")
+    out_path = None if out is None else resolve_out(out)
 
     record = sample_count = None
     if record_path is not None:
@@ -323,8 +317,8 @@ def rate(record_path, cov, protocol, beta, n, n0, transform, fmt, out):
         click.echo(json.dumps(payload, indent=2))
     else:
         _echo_rate_text(payload)
-    if out is not None:
-        resolve_out(out).write_text(json.dumps(payload, indent=2) + "\n")
+    if out_path is not None:
+        out_path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _echo_rate_text(p: dict) -> None:
@@ -372,13 +366,14 @@ def _parse_cov(text: str) -> Covariance2:
               help="Write the verification manifest (JSON) here.")
 def verify(scope, seed, trials, pulses, out):
     """Certify the entropy inequalities; exit 5 if any check fails."""
+    out_path = None if out is None else resolve_out(out)
     reports = run_suites(scope, seed, trials, pulses)
     for r in reports:
         status = "PASS" if r.holds else "FAIL"
         click.echo(f"{status} {r.identifier}  slack={r.slack:.6g}")
     doc = build_manifest(reports, scope, seed)
-    if out is not None:
-        resolve_out(out).write_text(json.dumps(doc, indent=2) + "\n")
+    if out_path is not None:
+        out_path.write_text(json.dumps(doc, indent=2) + "\n")
     if not doc["all_hold"]:
         failed = [r.identifier for r in reports if not r.holds]
         click.echo(f"verification failed: {', '.join(failed)}", err=True)
@@ -414,6 +409,8 @@ def sweep(config, param, start, stop, steps, transform, out, plot_out, **overrid
     base = load_config(config, overrides)
     if steps < 2:
         raise ConfigurationError(f"need at least 2 steps, got {steps}")
+    path = resolve_out(out)
+    plot_path = None if plot_out is None else resolve_out(plot_out)
     rows = [_sweep_row(base, param, start + (stop - start) * i / (steps - 1),
                        HeterodyneTransform(transform))
             for i in range(steps)]
@@ -421,18 +418,17 @@ def sweep(config, param, start, stop, steps, transform, out, plot_out, **overrid
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         lines.append(",".join(_csv_cell(row[c]) for c in SWEEP_COLUMNS))
-    path = resolve_out(out)
     path.write_text("\n".join(lines) + "\n")
     click.echo(f"wrote {path} ({steps} grid points)")
 
-    if plot_out is not None:
+    if plot_path is not None:
         doc = {
             "param": param,
             "values": [row["value"] for row in rows],
             "series": {c: [r[c] for r in rows] for c in SWEEP_COLUMNS[2:]},
         }
-        resolve_out(plot_out).write_text(json.dumps(doc, indent=2) + "\n")
-        click.echo(f"wrote {resolve_out(plot_out)}")
+        plot_path.write_text(json.dumps(doc, indent=2) + "\n")
+        click.echo(f"wrote {plot_path}")
 
 
 def _csv_cell(value) -> str:

@@ -59,12 +59,10 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """A k-NN differential-entropy value in bits with estimator metadata."""
+    """A k-NN differential-entropy value in bits and its standard error."""
 
     value: float
     std_error: float
-    sample_count: int
-    neighbor_order: int
 
 
 def estimate_covariance(s: SampleSet) -> Covariance2:
@@ -172,12 +170,11 @@ def _knn_entropy_bits(x: np.ndarray, k: int, jitter_seed: int) -> float:
     return nats / LOG2 + log_det_bits
 
 
-def _knn_estimate(terms, k: int, jitter_seed: int, check=None) -> EntropyEstimate:
+def _knn_estimate(terms, k: int, jitter_seed: int) -> EntropyEstimate:
     """The k-NN estimate of sum(sign * H(x)) over the (sign, matrix) terms,
     whose matrices share their rows, on all rows, with the standard error
     from the interleaved folds f::FOLDS, fold f jittered with seed
-    jitter_seed + 1 + f. check, if given, runs after the argument checks
-    and before any estimate."""
+    jitter_seed + 1 + f."""
     count = len(terms[0][1])
     if k < 1:
         raise DomainError(f"neighbor order must be >= 1, got {k}")
@@ -185,8 +182,6 @@ def _knn_estimate(terms, k: int, jitter_seed: int, check=None) -> EntropyEstimat
         raise InsufficientDataError(
             f"need at least {FOLDS * (k + 1)} samples for "
             f"k={k} with {FOLDS}-fold errors, got {count}")
-    if check is not None:
-        check()
 
     def estimate(rows, seed: int) -> float:
         # summed left to right from 0, so a difference of two terms is
@@ -197,7 +192,7 @@ def _knn_estimate(terms, k: int, jitter_seed: int, check=None) -> EntropyEstimat
     per_fold = np.array([estimate(slice(f, None, FOLDS), jitter_seed + 1 + f)
                          for f in range(FOLDS)])
     err = float(per_fold.std(ddof=1) / math.sqrt(FOLDS))
-    return EntropyEstimate(value, err, count, k)
+    return EntropyEstimate(value, err)
 
 
 def knn_differential_entropy(values, k: int = 4, jitter_seed: int = 0) -> EntropyEstimate:
@@ -215,11 +210,9 @@ def conditional_entropy_estimate(s: SampleSet, k: int = 4,
     """H(B|A) in bits, computed as H(A, B) - H(A) with the neighbor
     estimator; the standard error is taken on the per-fold differences so
     the two estimates' shared fluctuations cancel."""
-    def require_spread():
-        if conditional_variance(estimate_covariance(s)) <= 0:
-            raise DegenerateDataError("B is an exact linear function of A: "
-                                      "conditional spread is zero")
-
+    if conditional_variance(estimate_covariance(s)) <= 0:
+        raise DegenerateDataError("B is an exact linear function of A: "
+                                  "conditional spread is zero")
     return _knn_estimate([(1, np.column_stack([s.a, s.b])), (-1, s.a[:, None])],
-                         k, jitter_seed, require_spread)
+                         k, jitter_seed)
 

@@ -88,8 +88,6 @@ class RateReport:
     i_be_bound: float
     cond_var_b_given_a: float
     sifting_applied: bool
-    protocol: ProtocolKind
-    block_size: int
     cond_var_b_given_a_prime: float | None = None
 
     def with_sifting(self) -> "RateReport":
@@ -173,7 +171,7 @@ def squeezed_rate_bound(k: Covariance2, n: int, n0: float = 1.0) -> RateReport:
     cv = conditional_variance(k)
     if cv <= 0:
         raise DomainError("conditional variance must be positive for a rate bound")
-    return _report(ProtocolKind.SQUEEZED_HOMODYNE, k, n, math.log2(n0 / cv), cv)
+    return _report(k, n, math.log2(n0 / cv), cv)
 
 
 def heterodyne_covariance_transform(
@@ -226,19 +224,18 @@ def coherent_rate_bound(
     if cv1 <= 0 or cv2 <= 0:
         raise DomainError("both conditional variances must be positive")
     per_pulse = math.log2(n0 / math.sqrt(cv1 * cv2))
-    return _report(ProtocolKind.COHERENT_HETERODYNE, k_measured, n, per_pulse, cv1, cv2)
+    return _report(k_measured, n, per_pulse, cv1, cv2)
 
 
-def _report(protocol: ProtocolKind, k: Covariance2, n: int, per_pulse: float,
-            cv: float, cv_prime: float | None = None) -> RateReport:
+def _report(k: Covariance2, n: int, per_pulse: float, cv: float,
+            cv_prime: float | None = None) -> RateReport:
     """The unsifted report of a bound of per_pulse bits; i_be_bound is
     defined so that delta_i_min = i_ab - i_be_bound holds."""
     i_ab = gaussian_mutual_information(k)
     return RateReport(
         delta_i_min_per_pulse=per_pulse, delta_i_min_block=n * per_pulse,
         i_ab=i_ab, i_be_bound=i_ab - per_pulse, cond_var_b_given_a=cv,
-        sifting_applied=False, protocol=protocol, block_size=n,
-        cond_var_b_given_a_prime=cv_prime)
+        sifting_applied=False, cond_var_b_given_a_prime=cv_prime)
 
 
 def rate_bound(
@@ -260,17 +257,13 @@ def apply_sifting(rate: float) -> float:
     return rate / 2.0
 
 
-SECURE = "secure"
-INSECURE = "insecure"
-
-
 def conditional_squeezing_check(k: Covariance2, n0: float = 1.0) -> str:
     """Sufficient security condition on second moments alone: the verdict
     is "secure" iff the conditional variance of B given A is below the
     vacuum variance (strictly; the boundary carries zero key rate)."""
     if not n0 > 0:
         raise DomainError(f"shot-noise unit must be positive, got {n0}")
-    return SECURE if conditional_variance(k) < n0 else INSECURE
+    return "secure" if conditional_variance(k) < n0 else "insecure"
 
 
 def _check_bound_args(n: int, n0: float) -> None:

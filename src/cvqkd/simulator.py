@@ -405,9 +405,8 @@ def analytic_covariance(src: EprSource, ch: ChannelModel,
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """A named source/channel pair used by the verification suite."""
+    """A source/channel pair used by the verification suite."""
 
-    name: str
     source: EprSource
     channel: ChannelModel
 
@@ -418,26 +417,22 @@ def _catalog() -> dict[str, AttackConfig]:
     # every shape below carries exactly the same second moments
     t, eps = 1.0, 2.0
     var = ChannelModel(t, eps).noise_variance()
-    entries = [
+    return {
         # saturates the Gaussian bounds
-        AttackConfig("gaussian", EprSource(v), ChannelModel(t, eps)),
+        "gaussian": AttackConfig(EprSource(v), ChannelModel(t, eps)),
         # two-spread Gaussian mixture at matched moments
-        AttackConfig("mixture", EprSource(v),
-                     ChannelModel(t, eps, TwoComponentMixture.matching(var))),
+        "mixture": AttackConfig(
+            EprSource(v), ChannelModel(t, eps, TwoComponentMixture.matching(var))),
         # uniform noise at matched moments
-        AttackConfig("uniform", EprSource(v),
-                     ChannelModel(t, eps, UniformNoise.matching(var))),
-        # destroys conditional squeezing but not entropic squeezing
-        AttackConfig("displacement", EprSource(v),
-                     ChannelModel(t, eps, DiscreteDisplacement.matching(var))),
+        "uniform": AttackConfig(
+            EprSource(v), ChannelModel(t, eps, UniformNoise.matching(var))),
+        # the counterexample: conditional variance above the vacuum, while the
+        # conditional entropy stays below the vacuum entropy
+        "displacement": AttackConfig(
+            EprSource(v), ChannelModel(t, eps, DiscreteDisplacement.matching(var))),
         # 3 dB loss, no excess noise
-        AttackConfig("gaussian-lossy", EprSource(v), ChannelModel(0.5, 0.0)),
-    ]
-    return {cfg.name: cfg for cfg in entries}
+        "gaussian-lossy": AttackConfig(EprSource(v), ChannelModel(0.5, 0.0)),
+    }
 
 
 ATTACK_CATALOG = _catalog()
-
-#: the catalogued attack exhibiting conditional variance above the vacuum
-#: while the conditional entropy stays below the vacuum entropy
-SQUEEZING_COUNTEREXAMPLE = "displacement"

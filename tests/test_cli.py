@@ -373,15 +373,36 @@ class TestSweep:
     ["verify", "--scope", "discrete", "--trials", "20", "--out", "{missing}/m.json"],
     ["sweep", "--param", "eps", "--start", "0", "--stop", "1", "--steps", "2",
      "--out", "{missing}/s.csv"],
+    ["sweep", "--param", "eps", "--start", "0", "--stop", "1", "--steps", "2",
+     "--out", "{tmp}/s.csv", "--plot-out", "{missing}/s.json"],
     ["rate", "--cov", "20,10.5,14.124446891825535", "--protocol", "squeezed_homodyne",
      "--out", "{missing}/r.json"],
-], ids=["rate-record", "simulate-out", "verify-out", "sweep-out", "rate-out"])
+    ["rate", "--record", "{tmp}/unread.csv", "--out", "{missing}/r.json"],
+], ids=["rate-record", "simulate-out", "verify-out", "sweep-out", "sweep-plot-out",
+        "rate-out", "rate-record-out"])
 def test_file_system_error_exits_3(runner, tmp_path, args):
+    # an output path is checked before any work, so nothing is printed or written
     missing = tmp_path / "no-such-dir"
-    result = runner.invoke(main, [arg.format(missing=missing) for arg in args])
+    result = runner.invoke(main, [arg.format(missing=missing, tmp=tmp_path)
+                                  for arg in args])
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and str(missing) in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["rate", "--record", "{binary}"],
+    ["simulate", "--config", "{binary}", "--out", "{tmp}/x.csv"],
+], ids=["rate-record", "simulate-config"])
+def test_non_utf8_input_exits_3(runner, tmp_path, args):
+    binary = tmp_path / "bin.dat"
+    binary.write_bytes(b"\xff\xfe not utf-8\n")
+    result = runner.invoke(main, [arg.format(binary=binary, tmp=tmp_path) for arg in args])
     assert result.exit_code == 3, result.output
     assert any(line.startswith("error: ") for line in result.output.splitlines())
-    assert not missing.exists()
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert not (tmp_path / "x.csv").exists()
 
 
 SCIPY_FREE_SCRIPT = """

@@ -7,7 +7,7 @@ bit that every tolerance-based test lets through. The record digests pin
 both text formats of fixed-seed sessions, row codec and header alike.
 The CLI digests pin `simulate` (stdout and record) for both protocols in
 both sifting modes, `rate --record` on one of those records, and the
-`verify --scope discrete` manifest.
+`verify --scope discrete` and `verify --scope statistical` manifests.
 """
 
 import hashlib
@@ -144,6 +144,9 @@ RATE_RECORD_DIGEST = "67a501c10bb6221e1f1d95663fcd8f1d5dd149c8cb11179d93227d1afa
 #: sha256 of the `verify --scope discrete --trials 200` manifest
 VERIFY_DISCRETE_DIGEST = "f7b3cc8daa816869e64f5d1f8118e9397534da4ac453a84047adbb00d0c2b414"
 
+#: sha256 of the `verify --scope statistical --pulses 20000` manifest
+VERIFY_STATISTICAL_DIGEST = "780dd78ee71730c5e78ebf353892cb865e9f4c8f010da94637d3526e7d86c24b"
+
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
@@ -175,3 +178,11 @@ def test_verify_discrete_manifest_bytes(workdir):
                                   "--out", "manifest.json"])
     assert result.exit_code == 0, result.output
     assert sha256((path / "manifest.json").read_bytes()) == VERIFY_DISCRETE_DIGEST
+
+
+def test_verify_statistical_manifest_bytes(workdir):
+    runner, path = workdir
+    result = runner.invoke(main, ["verify", "--scope", "statistical", "--pulses", "20000",
+                                  "--out", "manifest.json"])
+    assert result.exit_code == 0, result.output
+    assert sha256((path / "manifest.json").read_bytes()) == VERIFY_STATISTICAL_DIGEST

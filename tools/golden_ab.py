@@ -1,0 +1,156 @@
+"""Fixed-seed A/B of the cvqkd command line.
+
+Runs a fixed list of CLI commands in-process, through click's CliRunner,
+inside a fresh temporary working directory with relative paths, and
+prints one line per command: its exit status (and the exception type if
+it ended in an uncaught exception), the sha256 of stdout and of stderr,
+and the sha256 of every file the command wrote or changed.
+
+To compare two checkouts, run it once against each and diff the outputs:
+
+    PYTHONPATH=parent/src python3 tools/golden_ab.py > parent.txt
+    PYTHONPATH=src python3 tools/golden_ab.py > change.txt
+    diff parent.txt change.txt
+
+It takes no options. The whole list of 145 commands runs in about 3 s on
+a 2-core machine, half of it in the two statistical `verify` runs.
+"""
+
+import hashlib
+import math
+import os
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from cvqkd.cli import main
+
+PROTOCOLS = ("squeezed_homodyne", "coherent_heterodyne")
+SIFTINGS = ("random_basis", "quantum_memory")
+FORMATS = {"csv": "csv", "json-lines": "jsonl"}
+
+#: channel of the shape sessions; its noise variance is (1 - t) + t * eps
+T, EPS = 0.6, 0.1
+NOISE_VAR = (1.0 - T) + T * EPS
+SHAPES = (
+    "gaussian", "mixture", "uniform", "displacement", "gaussian:",
+    f"mixture:w1=0.25,w2=0.75,v1={NOISE_VAR / 2.5!r},v2={3 * NOISE_VAR / 2.5!r}",
+    f"uniform:halfwidth={math.sqrt(3.0 * NOISE_VAR)!r}",
+    f"displacement:magnitude={math.sqrt(NOISE_VAR / 0.5)!r},probability=0.5",
+)
+
+SQUEEZED_COV = ["--cov", "20,10.5,14.124446891825535", "--protocol", "squeezed_homodyne"]
+
+
+def commands():
+    """(label, argv) pairs, in run order; later commands read earlier outputs."""
+    session = ["--v", "20", "--t", "0.5", "--eps", "0.05", "--n", "2", "--l", "300"]
+    records = []
+    for protocol in PROTOCOLS:
+        for sifting in SIFTINGS:
+            for fmt, ext in FORMATS.items():
+                out = f"sim-{protocol}-{sifting}.{ext}"
+                records.append(out)
+                yield out, ["simulate", *session, "--protocol", protocol,
+                            "--sifting", sifting, "--format", fmt,
+                            "--seed", str(len(records)), "--out", out]
+    for i, shape in enumerate(SHAPES):
+        for protocol in PROTOCOLS:
+            out = f"shape-{i}-{protocol}.csv"
+            records.append(out)
+            yield out, ["simulate", "--protocol", protocol, "--t", str(T),
+                        "--eps", str(EPS), "--shape", shape, "--l", "400",
+                        "--seed", str(20 + i), "--out", out]
+    records.append("rho-block.csv")
+    yield "rho-block", ["simulate", "--t", "0.7", "--eps", "0.1", "--rho-block", "0.4",
+                        "--n", "5", "--l", "80", "--seed", "40", "--out", "rho-block.csv"]
+    yield "config", ["simulate", "--config", "config.json", "--seed", "41",
+                     "--out", "config.csv"]
+
+    for record in records:
+        for transform in ("printed", "beamsplitter"):
+            for fmt in ("text", "json"):
+                yield (f"rate-{record}-{transform}-{fmt}",
+                       ["rate", "--record", record, "--transform", transform,
+                        "--format", fmt, "--beta", "0.95"])
+    yield "rate-record-n-out", ["rate", "--record", records[0], "--n", "8",
+                                "--out", "rate-record.json"]
+    yield "rate-cov-squeezed", ["rate", *SQUEEZED_COV, "--beta", "0.9",
+                                "--out", "rate-cov.json"]
+    yield "rate-cov-coherent", ["rate", "--cov", "10.5,10.5,9.0",
+                                "--protocol", "coherent_heterodyne", "--n", "4"]
+    yield "rate-cov-coherent-bs", ["rate", "--cov", "10.5,10.5,9.987492177719089",
+                                   "--protocol", "coherent_heterodyne",
+                                   "--transform", "beamsplitter", "--format", "json"]
+
+    sweeps = {
+        "t": ["--start", "0.05", "--stop", "1.0", "--steps", "12", "--eps", "0.05"],
+        "eps": ["--start", "0", "--stop", "0.6", "--steps", "13", "--t", "0.8"],
+        "v": ["--start", "2", "--stop", "40", "--steps", "9", "--t", "0.7"],
+        "beta": ["--start", "0.8", "--stop", "1", "--steps", "5", "--t", "0.6"],
+    }
+    for param, args in sweeps.items():
+        yield f"sweep-{param}", ["sweep", "--param", param, *args,
+                                 "--out", f"sweep-{param}.csv",
+                                 "--plot-out", f"sweep-{param}.json"]
+    yield "sweep-displacement", ["sweep", "--param", "t", "--start", "0.3", "--stop", "0.9",
+                                 "--steps", "7", "--eps", "0.1", "--shape", "displacement",
+                                 "--transform", "printed", "--out", "sweep-disp.csv"]
+
+    yield "verify-discrete", ["verify", "--scope", "discrete", "--trials", "200",
+                              "--out", "verify-discrete.json"]
+    yield "verify-statistical", ["verify", "--scope", "statistical", "--pulses", "20000",
+                                 "--out", "verify-statistical.json"]
+
+    # error cases: input that is not UTF-8 text, and output into a missing directory
+    yield "error-rate-binary-record", ["rate", "--record", "binary.dat"]
+    yield "error-simulate-binary-config", ["simulate", "--config", "binary.dat",
+                                           "--out", "never.csv"]
+    yield "error-simulate-out", ["simulate", "--l", "100", "--out", "nodir/r.csv"]
+    yield "error-verify-out", ["verify", "--scope", "statistical", "--pulses", "20000",
+                               "--out", "nodir/m.json"]
+    yield "error-sweep-out", ["sweep", "--param", "eps", "--start", "0", "--stop", "1",
+                              "--steps", "2", "--out", "nodir/s.csv"]
+    yield "error-sweep-plot-out", ["sweep", "--param", "eps", "--start", "0", "--stop", "1",
+                                   "--steps", "2", "--out", "never.csv",
+                                   "--plot-out", "nodir/s.json"]
+    yield "error-rate-record-out", ["rate", "--record", records[0],
+                                    "--out", "nodir/r.json"]
+    yield "error-rate-cov-out", ["rate", *SQUEEZED_COV, "--out", "nodir/r.json"]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def snapshot(root: Path) -> dict:
+    return {str(p.relative_to(root)): sha256(p.read_bytes())
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def run():
+    os.environ.pop("CVQKD_OUT_DIR", None)
+    runner = CliRunner()
+    with runner.isolated_filesystem() as tmp:
+        root = Path(tmp)
+        (root / "binary.dat").write_bytes(b"\xff\xfe\x00 not utf-8\n")
+        (root / "config.json").write_text(
+            '{"protocol": "coherent_heterodyne", "v": 12, "t": 0.7, "eps": 0.1,'
+            ' "shape": "uniform", "n": 3, "l": 100, "format": "json-lines"}\n')
+        before = snapshot(root)
+        for label, argv in commands():
+            result = runner.invoke(main, argv)
+            after = snapshot(root)
+            written = [f"{name}={digest}" for name, digest in after.items()
+                       if before.get(name) != digest]
+            before = after
+            exc = result.exception
+            status = f"exit={result.exit_code}"
+            if exc is not None and not isinstance(exc, SystemExit):
+                status += f" {type(exc).__name__}"
+            print(label, status, f"stdout={sha256(result.stdout_bytes)}",
+                  f"stderr={sha256(result.stderr_bytes)}", *written)
+
+
+if __name__ == "__main__":
+    run()
