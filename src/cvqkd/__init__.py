@@ -44,7 +44,7 @@ from .rates import (
 from .records import read_record, write_record
 from .simulator import (
     ATTACK_CATALOG,
-    AttackConfig,
+    CATALOG_SOURCE,
     BlockRecord,
     ChannelModel,
     DiscreteDisplacement,

@@ -6,7 +6,8 @@ certification manifest), ``sweep`` (rate tables over a channel
 parameter).
 
 Experiments are configured by a JSON config file (``--config``) whose
-keys match the flags; flags win over the file. All randomness flows from
+keys match the flags of simulate and sweep; each command reads the keys
+it has flags for, and flags win over the file. All randomness flows from
 the single seed, outputs carry no timestamps, and reruns with the same
 configuration are byte-identical. Relative output paths land in
 ``$CVQKD_OUT_DIR`` when that variable is set.
@@ -137,7 +138,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     values: dict = {}
     if path is not None:
         try:
-            values = json.loads(Path(path).read_text())
+            values = json.loads(records.read_text(path))
         except json.JSONDecodeError as exc:
             raise ParseError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(values, dict):
@@ -152,18 +153,21 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 
 
 def resolve_out(path: str) -> Path:
-    """The output path; raises, before any work is done, if its directory is missing."""
+    """The output path; raises, before any work is done, if its directory is
+    missing or it names a directory itself."""
     base = os.environ.get("CVQKD_OUT_DIR")
     p = Path(path)
     if base and not p.is_absolute():
         p = Path(base) / p
     if not p.parent.is_dir():
         raise FileNotFoundError(f"cannot write {p}: no directory {p.parent}")
+    if p.is_dir():
+        raise IsADirectoryError(f"cannot write {p}: it is a directory")
     return p
 
 
-def _exit_code(exc: CvqkdError | OSError | UnicodeDecodeError) -> int:
-    if isinstance(exc, (ParseError, OSError, UnicodeDecodeError)):
+def _exit_code(exc: CvqkdError | OSError) -> int:
+    if isinstance(exc, (ParseError, OSError)):
         return EXIT_PARSE
     if isinstance(exc, CapacityError):
         return EXIT_CAPACITY
@@ -174,7 +178,7 @@ class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (CvqkdError, OSError, UnicodeDecodeError) as exc:
+        except (CvqkdError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(_exit_code(exc))
 
@@ -185,11 +189,10 @@ def main():
 
 
 def config_options(cmd):
-    """The experiment flags that simulate and sweep share."""
+    """The source and channel flags that simulate and sweep share."""
     for option in reversed([
         click.option("--config", type=click.Path(), default=None,
                      help="JSON config file; flags override its values."),
-        click.option("--protocol", type=click.Choice(PROTOCOL_NAMES), default=None),
         click.option("--v", type=float, default=None,
                      help="Source quadrature variance (shot-noise units)."),
         click.option("--t", type=float, default=None, help="Channel transmission."),
@@ -201,12 +204,6 @@ def config_options(cmd):
                           "displacement:magnitude=1.4,probability=1.0."),
         click.option("--rho-block", "rho_block", type=float, default=None,
                      help="Intra-block noise correlation (Gaussian shape only)."),
-        click.option("--n", type=int, default=None, help="Pulses per block."),
-        click.option("--l", type=int, default=None, help="Number of blocks."),
-        click.option("--sifting", type=click.Choice(SIFTING_NAMES), default=None),
-        click.option("--seed", type=int, default=None),
-        click.option("--beta", type=float, default=None,
-                     help="Reconciliation efficiency in [0, 1]."),
         click.option("--n0", type=float, default=None, help="Shot-noise unit."),
     ]):
         cmd = option(cmd)
@@ -215,6 +212,11 @@ def config_options(cmd):
 
 @main.command()
 @config_options
+@click.option("--protocol", type=click.Choice(PROTOCOL_NAMES), default=None)
+@click.option("--n", type=int, default=None, help="Pulses per block.")
+@click.option("--l", type=int, default=None, help="Number of blocks.")
+@click.option("--sifting", type=click.Choice(SIFTING_NAMES), default=None)
+@click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None, help="Record file to write.")
 @click.option("--format", "fmt", type=click.Choice(records.FORMATS), default=None)
 def simulate(config, out, fmt, **overrides):
@@ -224,7 +226,7 @@ def simulate(config, out, fmt, **overrides):
         raise ConfigurationError("no output path: pass --out or set 'out' in the config")
     source, channel = cfg.source(), cfg.channel()
     path = resolve_out(cfg.out)
-    record = run_session(source, channel, ProtocolKind(cfg.protocol),
+    record = run_session(source, channel, cfg.protocol,
                          cfg.n, cfg.l, cfg.sifting, cfg.seed)
     records.write_record(record, path, cfg.format)
     click.echo(f"wrote {path} ({cfg.format}, {record.total_pulses} pulses)")
@@ -233,7 +235,7 @@ def simulate(config, out, fmt, **overrides):
     k = estimate_covariance(record.samples())
     click.echo(f"sample covariance (pooled): var_a={k.var_a:.6g} "
                f"var_b={k.var_b:.6g} cov_ab={k.cov_ab:.6g}")
-    ka = analytic_covariance(source, channel, ProtocolKind(cfg.protocol))
+    ka = analytic_covariance(source, channel, record.protocol)
     click.echo(f"analytic covariance:        var_a={ka.var_a:.6g} "
                f"var_b={ka.var_b:.6g} cov_ab={ka.cov_ab:.6g}")
     # full-precision literal: feeding it to `rate --cov` reproduces the
@@ -392,6 +394,8 @@ SWEEP_COLUMNS = (
 
 @main.command()
 @config_options
+@click.option("--beta", type=float, default=None,
+              help="Reconciliation efficiency in [0, 1].")
 @click.option("--param", type=click.Choice(SWEEP_PARAMS), required=True)
 @click.option("--start", type=float, required=True)
 @click.option("--stop", type=float, required=True)
@@ -455,7 +459,7 @@ def _sweep_row(base: ExperimentConfig, param: str, value: float,
                          (ProtocolKind.COHERENT_HETERODYNE, "coherent")):
         k = analytic_covariance(source, channel, kind)
         try:
-            report = rate_bound(k, point.n, kind, point.n0, transform)
+            report = rate_bound(k, 1, kind, point.n0, transform)
         except DomainError:
             if kind is ProtocolKind.SQUEEZED_HOMODYNE:
                 raise

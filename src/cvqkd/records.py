@@ -230,5 +230,15 @@ def write_record(record: BlockRecord, path, fmt: str = "csv") -> Path:
     return path
 
 
+def read_text(path) -> str:
+    """A file's UTF-8 text; other bytes raise ParseError citing the file and line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 text") from None
+
+
 def read_record(path) -> BlockRecord:
-    return loads(Path(path).read_text())
+    return loads(read_text(path))

@@ -337,16 +337,16 @@ class BlockRecord:
         return SampleSet(self.a[self.kept], (sign * self.b)[self.kept])
 
 
-def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind,
+def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,
                 n: int, l: int, sifting_mode: SiftingMode | str = SiftingMode.RANDOM_BASIS,
                 rng_seed: int = 0) -> BlockRecord:
     """Generate l blocks of n pulses. Deterministic for a given seed."""
     if n < 1 or l < 1:
         raise ConfigurationError(f"need n >= 1 and l >= 1, got n={n}, l={l}")
     try:
-        sifting_mode = SiftingMode(sifting_mode)
-    except ValueError:
-        raise ConfigurationError(f"unknown sifting mode {sifting_mode!r}") from None
+        protocol, sifting_mode = ProtocolKind(protocol), SiftingMode(sifting_mode)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
 
     # each chunk is written straight into its slice of the columns, so the
     # peak holds the finished columns plus one chunk, never a second copy
@@ -403,36 +403,19 @@ def analytic_covariance(src: EprSource, ch: ChannelModel,
 # ---------------------------------------------------------------------------
 # attack catalog
 
-@dataclass(frozen=True)
-class AttackConfig:
-    """A source/channel pair used by the verification suite."""
-
-    source: EprSource
-    channel: ChannelModel
+#: the source of every catalogued attack
+CATALOG_SOURCE = EprSource(20.0)
 
 
-def _catalog() -> dict[str, AttackConfig]:
-    v = 20.0
-    # noise-only channel (t = 1) with two shot-noise units of excess noise:
-    # every shape below carries exactly the same second moments
+def _catalog() -> dict[str, ChannelModel]:
+    # every noise shape fitted to one noise-only channel (t = 1, two shot-noise
+    # units of excess noise), so all carry exactly the same second moments. The
+    # Gaussian saturates the Gaussian bounds; the displacement is the
+    # counterexample, with conditional variance above the vacuum while its
+    # conditional entropy stays below the vacuum entropy
     t, eps = 1.0, 2.0
     var = ChannelModel(t, eps).noise_variance()
-    return {
-        # saturates the Gaussian bounds
-        "gaussian": AttackConfig(EprSource(v), ChannelModel(t, eps)),
-        # two-spread Gaussian mixture at matched moments
-        "mixture": AttackConfig(
-            EprSource(v), ChannelModel(t, eps, TwoComponentMixture.matching(var))),
-        # uniform noise at matched moments
-        "uniform": AttackConfig(
-            EprSource(v), ChannelModel(t, eps, UniformNoise.matching(var))),
-        # the counterexample: conditional variance above the vacuum, while the
-        # conditional entropy stays below the vacuum entropy
-        "displacement": AttackConfig(
-            EprSource(v), ChannelModel(t, eps, DiscreteDisplacement.matching(var))),
-        # 3 dB loss, no excess noise
-        "gaussian-lossy": AttackConfig(EprSource(v), ChannelModel(0.5, 0.0)),
-    }
+    return {shape.kind: ChannelModel(t, eps, shape.matching(var)) for shape in NOISE_SHAPES}
 
 
 ATTACK_CATALOG = _catalog()

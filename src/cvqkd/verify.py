@@ -37,6 +37,7 @@ from .rates import (
 )
 from .simulator import (
     ATTACK_CATALOG,
+    CATALOG_SOURCE,
     ChannelModel,
     EprSource,
     SiftingMode,
@@ -242,7 +243,7 @@ def worst_of(reports: list[InequalityReport], identifier: str) -> InequalityRepo
                             all(r.holds for r in reports), worst.tolerance)
 
 
-def discrete_suite(seed: int = 0, trials: int = 10_000) -> list[InequalityReport]:
+def discrete_suite(seed: int, trials: int) -> list[InequalityReport]:
     """Exact checks: random joint laws across block sizes and alphabets,
     the equality and redundancy corner cases, and the pure-state entropic
     sum on a grid of variance pairs."""
@@ -302,17 +303,16 @@ def _redundant_block() -> DiscreteJoint:
     return DiscreteJoint(2, table)
 
 
-def statistical_suite(seed: int = 0, pulses: int = 1_000_000) -> list[InequalityReport]:
+def statistical_suite(seed: int, pulses: int) -> list[InequalityReport]:
     """Estimator-based checks on the attack catalog: Gaussian dominance
     for every noise shape, saturation for the Gaussian shape, strictness
     and the conditional-squeezing counterexample for the displacement
     shape, the conservativeness of the covariance bound, and the
     heterodyne transform cross-check."""
     reports: list[InequalityReport] = []
-    names = ["gaussian", "mixture", "uniform", "displacement"]
-    for offset, name in enumerate(names):
-        cfg = ATTACK_CATALOG[name]
-        record = run_session(cfg.source, cfg.channel, ProtocolKind.SQUEEZED_HOMODYNE,
+    n0 = CATALOG_SOURCE.n0
+    for offset, (name, channel) in enumerate(ATTACK_CATALOG.items()):
+        record = run_session(CATALOG_SOURCE, channel, ProtocolKind.SQUEEZED_HOMODYNE,
                              n=1, l=pulses, sifting_mode=SiftingMode.QUANTUM_MEMORY,
                              rng_seed=seed + offset)
         samples = record.samples()
@@ -331,7 +331,6 @@ def statistical_suite(seed: int = 0, pulses: int = 1_000_000) -> list[Inequality
         if name == "displacement":
             # the displacement attack destroys conditional squeezing while
             # the conditional entropy stays below the vacuum entropy
-            n0 = cfg.source.n0
             reports.append(InequalityReport.check(
                 "counterexample-conditional-variance-at-least-vacuum",
                 n0, conditional_variance(k_hat), tolerance=0.0))
@@ -340,8 +339,8 @@ def statistical_suite(seed: int = 0, pulses: int = 1_000_000) -> list[Inequality
                 estimate + tol, vacuum_entropy(n0), tolerance=0.0))
 
         # the covariance-only rate bound never exceeds the entropic rate
-        entropic_rate = 2.0 * (vacuum_entropy(cfg.source.n0) - estimate)
-        covariance_rate = squeezed_rate_bound(k_hat, 1, cfg.source.n0).delta_i_min_per_pulse
+        entropic_rate = 2.0 * (vacuum_entropy(n0) - estimate)
+        covariance_rate = squeezed_rate_bound(k_hat, 1, n0).delta_i_min_per_pulse
         reports.append(InequalityReport.check(
             f"covariance-bound-is-conservative[{name}]",
             covariance_rate, entropic_rate, tolerance=2.0 * tol))
@@ -351,8 +350,7 @@ def statistical_suite(seed: int = 0, pulses: int = 1_000_000) -> list[Inequality
     return reports
 
 
-def heterodyne_transform_crosscheck(seed: int = 0,
-                                    pulses: int = 10_000_000) -> list[InequalityReport]:
+def heterodyne_transform_crosscheck(seed: int, pulses: int) -> list[InequalityReport]:
     """Simulate a heterodyne session on a lossless channel, where Alice's
     pre-beam-splitter variance is the source variance itself, and record
     which covariance transform reconstructs it.
@@ -388,8 +386,7 @@ def heterodyne_transform_crosscheck(seed: int = 0,
     ]
 
 
-def run_suites(scope: str = "all", seed: int = 0, trials: int = 10_000,
-               pulses: int = 1_000_000) -> list[InequalityReport]:
+def run_suites(scope: str, seed: int, trials: int, pulses: int) -> list[InequalityReport]:
     if scope not in ("discrete", "statistical", "all"):
         raise ConfigurationError(f"unknown verification scope {scope!r}")
     reports: list[InequalityReport] = []

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from cvqkd import (
     ATTACK_CATALOG,
+    CATALOG_SOURCE,
     Covariance2,
     DomainError,
     EprSource,
@@ -57,8 +58,7 @@ def attack_estimates():
     covariance at one million pulses (shared by criteria 4 and 5)."""
     out = {}
     for offset, name in enumerate(("gaussian", "mixture", "uniform", "displacement")):
-        cfg = ATTACK_CATALOG[name]
-        record = run_session(cfg.source, cfg.channel, HOMODYNE, n=1, l=1_000_000,
+        record = run_session(CATALOG_SOURCE, ATTACK_CATALOG[name], HOMODYNE, n=1, l=1_000_000,
                              sifting_mode=SiftingMode.QUANTUM_MEMORY,
                              rng_seed=1000 + offset)
         samples = record.samples()
@@ -66,7 +66,7 @@ def attack_estimates():
             "samples": samples,
             "estimate": conditional_entropy_estimate(samples),
             "covariance": estimate_covariance(samples),
-            "n0": cfg.source.n0,
+            "n0": CATALOG_SOURCE.n0,
         }
     return out
 

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import cvqkd
-from cvqkd.cli import main
+from cvqkd.cli import CONFIG_FIELDS, main
 from cvqkd import (
     ProtocolKind,
     estimate_covariance,
@@ -392,17 +392,72 @@ def test_file_system_error_exits_3(runner, tmp_path, args):
 
 
 @pytest.mark.parametrize("args", [
-    ["rate", "--record", "{binary}"],
-    ["simulate", "--config", "{binary}", "--out", "{tmp}/x.csv"],
-], ids=["rate-record", "simulate-config"])
-def test_non_utf8_input_exits_3(runner, tmp_path, args):
+    ["simulate", "--l", "100"],
+    ["verify", "--scope", "discrete", "--trials", "20"],
+    ["sweep", "--param", "eps", "--start", "0", "--stop", "1", "--steps", "2"],
+    ["rate", "--cov", "20,10.5,14.124446891825535", "--protocol", "squeezed_homodyne"],
+], ids=["simulate", "verify", "sweep", "rate"])
+def test_output_path_that_is_a_directory_exits_3(runner, tmp_path, args):
+    # checked before any work, so nothing is printed or written
+    result = runner.invoke(main, [*args, "--out", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert result.stderr == f"error: cannot write {tmp_path}: it is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, data, line", [
+    (["rate", "--record", "{binary}"], b"\xff\xfe not utf-8\n", 1),
+    (["rate", "--record", "{binary}"],
+     b"#cvqkd-record protocol=squeezed_homodyne n=1 l=1\n0,0,1.5\xff,2.0,q,q,1\n", 2),
+    (["simulate", "--config", "{binary}", "--out", "{tmp}/x.csv"], b"\xff\xfe not utf-8\n", 1),
+], ids=["rate-record", "rate-record-line-2", "simulate-config"])
+def test_non_utf8_input_exits_3(runner, tmp_path, args, data, line):
     binary = tmp_path / "bin.dat"
-    binary.write_bytes(b"\xff\xfe not utf-8\n")
+    binary.write_bytes(data)
     result = runner.invoke(main, [arg.format(binary=binary, tmp=tmp_path) for arg in args])
     assert result.exit_code == 3, result.output
-    assert any(line.startswith("error: ") for line in result.output.splitlines())
+    assert result.stderr == f"error: {binary}: line {line}: not UTF-8 text\n"
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "--protocol", "coherent_heterodyne"),
+    ("sweep", "--n", "4"),
+    ("sweep", "--l", "10"),
+    ("sweep", "--sifting", "quantum_memory"),
+    ("sweep", "--seed", "3"),
+    ("simulate", "--beta", "0.9"),
+], ids=["sweep-protocol", "sweep-n", "sweep-l", "sweep-sifting", "sweep-seed",
+        "simulate-beta"])
+def test_flag_the_command_does_not_read_is_rejected(runner, tmp_path, command, flag, value):
+    args = {"sweep": ["--param", "eps", "--start", "0", "--stop", "1", "--steps", "2"],
+            "simulate": ["--l", "100"]}[command]
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, [command, *args, flag, value, "--out", str(out)])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and flag in result.output
+    assert not out.exists()
+
+
+def test_sweep_config_may_hold_every_key(runner, tmp_path):
+    # one config file serves both commands; sweep reads none of the session keys
+    channel = {"v": 12.0, "t": 0.7, "eps": 0.1, "shape": "uniform", "rho_block": 0.0,
+               "n0": 1.0, "beta": 0.95}
+    session = {"protocol": "coherent_heterodyne", "n": 3, "l": 100,
+               "sifting": "quantum_memory", "seed": 7, "out": "never.csv",
+               "format": "json-lines"}
+    assert set(channel) | set(session) == CONFIG_FIELDS
+    tables = []
+    for name, config in (("all", {**channel, **session}), ("channel", channel)):
+        cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        cfg.write_text(json.dumps(config))
+        run_ok(runner, ["sweep", "--config", str(cfg), "--param", "t", "--start", "0.3",
+                        "--stop", "0.9", "--steps", "4", "--out", str(out)])
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    assert not (tmp_path / "never.csv").exists()
 
 
 SCIPY_FREE_SCRIPT = """

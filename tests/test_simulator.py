@@ -5,6 +5,7 @@ import pytest
 
 from cvqkd import (
     ATTACK_CATALOG,
+    CATALOG_SOURCE,
     ChannelModel,
     ConfigurationError,
     DiscreteDisplacement,
@@ -22,6 +23,7 @@ from cvqkd import (
     run_session,
     simulate_epr_pulse,
 )
+from cvqkd.records import dumps
 from cvqkd.simulator import P, Q
 
 HOMODYNE = ProtocolKind.SQUEEZED_HOMODYNE
@@ -252,6 +254,16 @@ class TestRunSession:
             run_session(EprSource(4.0), ChannelModel(1.0, 0.0), HOMODYNE,
                         n=1, l=10, sifting_mode="sometimes")
 
+    def test_protocol_and_sifting_by_value(self):
+        # values select the same session as the members; a bad value is rejected
+        args = (EprSource(20.0), ChannelModel(1.0))
+        by_value = run_session(*args, "squeezed_homodyne", 1, 1000, "quantum_memory", 5)
+        by_member = run_session(*args, HOMODYNE, 1, 1000, SiftingMode.QUANTUM_MEMORY, 5)
+        assert by_value.protocol is HOMODYNE
+        assert dumps(by_value) == dumps(by_member)
+        with pytest.raises(ConfigurationError, match="'homodyne' is not a valid ProtocolKind"):
+            run_session(*args, "homodyne", 1, 1000)
+
     def test_block_correlated_noise_structure(self):
         n, l = 50, 4_000
         ch = ChannelModel(0.5, 0.5, rho_block=0.6)
@@ -309,12 +321,10 @@ class TestSecondMomentEquivalence:
         pulses = 200_000
         ks = {}
         for name in ("gaussian", "mixture", "uniform", "displacement"):
-            cfg = ATTACK_CATALOG[name]
-            rec = run_session(cfg.source, cfg.channel, HOMODYNE, n=1, l=pulses,
+            rec = run_session(CATALOG_SOURCE, ATTACK_CATALOG[name], HOMODYNE, n=1, l=pulses,
                               sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=19)
             ks[name] = estimate_covariance(rec.samples())
-        reference = analytic_covariance(ATTACK_CATALOG["gaussian"].source,
-                                        ATTACK_CATALOG["gaussian"].channel, HOMODYNE)
+        reference = analytic_covariance(CATALOG_SOURCE, ATTACK_CATALOG["gaussian"], HOMODYNE)
         for name, k in ks.items():
             assert k.var_a == pytest.approx(
                 reference.var_a, abs=five_sigma_var(reference.var_a, pulses)), name
@@ -324,8 +334,10 @@ class TestSecondMomentEquivalence:
                 reference.cov_ab, abs=five_sigma_var(reference.var_b, pulses)), name
 
     def test_catalog_shapes_are_matched(self):
-        for name, cfg in ATTACK_CATALOG.items():
-            cfg.channel.validate_shape(cfg.source.n0)
+        # the statistical suite seeds its attacks in this order
+        assert list(ATTACK_CATALOG) == ["gaussian", "mixture", "uniform", "displacement"]
+        for channel in ATTACK_CATALOG.values():
+            channel.validate_shape(CATALOG_SOURCE.n0)
 
 
 class TestSessionPipeline:

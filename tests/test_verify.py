@@ -5,6 +5,7 @@ import pytest
 
 from cvqkd import (
     ATTACK_CATALOG,
+    CATALOG_SOURCE,
     CapacityError,
     ConfigurationError,
     DiscreteJoint,
@@ -174,8 +175,7 @@ class TestPureStateEntropicSum:
 @pytest.fixture(scope="module")
 def attack_samples():
     def generate(name, pulses=60_000, seed=31):
-        cfg = ATTACK_CATALOG[name]
-        rec = run_session(cfg.source, cfg.channel,
+        rec = run_session(CATALOG_SOURCE, ATTACK_CATALOG[name],
                           ProtocolKind.SQUEEZED_HOMODYNE, n=1, l=pulses,
                           sifting_mode=SiftingMode.QUANTUM_MEMORY,
                           rng_seed=seed)

@@ -12,7 +12,7 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 145 commands runs in about 3 s on
+It takes no options. The whole list of 152 commands runs in about 3 s on
 a 2-core machine, half of it in the two statistical `verify` runs.
 """
 
@@ -102,8 +102,10 @@ def commands():
     yield "verify-statistical", ["verify", "--scope", "statistical", "--pulses", "20000",
                                  "--out", "verify-statistical.json"]
 
-    # error cases: input that is not UTF-8 text, and output into a missing directory
+    # error cases: input that is not UTF-8 text, output into a missing directory
+    # or onto a directory, and a flag the command does not take
     yield "error-rate-binary-record", ["rate", "--record", "binary.dat"]
+    yield "error-rate-binary-record-line-2", ["rate", "--record", "binary-line-2.csv"]
     yield "error-simulate-binary-config", ["simulate", "--config", "binary.dat",
                                            "--out", "never.csv"]
     yield "error-simulate-out", ["simulate", "--l", "100", "--out", "nodir/r.csv"]
@@ -117,6 +119,16 @@ def commands():
     yield "error-rate-record-out", ["rate", "--record", records[0],
                                     "--out", "nodir/r.json"]
     yield "error-rate-cov-out", ["rate", *SQUEEZED_COV, "--out", "nodir/r.json"]
+    yield "error-simulate-out-dir", ["simulate", "--l", "100", "--out", "."]
+    yield "error-verify-out-dir", ["verify", "--scope", "discrete", "--trials", "200",
+                                   "--out", "."]
+    yield "error-sweep-out-dir", ["sweep", "--param", "eps", "--start", "0", "--stop", "1",
+                                  "--steps", "2", "--out", "."]
+    yield "error-rate-out-dir", ["rate", *SQUEEZED_COV, "--out", "."]
+    yield "error-simulate-beta", ["simulate", "--l", "100", "--beta", "0.9",
+                                  "--out", "simulate-beta.csv"]
+    yield "error-sweep-seed", ["sweep", "--param", "eps", "--start", "0", "--stop", "1",
+                               "--steps", "2", "--seed", "3", "--out", "sweep-seed.csv"]
 
 
 def sha256(data: bytes) -> str:
@@ -134,6 +146,8 @@ def run():
     with runner.isolated_filesystem() as tmp:
         root = Path(tmp)
         (root / "binary.dat").write_bytes(b"\xff\xfe\x00 not utf-8\n")
+        (root / "binary-line-2.csv").write_bytes(
+            b"#cvqkd-record protocol=squeezed_homodyne n=1 l=1\n0,0,1.5\xff,2.0,q,q,1\n")
         (root / "config.json").write_text(
             '{"protocol": "coherent_heterodyne", "v": 12, "t": 0.7, "eps": 0.1,'
             ' "shape": "uniform", "n": 3, "l": 100, "format": "json-lines"}\n')
