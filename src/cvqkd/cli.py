@@ -107,9 +107,8 @@ class ExperimentConfig:
             if not float(value).is_integer():
                 raise ConfigurationError(f"{name} must be an integer, got {value}")
             setattr(self, name, int(value))
-
-    def source(self) -> EprSource:
-        return EprSource(self.v, self.n0)
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
     def channel(self) -> ChannelModel:
         """The channel; a bare shape name is fitted to its noise variance, and a
@@ -166,21 +165,15 @@ def resolve_out(path: str) -> Path:
     return p
 
 
-def _exit_code(exc: CvqkdError | OSError) -> int:
-    if isinstance(exc, (ParseError, OSError)):
-        return EXIT_PARSE
-    if isinstance(exc, CapacityError):
-        return EXIT_CAPACITY
-    return EXIT_CONFIG
-
-
 class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (CvqkdError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(_exit_code(exc))
+            if isinstance(exc, (ParseError, OSError)):
+                sys.exit(EXIT_PARSE)
+            sys.exit(EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_CONFIG)
 
 
 @click.group(cls=_Group, context_settings={"help_option_names": ["-h", "--help"]})
@@ -224,7 +217,7 @@ def simulate(config, out, fmt, **overrides):
     cfg = load_config(config, {**overrides, "out": out, "format": fmt})
     if cfg.out is None:
         raise ConfigurationError("no output path: pass --out or set 'out' in the config")
-    source, channel = cfg.source(), cfg.channel()
+    source, channel = EprSource(cfg.v, cfg.n0), cfg.channel()
     path = resolve_out(cfg.out)
     record = run_session(source, channel, cfg.protocol,
                          cfg.n, cfg.l, cfg.sifting, cfg.seed)
@@ -359,8 +352,8 @@ def _parse_cov(text: str) -> Covariance2:
 @main.command()
 @click.option("--scope", type=click.Choice(["discrete", "statistical", "all"]),
               default="all")
-@click.option("--seed", type=int, default=0)
-@click.option("--trials", type=int, default=10_000,
+@click.option("--seed", type=click.IntRange(min=0), default=0)
+@click.option("--trials", type=click.IntRange(min=1), default=10_000,
               help="Random joint laws per exact-check family.")
 @click.option("--pulses", type=int, default=1_000_000,
               help="Pulses per simulated attack in the statistical scope.")
@@ -448,7 +441,7 @@ def _sweep_row(base: ExperimentConfig, param: str, value: float,
     """The rate columns at one grid value, everything else as in base."""
     try:
         point = dataclasses.replace(base, **{param: value})
-        source, channel = point.source(), point.channel()
+        source, channel = EprSource(point.v, point.n0), point.channel()
         channel.validate_shape(point.n0)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{param}={value:g}: {exc}") from exc

@@ -45,6 +45,12 @@ ROW_KEYS = ("block", "pulse", "a", "b", "label_a", "label_b", "kept")
 JSON_NUMBER_TYPES = {"block": (int,), "pulse": (int,), "a": (int, float),
                      "b": (int, float), "kept": (int,)}
 
+#: the header fields dumps writes, each once, and the Python types json may give them
+HEADER_TYPES = {"protocol": (str,), "sifting": (str,), "n": (int,), "l": (int,),
+                "seed": (int,), "v": (int, float), "n0": (int, float), "t": (int, float),
+                "eps": (int, float), "shape": (str,), "rho_block": (int, float)}
+TYPE_NAMES = {(int,): "an integer", (int, float): "a number", (str,): "a string"}
+
 
 def shape_to_string(shape) -> str:
     """``kind`` alone, or ``kind:key=value,...`` with shortest round-trip
@@ -89,29 +95,6 @@ def _check_rows(line_numbers, n, block, pulse, a, b, label_a, label_b, kept) -> 
             raise ParseError(f"line {line_numbers[int(bad.argmax())]}: {problem}")
 
 
-def _record_from_header(fields: dict, line_numbers, block, pulse, a, b, label_a,
-                        label_b, kept) -> BlockRecord:
-    """The record both formats decode: header fields plus checked rows."""
-    try:
-        source = EprSource(float(fields["v"]), float(fields["n0"]))
-        channel = ChannelModel(float(fields["t"]), float(fields["eps"]),
-                               shape_from_string(str(fields["shape"])),
-                               float(fields["rho_block"]))
-        n, l = int(fields["n"]), int(fields["l"])
-        protocol = ProtocolKind(fields["protocol"])
-        sifting_mode = SiftingMode(fields["sifting"])
-        seed = int(fields["seed"])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad record header: {exc}") from exc
-    if len(a) != n * l:
-        raise ParseError(f"record has {len(a)} pulse rows, but its header "
-                         f"declares n*l = {n}*{l} = {n * l}")
-    _check_rows(line_numbers, n, block, pulse, a, b, label_a, label_b, kept)
-    return BlockRecord(n=n, l=l, protocol=protocol, sifting_mode=sifting_mode,
-                       seed=seed, source=source, channel=channel,
-                       a=a, b=b, label_a=label_a, label_b=label_b, kept=kept)
-
-
 def dumps(record: BlockRecord, fmt: str = "csv") -> str:
     """Serialize a record to text in the requested format."""
     fields = {
@@ -149,14 +132,14 @@ def dumps(record: BlockRecord, fmt: str = "csv") -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def _parse_header_line(line: str) -> dict:
-    fields = {}
+def _parse_header_line(line: str) -> list:
+    pairs = []
     for item in line[len(HEADER_MAGIC):].split():
         key, sep, value = item.partition("=")
         if not sep:
             raise ParseError(f"malformed header item {item!r}")
-        fields[key] = value
-    return fields
+        pairs.append((key, value))
+    return pairs
 
 
 def _kept_flag(value, flags) -> bool:
@@ -175,14 +158,14 @@ def _split_csv_row(line: str):
             _kept_flag(kept, ("0", "1")))
 
 
-def _parse_json_header(line: str) -> dict:
+def _parse_json_header(line: str) -> list:
     try:
-        header = json.loads(line)
+        pairs = json.loads(line, object_pairs_hook=list)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad json-lines header: {exc}") from exc
-    if header.get("record") != "cvqkd":
+    if dict(pairs).get("record") != "cvqkd":
         raise ParseError("json-lines file is not a cvqkd record")
-    return header
+    return pairs
 
 
 def _split_json_row(line: str):
@@ -191,8 +174,7 @@ def _split_json_row(line: str):
         raise ValueError(f"expected a JSON object, got {type(row).__name__}")
     for key, types in JSON_NUMBER_TYPES.items():
         if type(row[key]) not in types:
-            kind = "an integer" if types == (int,) else "a number"
-            raise ValueError(f"{key} must be {kind}, got {row[key]!r}")
+            raise ValueError(f"{key} must be {TYPE_NAMES[types]}, got {row[key]!r}")
     return (row["block"], row["pulse"], row["a"], row["b"], row["label_a"],
             row["label_b"], _kept_flag(row["kept"], (0, 1)))
 
@@ -205,9 +187,9 @@ def loads(text: str) -> BlockRecord:
     numbers = [number for number, line in enumerate(lines, 1) if line]
     first = lines[numbers[0] - 1] if numbers else ""
     if first.startswith(HEADER_MAGIC):
-        fields, split_row = _parse_header_line(first), _split_csv_row
+        pairs, split_row = _parse_header_line(first), _split_csv_row
     elif first.startswith("{"):
-        fields, split_row = _parse_json_header(first), _split_json_row
+        pairs, split_row = _parse_json_header(first), _split_json_row
     else:
         raise ParseError("not a cvqkd record: unrecognized first line")
     numbers = numbers[1:]
@@ -221,7 +203,34 @@ def loads(text: str) -> BlockRecord:
             label_b[i] = LABEL_CHARS.index(label_b_char)
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"line {number}: {exc}") from exc
-    return _record_from_header(fields, numbers, block, pulse, a, b, label_a, label_b, kept)
+    fields, keys = dict(pairs), [key for key, _ in pairs]
+    is_json = split_row is _split_json_row
+    try:
+        for key in keys:
+            if key not in HEADER_TYPES and not (is_json and key == "record"):
+                raise ValueError(f"unknown key {key!r}")
+            if keys.count(key) > 1:
+                raise ValueError(f"repeated key {key!r}")
+        for key, types in HEADER_TYPES.items():
+            if is_json and type(fields[key]) not in types:
+                raise ValueError(f"{key} must be {TYPE_NAMES[types]}, got {fields[key]!r}")
+        source = EprSource(float(fields["v"]), float(fields["n0"]))
+        channel = ChannelModel(float(fields["t"]), float(fields["eps"]),
+                               shape_from_string(fields["shape"]),
+                               float(fields["rho_block"]))
+        n, l = int(fields["n"]), int(fields["l"])
+        protocol = ProtocolKind(fields["protocol"])
+        sifting_mode = SiftingMode(fields["sifting"])
+        seed = int(fields["seed"])
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"bad record header: {exc}") from exc
+    if len(a) != n * l:
+        raise ParseError(f"record has {len(a)} pulse rows, but its header "
+                         f"declares n*l = {n}*{l} = {n * l}")
+    _check_rows(numbers, n, block, pulse, a, b, label_a, label_b, kept)
+    return BlockRecord(n=n, l=l, protocol=protocol, sifting_mode=sifting_mode,
+                       seed=seed, source=source, channel=channel,
+                       a=a, b=b, label_a=label_a, label_b=label_b, kept=kept)
 
 
 def write_record(record: BlockRecord, path, fmt: str = "csv") -> Path:

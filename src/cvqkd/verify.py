@@ -60,7 +60,7 @@ class InequalityReport:
     rhs: float
     slack: float
     holds: bool
-    tolerance: float = EXACT_TOL
+    tolerance: float
 
     @classmethod
     def check(cls, identifier: str, lhs: float, rhs: float,
@@ -275,9 +275,16 @@ def discrete_suite(seed: int, trials: int) -> list[InequalityReport]:
 
     # redundant block: B1 = B2 = noisy copy of A1; the per-pulse accounting
     # overcounts, leaving strictly positive slack in the combined bound
+    redundant = np.zeros((2, 2, 2, 2))
+    flip = 0.1
+    for a1 in (0, 1):
+        for a2 in (0, 1):
+            for b in (0, 1):
+                p_b = 1.0 - flip if b == a1 else flip
+                redundant[a1, a2, b, b] = 0.25 * p_b
     reports.append(InequalityReport.check(
         "redundant-block-strict-slack", 0.25,
-        check_subadditivity_chain(_redundant_block())[-1].slack))
+        check_subadditivity_chain(DiscreteJoint(2, redundant))[-1].slack))
 
     # pure-state entropic sum: equality on the minimum-uncertainty manifold
     grid = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 1000))
@@ -290,17 +297,6 @@ def discrete_suite(seed: int, trials: int) -> list[InequalityReport]:
     thermal = [check_pure_state_entropic_sum(vq, 2.0 / vq + 0.5) for vq in grid]
     reports.append(worst_of(thermal, "entropic-sum-above-minimum-uncertainty"))
     return reports
-
-
-def _redundant_block() -> DiscreteJoint:
-    table = np.zeros((2, 2, 2, 2))
-    flip = 0.1
-    for a1 in (0, 1):
-        for a2 in (0, 1):
-            for b in (0, 1):
-                p_b = 1.0 - flip if b == a1 else flip
-                table[a1, a2, b, b] = 0.25 * p_b
-    return DiscreteJoint(2, table)
 
 
 def statistical_suite(seed: int, pulses: int) -> list[InequalityReport]:
@@ -387,8 +383,6 @@ def heterodyne_transform_crosscheck(seed: int, pulses: int) -> list[InequalityRe
 
 
 def run_suites(scope: str, seed: int, trials: int, pulses: int) -> list[InequalityReport]:
-    if scope not in ("discrete", "statistical", "all"):
-        raise ConfigurationError(f"unknown verification scope {scope!r}")
     reports: list[InequalityReport] = []
     if scope in ("discrete", "all"):
         reports.extend(discrete_suite(seed, trials))

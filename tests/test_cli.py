@@ -11,6 +11,11 @@ from click.testing import CliRunner
 import cvqkd
 from cvqkd.cli import CONFIG_FIELDS, main
 from cvqkd import (
+    CapacityError,
+    ConfigurationError,
+    DomainError,
+    InequalityReport,
+    ParseError,
     ProtocolKind,
     estimate_covariance,
     rate_bound,
@@ -458,6 +463,49 @@ def test_sweep_config_may_hold_every_key(runner, tmp_path):
         tables.append(out.read_bytes())
     assert tables[0] == tables[1]
     assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["simulate", "--l", "100", "--seed", "-1"], None, "error: seed must be non-negative, got -1"),
+    (["simulate"], {"l": 100, "seed": -3}, "error: seed must be non-negative, got -3"),
+    (["verify", "--scope", "discrete", "--seed", "-1"], None, "Invalid value for '--seed'"),
+    (["verify", "--scope", "discrete", "--trials", "0"], None, "Invalid value for '--trials'"),
+    (["verify", "--scope", "discrete", "--trials", "-5"], None, "Invalid value for '--trials'"),
+], ids=["simulate-seed", "config-seed", "verify-seed", "verify-trials-0", "verify-trials-5"])
+def test_negative_seed_or_no_trials_exits_2(runner, tmp_path, args, config, message):
+    # rejected before any work, so nothing is printed or written
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = [*args, "--config", str(cfg)]
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert message in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("outcome, code, message", [
+    (ConfigurationError("bad scope"), 2, "error: bad scope"),
+    (DomainError("bad law"), 2, "error: bad law"),
+    (ParseError("bad text"), 3, "error: bad text"),
+    (FileNotFoundError("no file"), 3, "error: no file"),
+    (CapacityError("too big"), 4, "error: too big"),
+    ([InequalityReport.check("holds", 0.0, 1.0), InequalityReport.check("fails", 1.0, 0.0)],
+     5, "verification failed: fails"),
+], ids=["configuration", "domain", "parse", "file-not-found", "capacity", "failed-report"])
+def test_exit_status_map(runner, monkeypatch, outcome, code, message):
+    def run_suites(scope, seed, trials, pulses):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr("cvqkd.cli.run_suites", run_suites)
+    result = runner.invoke(main, ["verify", "--scope", "discrete"])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert result.stderr == message + "\n"
 
 
 SCIPY_FREE_SCRIPT = """

@@ -221,6 +221,59 @@ class TestParseErrors:
         assert np.isinf(loads("\n".join(lines)).a[row])
 
 
+def _with_header_item(text: str, fmt: str, key: str, value) -> str:
+    """A record whose header gains one more item, as dumps would write it."""
+    lines = text.splitlines()
+    if fmt == "csv":
+        lines[0] += f" {key}={value}"
+    else:
+        lines[0] = lines[0][:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}"
+    return "\n".join(lines)
+
+
+class TestHeaderRules:
+    """A header holds exactly the keys dumps writes, each once; in
+    json-lines each value has the JSON type dumps writes."""
+
+    @pytest.mark.parametrize("fmt, key, value", [
+        ("csv", "bogus", 7), ("json-lines", "bogus", 7), ("csv", "record", "cvqkd"),
+    ], ids=["csv", "json-lines", "csv-record"])
+    def test_unknown_key(self, record, fmt, key, value):
+        with pytest.raises(ParseError, match=f"bad record header: unknown key '{key}'"):
+            loads(_with_header_item(dumps(record, fmt), fmt, key, value))
+
+    @pytest.mark.parametrize("fmt, key, value", [
+        ("csv", "seed", 22), ("json-lines", "seed", 22), ("json-lines", "record", "cvqkd"),
+    ], ids=["csv", "json-lines", "json-lines-record"])
+    def test_repeated_key(self, record, fmt, key, value):
+        # the later value used to win
+        with pytest.raises(ParseError, match=f"bad record header: repeated key '{key}'"):
+            loads(_with_header_item(dumps(record, fmt), fmt, key, value))
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("n", 5.9, "n must be an integer, got 5.9"),
+        ("l", 40.0, "l must be an integer, got 40.0"),
+        ("seed", 21.5, "seed must be an integer, got 21.5"),
+        ("n", True, "n must be an integer, got True"),
+        ("v", "9.0", "v must be a number, got '9.0'"),
+        ("eps", None, "eps must be a number, got None"),
+        ("shape", ["gaussian"], "shape must be a string, got ['gaussian']"),
+    ], ids=["n-float", "l-whole-float", "seed-float", "n-bool", "v-string", "eps-null",
+            "shape-array"])
+    def test_json_header_value_of_wrong_type(self, record, key, value, problem):
+        lines = dumps(record, "json-lines").splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), key: value})
+        with pytest.raises(ParseError, match=re.escape(f"bad record header: {problem}")):
+            loads("\n".join(lines))
+
+    def test_json_header_integer_numbers_load(self, record):
+        # a config's "v": 12 is written as 12, so a whole number is a number
+        lines = dumps(record, "json-lines").splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "v": 9, "n0": 1, "rho_block": 0})
+        back = loads("\n".join(lines))
+        assert back.source == record.source and back.channel == record.channel
+
+
 CSV_COLUMNS = ("block", "pulse", "a", "b", "label_a", "label_b", "kept")
 
 

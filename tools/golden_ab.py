@@ -12,11 +12,12 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 152 commands runs in about 3 s on
+It takes no options. The whole list of 160 commands runs in about 3 s on
 a 2-core machine, half of it in the two statistical `verify` runs.
 """
 
 import hashlib
+import json
 import math
 import os
 from pathlib import Path
@@ -24,6 +25,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from cvqkd.cli import main
+from cvqkd.records import ROW_KEYS
 
 PROTOCOLS = ("squeezed_homodyne", "coherent_heterodyne")
 SIFTINGS = ("random_basis", "quantum_memory")
@@ -40,6 +42,13 @@ SHAPES = (
 )
 
 SQUEEZED_COV = ["--cov", "20,10.5,14.124446891825535", "--protocol", "squeezed_homodyne"]
+
+#: header fields and pulse rows of a small valid record, for the header cases
+HEADER = {"protocol": "squeezed_homodyne", "sifting": "quantum_memory", "n": 1, "l": 4,
+          "seed": 0, "v": 20.0, "n0": 1.0, "t": 1.0, "eps": 0.0, "shape": "gaussian",
+          "rho_block": 0.0}
+ROWS = [(0, 0, 1.5, 1.25, "q", "q", 1), (1, 0, -2.0, -1.5, "p", "p", 1),
+        (2, 0, 0.5, 0.75, "q", "q", 1), (3, 0, -0.25, 0.5, "p", "p", 1)]
 
 
 def commands():
@@ -130,6 +139,23 @@ def commands():
     yield "error-sweep-seed", ["sweep", "--param", "eps", "--start", "0", "--stop", "1",
                                "--steps", "2", "--seed", "3", "--out", "sweep-seed.csv"]
 
+    # a negative seed and no trials, rejected before any work
+    yield "error-simulate-seed-negative", ["simulate", "--l", "100", "--seed", "-1",
+                                           "--out", "seed-negative.csv"]
+    yield "error-simulate-config-seed-negative", ["simulate", "--config", "config-seed.json",
+                                                  "--out", "config-seed.csv"]
+    yield "error-verify-seed-negative", ["verify", "--scope", "discrete", "--trials", "200",
+                                         "--seed", "-1", "--out", "verify-seed.json"]
+    yield "error-verify-trials-0", ["verify", "--scope", "discrete", "--trials", "0",
+                                    "--out", "verify-trials.json"]
+
+    # record headers: a valid one, then a key dumps never writes, a repeated
+    # key, and a json-lines value of the wrong type
+    yield "rate-header-valid", ["rate", "--record", "header-valid.csv"]
+    yield "error-rate-header-unknown-key", ["rate", "--record", "header-unknown.csv"]
+    yield "error-rate-header-repeated-key", ["rate", "--record", "header-repeated.csv"]
+    yield "error-rate-header-float-n", ["rate", "--record", "header-float-n.jsonl"]
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -138,6 +164,11 @@ def sha256(data: bytes) -> str:
 def snapshot(root: Path) -> dict:
     return {str(p.relative_to(root)): sha256(p.read_bytes())
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def csv_record(extra: str = "") -> str:
+    header = " ".join(["#cvqkd-record", *(f"{key}={value}" for key, value in HEADER.items())])
+    return "\n".join([header + extra, *(",".join(map(str, row)) for row in ROWS)]) + "\n"
 
 
 def run():
@@ -151,6 +182,13 @@ def run():
         (root / "config.json").write_text(
             '{"protocol": "coherent_heterodyne", "v": 12, "t": 0.7, "eps": 0.1,'
             ' "shape": "uniform", "n": 3, "l": 100, "format": "json-lines"}\n')
+        (root / "config-seed.json").write_text('{"l": 100, "seed": -1}\n')
+        (root / "header-valid.csv").write_text(csv_record())
+        (root / "header-unknown.csv").write_text(csv_record(" bogus=7"))
+        (root / "header-repeated.csv").write_text(csv_record(" seed=1"))
+        (root / "header-float-n.jsonl").write_text("\n".join(
+            [json.dumps({"record": "cvqkd", **HEADER, "n": 1.5}),
+             *(json.dumps(dict(zip(ROW_KEYS, row))) for row in ROWS)]) + "\n")
         before = snapshot(root)
         for label, argv in commands():
             result = runner.invoke(main, argv)
