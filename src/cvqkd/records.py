@@ -222,6 +222,9 @@ def loads(text: str) -> BlockRecord:
         protocol = ProtocolKind(fields["protocol"])
         sifting_mode = SiftingMode(fields["sifting"])
         seed = int(fields["seed"])
+        for key, value, low in (("n", n, 1), ("l", l, 1), ("seed", seed, 0)):
+            if value < low:
+                raise ValueError(f"{key} must be at least {low}, got {value}")
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad record header: {exc}") from exc
     if len(a) != n * l:

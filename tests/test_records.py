@@ -19,7 +19,7 @@ from cvqkd import (
     run_session,
     write_record,
 )
-from cvqkd.records import dumps, loads, shape_from_string, shape_to_string
+from cvqkd.records import ROW_KEYS, dumps, loads, shape_from_string, shape_to_string
 from cvqkd.simulator import SHAPE_KINDS
 
 
@@ -272,6 +272,48 @@ class TestHeaderRules:
         lines[0] = json.dumps({**json.loads(lines[0]), "v": 9, "n0": 1, "rho_block": 0})
         back = loads("\n".join(lines))
         assert back.source == record.source and back.channel == record.channel
+
+
+#: header fields of a small hand-written record
+HAND_HEADER = {"protocol": "squeezed_homodyne", "sifting": "quantum_memory", "n": 1, "l": 2,
+               "seed": 0, "v": 20.0, "n0": 1.0, "t": 1.0, "eps": 0.0, "shape": "gaussian",
+               "rho_block": 0.0}
+
+
+def _hand_record(fmt: str, rows, **header) -> str:
+    """A record with the given pulse rows, in the layout dumps writes."""
+    fields = {**HAND_HEADER, **header}
+    if fmt == "csv":
+        lines = [" ".join(["#cvqkd-record", *(f"{k}={v}" for k, v in fields.items())]),
+                 *(",".join(map(str, row)) for row in rows)]
+    else:
+        lines = [json.dumps({"record": "cvqkd", **fields}),
+                 *(json.dumps(dict(zip(ROW_KEYS, row))) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+class TestHeaderRanges:
+    """run_session writes n and l of at least 1 and a seed of at least 0;
+    a header outside those ranges is a parse error naming the key, even
+    when its rows follow the positions it declares."""
+
+    ROWS = [(0, 0, 1.5, 1.25, "q", "q", 1), (1, 0, -2.0, -1.5, "p", "q", 0)]
+
+    def test_valid_header_loads(self, fmt):
+        back = loads(_hand_record(fmt, self.ROWS))
+        assert (back.n, back.l, back.seed) == (1, 2, 0)
+
+    @pytest.mark.parametrize("header, rows, problem", [
+        ({"n": -1, "l": -3}, [(0, 0, 1.5, 1.25, "q", "q", 1), (-1, 0, 0.5, 0.5, "q", "q", 1),
+                              (-2, 0, 0.25, 0.5, "p", "p", 1)], "n must be at least 1, got -1"),
+        ({"n": 0, "l": 5}, [], "n must be at least 1, got 0"),
+        ({"l": 0}, [], "l must be at least 1, got 0"),
+        ({"seed": -1}, ROWS, "seed must be at least 0, got -1"),
+    ], ids=["n-l-negative", "n-zero", "l-zero", "seed-negative"])
+    def test_out_of_range(self, fmt, header, rows, problem):
+        with pytest.raises(ParseError, match=f"bad record header: {problem}"):
+            loads(_hand_record(fmt, rows, **header))
 
 
 CSV_COLUMNS = ("block", "pulse", "a", "b", "label_a", "label_b", "kept")

@@ -21,10 +21,9 @@ from cvqkd import (
 )
 from cvqkd.verify import (
     EXACT_TOL,
-    conditional_entropy,
+    STACK_LAWS,
     discrete_suite,
     heterodyne_transform_crosscheck,
-    joint_entropy,
     manifest,
     worst_of,
 )
@@ -58,16 +57,34 @@ class TestDiscreteJoint:
         assert np.allclose(pair1, NOISY_COPY)
 
 
+def _bits(p) -> float:
+    """Shannon entropy in bits, enumerated by hand over the nonzero entries."""
+    p = np.asarray(p, dtype=float).ravel()
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def _h_b_given_a(table) -> float:
+    """H(B | A) of a one-pulse table, read off the chain: its first report's
+    lhs is H(B_vec | A_vec)."""
+    return check_subadditivity_chain(DiscreteJoint(1, table))[0].lhs
+
+
 class TestExactEntropies:
     def test_uniform_pair(self):
-        j = DiscreteJoint(1, UNIFORM_BIT_PAIR)
-        assert joint_entropy(j, (0, 1)) == pytest.approx(2.0)
-        assert conditional_entropy(j, (1,), (0,)) == pytest.approx(1.0)
+        assert _h_b_given_a(UNIFORM_BIT_PAIR) == pytest.approx(1.0)
+
+    def test_joint_entropy_with_one_alice_symbol(self):
+        # with a single symbol for A, H(B | A) is the joint entropy H(A, B)
+        assert _h_b_given_a(UNIFORM_BIT_PAIR.reshape(1, 4)) == pytest.approx(2.0)
 
     def test_noisy_copy(self):
-        j = DiscreteJoint(1, NOISY_COPY)
         h = -0.9 * math.log2(0.9) - 0.1 * math.log2(0.1)
-        assert conditional_entropy(j, (1,), (0,)) == pytest.approx(h)
+        assert _h_b_given_a(NOISY_COPY) == pytest.approx(h)
+
+    def test_zero_probabilities_add_nothing(self):
+        assert _h_b_given_a(np.array([[0.5, 0.0], [0.0, 0.5]])) == 0.0
+        assert _h_b_given_a(np.array([[0.5, 0.0], [0.25, 0.25]])) == pytest.approx(0.5)
 
 
 class TestSubadditivityChain:
@@ -127,11 +144,8 @@ class TestMixtureLemma:
         report = check_mixture_lemma(j)
         # oracle: mix the two pulse laws by hand and enumerate
         pair = (NOISY_COPY + skewed) / 2.0
-        h_pair = (-(pair[pair > 0] * np.log2(pair[pair > 0])).sum()
-                  + (pair.sum(axis=1) * np.log2(pair.sum(axis=1))).sum())
-        h_joint = sum(
-            conditional_entropy(DiscreteJoint(1, t), (1,), (0,))
-            for t in (NOISY_COPY, skewed))
+        h_pair = _bits(pair) - _bits(pair.sum(axis=1))
+        h_joint = sum(_bits(t) - _bits(t.sum(axis=1)) for t in (NOISY_COPY, skewed))
         assert report.rhs == pytest.approx(2.0 * h_pair)
         assert report.lhs == pytest.approx(h_joint)
         assert report.slack > 0.01
@@ -247,3 +261,20 @@ class TestSuites:
         reports = discrete_suite(seed=1, trials=40)
         combined = worst_of(reports, "combined")
         assert combined.slack == min(r.slack for r in reports)
+
+    @pytest.mark.parametrize("seed, trials", [(3, 4 * (2 * STACK_LAWS + 37)), (11, 3)],
+                             ids=["over-two-stacks", "below-one-per-family"])
+    def test_stacked_families_match_one_law_checks(self, seed, trials):
+        # the suite draws its laws in stacks and keeps each stack's tightest
+        # law; the reference draws one table at a time and checks each alone
+        reports = {r.identifier: r for r in discrete_suite(seed, trials)}
+        rng = np.random.default_rng(seed)
+        per_combo = max(trials // 4, 1)
+        for n, alphabet in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            laws = [DiscreteJoint.random(n, alphabet, rng) for _ in range(per_combo)]
+            label = f"[n={n},alphabet={alphabet},trials={per_combo}]"
+            chain = worst_of([r for j in laws for r in check_subadditivity_chain(j)],
+                             f"subadditivity-chain{label}")
+            mixture = worst_of([check_mixture_lemma(j) for j in laws], f"mixture-bound{label}")
+            assert reports[chain.identifier] == chain
+            assert reports[mixture.identifier] == mixture

@@ -12,7 +12,7 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 160 commands runs in about 3 s on
+It takes no options. The whole list of 168 commands runs in about 3 s on
 a 2-core machine, half of it in the two statistical `verify` runs.
 """
 
@@ -49,6 +49,13 @@ HEADER = {"protocol": "squeezed_homodyne", "sifting": "quantum_memory", "n": 1, 
           "rho_block": 0.0}
 ROWS = [(0, 0, 1.5, 1.25, "q", "q", 1), (1, 0, -2.0, -1.5, "p", "p", 1),
         (2, 0, 0.5, 0.75, "q", "q", 1), (3, 0, -0.25, 0.5, "p", "p", 1)]
+
+#: header fields out of the ranges run_session writes, and rows that follow them
+RANGE_HEADERS = {
+    "n-l-negative": ({"n": -1, "l": -3}, [(-i, 0, *ROWS[i][2:]) for i in range(3)]),
+    "n-zero": ({"n": 0, "l": 5}, []),
+    "seed-negative": ({"seed": -1}, ROWS),
+}
 
 
 def commands():
@@ -156,6 +163,18 @@ def commands():
     yield "error-rate-header-repeated-key", ["rate", "--record", "header-repeated.csv"]
     yield "error-rate-header-float-n", ["rate", "--record", "header-float-n.jsonl"]
 
+    # exact checks within one stack of laws and across several stacks
+    yield "verify-discrete-trials-3", ["verify", "--scope", "discrete", "--trials", "3",
+                                       "--out", "verify-discrete-3.json"]
+    yield "verify-discrete-trials-2070", ["verify", "--scope", "discrete", "--trials", "2070",
+                                          "--out", "verify-discrete-2070.json"]
+
+    # record headers outside the ranges run_session writes, in both formats
+    for name in RANGE_HEADERS:
+        for ext in FORMATS.values():
+            yield (f"error-rate-header-{name}-{ext}",
+                   ["rate", "--record", f"header-{name}.{ext}"])
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -166,9 +185,14 @@ def snapshot(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def csv_record(extra: str = "") -> str:
-    header = " ".join(["#cvqkd-record", *(f"{key}={value}" for key, value in HEADER.items())])
-    return "\n".join([header + extra, *(",".join(map(str, row)) for row in ROWS)]) + "\n"
+def csv_record(extra: str = "", header=HEADER, rows=ROWS) -> str:
+    header = " ".join(["#cvqkd-record", *(f"{key}={value}" for key, value in header.items())])
+    return "\n".join([header + extra, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+def json_record(header=HEADER, rows=ROWS) -> str:
+    return "\n".join([json.dumps({"record": "cvqkd", **header}),
+                      *(json.dumps(dict(zip(ROW_KEYS, row))) for row in rows)]) + "\n"
 
 
 def run():
@@ -186,9 +210,11 @@ def run():
         (root / "header-valid.csv").write_text(csv_record())
         (root / "header-unknown.csv").write_text(csv_record(" bogus=7"))
         (root / "header-repeated.csv").write_text(csv_record(" seed=1"))
-        (root / "header-float-n.jsonl").write_text("\n".join(
-            [json.dumps({"record": "cvqkd", **HEADER, "n": 1.5}),
-             *(json.dumps(dict(zip(ROW_KEYS, row))) for row in ROWS)]) + "\n")
+        (root / "header-float-n.jsonl").write_text(json_record({**HEADER, "n": 1.5}))
+        for name, (fields, rows) in RANGE_HEADERS.items():
+            for ext, write in (("csv", csv_record), ("jsonl", json_record)):
+                (root / f"header-{name}.{ext}").write_text(
+                    write(header={**HEADER, **fields}, rows=rows))
         before = snapshot(root)
         for label, argv in commands():
             result = runner.invoke(main, argv)
