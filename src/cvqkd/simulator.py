@@ -8,13 +8,15 @@ Gaussian let her attack carry non-Gaussian structure at identical second
 moments.
 
 Randomness: a counter-based Philox generator keyed by the session seed,
-split into one substream per chunk of whole blocks (~2**18 pulses), so
-generation is reproducible and chunks could run on parallel workers.
+split into one substream per chunk of whole blocks (~2**18 pulses). The
+chunks run on every core the process may use, each writing its own slice
+of the columns, so the bytes do not depend on how many cores there are.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -233,12 +235,16 @@ def simulate_epr_pulse(src: EprSource, rng: np.random.Generator, size: int):
     sv = math.sqrt(src.v)
     gain = src.cross_correlation / sv
     residual = src.n0 / sv
+    # in place, with the same roundings as sv * x1, gain * x1 + residual * x2,
+    # sv * y1 and -gain * y1 + residual * y2 (addition commutes)
     x1, x2, y1, y2 = rng.normal(0.0, 1.0, (4, size))
-    qa = sv * x1
-    qb0 = gain * x1 + residual * x2
-    pa = sv * y1
-    pb0 = -gain * y1 + residual * y2
-    return qa, pa, qb0, pb0
+    x2 *= residual
+    x2 += gain * x1
+    y2 *= residual
+    y2 -= gain * y1
+    x1 *= sv
+    y1 *= sv
+    return x1, y1, x2, y2
 
 
 def apply_attack(qb0, pb0, ch: ChannelModel, rng: np.random.Generator,
@@ -264,12 +270,17 @@ def apply_attack(qb0, pb0, ch: ChannelModel, rng: np.random.Generator,
         # exchangeable within-block correlation: every pulse's noise shares
         # a common block component with weight sqrt(rho)
         common = rng.normal(0.0, 1.0, size // n)
-        private = rng.normal(0.0, 1.0, size)
-        mixed = math.sqrt(rho) * np.repeat(common, n) + math.sqrt(1.0 - rho) * private
-        return math.sqrt(var) * mixed
+        mixed = rng.normal(0.0, 1.0, size)
+        mixed *= math.sqrt(1.0 - rho)
+        mixed += math.sqrt(rho) * np.repeat(common, n)
+        mixed *= math.sqrt(var)
+        return mixed
 
-    qb = root_t * qb0 + noise(qb0.size).reshape(qb0.shape)
-    pb = root_t * pb0 + noise(pb0.size).reshape(pb0.shape)
+    # each sum is formed in its noise array; the inputs are left untouched
+    qb = noise(qb0.size).reshape(qb0.shape)
+    qb += root_t * qb0
+    pb = noise(pb0.size).reshape(pb0.shape)
+    pb += root_t * pb0
     return qb, pb
 
 
@@ -288,8 +299,13 @@ def measure_alice(qa, pa, protocol: ProtocolKind, rng: np.random.Generator,
         return qa, pa
     root_half = math.sqrt(0.5)
     vac_std = math.sqrt(n0)
-    qa_m = (qa + rng.normal(0.0, vac_std, qa.shape)) * root_half
-    pa_m = (pa - rng.normal(0.0, vac_std, pa.shape)) * root_half
+    # each result is formed in its vacuum array; the inputs are left untouched
+    qa_m = rng.normal(0.0, vac_std, qa.shape)
+    qa_m += qa
+    qa_m *= root_half
+    pa_m = rng.normal(0.0, vac_std, pa.shape)
+    np.subtract(pa, pa_m, out=pa_m)
+    pa_m *= root_half
     return qa_m, pa_m
 
 
@@ -333,8 +349,10 @@ class BlockRecord:
         """Kept pulses as a SampleSet, both quadratures pooled by flipping
         the sign of Bob's p values (the EPR correlation is anti-symmetric
         in p, so the flip makes both labels share one joint law)."""
-        sign = np.where(self.label_b == P, -1.0, 1.0)
-        return SampleSet(self.a[self.kept], (sign * self.b)[self.kept])
+        b = self.b[self.kept]
+        # negating is exact, so this matches multiplying by a -1.0/1.0 sign
+        np.negative(b, out=b, where=self.label_b[self.kept] == P)
+        return SampleSet(self.a[self.kept], b)
 
 
 def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,
@@ -349,16 +367,41 @@ def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,
         raise ConfigurationError(str(exc)) from None
 
     # each chunk is written straight into its slice of the columns, so the
-    # peak holds the finished columns plus one chunk, never a second copy
+    # peak holds the finished columns plus the temporaries of the chunks in
+    # flight (one per core), never a second copy
     columns = [np.empty(n * l, dtype) for dtype in COLUMN_DTYPES]
     blocks_per_chunk = max(1, CHUNK_PULSES // n)
+    chunks = -(-l // blocks_per_chunk)
     master = np.random.Philox(rng_seed)
-    for chunk, start in enumerate(range(0, l, blocks_per_chunk)):
-        blocks = min(blocks_per_chunk, l - start)
-        rng = np.random.Generator(master.jumped(chunk))
-        part = _generate_chunk(src, ch, protocol, n, blocks, sifting_mode, rng)
-        for column, values in zip(columns, part):
-            column[start * n:(start + blocks) * n] = values
+    # the main thread drains chunks beside the helpers, from one shared
+    # iterator; numpy releases the GIL while it draws and computes
+    todo = iter(range(chunks))
+
+    def drain():
+        try:
+            for chunk in todo:
+                start = chunk * blocks_per_chunk
+                pulses = slice(start * n, min(start + blocks_per_chunk, l) * n)
+                rng = np.random.Generator(master.jumped(chunk))
+                _generate_chunk(src, ch, protocol, n, sifting_mode, rng,
+                                [column[pulses] for column in columns])
+        finally:
+            # after an error (or an interrupt) no thread starts another chunk
+            for _ in todo:
+                pass
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    helpers = min(chunks, cores or 1) - 1
+    if helpers:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(helpers) as pool:
+            futures = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+            for future in futures:
+                future.result()
+    else:
+        drain()
 
     a, b, label_a, label_b, kept = columns
     return BlockRecord(n=n, l=l, protocol=protocol, sifting_mode=sifting_mode,
@@ -366,25 +409,28 @@ def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,
                        a=a, b=b, label_a=label_a, label_b=label_b, kept=kept)
 
 
-# its own function so that a chunk's temporaries are freed before the next is drawn;
-# folded into run_session, they raised the statistical-certify peak by about 8 MiB
-def _generate_chunk(src, ch, protocol, n, blocks, sifting_mode, rng):
-    m = n * blocks
+# one chunk, written in place into its slices of the five columns; its own
+# function so that its temporaries are freed as soon as it returns
+def _generate_chunk(src, ch, protocol, n, sifting_mode, rng, out):
+    a, b, label_a, label_b, kept = out
+    m = len(a)
     qa, pa, qb0, pb0 = simulate_epr_pulse(src, rng, size=m)
 
-    label_a = rng.integers(0, 2, m).astype(np.uint8)
+    label_a[:] = rng.integers(0, 2, m)
     if sifting_mode is SiftingMode.RANDOM_BASIS:
-        label_b = rng.integers(0, 2, m).astype(np.uint8)
+        label_b[:] = rng.integers(0, 2, m)
     else:
-        label_b = label_a.copy()
-    kept = label_a == label_b
+        label_b[:] = label_a
+    np.equal(label_a, label_b, out=kept)
 
     qb, pb = apply_attack(qb0, pb0, ch, rng, src.n0, n)
-    b = np.where(label_b == Q, qb, pb)
+    np.copyto(b, pb)
+    np.copyto(b, qb, where=label_b == Q)
+    del qb, pb
 
     qa_m, pa_m = measure_alice(qa, pa, protocol, rng, src.n0)
-    a = np.where(label_a == Q, qa_m, pa_m)
-    return a, b, label_a, label_b, kept
+    np.copyto(a, pa_m)
+    np.copyto(a, qa_m, where=label_a == Q)
 
 
 def analytic_covariance(src: EprSource, ch: ChannelModel,

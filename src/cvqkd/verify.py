@@ -354,10 +354,12 @@ def heterodyne_transform_crosscheck(seed: int, pulses: int) -> list[InequalityRe
     is recorded as its own check.
     """
     source = EprSource(20.0)
-    record = run_session(source, ChannelModel(1.0, 0.0),
-                         ProtocolKind.COHERENT_HETERODYNE, n=1, l=pulses,
-                         sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=seed)
-    k_hat = estimate_covariance(record.samples())
+    # only the samples are kept, so the record is freed before the covariance
+    # makes its centred copies
+    samples = run_session(source, ChannelModel(1.0, 0.0),
+                          ProtocolKind.COHERENT_HETERODYNE, n=1, l=pulses,
+                          sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=seed).samples()
+    k_hat = estimate_covariance(samples)
     # 5 standard errors on the measured variance, propagated through the
     # transform's factor 2
     tolerance = 5.0 * 2.0 * k_hat.var_a * math.sqrt(2.0 / pulses)

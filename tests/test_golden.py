@@ -8,6 +8,8 @@ both text formats of fixed-seed sessions, row codec and header alike.
 The CLI digests pin `simulate` (stdout and record) for both protocols in
 both sifting modes, `rate --record` on one of those records, and the
 `verify --scope discrete` and `verify --scope statistical` manifests.
+The column digests pin sessions of three chunks, whose chunks run on as
+many cores as the process may use.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ from click.testing import CliRunner
 
 from cvqkd import (
     ChannelModel,
+    DiscreteDisplacement,
     EprSource,
     ProtocolKind,
     SiftingMode,
@@ -26,6 +29,7 @@ from cvqkd import (
 )
 from cvqkd.cli import main
 from cvqkd.records import dumps
+from cvqkd.simulator import CHUNK_PULSES
 
 #: sweep arguments, with the sha256 of the CSV table and of the plot JSON
 SWEEPS = {
@@ -116,6 +120,47 @@ def test_record_bytes(name):
     record = run_session(**session)
     assert sha256(dumps(record, "csv").encode()) == csv_digest
     assert sha256(dumps(record, "json-lines").encode()) == jsonl_digest
+
+
+#: noise variance of the multi-chunk channels with a non-Gaussian shape
+MULTI_CHUNK_NOISE = ChannelModel(0.6, 0.1).noise_variance()
+
+#: run_session arguments of sessions of three chunks, the last one partial,
+#: with the sha256 of the five columns' bytes in record order
+MULTI_CHUNK = {
+    "homodyne-random-basis": (
+        dict(src=EprSource(20.0), ch=ChannelModel(0.5, 0.05),
+             protocol=ProtocolKind.SQUEEZED_HOMODYNE, n=1, l=530_000,
+             sifting_mode=SiftingMode.RANDOM_BASIS, rng_seed=101),
+        "938eeb6d383f3c8ffe74f934615c08f2f9e6030f3a8925eade6f566330951a4d"),
+    "homodyne-memory-n3-mixture": (
+        dict(src=EprSource(20.0),
+             ch=ChannelModel(0.6, 0.1, TwoComponentMixture.matching(MULTI_CHUNK_NOISE)),
+             protocol=ProtocolKind.SQUEEZED_HOMODYNE, n=3, l=180_000,
+             sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=102),
+        "fcbbd2804a448010aafb544526344baceac2982f5ba93b2289d6de875b78e725"),
+    "heterodyne-random-basis-n3-rho": (
+        dict(src=EprSource(20.0), ch=ChannelModel(0.7, 0.1, rho_block=0.4),
+             protocol=ProtocolKind.COHERENT_HETERODYNE, n=3, l=180_000,
+             sifting_mode=SiftingMode.RANDOM_BASIS, rng_seed=103),
+        "53f89a4cbf0ba4cdaa89e544413d832004dfa0f69ae6db953e8ee9cfe0ed1cf2"),
+    "heterodyne-memory-displacement": (
+        dict(src=EprSource(20.0),
+             ch=ChannelModel(0.6, 0.1, DiscreteDisplacement.matching(MULTI_CHUNK_NOISE)),
+             protocol=ProtocolKind.COHERENT_HETERODYNE, n=1, l=530_000,
+             sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=104),
+        "60e2d8ffce7a0b131db5f5cdc99d34459fea85927aa0e235d7f60d09eca2e772"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_CHUNK))
+def test_multi_chunk_column_bytes(name):
+    session, digest = MULTI_CHUNK[name]
+    blocks_per_chunk = CHUNK_PULSES // session["n"]
+    assert 2 * blocks_per_chunk < session["l"] < 3 * blocks_per_chunk
+    record = run_session(**session)
+    columns = (record.a, record.b, record.label_a, record.label_b, record.kept)
+    assert sha256(b"".join(column.tobytes() for column in columns)) == digest
 
 
 #: simulate arguments shared by every protocol and sifting mode pinned below

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from cvqkd import (
     run_session,
     simulate_epr_pulse,
 )
+from cvqkd import simulator
 from cvqkd.records import dumps
 from cvqkd.simulator import P, Q
 
@@ -372,3 +376,76 @@ class TestSessionPipeline:
                           n=1, l=10, sifting_mode="quantum_memory")
         assert rec.sifting_mode is SiftingMode.QUANTUM_MEMORY
         assert rec.kept.all()
+
+
+class TestCores:
+    """run_session runs its chunks on one thread per core the process may
+    use; the core count must not reach the columns or hide an error."""
+
+    # 12 chunks of 333 blocks and one of 4
+    SESSION = dict(src=EprSource(12.0), ch=ChannelModel(0.7, 0.1, rho_block=0.3),
+                   protocol=HETERODYNE, n=3, l=4_000, sifting_mode=SiftingMode.RANDOM_BASIS,
+                   rng_seed=31)
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(simulator, "CHUNK_PULSES", 1_000)
+
+    @staticmethod
+    def set_cores(monkeypatch, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+
+    def test_core_count_cannot_change_the_columns(self, monkeypatch):
+        # with threads switching every microsecond, every chunk is still
+        # generated exactly once, by at most one thread per core
+        generate = simulator._generate_chunk
+        calls = []
+
+        def tracked(*args):
+            counter = args[-2].bit_generator.state["state"]["counter"]
+            calls.append((threading.get_ident(), counter.tobytes()))
+            generate(*args)
+
+        monkeypatch.setattr(simulator, "_generate_chunk", tracked)
+        columns = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 2, 8):
+                self.set_cores(monkeypatch, cores)
+                calls.clear()
+                rec = run_session(**self.SESSION)
+                columns[cores] = (rec.a, rec.b, rec.label_a, rec.label_b, rec.kept)
+                threads, chunks = zip(*calls)
+                assert len(chunks) == len(set(chunks)) == 13
+                assert len(set(threads)) <= cores
+                if cores == 1:
+                    assert set(threads) == {threading.get_ident()}
+        finally:
+            sys.setswitchinterval(interval)
+        for cores in (2, 8):
+            for ours, reference in zip(columns[cores], columns[1]):
+                assert np.array_equal(ours, reference)
+
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    def test_chunk_error_reaches_the_caller(self, monkeypatch, cores):
+        self.set_cores(monkeypatch, cores)
+        chunk_1 = np.random.Philox(self.SESSION["rng_seed"]).jumped(1).state["state"]
+        generate = simulator._generate_chunk
+
+        class ChunkFailed(Exception):
+            pass
+
+        def failing(*args):
+            state = args[-2].bit_generator.state["state"]
+            if np.array_equal(state["counter"], chunk_1["counter"]):
+                raise ChunkFailed("chunk 1")
+            generate(*args)
+
+        monkeypatch.setattr(simulator, "_generate_chunk", failing)
+        threads = threading.enumerate()
+        with pytest.raises(ChunkFailed, match="chunk 1"):
+            run_session(**self.SESSION)
+        assert threading.enumerate() == threads

@@ -12,8 +12,9 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 168 commands runs in about 3 s on
-a 2-core machine, half of it in the two statistical `verify` runs.
+It takes no options. The whole list of 172 commands runs in about 14 s on
+a 2-core machine, most of it writing the four multi-chunk records of about
+5*10^5 pulses each.
 """
 
 import hashlib
@@ -55,6 +56,25 @@ RANGE_HEADERS = {
     "n-l-negative": ({"n": -1, "l": -3}, [(-i, 0, *ROWS[i][2:]) for i in range(3)]),
     "n-zero": ({"n": 0, "l": 5}, []),
     "seed-negative": ({"seed": -1}, ROWS),
+}
+
+#: simulate arguments of sessions of three chunks, the last one partial
+MULTI_CHUNK = {
+    "homodyne-random-basis": ["--protocol", "squeezed_homodyne", "--sifting", "random_basis",
+                              "--t", "0.5", "--eps", "0.05", "--n", "1", "--l", "530000",
+                              "--seed", "101"],
+    "homodyne-memory-n3-mixture": ["--protocol", "squeezed_homodyne",
+                                   "--sifting", "quantum_memory", "--t", "0.6", "--eps", "0.1",
+                                   "--shape", "mixture", "--n", "3", "--l", "180000",
+                                   "--seed", "102"],
+    "heterodyne-random-basis-n3-rho": ["--protocol", "coherent_heterodyne",
+                                       "--sifting", "random_basis", "--t", "0.7",
+                                       "--eps", "0.1", "--rho-block", "0.4", "--n", "3",
+                                       "--l", "180000", "--seed", "103"],
+    "heterodyne-memory-displacement": ["--protocol", "coherent_heterodyne",
+                                       "--sifting", "quantum_memory", "--t", "0.6",
+                                       "--eps", "0.1", "--shape", "displacement", "--n", "1",
+                                       "--l", "530000", "--seed", "104"],
 }
 
 
@@ -174,6 +194,11 @@ def commands():
         for ext in FORMATS.values():
             yield (f"error-rate-header-{name}-{ext}",
                    ["rate", "--record", f"header-{name}.{ext}"])
+
+    # sessions whose chunks run on every core the process may use
+    for name, args in MULTI_CHUNK.items():
+        yield f"simulate-multi-chunk-{name}", ["simulate", "--v", "20", *args,
+                                               "--out", f"multi-chunk-{name}.csv"]
 
 
 def sha256(data: bytes) -> str:
