@@ -6,16 +6,21 @@ affine whitening of the data so strongly correlated quadrature pairs do
 not bias the neighbor search; the whitening log-determinant is added
 back. In 1-d the k-th neighbor distances come from one sort and a
 window of k neighbors on each side, exactly equal to a k-d tree's; in
-2-d and above they come from scipy's ``cKDTree``. scipy is imported on
-the first estimate, so code that never estimates an entropy does not
-load it. Standard errors come from 10-fold subsampling.
+2-d and above they come from scipy's ``cKDTree``, queried in the tree's
+own leaf order for the k-th distance alone. scipy is imported on the
+first estimate, so code that never estimates an entropy does not load
+it. Standard errors come from 10-fold subsampling.
 
-Estimates are deterministic for a fixed input ordering and jitter seed.
+The entropy terms of one estimate (all rows and every fold) run on a
+thread pool with one worker per core the process may use, and are summed
+in a fixed order, so estimates are deterministic for a fixed input
+ordering and jitter seed whatever the core count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,14 @@ JITTER_SCALE = 1e-12
 FOLDS = 10
 
 LOG2 = math.log(2.0)
+
+
+def usable_cores() -> int:
+    """The number of cores this process may run on, which sizes every
+    thread pool of the package."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -146,12 +159,31 @@ def _kth_neighbor_distance_1d(y: np.ndarray, k: int) -> np.ndarray:
     return eps
 
 
+def _kth_neighbor_distance_tree(y: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each row of an (n, d) sample to its k-th nearest other
+    row, in input order, equal to ``cKDTree(y).query(y, k=k + 1)[0][:, k]``.
+
+    The points are queried in the tree's leaf order, so neighboring
+    queries walk the same nodes, and only the k-th distance is kept. Each
+    distance is the same sum of squares of coordinate differences
+    whatever the tree's shape, so the unbalanced, uncompacted tree (the
+    faster to build) gives the same bits. One thread per query: the
+    estimate's terms already hold the cores.
+    """
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(y, balanced_tree=False, compact_nodes=False)
+    dist, _ = tree.query(y[tree.indices], k=[k + 1], workers=1)
+    eps = np.empty(len(y))
+    eps[tree.indices] = dist[:, 0]
+    return eps
+
+
 def _knn_entropy_bits(x: np.ndarray, k: int, jitter_seed: int) -> float:
     """Point estimate of the nearest-neighbor entropy (bits) for an
     (n, d) sample matrix."""
     # scipy is imported here, not at module level, so that commands which
     # never estimate an entropy do not pay its import time
-    from scipy.spatial import cKDTree
     from scipy.special import digamma, gammaln
 
     n, d = x.shape
@@ -159,8 +191,7 @@ def _knn_entropy_bits(x: np.ndarray, k: int, jitter_seed: int) -> float:
     if d == 1:
         eps = _kth_neighbor_distance_1d(y[:, 0], k)
     else:
-        dist, _ = cKDTree(y).query(y, k=k + 1, workers=-1)
-        eps = dist[:, k]
+        eps = _kth_neighbor_distance_tree(y, k)
     if not eps.all():
         raise DegenerateDataError(
             f"zero distance to neighbor {k}: data is duplicate-heavy")
@@ -174,7 +205,12 @@ def _knn_estimate(terms, k: int, jitter_seed: int) -> EntropyEstimate:
     """The k-NN estimate of sum(sign * H(x)) over the (sign, matrix) terms,
     whose matrices share their rows, on all rows, with the standard error
     from the interleaved folds f::FOLDS, fold f jittered with seed
-    jitter_seed + 1 + f."""
+    jitter_seed + 1 + f.
+
+    Every (rows, term) entropy runs on one thread pool with a worker per
+    usable core; results are read back in the order all rows, then folds
+    0..FOLDS-1, each in terms order, so the first failing term in that
+    order raises and the terms not yet started are cancelled."""
     count = len(terms[0][1])
     if k < 1:
         raise DomainError(f"neighbor order must be >= 1, got {k}")
@@ -183,15 +219,24 @@ def _knn_estimate(terms, k: int, jitter_seed: int) -> EntropyEstimate:
             f"need at least {FOLDS * (k + 1)} samples for "
             f"k={k} with {FOLDS}-fold errors, got {count}")
 
-    def estimate(rows, seed: int) -> float:
-        # summed left to right from 0, so a difference of two terms is
-        # the float subtraction H(x) - H(y) exactly
-        return sum(sign * _knn_entropy_bits(x[rows], k, seed) for sign, x in terms)
+    from concurrent.futures import ThreadPoolExecutor
 
-    value = estimate(slice(None), jitter_seed)
-    per_fold = np.array([estimate(slice(f, None, FOLDS), jitter_seed + 1 + f)
-                         for f in range(FOLDS)])
-    err = float(per_fold.std(ddof=1) / math.sqrt(FOLDS))
+    runs = [(slice(None), jitter_seed)] + [
+        (slice(f, None, FOLDS), jitter_seed + 1 + f) for f in range(FOLDS)]
+    with ThreadPoolExecutor(usable_cores()) as pool:
+        # row slices are views, so submitting every term copies no data
+        futures = [[pool.submit(_knn_entropy_bits, x[rows], k, seed) for _, x in terms]
+                   for rows, seed in runs]
+        try:
+            # summed left to right from 0, so a difference of two terms is
+            # the float subtraction H(x) - H(y) exactly
+            value, *per_fold = [sum(sign * future.result()
+                                    for (sign, _), future in zip(terms, run))
+                                for run in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    err = float(np.array(per_fold).std(ddof=1) / math.sqrt(FOLDS))
     return EntropyEstimate(value, err)
 
 

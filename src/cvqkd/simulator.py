@@ -16,14 +16,13 @@ of the columns, so the bytes do not depend on how many cores there are.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimators import SampleSet
+from .estimators import SampleSet, usable_cores
 from .rates import Covariance2, ProtocolKind
 
 #: target pulses per RNG substream; chunks always hold whole blocks
@@ -390,8 +389,7 @@ def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,
             for _ in todo:
                 pass
 
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    helpers = min(chunks, cores or 1) - 1
+    helpers = min(chunks, usable_cores()) - 1
     if helpers:
         from concurrent.futures import ThreadPoolExecutor
 

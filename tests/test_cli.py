@@ -535,3 +535,14 @@ def test_scipy_loads_only_for_entropy_estimates():
                             capture_output=True, text=True, timeout=120,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
+
+
+def test_thread_pools_load_only_when_they_run():
+    # the simulator and the estimators import concurrent.futures when a
+    # pool starts, so neither the package nor the CLI loads it
+    src = str(Path(cvqkd.__file__).resolve().parents[1])
+    script = ("import sys, cvqkd, cvqkd.cli\n"
+              "assert 'concurrent.futures' not in sys.modules")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr

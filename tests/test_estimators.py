@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +21,13 @@ from cvqkd import (
     knn_differential_entropy,
     vacuum_entropy,
 )
-from cvqkd.estimators import _kth_neighbor_distance_1d
+from cvqkd import estimators
+from cvqkd.estimators import (
+    FOLDS,
+    _knn_estimate,
+    _kth_neighbor_distance_1d,
+    _kth_neighbor_distance_tree,
+)
 
 N = 100_000
 
@@ -174,6 +183,107 @@ class TestKthNeighborDistance1d:
         assert np.array_equal(eps, self.tree(y, 4)) and not eps.any()
         with pytest.raises(DegenerateDataError, match="zero distance"):
             knn_differential_entropy(x)
+
+
+class TestKthNeighborDistanceTree:
+    """The leaf-order query of an unbalanced tree, keeping only the k-th
+    distance, equals the default tree's full query bit for bit."""
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_matches_default_tree(self, rng, k):
+        for n in (k + 1, 2 * k + 1, 3 * k, 2000):
+            for y in (rng.normal(size=(n, 2)), rng.uniform(size=(n, 2)),
+                      np.round(rng.normal(size=(n, 2)), 1)):  # ties, duplicates
+                reference = cKDTree(y).query(y, k=k + 1)[0][:, k]
+                assert np.array_equal(_kth_neighbor_distance_tree(y, k), reference)
+
+
+class TestCores:
+    """The entropy terms of an estimate run on one thread per core the
+    process may use; the core count must not reach the estimate or hide
+    an error."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        rng = np.random.default_rng(77)
+        a = rng.normal(size=3000)
+        return SampleSet(a, 0.8 * a + 0.6 * rng.normal(size=3000))
+
+    @staticmethod
+    def set_cores(monkeypatch, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+
+    def test_core_count_cannot_change_an_estimate(self, monkeypatch, pair):
+        # with threads switching every microsecond, every (rows, seed,
+        # term) entropy is still computed exactly once, by at most one
+        # thread per core
+        entropy_bits = estimators._knn_entropy_bits
+        calls = []
+
+        def tracked(x, k, seed):
+            calls.append((threading.get_ident(), (seed, x.shape)))
+            return entropy_bits(x, k, seed)
+
+        monkeypatch.setattr(estimators, "_knn_entropy_bits", tracked)
+        n = len(pair)
+        estimates = {
+            "knn-1d": (lambda: knn_differential_entropy(pair.a, jitter_seed=5), (1,)),
+            "knn-2d": (lambda: knn_differential_entropy(
+                np.column_stack([pair.a, pair.b]), k=3, jitter_seed=5), (2,)),
+            "conditional": (lambda: conditional_entropy_estimate(pair, jitter_seed=5),
+                            (2, 1)),
+        }
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 2, 8):
+                self.set_cores(monkeypatch, cores)
+                for name, (estimate, dims) in estimates.items():
+                    calls.clear()
+                    results[name, cores] = estimate()
+                    threads, terms = zip(*calls)
+                    expected = [(5, (n, d)) for d in dims] + [
+                        (6 + f, (len(range(f, n, FOLDS)), d))
+                        for f in range(FOLDS) for d in dims]
+                    assert sorted(terms) == sorted(expected)
+                    assert len(set(threads)) <= cores
+        finally:
+            sys.setswitchinterval(interval)
+        for name in estimates:
+            for cores in (2, 8):
+                assert results[name, cores] == results[name, 1], (name, cores)
+
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    def test_first_failing_term_reaches_the_caller(self, monkeypatch, pair, cores):
+        # folds 3 and 7 both fail, and with more than one core fold 3
+        # waits until fold 7 has failed; fold 3 comes first in the summing
+        # order, so its error is the one raised
+        self.set_cores(monkeypatch, cores)
+        entropy_bits = estimators._knn_entropy_bits
+        fold_7_failed = threading.Event()
+
+        class TermFailed(Exception):
+            pass
+
+        def failing(x, k, seed):
+            fold = seed - 1
+            if x.shape[1] == 1 and fold in (3, 7):
+                if fold == 7:
+                    fold_7_failed.set()
+                elif cores > 1:
+                    fold_7_failed.wait(timeout=30)
+                raise TermFailed(f"fold {fold}")
+            return entropy_bits(x, k, seed)
+
+        monkeypatch.setattr(estimators, "_knn_entropy_bits", failing)
+        threads = threading.enumerate()
+        terms = [(1, np.column_stack([pair.a, pair.b])), (-1, pair.a[:, None])]
+        with pytest.raises(TermFailed, match="fold 3"):
+            _knn_estimate(terms, 4, 0)
+        assert threading.enumerate() == threads
 
 
 class TestPinnedEstimates:
