@@ -53,7 +53,7 @@ from .simulator import (
     run_session,
 )
 from .verify import manifest as build_manifest
-from .verify import run_suites
+from .verify import MIN_SAMPLES, run_suites
 
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
@@ -361,6 +361,8 @@ def _parse_cov(text: str) -> Covariance2:
               help="Write the verification manifest (JSON) here.")
 def verify(scope, seed, trials, pulses, out):
     """Certify the entropy inequalities; exit 5 if any check fails."""
+    if scope != "discrete" and pulses < MIN_SAMPLES:
+        raise ConfigurationError(f"--pulses must be at least {MIN_SAMPLES}, got {pulses}")
     out_path = None if out is None else resolve_out(out)
     reports = run_suites(scope, seed, trials, pulses)
     for r in reports:

@@ -32,7 +32,7 @@ class ParseError(CvqkdError, ValueError):
 
 
 class CapacityError(CvqkdError):
-    """An exact enumeration would exceed the supported table size."""
+    """A session or an exact enumeration would exceed what can be held."""
 
 
 class InsufficientDataError(CvqkdError, ValueError):

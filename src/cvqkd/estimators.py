@@ -11,16 +11,16 @@ own leaf order for the k-th distance alone. scipy is imported on the
 first estimate, so code that never estimates an entropy does not load
 it. Standard errors come from 10-fold subsampling.
 
-The entropy terms of one estimate (all rows and every fold) run on a
-thread pool with one worker per core the process may use, and are summed
-in a fixed order, so estimates are deterministic for a fixed input
-ordering and jitter seed whatever the core count.
+The entropy terms of one estimate (all rows and every fold) run through
+``in_parallel`` and are summed in a fixed order, so estimates are
+deterministic for a fixed input ordering and jitter seed on any core count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +39,38 @@ FOLDS = 10
 LOG2 = math.log(2.0)
 
 
-def usable_cores() -> int:
-    """The number of cores this process may run on, which sizes every
-    thread pool of the package."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def in_parallel(function, calls) -> list:
+    """``[function(*args) for args in calls]`` (a list), run on one thread per
+    core the process may use, the calling thread among them (none is
+    started for one core or one call). Calls start in order, none after a
+    failure, and the first failing call's error is raised once the started
+    ones end. The threads gain where the calls release the GIL, as numpy does."""
+    results, errors = [None] * len(calls), {}
+    todo, lock = iter(range(len(calls))), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = None if errors else next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = function(*calls[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    helpers = [threading.Thread(target=drain) for _ in range(min(cores, len(calls)) - 1)]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass(frozen=True)
@@ -207,10 +233,9 @@ def _knn_estimate(terms, k: int, jitter_seed: int) -> EntropyEstimate:
     from the interleaved folds f::FOLDS, fold f jittered with seed
     jitter_seed + 1 + f.
 
-    Every (rows, term) entropy runs on one thread pool with a worker per
-    usable core; results are read back in the order all rows, then folds
-    0..FOLDS-1, each in terms order, so the first failing term in that
-    order raises and the terms not yet started are cancelled."""
+    The (rows, term) entropies run through ``in_parallel`` in the order
+    all rows, then folds 0..FOLDS-1, each in terms order, so the first
+    failing term in that order raises and no term starts after a failure."""
     count = len(terms[0][1])
     if k < 1:
         raise DomainError(f"neighbor order must be >= 1, got {k}")
@@ -219,23 +244,13 @@ def _knn_estimate(terms, k: int, jitter_seed: int) -> EntropyEstimate:
             f"need at least {FOLDS * (k + 1)} samples for "
             f"k={k} with {FOLDS}-fold errors, got {count}")
 
-    from concurrent.futures import ThreadPoolExecutor
-
     runs = [(slice(None), jitter_seed)] + [
         (slice(f, None, FOLDS), jitter_seed + 1 + f) for f in range(FOLDS)]
-    with ThreadPoolExecutor(usable_cores()) as pool:
-        # row slices are views, so submitting every term copies no data
-        futures = [[pool.submit(_knn_entropy_bits, x[rows], k, seed) for _, x in terms]
-                   for rows, seed in runs]
-        try:
-            # summed left to right from 0, so a difference of two terms is
-            # the float subtraction H(x) - H(y) exactly
-            value, *per_fold = [sum(sign * future.result()
-                                    for (sign, _), future in zip(terms, run))
-                                for run in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    # row slices are views, so listing every term copies no data
+    bits = iter(in_parallel(_knn_entropy_bits, [
+        (x[rows], k, seed) for rows, seed in runs for _, x in terms]))
+    # summed left to right from 0, so two terms give the float H(x) - H(y) exactly
+    value, *per_fold = [sum(sign * next(bits) for sign, _ in terms) for _ in runs]
     err = float(np.array(per_fold).std(ddof=1) / math.sqrt(FOLDS))
     return EntropyEstimate(value, err)
 

@@ -9,7 +9,7 @@ moments.
 
 Randomness: a counter-based Philox generator keyed by the session seed,
 split into one substream per chunk of whole blocks (~2**18 pulses). The
-chunks run on every core the process may use, each writing its own slice
+chunks run through ``estimators.in_parallel``, each writing its own slice
 of the columns, so the bytes do not depend on how many cores there are.
 """
 
@@ -21,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .estimators import SampleSet, usable_cores
+from .errors import CapacityError, ConfigurationError
+from .estimators import SampleSet, in_parallel
 from .rates import Covariance2, ProtocolKind
 
 #: target pulses per RNG substream; chunks always hold whole blocks
@@ -368,38 +368,16 @@ def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,
     # each chunk is written straight into its slice of the columns, so the
     # peak holds the finished columns plus the temporaries of the chunks in
     # flight (one per core), never a second copy
-    columns = [np.empty(n * l, dtype) for dtype in COLUMN_DTYPES]
-    blocks_per_chunk = max(1, CHUNK_PULSES // n)
-    chunks = -(-l // blocks_per_chunk)
+    try:
+        columns = [np.empty(n * l, dtype) for dtype in COLUMN_DTYPES]
+    except (MemoryError, ValueError):
+        raise CapacityError(f"cannot hold a session of n*l = {n * l} pulses") from None
+    per_chunk = max(1, CHUNK_PULSES // n) * n
     master = np.random.Philox(rng_seed)
-    # the main thread drains chunks beside the helpers, from one shared
-    # iterator; numpy releases the GIL while it draws and computes
-    todo = iter(range(chunks))
-
-    def drain():
-        try:
-            for chunk in todo:
-                start = chunk * blocks_per_chunk
-                pulses = slice(start * n, min(start + blocks_per_chunk, l) * n)
-                rng = np.random.Generator(master.jumped(chunk))
-                _generate_chunk(src, ch, protocol, n, sifting_mode, rng,
-                                [column[pulses] for column in columns])
-        finally:
-            # after an error (or an interrupt) no thread starts another chunk
-            for _ in todo:
-                pass
-
-    helpers = min(chunks, usable_cores()) - 1
-    if helpers:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(helpers) as pool:
-            futures = [pool.submit(drain) for _ in range(helpers)]
-            drain()
-            for future in futures:
-                future.result()
-    else:
-        drain()
+    in_parallel(_generate_chunk, [
+        (src, ch, protocol, n, sifting_mode, np.random.Generator(master.jumped(chunk)),
+         [column[start:start + per_chunk] for column in columns])
+        for chunk, start in enumerate(range(0, n * l, per_chunk))])
 
     a, b, label_a, label_b, kept = columns
     return BlockRecord(n=n, l=l, protocol=protocol, sifting_mode=sifting_mode,

@@ -53,6 +53,9 @@ MAX_TABLE_ENTRIES = 1_000_000
 #: random laws per stack in discrete_suite, which bounds its memory
 STACK_LAWS = 256
 
+#: fewest samples the estimator-based checks accept
+MIN_SAMPLES = 10_000
+
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -226,8 +229,8 @@ def check_gaussian_dominance(
     """Empirical H(B|A) (lhs) cannot exceed the Gaussian conditional
     entropy of the sample covariance (rhs), up to 3x the estimator's
     standard error (tolerance)."""
-    if len(s) < 10_000:
-        raise DomainError(f"need at least 10000 samples, got {len(s)}")
+    if len(s) < MIN_SAMPLES:
+        raise DomainError(f"need at least {MIN_SAMPLES} samples, got {len(s)}")
     estimate = conditional_entropy_estimate(s)
     bound = gaussian_conditional_entropy(estimate_covariance(s))
     return InequalityReport.check(identifier, estimate.value, bound,

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import cvqkd
+from cvqkd import simulator
 from cvqkd.cli import CONFIG_FIELDS, main
 from cvqkd import (
     CapacityError,
@@ -117,6 +119,34 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
         assert result.exit_code == code
         assert message in result.output
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("n, l", [(1, 10 ** 13), (10 ** 10, 10 ** 10)],
+                             ids=["unallocatable", "unrepresentable"])
+    def test_session_too_large_exits_4(self, runner, tmp_path, monkeypatch, n, l):
+        # numpy refuses 10^20 entries on every host, while 10^13 (73 TiB of
+        # floats) fails only where memory is not overcommitted, so that
+        # allocation is made to fail here; no chunk may run either way
+        empty = np.empty
+
+        def allocate(size, *args, **kwargs):
+            if size == 10 ** 13:
+                raise MemoryError(f"Unable to allocate {size} entries")
+            return empty(size, *args, **kwargs)
+
+        def generate(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(np, "empty", allocate)
+        monkeypatch.setattr(simulator, "_generate_chunk", generate)
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["simulate", "--n", str(n), "--l", str(l),
+                                      "--out", str(out)])
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)  # handled, no traceback
+        assert result.stdout == ""
+        assert result.stderr == f"error: cannot hold a session of n*l = {n * l} pulses\n"
         assert not out.exists()
 
 
@@ -275,6 +305,26 @@ class TestVerify:
         assert any("gaussian-conditional-dominance" in i for i in identifiers)
         assert any("presplit-variance" in i for i in identifiers)
         assert doc["all_hold"] is True
+
+    @pytest.mark.parametrize("scope", ["statistical", "all"])
+    def test_too_few_pulses_exit_2_before_any_suite(self, runner, tmp_path, monkeypatch,
+                                                    scope):
+        suites = []
+        monkeypatch.setattr("cvqkd.cli.run_suites", lambda *args: suites.append(args))
+        out = tmp_path / "manifest.json"
+        result = runner.invoke(main, ["verify", "--scope", scope, "--pulses", "9999",
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == "error: --pulses must be at least 10000, got 9999\n"
+        assert suites == []
+        assert not out.exists()
+
+    def test_discrete_scope_ignores_pulses(self, runner, tmp_path):
+        out = tmp_path / "manifest.json"
+        run_ok(runner, ["verify", "--scope", "discrete", "--trials", "20",
+                        "--pulses", "5000", "--out", str(out)])
+        assert json.loads(out.read_text())["all_hold"] is True
 
     def test_manifest_deterministic(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -538,8 +588,8 @@ def test_scipy_loads_only_for_entropy_estimates():
 
 
 def test_thread_pools_load_only_when_they_run():
-    # the simulator and the estimators import concurrent.futures when a
-    # pool starts, so neither the package nor the CLI loads it
+    # the package spreads work over cores with plain threads, so neither
+    # the package nor the CLI loads concurrent.futures
     src = str(Path(cvqkd.__file__).resolve().parents[1])
     script = ("import sys, cvqkd, cvqkd.cli\n"
               "assert 'concurrent.futures' not in sys.modules")

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cvqkd.estimators import (
     _knn_estimate,
     _kth_neighbor_distance_1d,
     _kth_neighbor_distance_tree,
+    in_parallel,
 )
 
 N = 100_000
@@ -284,6 +286,106 @@ class TestCores:
         with pytest.raises(TermFailed, match="fold 3"):
             _knn_estimate(terms, 4, 0)
         assert threading.enumerate() == threads
+
+
+class CallFailed(Exception):
+    pass
+
+
+class TestInParallel:
+    """in_parallel's contract, with threads switching every microsecond."""
+
+    @pytest.fixture(autouse=True)
+    def fast_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    set_cores = staticmethod(TestCores.set_cores)
+
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    def test_results_come_back_in_call_order(self, monkeypatch, cores):
+        # later calls finish sooner, so finishing order is not call order
+        self.set_cores(monkeypatch, cores)
+
+        def square(i):
+            time.sleep((40 - i) * 1e-4)
+            return i * i
+
+        assert in_parallel(square, [(i,) for i in range(40)]) == [i * i for i in range(40)]
+
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    def test_first_failing_call_in_order_raises(self, monkeypatch, cores):
+        # calls 3 and 7 both fail, and with more than one core call 3 waits
+        # until call 7 has failed; call 3 comes first, so its error is raised
+        self.set_cores(monkeypatch, cores)
+        call_7_failed = threading.Event()
+        started = []
+
+        def call(i):
+            started.append(i)
+            if i == 7:
+                call_7_failed.set()
+                raise CallFailed("call 7")
+            if i == 3:
+                if cores > 1:
+                    call_7_failed.wait(timeout=30)
+                raise CallFailed("call 3")
+            return i
+
+        with pytest.raises(CallFailed, match="call 3"):
+            in_parallel(call, [(i,) for i in range(20)])
+        assert (7 in started) == (cores > 1)
+
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    def test_no_call_starts_after_a_failure(self, monkeypatch, cores):
+        # the calls after call 5 that are already running hold their
+        # threads until well after call 5 has failed, so besides calls
+        # 0..5 at most one call per other thread has started
+        self.set_cores(monkeypatch, cores)
+        call_5_failed = threading.Event()
+        started = []
+
+        def call(i):
+            started.append(i)
+            if i == 5:
+                call_5_failed.set()
+                raise CallFailed("call 5")
+            if i > 5:
+                call_5_failed.wait(timeout=30)
+                time.sleep(0.1)
+            return i
+
+        with pytest.raises(CallFailed, match="call 5"):
+            in_parallel(call, [(i,) for i in range(100)])
+        assert sorted(started) == list(range(len(started)))
+        assert 6 <= len(started) <= 5 + cores
+        if cores == 1:
+            assert started == list(range(6))
+
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    def test_no_thread_is_left_behind(self, monkeypatch, cores):
+        self.set_cores(monkeypatch, cores)
+        threads = threading.enumerate()
+        assert in_parallel(abs, [(-i,) for i in range(10)]) == list(range(10))
+        assert threading.enumerate() == threads
+        with pytest.raises(ZeroDivisionError):
+            in_parallel(divmod, [(1, i) for i in range(4, -4, -1)])
+        assert threading.enumerate() == threads
+
+    @pytest.mark.parametrize("cores, calls", [(1, 20), (8, 1), (8, 0)])
+    def test_one_core_or_one_call_starts_no_thread(self, monkeypatch, cores, calls):
+        self.set_cores(monkeypatch, cores)
+        threads = threading.enumerate()
+        seen = []
+
+        def call(i):
+            seen.append((threading.get_ident(), threading.enumerate()))
+            return i
+
+        assert in_parallel(call, [(i,) for i in range(calls)]) == list(range(calls))
+        assert seen == [(threading.get_ident(), threads)] * calls
 
 
 class TestPinnedEstimates:

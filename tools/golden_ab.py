@@ -12,7 +12,7 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 172 commands runs in about 14 s on
+It takes no options. The whole list of 173 commands runs in about 14 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -175,6 +175,10 @@ def commands():
                                          "--seed", "-1", "--out", "verify-seed.json"]
     yield "error-verify-trials-0", ["verify", "--scope", "discrete", "--trials", "0",
                                     "--out", "verify-trials.json"]
+
+    # a session of 10^20 pulses, whose columns numpy refuses on every host
+    yield "error-simulate-unrepresentable", ["simulate", "--n", "10000000000",
+                                             "--l", "10000000000", "--out", "huge.csv"]
 
     # record headers: a valid one, then a key dumps never writes, a repeated
     # key, and a json-lines value of the wrong type
