@@ -7,9 +7,11 @@ parameter).
 
 Experiments are configured by a JSON config file (``--config``) whose
 keys match the flags of simulate and sweep; each command reads the keys
-it has flags for, and flags win over the file. All randomness flows from
-the single seed, outputs carry no timestamps, and reruns with the same
-configuration are byte-identical. Relative output paths land in
+it has flags for, and flags win over the file. A sweep's table depends on
+second moments only, so ``sweep`` takes no noise-shape flag; ``rate
+--record`` takes the protocol and n0 from its record. All randomness
+flows from the single seed, outputs carry no timestamps, and reruns with
+the same configuration are byte-identical. Relative output paths land in
 ``$CVQKD_OUT_DIR`` when that variable is set.
 
 Exit status: 0 success, 2 configuration or domain error, 3 parse error
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -191,12 +194,6 @@ def config_options(cmd):
         click.option("--t", type=float, default=None, help="Channel transmission."),
         click.option("--eps", type=float, default=None,
                      help="Excess noise at the channel input (shot-noise units)."),
-        click.option("--shape", default=None,
-                     help="Noise shape: gaussian, mixture, uniform, displacement, "
-                          "or a parameterized spec like "
-                          "displacement:magnitude=1.4,probability=1.0."),
-        click.option("--rho-block", "rho_block", type=float, default=None,
-                     help="Intra-block noise correlation (Gaussian shape only)."),
         click.option("--n0", type=float, default=None, help="Shot-noise unit."),
     ]):
         cmd = option(cmd)
@@ -205,6 +202,12 @@ def config_options(cmd):
 
 @main.command()
 @config_options
+@click.option("--shape", default=None,
+              help="Noise shape: gaussian, mixture, uniform, displacement, "
+                   "or a parameterized spec like "
+                   "displacement:magnitude=1.4,probability=1.0.")
+@click.option("--rho-block", "rho_block", type=float, default=None,
+              help="Intra-block noise correlation (Gaussian shape only).")
 @click.option("--protocol", type=click.Choice(PROTOCOL_NAMES), default=None)
 @click.option("--n", type=int, default=None, help="Pulses per block.")
 @click.option("--l", type=int, default=None, help="Number of blocks.")
@@ -242,12 +245,12 @@ def simulate(config, out, fmt, **overrides):
 @click.option("--cov", default=None,
               help="Covariance literal 'var_a,var_b,cov_ab' instead of a record.")
 @click.option("--protocol", type=click.Choice(PROTOCOL_NAMES), default=None,
-              help="Required with --cov; read from the record otherwise.")
+              help="With --cov only, where it is required.")
 @click.option("--beta", type=float, default=1.0,
               help="Reconciliation efficiency in [0, 1].")
 @click.option("--n", type=int, default=None,
               help="Block size for the block rate (record's n by default).")
-@click.option("--n0", type=float, default=None)
+@click.option("--n0", type=float, default=None, help="Shot-noise unit; only with --cov.")
 @click.option("--transform", type=click.Choice(TRANSFORM_NAMES),
               default=HeterodyneTransform.PRINTED.value,
               help="Heterodyne pre-beam-splitter variance convention.")
@@ -258,6 +261,8 @@ def rate(record_path, cov, protocol, beta, n, n0, transform, fmt, out):
     """Key-rate lower bound from a record or a covariance literal."""
     if (record_path is None) == (cov is None):
         raise ConfigurationError("give exactly one of --record or --cov")
+    if record_path is not None and (protocol is not None or n0 is not None):
+        raise ConfigurationError(f"{'--protocol' if protocol else '--n0'} is read from the record")
     if not 0.0 <= beta <= 1.0:
         raise ConfigurationError(f"beta must be in [0, 1], got {beta}")
     out_path = None if out is None else resolve_out(out)
@@ -265,8 +270,7 @@ def rate(record_path, cov, protocol, beta, n, n0, transform, fmt, out):
     record = sample_count = None
     if record_path is not None:
         record = records.read_record(record_path)
-        kind = record.protocol if protocol is None else ProtocolKind(protocol)
-        shot = record.source.n0 if n0 is None else n0
+        kind, shot = record.protocol, record.source.n0
         block = record.n if n is None else n
         samples = record.samples()
         sample_count = len(samples)
@@ -408,6 +412,9 @@ def sweep(config, param, start, stop, steps, transform, out, plot_out, **overrid
     base = load_config(config, overrides)
     if steps < 2:
         raise ConfigurationError(f"need at least 2 steps, got {steps}")
+    if not math.isfinite(stop - start):
+        raise ConfigurationError(f"--start and --stop must span a finite range, "
+                                 f"got {start:g} to {stop:g}")
     path = resolve_out(out)
     plot_path = None if plot_out is None else resolve_out(plot_out)
     rows = [_sweep_row(base, param, start + (stop - start) * i / (steps - 1),
@@ -443,8 +450,7 @@ def _sweep_row(base: ExperimentConfig, param: str, value: float,
     """The rate columns at one grid value, everything else as in base."""
     try:
         point = dataclasses.replace(base, **{param: value})
-        source, channel = EprSource(point.v, point.n0), point.channel()
-        channel.validate_shape(point.n0)
+        source, channel = EprSource(point.v, point.n0), ChannelModel(point.t, point.eps)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{param}={value:g}: {exc}") from exc
     row = {c: None for c in SWEEP_COLUMNS}

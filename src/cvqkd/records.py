@@ -218,6 +218,7 @@ def loads(text: str) -> BlockRecord:
         channel = ChannelModel(float(fields["t"]), float(fields["eps"]),
                                shape_from_string(fields["shape"]),
                                float(fields["rho_block"]))
+        channel.validate_shape(source.n0)
         n, l = int(fields["n"]), int(fields["l"])
         protocol = ProtocolKind(fields["protocol"])
         sifting_mode = SiftingMode(fields["sifting"])

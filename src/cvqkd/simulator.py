@@ -16,6 +16,7 @@ of the columns, so the bytes do not depend on how many cores there are.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,6 +31,9 @@ CHUNK_PULSES = 1 << 18
 
 #: relative tolerance when matching a noise shape's variance to the channel
 SHAPE_RTOL = 1e-9
+
+#: the largest source variance v whose v ** 2 is a finite float
+MAX_SOURCE_VARIANCE = math.sqrt(sys.float_info.max)
 
 Q, P = 0, 1  # quadrature label codes used in record arrays
 LABEL_CHARS = ("q", "p")
@@ -171,6 +175,9 @@ class EprSource:
         if not self.v >= self.n0:
             raise ConfigurationError(
                 f"source variance {self.v} below the vacuum variance {self.n0}")
+        if not self.v <= MAX_SOURCE_VARIANCE:  # so n0 <= v is finite too
+            raise ConfigurationError(
+                f"source variance {self.v} is too large: its square overflows")
 
     @property
     def cross_correlation(self) -> float:
@@ -192,8 +199,8 @@ class ChannelModel:
     def __post_init__(self):
         if not 0.0 < self.t <= 1.0:
             raise ConfigurationError(f"transmission must be in (0, 1], got {self.t}")
-        if not self.eps >= 0:
-            raise ConfigurationError(f"excess noise must be >= 0, got {self.eps}")
+        if not 0 <= self.eps < math.inf:
+            raise ConfigurationError(f"excess noise must be finite and >= 0, got {self.eps}")
         if not isinstance(self.shape, NOISE_SHAPES):
             raise ConfigurationError(f"unknown noise shape {self.shape!r}")
         if not 0.0 <= self.rho_block < 1.0:
@@ -208,11 +215,13 @@ class ChannelModel:
         return (1.0 - self.t) * n0 + self.t * self.eps * n0
 
     def validate_shape(self, n0: float = 1.0) -> None:
-        declared = self.shape.declared_variance
-        if declared is None:
-            return
+        """Raise unless the noise variance is finite and matches the shape's, if declared."""
         target = self.noise_variance(n0)
-        if not abs(declared - target) <= SHAPE_RTOL * max(target, 1.0):
+        if not math.isfinite(target):
+            raise ConfigurationError(
+                f"the channel's noise variance (1-t)*n0 + t*eps*n0 = {target} is not finite")
+        declared = self.shape.declared_variance
+        if declared is not None and not abs(declared - target) <= SHAPE_RTOL * max(target, 1.0):
             raise ConfigurationError(
                 f"noise shape variance {declared:.6g} does not match the channel's "
                 f"(1-t)*n0 + t*eps*n0 = {target:.6g}")
@@ -364,6 +373,7 @@ def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,
         protocol, sifting_mode = ProtocolKind(protocol), SiftingMode(sifting_mode)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
+    ch.validate_shape(src.n0)  # before the columns are allocated
 
     # each chunk is written straight into its slice of the columns, so the
     # peak holds the finished columns plus the temporaries of the chunks in

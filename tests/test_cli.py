@@ -149,10 +149,22 @@ class TestSimulate:
         assert result.stderr == f"error: cannot hold a session of n*l = {n * l} pulses\n"
         assert not out.exists()
 
+    def test_shape_mismatch_exits_2_before_allocating(self, runner, tmp_path):
+        # 10^20 pulses cannot be allocated (exit 4), but the shape is checked first
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["simulate", "--shape", "uniform:halfwidth=5",
+                                      "--n", "10000000000", "--l", "10000000000",
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: noise shape variance 8.33333 does not match")
+        assert not out.exists()
+
 
 class TestShapeErrors:
     """Exit statuses of bad --shape values: a configuration error is 2, a
-    spec that does not parse is 3."""
+    spec that does not parse is 3. NaN, infinite and overflowing numbers
+    are configuration errors too, raised before any file is written."""
 
     def simulate(self, runner, tmp_path, *args):
         return runner.invoke(main, ["simulate", *args, "--out", str(tmp_path / "x.csv")])
@@ -187,7 +199,13 @@ class TestShapeErrors:
         ["--v", "nan"],
         ["--eps", "nan"],
         ["--shape", "uniform:halfwidth=nan"],
-    ], ids=["v", "eps", "halfwidth"])
+        ["--v", "inf"],
+        ["--v", "1e308"],
+        ["--n0", "inf"],
+        ["--eps", "inf"],
+        ["--eps", "1e308", "--n0", "10"],
+    ], ids=["v", "eps", "halfwidth", "v-inf", "v-overflow", "n0-inf", "eps-inf",
+            "noise-variance-overflow"])
     def test_nan_rejected_before_writing(self, runner, tmp_path, args):
         result = self.simulate(runner, tmp_path, *args)
         assert result.exit_code == 2
@@ -247,6 +265,19 @@ class TestRate:
             "rate", "--record", str(out), "--transform", "beamsplitter",
             "--format", "json"]).output)
         assert payload["delta_i_min_per_pulse"] > 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--protocol", "coherent_heterodyne"), ("--n0", "2"),
+    ], ids=["protocol", "n0"])
+    def test_record_rejects_flags_it_holds(self, runner, tmp_path, flag, value):
+        # rejected before the record is read (a missing file would exit 3)
+        out = tmp_path / "r.json"
+        result = runner.invoke(main, ["rate", "--record", str(tmp_path / "missing.csv"),
+                                      flag, value, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == f"error: {flag} is read from the record\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_requires_exactly_one_input(self, runner):
         assert runner.invoke(main, ["rate"]).exit_code == 2
@@ -385,11 +416,18 @@ class TestSweep:
          "error: t=0: transmission must be in (0, 1]"),
         (["--param", "v", "--start", "0.5", "--stop", "2"], 2,
          "error: v=0.5: source variance 0.5 below the vacuum variance"),
-        (["--param", "eps", "--start", "0", "--stop", "1", "--shape", "uniform:width=1"], 3,
-         "error: noise shape 'uniform:width=1' is missing 'halfwidth'"),
-        (["--param", "eps", "--start", "0", "--stop", "1", "--shape", "uniform:halfwidth=1"], 2,
-         "error: eps=0: noise shape variance 0.333333 does not match the channel's"),
-    ], ids=["transmission", "source", "shape-spec", "shape-variance"])
+        (["--param", "v", "--start", "2", "--stop", "1e200"], 2,
+         "error: v=2.5e+199: source variance 2.5e+199 is too large"),
+        (["--param", "eps", "--start", "0", "--stop", "inf"], 2,
+         "error: --start and --stop must span a finite range, got 0 to inf"),
+        (["--param", "eps", "--start", "-inf", "--stop", "1"], 2,
+         "error: --start and --stop must span a finite range, got -inf to 1"),
+        (["--param", "eps", "--start", "0", "--stop", "nan"], 2,
+         "error: --start and --stop must span a finite range, got 0 to nan"),
+        (["--param", "eps", "--start", "-1e308", "--stop", "1e308"], 2,
+         "error: --start and --stop must span a finite range, got -1e+308 to 1e+308"),
+    ], ids=["transmission", "source", "source-overflow", "stop-inf", "start-inf", "stop-nan",
+            "range-overflow"])
     def test_bad_grid_point(self, runner, tmp_path, args, code, message):
         out = tmp_path / "s.csv"
         result = runner.invoke(main, ["sweep", *args, "--steps", "5", "--out", str(out)])
@@ -483,9 +521,11 @@ def test_non_utf8_input_exits_3(runner, tmp_path, args, data, line):
     ("sweep", "--l", "10"),
     ("sweep", "--sifting", "quantum_memory"),
     ("sweep", "--seed", "3"),
+    ("sweep", "--shape", "uniform"),
+    ("sweep", "--rho-block", "0.5"),
     ("simulate", "--beta", "0.9"),
 ], ids=["sweep-protocol", "sweep-n", "sweep-l", "sweep-sifting", "sweep-seed",
-        "simulate-beta"])
+        "sweep-shape", "sweep-rho-block", "simulate-beta"])
 def test_flag_the_command_does_not_read_is_rejected(runner, tmp_path, command, flag, value):
     args = {"sweep": ["--param", "eps", "--start", "0", "--stop", "1", "--steps", "2"],
             "simulate": ["--l", "100"]}[command]

@@ -296,7 +296,10 @@ def _hand_record(fmt: str, rows, **header) -> str:
 class TestHeaderRanges:
     """run_session writes n and l of at least 1 and a seed of at least 0;
     a header outside those ranges is a parse error naming the key, even
-    when its rows follow the positions it declares."""
+    when its rows follow the positions it declares. It checks the noise
+    shape against the channel before it draws a pulse, so a header whose
+    shape contradicts its channel, or whose channel noise variance is not
+    finite, is a parse error too."""
 
     ROWS = [(0, 0, 1.5, 1.25, "q", "q", 1), (1, 0, -2.0, -1.5, "p", "q", 0)]
 
@@ -310,9 +313,14 @@ class TestHeaderRanges:
         ({"n": 0, "l": 5}, [], "n must be at least 1, got 0"),
         ({"l": 0}, [], "l must be at least 1, got 0"),
         ({"seed": -1}, ROWS, "seed must be at least 0, got -1"),
-    ], ids=["n-l-negative", "n-zero", "l-zero", "seed-negative"])
+        ({"shape": "uniform:halfwidth=5.0"}, ROWS,
+         "noise shape variance 8.33333 does not match the channel's"),
+        ({"eps": 1e308, "n0": 10.0}, ROWS,
+         "the channel's noise variance (1-t)*n0 + t*eps*n0 = inf is not finite"),
+    ], ids=["n-l-negative", "n-zero", "l-zero", "seed-negative", "shape-mismatch",
+            "noise-variance-overflow"])
     def test_out_of_range(self, fmt, header, rows, problem):
-        with pytest.raises(ParseError, match=f"bad record header: {problem}"):
+        with pytest.raises(ParseError, match=re.escape(f"bad record header: {problem}")):
             loads(_hand_record(fmt, rows, **header))
 
 

@@ -85,6 +85,14 @@ class TestSourceAndChannel:
         with pytest.raises(ConfigurationError):
             ch.validate_shape()
 
+    def test_largest_source_keeps_its_cross_correlation(self):
+        # sqrt(max float) is the largest v whose square is finite, and its
+        # cross_correlation is the same expression as for any smaller v
+        v = math.sqrt(sys.float_info.max)
+        assert EprSource(v).cross_correlation == math.sqrt(v ** 2 - 1.0)
+        with pytest.raises(ConfigurationError, match="too large"):
+            EprSource(math.nextafter(v, math.inf))
+
     def test_rho_block_needs_gaussian(self):
         with pytest.raises(ConfigurationError):
             ChannelModel(1.0, 2.0, UniformNoise.matching(2.0), rho_block=0.5)
@@ -101,8 +109,14 @@ class TestSourceAndChannel:
         lambda: DiscreteDisplacement(math.nan, 1.0),
         lambda: DiscreteDisplacement(1.0, math.nan),
         lambda: ChannelModel(1.0, 2.0, UniformNoise(3.0)).validate_shape(math.nan),
+        lambda: EprSource(math.inf),
+        lambda: EprSource(math.inf, math.inf),
+        lambda: EprSource(1e308),
+        lambda: ChannelModel(0.5, math.inf),
+        lambda: ChannelModel(1.0, 1e308).validate_shape(10.0),
     ], ids=["v", "n0", "t", "eps", "rho_block", "mixture-weight", "mixture-variance",
-            "halfwidth", "magnitude", "probability", "validate-shape"])
+            "halfwidth", "magnitude", "probability", "validate-shape", "v-inf", "n0-inf",
+            "v-square-overflows", "eps-inf", "noise-variance-overflows"])
     def test_nan_rejected(self, make):
         with pytest.raises(ConfigurationError):
             make()

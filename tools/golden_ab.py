@@ -12,7 +12,7 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 173 commands runs in about 14 s on
+It takes no options. The whole list of 187 commands runs in about 14 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -56,6 +56,13 @@ RANGE_HEADERS = {
     "n-l-negative": ({"n": -1, "l": -3}, [(-i, 0, *ROWS[i][2:]) for i in range(3)]),
     "n-zero": ({"n": 0, "l": 5}, []),
     "seed-negative": ({"seed": -1}, ROWS),
+}
+
+#: header fields whose noise shape contradicts the channel, or whose channel
+#: noise variance (1-t)*n0 + t*eps*n0 overflows, with rows that follow them
+CHANNEL_HEADERS = {
+    "shape-mismatch": ({"shape": "uniform:halfwidth=5.0"}, ROWS),
+    "noise-variance-overflow": ({"eps": 1e308, "n0": 10.0}, ROWS),
 }
 
 #: simulate arguments of sessions of three chunks, the last one partial
@@ -204,6 +211,35 @@ def commands():
         yield f"simulate-multi-chunk-{name}", ["simulate", "--v", "20", *args,
                                                "--out", f"multi-chunk-{name}.csv"]
 
+    # record headers that contradict their channel, in both formats
+    for name in CHANNEL_HEADERS:
+        for ext in FORMATS.values():
+            yield (f"error-rate-header-{name}-{ext}",
+                   ["rate", "--record", f"header-{name}.{ext}"])
+
+    # a noise shape that contradicts the channel, on a session too large to
+    # allocate, and non-finite or overflowing numbers, all rejected before any
+    # file is written
+    yield "error-simulate-shape-unallocatable", ["simulate", "--shape", "uniform:halfwidth=5",
+                                                 "--n", "10000000000", "--l", "10000000000",
+                                                 "--out", "huge-shape.csv"]
+    for label, args in (("v-inf", ["--v", "inf"]), ("v-overflow", ["--v", "1e308"]),
+                        ("eps-inf", ["--eps", "inf"]),
+                        ("noise-variance-overflow", ["--eps", "1e308", "--n0", "10"])):
+        yield f"error-simulate-{label}", ["simulate", *args, "--l", "100",
+                                          "--out", f"{label}.csv"]
+    yield "error-sweep-stop-inf", ["sweep", "--param", "eps", "--start", "0", "--stop", "inf",
+                                   "--steps", "3", "--out", "sweep-stop-inf.csv"]
+
+    # flags that sweep and rate --record do not take
+    for flag, value in (("--shape", "uniform"), ("--rho-block", "0.5")):
+        yield f"error-sweep-{flag[2:]}", ["sweep", "--param", "eps", "--start", "0",
+                                          "--stop", "1", "--steps", "2", flag, value,
+                                          "--out", "sweep-flag.csv"]
+    for flag, value in (("--protocol", "coherent_heterodyne"), ("--n0", "2")):
+        yield f"error-rate-record-{flag[2:]}", ["rate", "--record", records[0], flag, value,
+                                                "--out", "rate-record-flag.json"]
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -240,7 +276,7 @@ def run():
         (root / "header-unknown.csv").write_text(csv_record(" bogus=7"))
         (root / "header-repeated.csv").write_text(csv_record(" seed=1"))
         (root / "header-float-n.jsonl").write_text(json_record({**HEADER, "n": 1.5}))
-        for name, (fields, rows) in RANGE_HEADERS.items():
+        for name, (fields, rows) in {**RANGE_HEADERS, **CHANNEL_HEADERS}.items():
             for ext, write in (("csv", csv_record), ("jsonl", json_record)):
                 (root / f"header-{name}.{ext}").write_text(
                     write(header={**HEADER, **fields}, rows=rows))
