@@ -66,9 +66,14 @@ class Covariance2:
             raise DomainError(
                 f"variances must be non-negative, got ({self.var_a}, {self.var_b})")
         bound = self.var_a * self.var_b
-        if self.cov_ab ** 2 > bound * (1.0 + PSD_RTOL):
+        try:
+            square = self.cov_ab ** 2
+        except OverflowError:
+            raise DomainError(f"cov_ab = {self.cov_ab:.6g} is too large: "
+                              f"its square overflows") from None
+        if square > bound * (1.0 + PSD_RTOL):
             raise InconsistentStatisticsError(
-                f"cov_ab^2 = {self.cov_ab ** 2:.6g} exceeds var_a*var_b = {bound:.6g}")
+                f"cov_ab^2 = {square:.6g} exceeds var_a*var_b = {bound:.6g}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,7 @@ def conditional_variance(k: Covariance2) -> float:
     residue at the perfectly-correlated boundary is clipped to 0."""
     if k.var_a <= 0:
         raise DomainError("var_a must be positive to condition on A")
+    # cov_ab ** 2 cannot overflow here: Covariance2 rejects a cov_ab whose square does
     return max(k.var_b - k.cov_ab ** 2 / k.var_a, 0.0)
 
 
@@ -223,8 +229,13 @@ def coherent_rate_bound(
     cv2 = conditional_variance(k_prime)
     if cv1 <= 0 or cv2 <= 0:
         raise DomainError("both conditional variances must be positive")
-    per_pulse = math.log2(n0 / math.sqrt(cv1 * cv2))
-    return _report(k_measured, n, per_pulse, cv1, cv2)
+    product = cv1 * cv2
+    quotient = n0 / math.sqrt(product) if product > 0 else math.inf
+    if not 0.0 < quotient < math.inf:
+        raise DomainError(
+            f"conditional variances {cv1:.6g} and {cv2:.6g} are out of range for a rate "
+            f"bound: n0/sqrt(cv1*cv2) = {quotient:.6g} is not finite and positive")
+    return _report(k_measured, n, math.log2(quotient), cv1, cv2)
 
 
 def _report(k: Covariance2, n: int, per_pulse: float, cv: float,

@@ -12,12 +12,27 @@ Two on-disk formats carry the same fields:
 
 Floats are written with ``repr`` (shortest round-trip form), so a record
 re-serialized from the same session is byte-identical.
+
+Both formats are written by one row loop that formats the columns in
+chunks of ``ROW_CHUNK`` rows, one format string per format;
+``write_record`` streams the chunks to the file and ``dumps`` joins them.
+``loads`` first parses whole columns: each chunk of about ``PARSE_CHUNK``
+characters of whole lines goes through one ``findall`` of the format's
+anchored row pattern, which accepts the rows as ``dumps`` writes them.
+When the header is not on the first line, or a body line is blank or
+does not match in full, it runs the per-line loop instead, which also
+takes the lenient forms (whitespace around a CSV number, ``1_0``, JSON
+keys in any order, blank lines) and gives every error message with its
+line number. Both paths convert with ``int`` and ``float``, so a text
+either gives the same columns or the fast path declines it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +65,36 @@ HEADER_TYPES = {"protocol": (str,), "sifting": (str,), "n": (int,), "l": (int,),
                 "seed": (int,), "v": (int, float), "n0": (int, float), "t": (int, float),
                 "eps": (int, float), "shape": (str,), "rho_block": (int, float)}
 TYPE_NAMES = {(int,): "an integer", (int, float): "a number", (str,): "a string"}
+
+#: pulse rows per chunk of the writer's row loop
+ROW_CHUNK = 1 << 14
+
+#: one pulse row in each format, as dumps writes it; json.dumps of the row's
+#: dict gives the same text for finite a and b
+CSV_ROW = "{},{},{!r},{!r},{},{},{}".format
+JSON_ROW = ('{{"block": {}, "pulse": {}, "a": {!r}, "b": {!r}, '
+            '"label_a": "{}", "label_b": "{}", "kept": {}}}').format
+
+#: characters per findall of the fast reader, extended to the next line end
+PARSE_CHUNK = 1 << 20
+
+#: a float as repr writes it, and a float token of JSON's number grammar (a
+#: fraction or an exponent, so json gives a float) or a constant json.dumps writes
+_REPR_FLOAT = r"(-?(?:[0-9]+\.[0-9]+(?:e[+-][0-9]+)?|[0-9]+e[+-][0-9]+|inf|nan))"
+_JSON_FLOAT = (r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
+               r"|NaN|-?Infinity)")
+#: at most 18 digits, so every block and pulse fits the int64 columns
+_CSV_INT, _JSON_INT = r"([0-9]{1,18})", r"(-?(?:0|[1-9][0-9]{0,17}))"
+
+#: one whole pulse line of each format, as the fast reader accepts it; the
+#: key is whether the record is json-lines
+ROW_PATTERNS = {
+    False: re.compile(rf"^{_CSV_INT},{_CSV_INT},{_REPR_FLOAT},{_REPR_FLOAT},([qp]),([qp]),([01])$",
+                      re.MULTILINE),
+    True: re.compile(rf'^\{{"block": {_JSON_INT}, "pulse": {_JSON_INT}, "a": {_JSON_FLOAT}, '
+                     rf'"b": {_JSON_FLOAT}, "label_a": "([qp])", "label_b": "([qp])", '
+                     rf'"kept": ([01])\}}$', re.MULTILINE),
+}
 
 
 def shape_to_string(shape) -> str:
@@ -95,8 +140,9 @@ def _check_rows(line_numbers, n, block, pulse, a, b, label_a, label_b, kept) -> 
             raise ParseError(f"line {line_numbers[int(bad.argmax())]}: {problem}")
 
 
-def dumps(record: BlockRecord, fmt: str = "csv") -> str:
-    """Serialize a record to text in the requested format."""
+def _text_chunks(record: BlockRecord, fmt: str):
+    """The text of a record in pieces: its header line, then its pulse rows
+    ROW_CHUNK at a time. An unknown format raises before any piece is made."""
     fields = {
         "protocol": record.protocol.value,
         "sifting": record.sifting_mode.value,
@@ -114,22 +160,38 @@ def dumps(record: BlockRecord, fmt: str = "csv") -> str:
         header = HEADER_MAGIC + " " + " ".join(
             f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"
             for key, value in fields.items())
-        format_row = "{},{},{!r},{!r},{},{},{}".format
+        format_row = CSV_ROW
     elif fmt == "json-lines":
         header = json.dumps({"record": "cvqkd", **fields})
-
-        def format_row(*row):
-            return json.dumps(dict(zip(ROW_KEYS, row)))
+        format_row = JSON_ROW
     else:
         raise ParseError(f"unknown record format {fmt!r}")
-    # stream the columns: a list copy of each would raise the peak memory
+    return itertools.chain([header + "\n"], _row_chunks(record, format_row))
+
+
+def _row_chunks(record: BlockRecord, format_row):
+    """The pulse rows, each chunk's columns made Python lists with `.tolist()`:
+    a list copy of a whole column would raise the peak memory."""
     n, total = record.n, record.total_pulses
     label = LABEL_CHARS.__getitem__
-    rows = map(format_row, (i // n for i in range(total)), (i % n for i in range(total)),
-               map(float, record.a), map(float, record.b),
-               map(label, record.label_a), map(label, record.label_b),
-               map(int, record.kept))
-    return "\n".join([header, *rows]) + "\n"
+    for start in range(0, total, ROW_CHUNK):
+        rows = slice(start, min(start + ROW_CHUNK, total))
+        block, pulse = np.divmod(np.arange(rows.start, rows.stop), n)
+        a, b = record.a[rows], record.b[rows]
+        text = "\n".join(map(format_row, block.tolist(), pulse.tolist(), a.tolist(), b.tolist(),
+                             map(label, record.label_a[rows].tolist()),
+                             map(label, record.label_b[rows].tolist()),
+                             record.kept[rows].astype(np.uint8).tolist())) + "\n"
+        if format_row is JSON_ROW and not (np.isfinite(a).all() and np.isfinite(b).all()):
+            # json.dumps writes NaN, Infinity and -Infinity where repr writes nan,
+            # inf and -inf; only a and b can hold these letters in a json-lines row
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        yield text
+
+
+def dumps(record: BlockRecord, fmt: str = "csv") -> str:
+    """Serialize a record to text in the requested format."""
+    return "".join(_text_chunks(record, fmt))
 
 
 def _parse_header_line(line: str) -> list:
@@ -179,20 +241,52 @@ def _split_json_row(line: str):
             row["label_b"], _kept_flag(row["kept"], (0, 1)))
 
 
-def loads(text: str) -> BlockRecord:
-    """Parse a record from text, detecting the format from its first
-    non-blank line. Blank lines are skipped but counted, so errors cite
-    the line a user sees."""
-    lines = text.splitlines()
-    numbers = [number for number, line in enumerate(lines, 1) if line]
-    first = lines[numbers[0] - 1] if numbers else ""
+def _parse_header(first: str):
+    """The header pairs of a record's first non-blank line, and whether the
+    record is json-lines."""
     if first.startswith(HEADER_MAGIC):
-        pairs, split_row = _parse_header_line(first), _split_csv_row
-    elif first.startswith("{"):
-        pairs, split_row = _parse_json_header(first), _split_json_row
-    else:
-        raise ParseError("not a cvqkd record: unrecognized first line")
-    numbers = numbers[1:]
+        return _parse_header_line(first), False
+    if first.startswith("{"):
+        return _parse_json_header(first), True
+    raise ParseError("not a cvqkd record: unrecognized first line")
+
+
+def _is_char(chars, char: str) -> np.ndarray:
+    """Whether each of some one-character ASCII strings is char."""
+    return np.frombuffer("".join(chars).encode(), np.uint8) == ord(char)
+
+
+def _parse_columns(text: str, start: int, pattern):
+    """The block, pulse, a, b, label_a, label_b and kept columns of the pulse
+    lines text[start:], or None unless every line matches pattern in full.
+    Each chunk of about PARSE_CHUNK characters goes through one findall and
+    is converted before the next."""
+    total = text.count("\n", start) + (start < len(text) and text[-1] != "\n")
+    block, pulse = np.empty((2, total), dtype=np.int64)
+    a, b, label_a, label_b, kept = (np.empty(total, dtype) for dtype in COLUMN_DTYPES)
+    done = 0
+    while start < len(text):
+        end = text.find("\n", start + PARSE_CHUNK) + 1 or len(text)
+        matches = pattern.findall(text, start, end)
+        # a match is one whole line, so every line matched when the counts agree
+        if len(matches) != text.count("\n", start, end) + (text[end - 1] != "\n"):
+            return None
+        count = len(matches)
+        rows = slice(done, done + count)
+        block_s, pulse_s, a_s, b_s, label_a_s, label_b_s, kept_s = zip(*matches)
+        for column, strings, kind in ((block, block_s, int), (pulse, pulse_s, int),
+                                      (a, a_s, float), (b, b_s, float)):
+            column[rows] = np.fromiter(map(kind, strings), column.dtype, count)
+        label_a[rows] = _is_char(label_a_s, LABEL_CHARS[1])
+        label_b[rows] = _is_char(label_b_s, LABEL_CHARS[1])
+        kept[rows] = _is_char(kept_s, "1")
+        done, start = rows.stop, end
+    return block, pulse, a, b, label_a, label_b, kept
+
+
+def _parse_lines(lines: list, numbers: list, split_row):
+    """The columns of the given non-blank lines, one line at a time; a line
+    that does not parse raises ParseError citing its number."""
     block, pulse = np.empty((2, len(numbers)), dtype=np.int64)
     a, b, label_a, label_b, kept = (np.empty(len(numbers), dtype) for dtype in COLUMN_DTYPES)
     for i, number in enumerate(numbers):
@@ -203,8 +297,31 @@ def loads(text: str) -> BlockRecord:
             label_b[i] = LABEL_CHARS.index(label_b_char)
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"line {number}: {exc}") from exc
+    return block, pulse, a, b, label_a, label_b, kept
+
+
+def loads(text: str) -> BlockRecord:
+    """Parse a record from text, detecting the format from its first
+    non-blank line. Blank lines are skipped but counted, so errors cite
+    the line a user sees. A record whose header is its first line and
+    whose every other line is a row as dumps writes it is parsed a whole
+    column at a time; any other text goes through the per-line loop."""
+    header_end = text.find("\n") + 1 or len(text)
+    first = text[:header_end].removesuffix("\n")
+    columns = None
+    if first.splitlines() == [first]:
+        pairs, is_json = _parse_header(first)
+        columns = _parse_columns(text, header_end, ROW_PATTERNS[is_json])
+    if columns is not None:
+        numbers = range(2, 2 + len(columns[0]))  # no blank line: row i is on line i + 2
+    else:
+        lines = text.splitlines()
+        numbers = [number for number, line in enumerate(lines, 1) if line]
+        pairs, is_json = _parse_header(lines[numbers[0] - 1] if numbers else "")
+        numbers = numbers[1:]
+        columns = _parse_lines(lines, numbers, _split_json_row if is_json else _split_csv_row)
+    block, pulse, a, b, label_a, label_b, kept = columns
     fields, keys = dict(pairs), [key for key, _ in pairs]
-    is_json = split_row is _split_json_row
     try:
         for key in keys:
             if key not in HEADER_TYPES and not (is_json and key == "record"):
@@ -239,7 +356,9 @@ def loads(text: str) -> BlockRecord:
 
 def write_record(record: BlockRecord, path, fmt: str = "csv") -> Path:
     path = Path(path)
-    path.write_text(dumps(record, fmt))
+    chunks = _text_chunks(record, fmt)
+    with path.open("w") as file:
+        file.writelines(chunks)
     return path
 
 

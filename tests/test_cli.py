@@ -294,6 +294,23 @@ class TestRate:
             "rate", "--cov", "1,1,5", "--protocol", "squeezed_homodyne"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("cov, protocol, message", [
+        ("1e200,1e200,1e199", "squeezed_homodyne",
+         "cov_ab = 1e+199 is too large: its square overflows"),
+        ("1e200,1e200,0", "coherent_heterodyne",
+         "conditional variances 1e+200 and 1e+200 are out of range for a rate bound: "
+         "n0/sqrt(cv1*cv2) = 0 is not finite and positive"),
+        ("2,1e-200,0", "coherent_heterodyne",
+         "conditional variances 1e-200 and 1e-200 are out of range for a rate bound: "
+         "n0/sqrt(cv1*cv2) = inf is not finite and positive"),
+    ], ids=["cov-ab-square-overflow", "coherent-product-overflow",
+            "coherent-product-underflow"])
+    def test_out_of_range_literal_exits_2(self, runner, cov, protocol, message):
+        # these used to end in an OverflowError or a math domain error (exit 1)
+        result = runner.invoke(main, ["rate", "--cov", cov, "--protocol", protocol])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {message}\n"
+
     def test_json_report_written(self, runner, tmp_path):
         out = tmp_path / "report.json"
         run_ok(runner, ["rate", "--cov", "2,2,1",
@@ -401,6 +418,19 @@ class TestSweep:
             idx = header.index(column)
             rates = [float(line.split(",")[idx]) for line in lines[1:]]
             assert all(r > 0 for r in rates), column
+
+    def test_coherent_bound_out_of_range_leaves_cells_empty(self, runner, tmp_path):
+        # at eps = 1e200 the coherent bound's cv1*cv2 overflows; like every
+        # point where that bound is undefined, its cells stay empty
+        out = tmp_path / "sweep.csv"
+        run_ok(runner, ["sweep", "--param", "t", "--start", "0.5", "--stop", "1",
+                        "--steps", "2", "--eps", "1e200", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            cells = dict(zip(header, line.split(",")))
+            assert cells["delta_i_min_coherent"] == cells["cond_var_coherent"] == ""
+            assert float(cells["delta_i_min_squeezed"]) < 0
 
     def test_two_step_sweep_has_endpoints_only(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -4,7 +4,8 @@
 only, so their bytes do not depend on numpy's random streams. The digests
 below pin them: regrouping a sum or reordering a division changes a last
 bit that every tolerance-based test lets through. The record digests pin
-both text formats of fixed-seed sessions, row codec and header alike.
+both text formats of fixed-seed sessions, row codec and header alike, and
+of one session whose discarded rows hold nan, inf and -inf.
 The CLI digests pin `simulate` (stdout and record) for both protocols in
 both sifting modes, `rate --record` on one of those records, and the
 `verify --scope discrete` and `verify --scope statistical` manifests.
@@ -12,10 +13,12 @@ The column digests pin sessions of three chunks, whose chunks run on as
 many cores as the process may use.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -128,6 +131,28 @@ def test_record_bytes(name):
     record = run_session(**session)
     assert sha256(dumps(record, "csv").encode()) == csv_digest
     assert sha256(dumps(record, "json-lines").encode()) == jsonl_digest
+
+
+#: sha256 of the csv and json-lines records of the session below
+NON_FINITE_DIGESTS = ("1710382f59cb96351222b1d4b43e8acde6e790d180fc6402e1f53cb18bb60685",
+                      "63f122dee9621fa042e43ca4875e7b6be838f82340c6cc951348840205ae2657")
+
+
+def test_non_finite_discarded_record_bytes():
+    # a record may hold non-finite values in discarded rows; json-lines writes
+    # them as NaN, Infinity and -Infinity. They all sit past row 2**14, after
+    # a run of finite rows
+    record = run_session(EprSource(20.0), ChannelModel(0.5, 0.05),
+                         ProtocolKind.SQUEEZED_HOMODYNE, n=1, l=20_000,
+                         sifting_mode=SiftingMode.RANDOM_BASIS, rng_seed=12)
+    a, b = record.a.copy(), record.b.copy()
+    discarded = np.flatnonzero(~record.kept)
+    late = discarded[discarded >= 2**14][:6]
+    a[late] = [np.nan, np.inf, -np.inf, np.nan, np.inf, -np.inf]
+    b[late] = [-np.inf, np.nan, np.inf, 1.5, -np.inf, np.nan]
+    record = dataclasses.replace(record, a=a, b=b)
+    digests = tuple(sha256(dumps(record, fmt).encode()) for fmt in ("csv", "json-lines"))
+    assert digests == NON_FINITE_DIGESTS
 
 
 #: noise variance of the multi-chunk channels with a non-Gaussian shape

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -274,6 +275,43 @@ class TestCoherentRateBound:
             assert (coherent.delta_i_min_per_pulse
                     <= squeezed_prime.delta_i_min_per_pulse + 1e-12)
             checked += 1
+
+
+class TestOverflow:
+    """Entries whose products overflow raise DomainError, not OverflowError
+    or a math domain error."""
+
+    @pytest.mark.parametrize("var_a, var_b, cov_ab", [
+        (1e200, 1e200, 1e199), (1e300, 1e300, -2e154), (1.0, 1.0, 1e300),
+    ])
+    def test_cov_ab_square_overflow(self, var_a, var_b, cov_ab):
+        with pytest.raises(DomainError, match=r"cov_ab = .* its square overflows"):
+            Covariance2(var_a, var_b, cov_ab)
+
+    def test_largest_cov_ab_conditions(self):
+        # the largest cov_ab whose square is finite passes the PSD check, and
+        # conditional_variance squares it again without overflow
+        cov_ab = math.sqrt(sys.float_info.max)
+        k = Covariance2(1e300, 1e300, cov_ab)
+        assert conditional_variance(k) == 1e300 - cov_ab ** 2 / 1e300
+
+    def test_in_range_psd_violation_unchanged(self):
+        with pytest.raises(InconsistentStatisticsError,
+                           match=r"cov_ab\^2 = 25 exceeds var_a\*var_b = 1"):
+            Covariance2(1.0, 1.0, 5.0)
+
+    @pytest.mark.parametrize("k, quotient", [
+        (Covariance2(1e200, 1e200, 0.0), "0"), (Covariance2(2.0, 1e-200, 0.0), "inf"),
+    ], ids=["product-overflow", "product-underflow"])
+    def test_coherent_bound_out_of_range(self, k, quotient):
+        with pytest.raises(DomainError,
+                           match=rf"n0/sqrt\(cv1\*cv2\) = {quotient} is not finite and positive"):
+            coherent_rate_bound(k, 1)
+
+    def test_coherent_bound_in_range_bits(self):
+        # the guard leaves the closed form as it was
+        report = coherent_rate_bound(Covariance2(2.0, 0.5, 0.0), 1)
+        assert report.delta_i_min_per_pulse == math.log2(1.0 / math.sqrt(0.5 * 0.5))
 
 
 class TestEffectiveRate:

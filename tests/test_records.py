@@ -1,5 +1,6 @@
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cvqkd import (
     run_session,
     write_record,
 )
+from cvqkd import records
 from cvqkd.records import ROW_KEYS, dumps, loads, shape_from_string, shape_to_string
 from cvqkd.simulator import SHAPE_KINDS
 
@@ -388,3 +390,142 @@ class TestFormats:
     def test_unknown_format(self, record):
         with pytest.raises(ParseError):
             dumps(record, "xml")
+
+
+#: a small record with non-finite values in two discarded rows, in both formats
+DIFF_RECORD = run_session(
+    EprSource(9.0), ChannelModel(0.6, 0.25), ProtocolKind.SQUEEZED_HOMODYNE,
+    n=2, l=6, sifting_mode=SiftingMode.RANDOM_BASIS, rng_seed=3)
+DIFF_RECORD.a[np.flatnonzero(~DIFF_RECORD.kept)[:2]] = [np.nan, -np.inf]
+DIFF_TEXTS = {fmt: dumps(DIFF_RECORD, fmt) for fmt in ("csv", "json-lines")}
+
+#: characters a single edit puts into a record: ASCII and Arabic-Indic digits,
+#: number signs, separators, whitespace, line breaks that splitlines() honors
+EDIT_CHARS = list("0123456789.eE+-_,: \t{}\"qpx#") + ["\n", "\r", "\x0b", "\x85", "\u2028",
+                                                      "\u0663", "\u0665"]
+
+#: values a single edit puts in place of one row field
+FIELD_TOKENS = ["NaN", "Infinity", "-Infinity", "nan", "inf", "-inf", "-nan", "1e400", "-0.0",
+                "1.5", "+1.5", " 1.5", "1.5 ", "1_0.5", "1_0", "\u0663.5", "15", "1.", ".5",
+                "1E5", "1e+05", "01.5", "0", "1", "-0", "00", "9" * 19, '"q"', '"p"', "q",
+                "1" + "0" * 400, "true", "null", '"1.5"', "1.0"]
+
+#: lines a single edit inserts between two lines
+EXTRA_LINES = ["", " ", "# comment", "\r", "{}", "0,0,1.5,1.5,q,q,1"]
+
+
+def _json_fields(line: str) -> list:
+    return json.loads(line, object_pairs_hook=list)
+
+
+@st.composite
+def edited_records(draw):
+    """A record as dumps writes it, with one edit."""
+    fmt = draw(st.sampled_from(sorted(DIFF_TEXTS)))
+    text = DIFF_TEXTS[fmt]
+    lines = text.split("\n")
+    kind = draw(st.sampled_from(["replace", "insert", "delete", "field", "line", "keys"]))
+    if kind in ("replace", "insert", "delete"):
+        # a line first, so the header is edited as often as any row
+        line = draw(st.integers(0, len(lines) - 2))
+        i = sum(len(before) + 1 for before in lines[:line])
+        i += draw(st.integers(0, len(lines[line])))
+        char = "" if kind == "delete" else draw(st.sampled_from(EDIT_CHARS))
+        return text[:i] + char + text[i + (kind != "insert"):]
+    if kind == "line":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines.insert(i, draw(st.sampled_from(EXTRA_LINES + [lines[1], lines[0]])))
+        return "\n".join(lines)
+    row = draw(st.integers(1, len(lines) - 2))
+    if kind == "field":
+        column, token = draw(st.integers(0, 6)), draw(st.sampled_from(FIELD_TOKENS))
+        if fmt == "csv":
+            parts = lines[row].split(",")
+            parts[column] = token
+            lines[row] = ",".join(parts)
+        else:
+            fields = [(key, token if i == column else json.dumps(value))
+                      for i, (key, value) in enumerate(_json_fields(lines[row]))]
+            lines[row] = "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields) + "}"
+        return "\n".join(lines)
+    # keys: json-lines rows with their keys reordered, repeated or extended
+    lines = DIFF_TEXTS["json-lines"].split("\n")
+    fields = _json_fields(lines[row])
+    change = draw(st.sampled_from(["swap-a-b", "reverse", "repeat", "extra"]))
+    if change == "swap-a-b":
+        fields[2], fields[3] = fields[3], fields[2]
+    elif change == "reverse":
+        fields.reverse()
+    elif change == "repeat":
+        fields.append(draw(st.sampled_from(fields)))
+    else:
+        fields.insert(draw(st.integers(0, 7)), ("extra", 1))
+    lines[row] = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in fields) + "}"
+    return "\n".join(lines)
+
+
+def _outcome(text: str):
+    """The columns and configuration loads gives, as bytes and values, or
+    the message of the ParseError it raises."""
+    try:
+        record = loads(text)
+    except ParseError as exc:
+        return str(exc)
+    return ([getattr(record, c).tobytes() for c in ("a", "b", "label_a", "label_b", "kept")],
+            record.n, record.l, record.protocol, record.sifting_mode, record.seed,
+            record.source, record.channel)
+
+
+def _per_line_outcome(text: str):
+    """_outcome with the whole-column parser declining, so every row goes
+    through the per-line loop."""
+    with mock.patch.object(records, "_parse_columns", return_value=None):
+        return _outcome(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=edited_records())
+def test_whole_column_reader_agrees_with_per_line_loop(text):
+    assert _outcome(text) == _per_line_outcome(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+@pytest.mark.parametrize("line", [0, 1, 12])
+@pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_whole_column_reader_agrees_on_line_breaks(fmt, line, char):
+    # line breaks that splitlines() honors and a "\n" split does not, in the
+    # header, a row and the last row
+    lines = DIFF_TEXTS[fmt].split("\n")
+    lines[line] = lines[line][:20] + char + lines[line][20:]
+    text = "\n".join(lines)
+    assert _outcome(text) == _per_line_outcome(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_whole_column_reader_reads_canonical_text(fmt):
+    # the per-line loop fails if it runs, so these loads take the fast path
+    text = DIFF_TEXTS[fmt]
+    with mock.patch.object(records, "_parse_lines", side_effect=AssertionError):
+        back = loads(text)
+    for column in ("a", "b", "label_a", "label_b", "kept"):
+        assert getattr(back, column).tobytes() == getattr(DIFF_RECORD, column).tobytes()
+    assert _outcome(text) == _per_line_outcome(text)
+
+
+@pytest.mark.parametrize("fmt, edit", [
+    ("csv", lambda lines: lines.insert(0, "")),
+    ("csv", lambda lines: lines.insert(4, "")),
+    ("csv", lambda lines: lines.__setitem__(2, lines[2].replace(",", ", ", 3))),
+    ("csv", lambda lines: lines.__setitem__(2, lines[2] + "\r")),
+    ("json-lines", lambda lines: lines.__setitem__(
+        3, json.dumps(dict(reversed(json.loads(lines[3]).items()))))),
+], ids=["leading-blank-line", "blank-line", "spaces", "carriage-return", "json-reordered"])
+def test_whole_column_reader_declines_lenient_text(fmt, edit):
+    # text the per-line loop reads and dumps never writes
+    lines = DIFF_TEXTS[fmt].split("\n")
+    edit(lines)
+    text = "\n".join(lines)
+    header_end = text.find("\n") + 1
+    pattern = records.ROW_PATTERNS[fmt == "json-lines"]
+    assert records._parse_columns(text, header_end, pattern) is None
+    assert isinstance(_outcome(text), tuple)

@@ -12,7 +12,7 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 187 commands runs in about 14 s on
+It takes no options. The whole list of 194 commands runs in about 14 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -240,6 +240,20 @@ def commands():
         yield f"error-rate-record-{flag[2:]}", ["rate", "--record", records[0], flag, value,
                                                 "--out", "rate-record-flag.json"]
 
+    # covariances whose products overflow: cov_ab squared, and the coherent
+    # bound's cv1*cv2, whose sweep cells stay empty as wherever that bound is undefined
+    yield "error-rate-cov-square-overflow", ["rate", "--cov", "1e200,1e200,1e199",
+                                             "--protocol", "squeezed_homodyne"]
+    yield "error-rate-cov-coherent-overflow", ["rate", "--cov", "1e200,1e200,0",
+                                               "--protocol", "coherent_heterodyne"]
+    yield "sweep-coherent-overflow", ["sweep", "--param", "t", "--start", "0.5", "--stop", "1",
+                                      "--steps", "2", "--eps", "1e200",
+                                      "--out", "sweep-coherent-overflow.csv"]
+
+    # valid records in forms dumps never writes, read by the per-line loop
+    for name in LENIENT_RECORDS:
+        yield f"rate-record-lenient-{name}", ["rate", "--record", name, "--format", "json"]
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -255,9 +269,21 @@ def csv_record(extra: str = "", header=HEADER, rows=ROWS) -> str:
     return "\n".join([header + extra, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
-def json_record(header=HEADER, rows=ROWS) -> str:
+def json_record(header=HEADER, rows=ROWS, keys=ROW_KEYS) -> str:
+    rows = (dict(zip(ROW_KEYS, row)) for row in rows)
     return "\n".join([json.dumps({"record": "cvqkd", **header}),
-                      *(json.dumps(dict(zip(ROW_KEYS, row))) for row in rows)]) + "\n"
+                      *(json.dumps({key: row[key] for key in keys}) for row in rows)]) + "\n"
+
+
+#: valid records that are not as dumps writes them: a leading blank line, a
+#: CSV a with a plus sign, json-lines rows with b before a
+LENIENT_RECORDS = {
+    "blank-line.csv": lambda: "\n" + csv_record(),
+    "blank-line.jsonl": lambda: "\n" + json_record(),
+    "plus-sign.csv": lambda: csv_record(rows=[(0, 0, "+1.5", *ROWS[0][3:]), *ROWS[1:]]),
+    "b-before-a.jsonl": lambda: json_record(
+        keys=("block", "pulse", "b", "a", "label_a", "label_b", "kept")),
+}
 
 
 def run():
@@ -280,6 +306,8 @@ def run():
             for ext, write in (("csv", csv_record), ("jsonl", json_record)):
                 (root / f"header-{name}.{ext}").write_text(
                     write(header={**HEADER, **fields}, rows=rows))
+        for name, text in LENIENT_RECORDS.items():
+            (root / name).write_text(text())
         before = snapshot(root)
         for label, argv in commands():
             result = runner.invoke(main, argv)
