@@ -177,7 +177,12 @@ def squeezed_rate_bound(k: Covariance2, n: int, n0: float = 1.0) -> RateReport:
     cv = conditional_variance(k)
     if cv <= 0:
         raise DomainError("conditional variance must be positive for a rate bound")
-    return _report(k, n, math.log2(n0 / cv), cv)
+    quotient = n0 / cv
+    if not 0.0 < quotient < math.inf:
+        raise DomainError(
+            f"conditional variance {cv:.6g} is out of range for a rate bound: "
+            f"n0/cv = {quotient:.6g} is not finite and positive")
+    return _report(k, n, math.log2(quotient), cv)
 
 
 def heterodyne_covariance_transform(
@@ -204,8 +209,11 @@ def heterodyne_covariance_transform(
         var_a_prime = 2.0 * (k_measured.var_a - n0)
     else:
         var_a_prime = 2.0 * k_measured.var_a - n0
-    return Covariance2(var_a_prime, k_measured.var_b,
-                       math.sqrt(2.0) * k_measured.cov_ab)
+    cov_ab_prime = math.sqrt(2.0) * k_measured.cov_ab
+    if math.isinf(cov_ab_prime * cov_ab_prime):
+        raise DomainError(f"cov_ab = {k_measured.cov_ab:.6g} is too large for the heterodyne "
+                          f"transform: the square of sqrt(2)*cov_ab overflows")
+    return Covariance2(var_a_prime, k_measured.var_b, cov_ab_prime)
 
 
 def coherent_rate_bound(
@@ -242,9 +250,16 @@ def _report(k: Covariance2, n: int, per_pulse: float, cv: float,
             cv_prime: float | None = None) -> RateReport:
     """The unsifted report of a bound of per_pulse bits; i_be_bound is
     defined so that delta_i_min = i_ab - i_be_bound holds."""
+    try:
+        block = n * per_pulse
+    except OverflowError:  # an n beyond the float range
+        block = math.inf
+    if not math.isfinite(block):
+        raise DomainError(f"block size {n} is too large: the block rate "
+                          f"n * {per_pulse:.6g} bits is not finite")
     i_ab = gaussian_mutual_information(k)
     return RateReport(
-        delta_i_min_per_pulse=per_pulse, delta_i_min_block=n * per_pulse,
+        delta_i_min_per_pulse=per_pulse, delta_i_min_block=block,
         i_ab=i_ab, i_be_bound=i_ab - per_pulse, cond_var_b_given_a=cv,
         sifting_applied=False, cond_var_b_given_a_prime=cv_prime)
 

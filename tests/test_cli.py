@@ -111,7 +111,12 @@ class TestSimulate:
         ({"shape": 3}, 2, "shape must be a string, got 3"),
         ({"format": ["csv"]}, 2, "format must be a string, got ['csv']"),
         ([1, 2], 3, "must hold a JSON object, got list"),
-    ], ids=["n", "v", "t", "rho_block", "beta", "seed", "shape", "format", "array"])
+        ({"format": "xml"}, 2, "unknown record format 'xml'"),
+        ({"protocol": "bogus"}, 2, "unknown protocol 'bogus'"),
+        ({"beta": 1.5}, 2, "reconciliation efficiency must be in [0, 1], got 1.5"),
+        ({"n": 1.5}, 2, "n must be an integer, got 1.5"),
+    ], ids=["n", "v", "t", "rho_block", "beta", "seed", "shape", "format", "array",
+            "format-unknown", "protocol-unknown", "beta-above-1", "n-fractional"])
     def test_config_value_of_wrong_type(self, runner, tmp_path, config, code, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -294,21 +299,49 @@ class TestRate:
             "rate", "--cov", "1,1,5", "--protocol", "squeezed_homodyne"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("cov, protocol, message", [
-        ("1e200,1e200,1e199", "squeezed_homodyne",
+    @pytest.mark.parametrize("cov, protocol, extra, message", [
+        ("1e200,1e200,1e199", "squeezed_homodyne", [],
          "cov_ab = 1e+199 is too large: its square overflows"),
-        ("1e200,1e200,0", "coherent_heterodyne",
+        ("1e200,1e200,0", "coherent_heterodyne", [],
          "conditional variances 1e+200 and 1e+200 are out of range for a rate bound: "
          "n0/sqrt(cv1*cv2) = 0 is not finite and positive"),
-        ("2,1e-200,0", "coherent_heterodyne",
+        ("2,1e-200,0", "coherent_heterodyne", [],
          "conditional variances 1e-200 and 1e-200 are out of range for a rate bound: "
          "n0/sqrt(cv1*cv2) = inf is not finite and positive"),
+        ("1,1e-310,0", "squeezed_homodyne", ["--format", "json"],
+         "conditional variance 1e-310 is out of range for a rate bound: "
+         "n0/cv = inf is not finite and positive"),
+        ("1e300,1e300,0", "squeezed_homodyne", ["--n0", "1e-300"],
+         "conditional variance 1e+300 is out of range for a rate bound: "
+         "n0/cv = 0 is not finite and positive"),
+        ("20,10.5,14.124446891825535", "squeezed_homodyne", ["--n", str(10 ** 309)],
+         f"block size {10 ** 309} is too large: the block rate n * 0.929611 bits is not finite"),
+        ("1000,1000,999.9995", "squeezed_homodyne", ["--n", str(10 ** 308), "--format", "json"],
+         f"block size {10 ** 308} is too large: the block rate n * 9.96578 bits is not finite"),
+        ("1e300,1e300,1.2e154", "coherent_heterodyne", [],
+         "cov_ab = 1.2e+154 is too large for the heterodyne transform: "
+         "the square of sqrt(2)*cov_ab overflows"),
     ], ids=["cov-ab-square-overflow", "coherent-product-overflow",
-            "coherent-product-underflow"])
-    def test_out_of_range_literal_exits_2(self, runner, cov, protocol, message):
-        # these used to end in an OverflowError or a math domain error (exit 1)
-        result = runner.invoke(main, ["rate", "--cov", cov, "--protocol", protocol])
+            "coherent-product-underflow", "squeezed-quotient-overflow",
+            "squeezed-quotient-underflow", "n-beyond-float", "block-rate-overflow",
+            "transform-cov-ab-overflow"])
+    def test_out_of_range_literal_exits_2(self, runner, cov, protocol, extra, message):
+        # these used to end in an OverflowError or a math domain error (exit 1), print
+        # an infinite rate (exit 0) or name a transformed cov_ab the user never gave
+        result = runner.invoke(main, ["rate", "--cov", cov, "--protocol", protocol, *extra])
         assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["--cov", "1,1,0"], 2, "--cov needs --protocol"),
+        (["--cov", "1,1,0", "--protocol", "squeezed_homodyne", "--beta", "1.5"], 2,
+         "beta must be in [0, 1], got 1.5"),
+        (["--cov", "1,x,2", "--protocol", "squeezed_homodyne"], 3,
+         "bad covariance literal '1,x,2': could not convert string to float: 'x'"),
+    ], ids=["cov-without-protocol", "beta-above-1", "literal-not-a-number"])
+    def test_bad_argument(self, runner, args, code, message):
+        result = runner.invoke(main, ["rate", *args])
+        assert result.exit_code == code, result.output
         assert result.stderr == f"error: {message}\n"
 
     def test_json_report_written(self, runner, tmp_path):

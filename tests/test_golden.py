@@ -223,7 +223,7 @@ RATE_RECORD_DIGEST = "67a501c10bb6221e1f1d95663fcd8f1d5dd149c8cb11179d93227d1afa
 VERIFY_DISCRETE_DIGEST = "f7b3cc8daa816869e64f5d1f8118e9397534da4ac453a84047adbb00d0c2b414"
 
 #: sha256 of the `verify --scope statistical --pulses 20000` manifest
-VERIFY_STATISTICAL_DIGEST = "780dd78ee71730c5e78ebf353892cb865e9f4c8f010da94637d3526e7d86c24b"
+VERIFY_STATISTICAL_DIGEST = "e39503ec58597cdd1b9be3609e78599c6e4ace7c81c176b764b9c202e3c407e9"
 
 
 @pytest.fixture

@@ -313,6 +313,35 @@ class TestOverflow:
         report = coherent_rate_bound(Covariance2(2.0, 0.5, 0.0), 1)
         assert report.delta_i_min_per_pulse == math.log2(1.0 / math.sqrt(0.5 * 0.5))
 
+    @pytest.mark.parametrize("k, n0, message", [
+        (Covariance2(1.0, 1e-310, 0.0), 1.0,
+         r"conditional variance 1e-310 is out of range .* n0/cv = inf is not finite"),
+        (Covariance2(1e300, 1e300, 0.0), 1e-300,
+         r"conditional variance 1e\+300 is out of range .* n0/cv = 0 is not finite"),
+    ], ids=["quotient-overflow", "quotient-underflow"])
+    def test_squeezed_bound_out_of_range(self, k, n0, message):
+        with pytest.raises(DomainError, match=message):
+            squeezed_rate_bound(k, 1, n0)
+
+    @pytest.mark.parametrize("k, n", [
+        (K_WORKED, 10 ** 309), (Covariance2(1000.0, 1000.0, 999.9995), 10 ** 308),
+    ], ids=["n-beyond-float", "block-rate-overflow"])
+    def test_block_rate_out_of_range(self, k, n):
+        with pytest.raises(DomainError, match=rf"block size {n} is too large: "
+                                              r"the block rate n \* .* bits is not finite"):
+            squeezed_rate_bound(k, n)
+
+    def test_large_block_in_range_bits(self):
+        # the guard leaves the block rate as it was
+        report = squeezed_rate_bound(K_WORKED, 10 ** 300)
+        assert report.delta_i_min_block == 10 ** 300 * report.delta_i_min_per_pulse
+
+    def test_transform_overflow_names_given_cov_ab(self):
+        with pytest.raises(DomainError, match=r"^cov_ab = 1\.2e\+154 is too large for the "
+                                              r"heterodyne transform: the square of "
+                                              r"sqrt\(2\)\*cov_ab overflows$"):
+            heterodyne_covariance_transform(Covariance2(1e300, 1e300, 1.2e154))
+
 
 class TestEffectiveRate:
     def test_perfect_reconciliation_recovers_bound(self):

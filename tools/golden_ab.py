@@ -12,7 +12,7 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 194 commands runs in about 14 s on
+It takes no options. The whole list of 199 commands runs in about 14 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -253,6 +253,19 @@ def commands():
     # valid records in forms dumps never writes, read by the per-line loop
     for name in LENIENT_RECORDS:
         yield f"rate-record-lenient-{name}", ["rate", "--record", name, "--format", "json"]
+
+    # rate bounds out of the float range: the squeezed quotient n0/cv, the block
+    # rate n * delta_i_min, and the heterodyne transform's sqrt(2)*cov_ab squared
+    for label, cov, args in (
+            ("squeezed-quotient-overflow", "1,1e-310,0", ["--format", "json"]),
+            ("squeezed-quotient-underflow", "1e300,1e300,0", ["--n0", "1e-300"]),
+            ("n-beyond-float", "20,10.5,14.124446891825535", ["--n", str(10 ** 309)]),
+            ("block-rate-overflow", "1000,1000,999.9995",
+             ["--n", str(10 ** 308), "--format", "json"])):
+        yield f"error-rate-{label}", ["rate", "--cov", cov, "--protocol", "squeezed_homodyne",
+                                      *args]
+    yield "error-rate-transform-cov-ab-overflow", ["rate", "--cov", "1e300,1e300,1.2e154",
+                                                   "--protocol", "coherent_heterodyne"]
 
 
 def sha256(data: bytes) -> str:
