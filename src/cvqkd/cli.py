@@ -102,9 +102,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown protocol {self.protocol!r}")
         if self.sifting not in SIFTING_NAMES:
             raise ConfigurationError(f"unknown sifting mode {self.sifting!r}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigurationError(
-                f"reconciliation efficiency must be in [0, 1], got {self.beta}")
+        _check_efficiency(self.beta)
         for name in ("n", "l", "seed"):
             value = getattr(self, name)
             if not float(value).is_integer():
@@ -128,6 +126,12 @@ class ExperimentConfig:
                     "this channel adds no noise")
             shape = SHAPE_KINDS[self.shape].matching(noise_variance)
         return ChannelModel(self.t, self.eps, shape, self.rho_block)
+
+
+def _check_efficiency(beta: float) -> None:
+    """Raise unless the reconciliation efficiency beta is in [0, 1]."""
+    if not 0.0 <= beta <= 1.0:
+        raise ConfigurationError(f"reconciliation efficiency must be in [0, 1], got {beta}")
 
 
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -390,6 +394,10 @@ SWEEP_COLUMNS = (
     "cond_var_squeezed", "cond_var_coherent",
 )
 
+#: one CSV line of a sweep: every cell, or the coherent cells left empty
+SWEEP_ROW = "{},{!r},{!r},{!r},{!r},{!r},{!r},{!r},{!r},{!r}\n"
+SWEEP_ROW_SQUEEZED_ONLY = "{0},{1!r},{2!r},,{4!r},,{6!r},,{8!r},\n"
+
 
 @main.command()
 @config_options
@@ -417,59 +425,42 @@ def sweep(config, param, start, stop, steps, transform, out, plot_out, **overrid
                                  f"got {start:g} to {stop:g}")
     path = resolve_out(out)
     plot_path = None if plot_out is None else resolve_out(plot_out)
-    rows = [_sweep_row(base, param, start + (stop - start) * i / (steps - 1),
-                       HeterodyneTransform(transform))
-            for i in range(steps)]
+    kinds = (ProtocolKind.SQUEEZED_HOMODYNE, ProtocolKind.COHERENT_HETERODYNE)
+    transform = HeterodyneTransform(transform)
+    point, n0, rows = {"v": base.v, "t": base.t, "eps": base.eps, "beta": base.beta}, base.n0, []
+    for i in range(steps):
+        value = point[param] = start + (stop - start) * i / (steps - 1)
+        try:
+            _check_efficiency(point["beta"])
+            source, channel = EprSource(point["v"], n0), ChannelModel(point["t"], point["eps"])
+            cells = []  # per protocol: delta_i_min, i_ab, i_be_bound, cond_var
+            for kind in kinds:
+                k = analytic_covariance(source, channel, kind)
+                try:
+                    report = rate_bound(k, 1, kind, n0, transform)
+                except DomainError:
+                    if not cells:  # the squeezed bound; without it there is no row
+                        raise
+                    cells.append((None,) * 4)  # the coherent bound is undefined here
+                else:
+                    cells.append((report.effective_rate(point["beta"] * report.i_ab),
+                                  report.i_ab, report.i_be_bound, report.cond_var_b_given_a))
+        except (ConfigurationError, DomainError) as exc:
+            raise type(exc)(f"{param}={value:g}: {exc}") from exc
+        (delta, i_ab, i_be, var), (delta_c, i_ab_c, i_be_c, var_c) = cells
+        rows.append((param, value, delta, delta_c, i_ab, i_ab_c, i_be, i_be_c, var, var_c))
 
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in SWEEP_COLUMNS))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(",".join(SWEEP_COLUMNS) + "\n" + "".join(
+        (SWEEP_ROW if row[3] is not None else SWEEP_ROW_SQUEEZED_ONLY).format(*row)
+        for row in rows))
     click.echo(f"wrote {path} ({steps} grid points)")
 
     if plot_path is not None:
-        doc = {
-            "param": param,
-            "values": [row["value"] for row in rows],
-            "series": {c: [r[c] for r in rows] for c in SWEEP_COLUMNS[2:]},
-        }
+        columns = list(zip(*rows))
+        doc = {"param": param, "values": columns[1],
+               "series": dict(zip(SWEEP_COLUMNS[2:], columns[2:]))}
         plot_path.write_text(json.dumps(doc, indent=2) + "\n")
         click.echo(f"wrote {plot_path}")
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _sweep_row(base: ExperimentConfig, param: str, value: float,
-               transform: HeterodyneTransform) -> dict:
-    """The rate columns at one grid value, everything else as in base."""
-    try:
-        point = dataclasses.replace(base, **{param: value})
-        source, channel = EprSource(point.v, point.n0), ChannelModel(point.t, point.eps)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{param}={value:g}: {exc}") from exc
-    row = {c: None for c in SWEEP_COLUMNS}
-    row["param"] = param
-    row["value"] = value
-    for kind, suffix in ((ProtocolKind.SQUEEZED_HOMODYNE, "squeezed"),
-                         (ProtocolKind.COHERENT_HETERODYNE, "coherent")):
-        k = analytic_covariance(source, channel, kind)
-        try:
-            report = rate_bound(k, 1, kind, point.n0, transform)
-        except DomainError:
-            if kind is ProtocolKind.SQUEEZED_HOMODYNE:
-                raise
-            break  # the coherent bound is undefined here; its cells stay empty
-        row[f"delta_i_min_{suffix}"] = report.effective_rate(point.beta * report.i_ab)
-        row[f"i_ab_{suffix}"] = report.i_ab
-        row[f"i_be_bound_{suffix}"] = report.i_be_bound
-        row[f"cond_var_{suffix}"] = report.cond_var_b_given_a
-    return row
 
 
 if __name__ == "__main__":

@@ -209,6 +209,9 @@ def heterodyne_covariance_transform(
         var_a_prime = 2.0 * (k_measured.var_a - n0)
     else:
         var_a_prime = 2.0 * k_measured.var_a - n0
+    if math.isinf(var_a_prime):
+        raise DomainError(f"var_a = {k_measured.var_a:.6g} is too large for the heterodyne "
+                          f"transform: the reconstructed variance overflows")
     cov_ab_prime = math.sqrt(2.0) * k_measured.cov_ab
     if math.isinf(cov_ab_prime * cov_ab_prime):
         raise DomainError(f"cov_ab = {k_measured.cov_ab:.6g} is too large for the heterodyne "
@@ -297,3 +300,5 @@ def _check_bound_args(n: int, n0: float) -> None:
         raise DomainError(f"block size must be a positive integer, got {n!r}")
     if not n0 > 0:
         raise DomainError(f"shot-noise unit must be positive, got {n0}")
+    if math.isinf(n0):
+        raise DomainError(f"shot-noise unit must be finite, got {n0}")

@@ -357,9 +357,12 @@ class BlockRecord:
         """Kept pulses as a SampleSet, both quadratures pooled by flipping
         the sign of Bob's p values (the EPR correlation is anti-symmetric
         in p, so the flip makes both labels share one joint law)."""
-        b = self.b[self.kept]
-        # negating is exact, so this matches multiplying by a -1.0/1.0 sign
-        np.negative(b, out=b, where=self.label_b[self.kept] == P)
+        b, labels = self.b[self.kept], self.label_b[self.kept]
+        # x * -1.0 is -x bit for bit (NaN aside, which SampleSet rejects); a chunk
+        # at a time, so the signs never take a whole column of floats
+        sign = np.array([1.0, -1.0])  # by label code: Q keeps its sign, P flips it
+        for start in range(0, len(b), CHUNK_PULSES):
+            b[start:start + CHUNK_PULSES] *= sign[labels[start:start + CHUNK_PULSES]]
         return SampleSet(self.a[self.kept], b)
 
 

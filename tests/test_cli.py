@@ -321,13 +321,18 @@ class TestRate:
         ("1e300,1e300,1.2e154", "coherent_heterodyne", [],
          "cov_ab = 1.2e+154 is too large for the heterodyne transform: "
          "the square of sqrt(2)*cov_ab overflows"),
+        ("1e308,1e308,0", "coherent_heterodyne", [],
+         "var_a = 1e+308 is too large for the heterodyne transform: "
+         "the reconstructed variance overflows"),
+        ("3,3,0", "squeezed_homodyne", ["--n0", "inf"], "shot-noise unit must be finite, got inf"),
     ], ids=["cov-ab-square-overflow", "coherent-product-overflow",
             "coherent-product-underflow", "squeezed-quotient-overflow",
             "squeezed-quotient-underflow", "n-beyond-float", "block-rate-overflow",
-            "transform-cov-ab-overflow"])
+            "transform-cov-ab-overflow", "transform-var-a-overflow", "n0-inf"])
     def test_out_of_range_literal_exits_2(self, runner, cov, protocol, extra, message):
         # these used to end in an OverflowError or a math domain error (exit 1), print
-        # an infinite rate (exit 0) or name a transformed cov_ab the user never gave
+        # an infinite rate (exit 0), name a transformed cov_ab the user never gave, call
+        # finite entries infinite or blame the conditional variance for an infinite n0
         result = runner.invoke(main, ["rate", "--cov", cov, "--protocol", protocol, *extra])
         assert result.exit_code == 2, result.output
         assert result.stderr == f"error: {message}\n"
@@ -481,6 +486,10 @@ class TestSweep:
          "error: v=0.5: source variance 0.5 below the vacuum variance"),
         (["--param", "v", "--start", "2", "--stop", "1e200"], 2,
          "error: v=2.5e+199: source variance 2.5e+199 is too large"),
+        (["--param", "eps", "--start", "0", "--stop", "1", "--v", "0.5"], 2,
+         "error: eps=0: source variance 0.5 below the vacuum variance"),
+        (["--param", "v", "--start", "2", "--stop", "1.3e154"], 2,
+         "error: v=3.25e+153: conditional variance must be positive for a rate bound"),
         (["--param", "eps", "--start", "0", "--stop", "inf"], 2,
          "error: --start and --stop must span a finite range, got 0 to inf"),
         (["--param", "eps", "--start", "-inf", "--stop", "1"], 2,
@@ -489,14 +498,27 @@ class TestSweep:
          "error: --start and --stop must span a finite range, got 0 to nan"),
         (["--param", "eps", "--start", "-1e308", "--stop", "1e308"], 2,
          "error: --start and --stop must span a finite range, got -1e+308 to 1e+308"),
-    ], ids=["transmission", "source", "source-overflow", "stop-inf", "start-inf", "stop-nan",
-            "range-overflow"])
+    ], ids=["transmission", "source", "source-overflow", "fixed-source",
+            "conditional-variance", "stop-inf", "start-inf", "stop-nan", "range-overflow"])
     def test_bad_grid_point(self, runner, tmp_path, args, code, message):
         out = tmp_path / "s.csv"
         result = runner.invoke(main, ["sweep", *args, "--steps", "5", "--out", str(out)])
         assert result.exit_code == code
         assert message in result.output
         assert not out.exists()
+
+    def test_both_bounds_at_every_grid_point(self, runner, tmp_path, monkeypatch):
+        # each grid point evaluates both protocols through the names cvqkd.cli
+        # looks up, also where the coherent bound is undefined (v = 1 here)
+        calls = {"analytic_covariance": 0, "rate_bound": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(cvqkd.cli, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(cvqkd.cli, name, counted)
+        run_ok(runner, ["sweep", "--param", "v", "--start", "1", "--stop", "40", "--steps", "14",
+                        "--t", "0.4", "--transform", "printed", "--out", str(tmp_path / "s.csv")])
+        assert calls == {"analytic_covariance": 28, "rate_bound": 28}
 
     def test_single_step_rejected(self, runner, tmp_path):
         result = runner.invoke(main, [

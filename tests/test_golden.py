@@ -53,6 +53,16 @@ SWEEPS = {
                         "--eps", "0.1", "--transform", "printed"],
                        "b0aca4545affa6b9ae966b95f24e2dbd966afc70a2aa34104d151f832262a795",
                        "bfe5b92b9bcc044f25e823e6ed8bb783cf2a891bf6b2661bf068c6f5e72c3c70"),
+    # the printed transform is undefined at v = 1 only, so one row leaves its
+    # coherent cells empty and the others fill them
+    "v-printed": (["--param", "v", "--start", "1", "--stop", "40", "--steps", "14",
+                   "--t", "0.4", "--eps", "0.05", "--transform", "printed"],
+                  "c57a8e9c5c6d799ff26e393f3fe04e3e4a4f9f9addf2ff76896e42e1578800a4",
+                  "65dcfeac90ede6f90551c5f02ae34af2ec4f254c881175c64e6a9a2fc17224e1"),
+    "eps-1000": (["--param", "eps", "--start", "0", "--stop", "0.5", "--steps", "1000",
+                  "--t", "0.7", "--v", "15", "--beta", "0.95"],
+                 "549612fa9fba14e05aba645e4f8d99a41672378179c1873b2da22803828dee9d",
+                 "27b4a8ccbbaa5bfc829c85119beea2d3244938bc7bdd897ae37cd7d7e38bfa7e"),
 }
 
 #: config files of the sweeps above that take one: a config may name a noise

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -341,6 +342,23 @@ class TestOverflow:
                                               r"heterodyne transform: the square of "
                                               r"sqrt\(2\)\*cov_ab overflows$"):
             heterodyne_covariance_transform(Covariance2(1e300, 1e300, 1.2e154))
+
+    @pytest.mark.parametrize("transform", list(HeterodyneTransform))
+    def test_transform_overflow_names_given_var_a(self, transform):
+        with pytest.raises(DomainError, match=r"^var_a = 1e\+308 is too large for the "
+                                              r"heterodyne transform: the reconstructed "
+                                              r"variance overflows$"):
+            heterodyne_covariance_transform(Covariance2(1e308, 1e308, 0.0), 1.0, transform)
+
+    @pytest.mark.parametrize("n0, message", [
+        (math.inf, "shot-noise unit must be finite, got inf"),
+        (math.nan, "shot-noise unit must be positive, got nan"),
+        (0.0, "shot-noise unit must be positive, got 0.0"),
+    ], ids=["inf", "nan", "zero"])
+    def test_bound_rejects_shot_noise_unit(self, n0, message):
+        for protocol in ProtocolKind:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                rate_bound(Covariance2(3.0, 3.0, 0.0), 1, protocol, n0)
 
 
 class TestEffectiveRate:

@@ -264,6 +264,19 @@ class TestRunSession:
         assert kq.cov_ab > 0 > kp.cov_ab
         assert kq.cov_ab == pytest.approx(-kp.cov_ab, rel=0.05)
 
+    @pytest.mark.parametrize("protocol", [HOMODYNE, HETERODYNE])
+    @pytest.mark.parametrize("sifting", list(SiftingMode))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_samples_negate_bobs_p_values(self, protocol, sifting, n):
+        # bit for bit, across chunk boundaries and a partial last chunk
+        rec = run_session(EprSource(8.0), ChannelModel(0.7, 0.2), protocol, n=n,
+                          l=(2 * simulator.CHUNK_PULSES + 999) // n,
+                          sifting_mode=sifting, rng_seed=17)
+        samples = rec.samples()
+        expected = np.where(rec.label_b == P, -rec.b, rec.b)[rec.kept]
+        assert samples.b.tobytes() == expected.tobytes()
+        assert samples.a.tobytes() == rec.a[rec.kept].tobytes()
+
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             run_session(EprSource(4.0), ChannelModel(1.0, 0.0), HOMODYNE,

@@ -12,7 +12,7 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 199 commands runs in about 14 s on
+It takes no options. The whole list of 202 commands runs in about 14 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -266,6 +266,16 @@ def commands():
                                       *args]
     yield "error-rate-transform-cov-ab-overflow", ["rate", "--cov", "1e300,1e300,1.2e154",
                                                    "--protocol", "coherent_heterodyne"]
+
+    # the heterodyne transform's reconstructed variance, an infinite shot-noise
+    # unit, and a sweep point whose conditional variance cancels to 0, each named
+    yield "error-rate-transform-var-a-overflow", ["rate", "--cov", "1e308,1e308,0",
+                                                  "--protocol", "coherent_heterodyne"]
+    yield "error-rate-n0-inf", ["rate", "--cov", "3,3,0", "--protocol", "squeezed_homodyne",
+                                "--n0", "inf"]
+    yield "error-sweep-conditional-variance", ["sweep", "--param", "v", "--start", "2",
+                                               "--stop", "1.3e154", "--steps", "2",
+                                               "--out", "sweep-conditional-variance.csv"]
 
 
 def sha256(data: bytes) -> str:
