@@ -287,9 +287,12 @@ def rate(record_path, cov, protocol, beta, n, n0, transform, fmt, out):
         block = 1 if n is None else n
         k = _parse_cov(cov)
 
+    transform = HeterodyneTransform(transform)
     try:
-        report = rate_bound(k, block, kind, shot, HeterodyneTransform(transform))
+        report = rate_bound(k, block, kind, shot, transform)
     except InconsistentStatisticsError as exc:
+        if transform is not HeterodyneTransform.PRINTED:
+            raise
         raise InconsistentStatisticsError(
             f"{exc} (the printed variance convention rejects these statistics; "
             f"try --transform beamsplitter)") from exc

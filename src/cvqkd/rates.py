@@ -88,22 +88,27 @@ class RateReport:
     """
 
     delta_i_min_per_pulse: float
-    delta_i_min_block: float
+    block_size: int
     i_ab: float
-    i_be_bound: float
     cond_var_b_given_a: float
     sifting_applied: bool
     cond_var_b_given_a_prime: float | None = None
 
+    @property
+    def i_be_bound(self) -> float:
+        return self.i_ab - self.delta_i_min_per_pulse
+
+    @property
+    def delta_i_min_block(self) -> float:
+        return self.block_size * self.delta_i_min_per_pulse
+
     def with_sifting(self) -> "RateReport":
-        """Halve every per-pulse information rate with `apply_sifting` (random
-        independent quadrature choices make Alice and Bob agree half of the time)."""
+        """Halve the stored rates with `apply_sifting` (random independent quadrature
+        choices make Alice and Bob agree half of the time); the derived ones follow exactly."""
         return replace(
             self,
             delta_i_min_per_pulse=apply_sifting(self.delta_i_min_per_pulse),
-            delta_i_min_block=apply_sifting(self.delta_i_min_block),
             i_ab=apply_sifting(self.i_ab),
-            i_be_bound=apply_sifting(self.i_be_bound),
             sifting_applied=True,
         )
 
@@ -133,8 +138,7 @@ def gaussian_entropy(variance: float) -> float:
 
 def vacuum_entropy(n0: float = 1.0) -> float:
     """Entropy of one vacuum quadrature (2.047095... bits for n0 = 1)."""
-    if not n0 > 0:
-        raise DomainError(f"shot-noise unit must be positive, got {n0}")
+    _check_shot_noise(n0)
     return gaussian_entropy(n0)
 
 
@@ -201,6 +205,7 @@ def heterodyne_covariance_transform(
     positive semidefinite (the PRINTED convention does this on exactly the
     statistics a low-loss entangled source produces).
     """
+    _check_shot_noise(n0)
     if not k_measured.var_a > n0:
         raise DomainError(
             f"measured Alice variance {k_measured.var_a} must exceed the "
@@ -251,8 +256,7 @@ def coherent_rate_bound(
 
 def _report(k: Covariance2, n: int, per_pulse: float, cv: float,
             cv_prime: float | None = None) -> RateReport:
-    """The unsifted report of a bound of per_pulse bits; i_be_bound is
-    defined so that delta_i_min = i_ab - i_be_bound holds."""
+    """The unsifted report of a bound of per_pulse bits for blocks of n."""
     try:
         block = n * per_pulse
     except OverflowError:  # an n beyond the float range
@@ -260,11 +264,9 @@ def _report(k: Covariance2, n: int, per_pulse: float, cv: float,
     if not math.isfinite(block):
         raise DomainError(f"block size {n} is too large: the block rate "
                           f"n * {per_pulse:.6g} bits is not finite")
-    i_ab = gaussian_mutual_information(k)
     return RateReport(
-        delta_i_min_per_pulse=per_pulse, delta_i_min_block=block,
-        i_ab=i_ab, i_be_bound=i_ab - per_pulse, cond_var_b_given_a=cv,
-        sifting_applied=False, cond_var_b_given_a_prime=cv_prime)
+        delta_i_min_per_pulse=per_pulse, block_size=n, i_ab=gaussian_mutual_information(k),
+        cond_var_b_given_a=cv, sifting_applied=False, cond_var_b_given_a_prime=cv_prime)
 
 
 def rate_bound(
@@ -290,14 +292,18 @@ def conditional_squeezing_check(k: Covariance2, n0: float = 1.0) -> str:
     """Sufficient security condition on second moments alone: the verdict
     is "secure" iff the conditional variance of B given A is below the
     vacuum variance (strictly; the boundary carries zero key rate)."""
-    if not n0 > 0:
-        raise DomainError(f"shot-noise unit must be positive, got {n0}")
+    _check_shot_noise(n0)
     return "secure" if conditional_variance(k) < n0 else "insecure"
 
 
 def _check_bound_args(n: int, n0: float) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"block size must be a positive integer, got {n!r}")
+    _check_shot_noise(n0)
+
+
+def _check_shot_noise(n0: float) -> None:
+    """Raise DomainError unless the shot-noise unit n0 is positive and finite."""
     if not n0 > 0:
         raise DomainError(f"shot-noise unit must be positive, got {n0}")
     if math.isinf(n0):

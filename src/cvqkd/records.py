@@ -170,18 +170,19 @@ def _text_chunks(record: BlockRecord, fmt: str):
 
 
 def _row_chunks(record: BlockRecord, format_row):
-    """The pulse rows, each chunk's columns made Python lists with `.tolist()`:
-    a list copy of a whole column would raise the peak memory."""
+    """The pulse rows, each chunk's columns made Python lists with `.tolist()`
+    and its kept flags compared from its own labels: a list copy or a
+    comparison of a whole column would raise the peak memory."""
     n, total = record.n, record.total_pulses
     label = LABEL_CHARS.__getitem__
     for start in range(0, total, ROW_CHUNK):
         rows = slice(start, min(start + ROW_CHUNK, total))
         block, pulse = np.divmod(np.arange(rows.start, rows.stop), n)
         a, b = record.a[rows], record.b[rows]
+        label_a, label_b = record.label_a[rows], record.label_b[rows]
         text = "\n".join(map(format_row, block.tolist(), pulse.tolist(), a.tolist(), b.tolist(),
-                             map(label, record.label_a[rows].tolist()),
-                             map(label, record.label_b[rows].tolist()),
-                             record.kept[rows].astype(np.uint8).tolist())) + "\n"
+                             map(label, label_a.tolist()), map(label, label_b.tolist()),
+                             (label_a == label_b).view(np.uint8).tolist())) + "\n"
         if format_row is JSON_ROW and not (np.isfinite(a).all() and np.isfinite(b).all()):
             # json.dumps writes NaN, Infinity and -Infinity where repr writes nan,
             # inf and -inf; only a and b can hold these letters in a json-lines row
@@ -263,7 +264,7 @@ def _parse_columns(text: str, start: int, pattern):
     is converted before the next."""
     total = text.count("\n", start) + (start < len(text) and text[-1] != "\n")
     block, pulse = np.empty((2, total), dtype=np.int64)
-    a, b, label_a, label_b, kept = (np.empty(total, dtype) for dtype in COLUMN_DTYPES)
+    a, b, label_a, label_b, kept = (np.empty(total, dtype) for dtype in (*COLUMN_DTYPES, bool))
     done = 0
     while start < len(text):
         end = text.find("\n", start + PARSE_CHUNK) + 1 or len(text)
@@ -288,7 +289,8 @@ def _parse_lines(lines: list, numbers: list, split_row):
     """The columns of the given non-blank lines, one line at a time; a line
     that does not parse raises ParseError citing its number."""
     block, pulse = np.empty((2, len(numbers)), dtype=np.int64)
-    a, b, label_a, label_b, kept = (np.empty(len(numbers), dtype) for dtype in COLUMN_DTYPES)
+    a, b, label_a, label_b, kept = (np.empty(len(numbers), dtype)
+                                    for dtype in (*COLUMN_DTYPES, bool))
     for i, number in enumerate(numbers):
         try:
             (block[i], pulse[i], a[i], b[i], label_a_char, label_b_char,
@@ -351,7 +353,7 @@ def loads(text: str) -> BlockRecord:
     _check_rows(numbers, n, block, pulse, a, b, label_a, label_b, kept)
     return BlockRecord(n=n, l=l, protocol=protocol, sifting_mode=sifting_mode,
                        seed=seed, source=source, channel=channel,
-                       a=a, b=b, label_a=label_a, label_b=label_b, kept=kept)
+                       a=a, b=b, label_a=label_a, label_b=label_b)
 
 
 def write_record(record: BlockRecord, path, fmt: str = "csv") -> Path:

@@ -38,8 +38,8 @@ MAX_SOURCE_VARIANCE = math.sqrt(sys.float_info.max)
 Q, P = 0, 1  # quadrature label codes used in record arrays
 LABEL_CHARS = ("q", "p")
 
-#: dtypes of a record's a, b, label_a, label_b and kept columns
-COLUMN_DTYPES = (float, float, np.uint8, np.uint8, bool)
+#: dtypes of a record's a, b, label_a and label_b columns
+COLUMN_DTYPES = (float, float, np.uint8, np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +322,9 @@ def measure_alice(qa, pa, protocol: ProtocolKind, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class BlockRecord:
-    """l blocks of n pulses: measured values, quadrature labels (0=q, 1=p)
-    and sifting flags, plus the configuration that generated them. Pulses
-    are stored block-major: pulse j of block i sits at index i*n + j."""
+    """l blocks of n pulses: measured values and quadrature labels (0=q,
+    1=p), plus the configuration that generated them. Pulses are stored
+    block-major: pulse j of block i sits at index i*n + j."""
 
     n: int
     l: int
@@ -337,17 +337,21 @@ class BlockRecord:
     b: np.ndarray
     label_a: np.ndarray
     label_b: np.ndarray
-    kept: np.ndarray
 
     def __post_init__(self):
         total = self.n * self.l
-        for arr in (self.a, self.b, self.label_a, self.label_b, self.kept):
+        for arr in (self.a, self.b, self.label_a, self.label_b):
             if len(arr) != total:
                 raise ConfigurationError("record arrays must hold n*l entries")
 
     @property
     def total_pulses(self) -> int:
         return self.n * self.l
+
+    @property
+    def kept(self) -> np.ndarray:
+        """The sifting flags: a pulse is kept when Alice's and Bob's labels agree."""
+        return self.label_a == self.label_b
 
     @property
     def kept_fraction(self) -> float:
@@ -357,13 +361,14 @@ class BlockRecord:
         """Kept pulses as a SampleSet, both quadratures pooled by flipping
         the sign of Bob's p values (the EPR correlation is anti-symmetric
         in p, so the flip makes both labels share one joint law)."""
-        b, labels = self.b[self.kept], self.label_b[self.kept]
+        kept = self.kept
+        b, labels = self.b[kept], self.label_b[kept]
         # x * -1.0 is -x bit for bit (NaN aside, which SampleSet rejects); a chunk
         # at a time, so the signs never take a whole column of floats
         sign = np.array([1.0, -1.0])  # by label code: Q keeps its sign, P flips it
         for start in range(0, len(b), CHUNK_PULSES):
             b[start:start + CHUNK_PULSES] *= sign[labels[start:start + CHUNK_PULSES]]
-        return SampleSet(self.a[self.kept], b)
+        return SampleSet(self.a[kept], b)
 
 
 def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,
@@ -392,16 +397,16 @@ def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,
          [column[start:start + per_chunk] for column in columns])
         for chunk, start in enumerate(range(0, n * l, per_chunk))])
 
-    a, b, label_a, label_b, kept = columns
+    a, b, label_a, label_b = columns
     return BlockRecord(n=n, l=l, protocol=protocol, sifting_mode=sifting_mode,
                        seed=rng_seed, source=src, channel=ch,
-                       a=a, b=b, label_a=label_a, label_b=label_b, kept=kept)
+                       a=a, b=b, label_a=label_a, label_b=label_b)
 
 
-# one chunk, written in place into its slices of the five columns; its own
+# one chunk, written in place into its slices of the four columns; its own
 # function so that its temporaries are freed as soon as it returns
 def _generate_chunk(src, ch, protocol, n, sifting_mode, rng, out):
-    a, b, label_a, label_b, kept = out
+    a, b, label_a, label_b = out
     m = len(a)
     qa, pa, qb0, pb0 = simulate_epr_pulse(src, rng, size=m)
 
@@ -410,7 +415,6 @@ def _generate_chunk(src, ch, protocol, n, sifting_mode, rng, out):
         label_b[:] = rng.integers(0, 2, m)
     else:
         label_b[:] = label_a
-    np.equal(label_a, label_b, out=kept)
 
     qb, pb = apply_attack(qb0, pb0, ch, rng, src.n0, n)
     np.copyto(b, pb)

@@ -193,6 +193,12 @@ class TestShapeErrors:
         result = self.simulate(runner, tmp_path, "--shape", "uniform:width=1")
         assert result.exit_code == 3
 
+    def test_parameter_without_value(self, runner, tmp_path):
+        result = self.simulate(runner, tmp_path, "--shape", "uniform:halfwidth")
+        assert result.exit_code == 3
+        assert result.stderr == "error: bad noise-shape parameters 'halfwidth'\n"
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("spec", ["gaussian:foo=1", "uniform:halfwidth=1.0,bogus=7"])
     def test_parameterized_unknown_key(self, runner, tmp_path, spec):
         result = self.simulate(runner, tmp_path, "--shape", spec)
@@ -227,6 +233,15 @@ class TestRate:
         assert payload["delta_i_min_per_pulse"] == pytest.approx(
             math.log2(1 / 0.525), abs=1e-9)
         assert payload["verdict"] == "secure key obtainable"
+
+    def test_coherent_text_report(self, runner):
+        # both conditional variances, and Eve's bound and the block rate derived
+        # from I_AB and the per-pulse rate
+        lines = run_ok(runner, ["rate", "--cov", "10.5,10.5,9.0", "--protocol",
+                                "coherent_heterodyne", "--n", "4"]).output.splitlines()
+        assert lines[2] == "conditional variance B|A: 2.78571   B|A': 1.97368"
+        assert lines[4] == "I_AB: 0.957135 bits/pulse   I_BE bound: 2.186604 bits/pulse"
+        assert lines[5] == "delta_I_min: -1.229469 bits/pulse, -4.917877 bits/block of n=4"
 
     def test_beta_zero_no_key(self, runner):
         result = run_ok(runner, [
@@ -336,6 +351,26 @@ class TestRate:
         result = runner.invoke(main, ["rate", "--cov", cov, "--protocol", protocol, *extra])
         assert result.exit_code == 2, result.output
         assert result.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("transform, bound, hint", [
+        ("printed", 4, " (the printed variance convention rejects these statistics; "
+                       "try --transform beamsplitter)"),
+        ("beamsplitter", 6, ""),
+    ])
+    def test_inconsistent_transform_hints_at_the_other(self, runner, transform, bound, hint):
+        # the hint names beamsplitter only when that transform is not the one in use
+        result = runner.invoke(main, ["rate", "--cov", "2,2,2", "--protocol",
+                                      "coherent_heterodyne", "--transform", transform])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: cov_ab^2 = 8 exceeds var_a*var_b = {bound}{hint}\n"
+
+    def test_coherent_conditional_variance_zero_exits_2(self, runner):
+        # Bob is an exact linear function of Alice's reconstructed mode
+        result = runner.invoke(main, ["rate", "--cov", "2,3,2.1213203435596424",
+                                      "--protocol", "coherent_heterodyne",
+                                      "--transform", "beamsplitter"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: both conditional variances must be positive\n"
 
     @pytest.mark.parametrize("args, code, message", [
         (["--cov", "1,1,0"], 2, "--cov needs --protocol"),

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -54,6 +55,10 @@ class TestSampleSet:
         with pytest.raises(DomainError):
             SampleSet(np.array([1.0, np.nan]), np.array([0.0, 0.0]))
 
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(DomainError, match="^sample arrays must be 1-d and of equal length$"):
+            SampleSet(np.zeros(3), np.zeros(2))
+
 
 class TestEstimateCovariance:
     def test_two_point_antisymmetric(self):
@@ -67,6 +72,16 @@ class TestEstimateCovariance:
     def test_mean_subtraction(self):
         k = estimate_covariance(SampleSet(np.array([11, 9]), np.array([101, 99])))
         assert (k.var_a, k.var_b, k.cov_ab) == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("scale, seed", [(3.0, 0), (-2.3, 5)])
+    def test_rounding_outside_the_cone_is_clipped(self, scale, seed):
+        # b = scale * a: the sample covariance rounds past sqrt(var_a * var_b)
+        a = np.random.default_rng(seed).normal(size=5)
+        x, y = a - a.mean(), scale * a - (scale * a).mean()
+        raw, limit = float(x @ y) / 5, math.sqrt(float(x @ x) / 5 * float(y @ y) / 5)
+        assert abs(raw) > limit
+        k = estimate_covariance(SampleSet(a, scale * a))
+        assert k.cov_ab == math.copysign(limit, raw)
 
     def test_large_sample_close_to_truth(self, correlated_gaussian):
         k = estimate_covariance(correlated_gaussian)
@@ -114,6 +129,19 @@ class TestKnnEntropy:
     def test_duplicate_heavy_data_degenerates(self):
         with pytest.raises(DegenerateDataError):
             knn_differential_entropy(np.zeros(1000))
+
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros((4, 2, 2)), "values must be a 1-d sequence or an (n, d) array"),
+        ([1.0, math.nan, 2.0], "values must be finite"),
+    ], ids=["three-axes", "nan"])
+    def test_rejects_values(self, values, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            knn_differential_entropy(values)
+
+    def test_exact_linear_relation_is_singular(self, rng):
+        x = rng.normal(size=1000)
+        with pytest.raises(DegenerateDataError, match="^sample covariance is singular"):
+            knn_differential_entropy(np.column_stack([x, 2 * x]))
 
     def test_survives_some_duplicates(self, rng):
         x = np.round(rng.normal(size=50_000), 1)  # heavy ties, nonzero spread

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -13,6 +14,7 @@ from cvqkd import (
     HeterodyneTransform,
     InconsistentStatisticsError,
     ProtocolKind,
+    RateReport,
     apply_sifting,
     coherent_rate_bound,
     conditional_squeezing_check,
@@ -37,6 +39,21 @@ def covariances(min_var=0.05, max_var=50.0, max_rho=0.99):
         st.floats(min_var, max_var), st.floats(min_var, max_var),
         st.floats(-max_rho, max_rho),
     ).map(lambda t: Covariance2(t[0], t[1], t[2] * math.sqrt(t[0] * t[1])))
+
+
+class TestCovariance2:
+    @pytest.mark.parametrize("entries", [
+        (math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 1.0, math.nan),
+    ], ids=["var_a", "var_b", "cov_ab"])
+    def test_rejects_nan(self, entries):
+        with pytest.raises(DomainError, match="^covariance entries must be finite$"):
+            Covariance2(*entries)
+
+    @pytest.mark.parametrize("entries", [(-1.0, 1.0, 0.0), (1.0, -1.0, 0.0)])
+    def test_rejects_negative_variance(self, entries):
+        with pytest.raises(DomainError, match=re.escape(
+                f"variances must be non-negative, got {entries[:2]}")):
+            Covariance2(*entries)
 
 
 class TestGaussianEntropy:
@@ -354,11 +371,62 @@ class TestOverflow:
         (math.inf, "shot-noise unit must be finite, got inf"),
         (math.nan, "shot-noise unit must be positive, got nan"),
         (0.0, "shot-noise unit must be positive, got 0.0"),
-    ], ids=["inf", "nan", "zero"])
+        (-1.0, "shot-noise unit must be positive, got -1.0"),
+    ], ids=["inf", "nan", "zero", "negative"])
     def test_bound_rejects_shot_noise_unit(self, n0, message):
         for protocol in ProtocolKind:
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 rate_bound(Covariance2(3.0, 3.0, 0.0), 1, protocol, n0)
+
+
+#: the functions besides the bounds (TestOverflow) that take a
+#: shot-noise unit, as functions of that unit
+SHOT_NOISE_UNIT_USERS = {
+    "vacuum_entropy": vacuum_entropy,
+    "conditional_squeezing_check":
+        lambda n0: conditional_squeezing_check(Covariance2(3.0, 3.0, 0.0), n0),
+    "heterodyne_covariance_transform":
+        lambda n0: heterodyne_covariance_transform(Covariance2(3.0, 3.0, 1.0), n0),
+}
+
+
+@pytest.mark.parametrize("use", SHOT_NOISE_UNIT_USERS.values(), ids=SHOT_NOISE_UNIT_USERS)
+@pytest.mark.parametrize("n0, message", [
+    (0.0, "shot-noise unit must be positive, got 0.0"),
+    (-1.0, "shot-noise unit must be positive, got -1.0"),
+    (math.nan, "shot-noise unit must be positive, got nan"),
+    (math.inf, "shot-noise unit must be finite, got inf"),
+], ids=["zero", "negative", "nan", "inf"])
+def test_one_shot_noise_unit_rule(use, n0, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        use(n0)
+
+
+class TestRateReportDerivedRates:
+    """Eve's bound and the block rate are computed from the stored rates, so
+    they agree with them exactly, sifted or not."""
+
+    def test_neither_is_stored(self):
+        names = {field.name for field in dataclasses.fields(RateReport)}
+        assert not names & {"i_be_bound", "delta_i_min_block"}
+
+    @given(covariances(), st.integers(1, 10 ** 6), st.sampled_from(list(ProtocolKind)))
+    def test_identities_hold_exactly(self, k, n, protocol):
+        try:
+            report = rate_bound(k, n, protocol, 1.0, HeterodyneTransform.BEAMSPLITTER)
+        except DomainError:
+            return
+        for r in (report, report.with_sifting()):
+            assert r.i_be_bound == r.i_ab - r.delta_i_min_per_pulse
+            assert r.delta_i_min_block == n * r.delta_i_min_per_pulse
+
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_sifting_halves_every_rate_exactly(self, protocol):
+        report = rate_bound(K_WORKED, 7, protocol, 1.0, HeterodyneTransform.BEAMSPLITTER)
+        sifted = report.with_sifting()
+        assert sifted.sifting_applied and not report.sifting_applied
+        for name in ("delta_i_min_per_pulse", "delta_i_min_block", "i_ab", "i_be_bound"):
+            assert getattr(sifted, name) == getattr(report, name) / 2
 
 
 class TestEffectiveRate:
@@ -421,6 +489,11 @@ class TestConditionalSqueezingCheck:
 
 
 class TestMutualInformation:
+    def test_degenerate_covariance_rejected(self):
+        # B is an exact linear function of A, so its conditional variance is 0
+        with pytest.raises(DomainError, match="^mutual information undefined"):
+            gaussian_mutual_information(Covariance2(4, 9, 6))
+
     @given(covariances(max_rho=0.999))
     def test_non_negative(self, k):
         try:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from unittest import mock
@@ -41,6 +42,15 @@ class TestRoundTrip:
         assert np.array_equal(back.label_a, record.label_a)
         assert np.array_equal(back.label_b, record.label_b)
         assert np.array_equal(back.kept, record.kept)
+
+    def test_replaced_labels_write_their_own_flags(self, record, fmt):
+        # a record whose labels are replaced writes the flags of its new labels,
+        # so the file loads and keeps every pulse whose labels agree
+        agreed = dataclasses.replace(record, label_b=record.label_a.copy())
+        back = loads(dumps(agreed, fmt))
+        assert np.array_equal(back.kept, back.label_a == back.label_b)
+        assert back.kept.all()
+        assert len(back.samples()) == back.total_pulses
 
     def test_preserves_configuration(self, record, fmt):
         back = loads(dumps(record, fmt))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -9,6 +10,7 @@ import pytest
 from cvqkd import (
     ATTACK_CATALOG,
     CATALOG_SOURCE,
+    BlockRecord,
     ChannelModel,
     ConfigurationError,
     DiscreteDisplacement,
@@ -92,6 +94,10 @@ class TestSourceAndChannel:
         assert EprSource(v).cross_correlation == math.sqrt(v ** 2 - 1.0)
         with pytest.raises(ConfigurationError, match="too large"):
             EprSource(math.nextafter(v, math.inf))
+
+    def test_shape_must_be_a_shape_object(self):
+        with pytest.raises(ConfigurationError, match="^unknown noise shape 'gaussian'$"):
+            ChannelModel(0.5, 0.0, "gaussian")
 
     def test_rho_block_needs_gaussian(self):
         with pytest.raises(ConfigurationError):
@@ -276,6 +282,22 @@ class TestRunSession:
         expected = np.where(rec.label_b == P, -rec.b, rec.b)[rec.kept]
         assert samples.b.tobytes() == expected.tobytes()
         assert samples.a.tobytes() == rec.a[rec.kept].tobytes()
+
+    def test_kept_is_derived_from_the_labels(self):
+        rec = run_session(EprSource(8.0), ChannelModel(0.7, 0.2), HOMODYNE,
+                          n=2, l=500, rng_seed=18)
+        assert "kept" not in {field.name for field in dataclasses.fields(BlockRecord)}
+        assert np.array_equal(rec.kept, rec.label_a == rec.label_b)
+        assert not rec.kept.all()
+        # new labels bring their own flags: Bob's choices made equal to Alice's
+        # keep every pulse, each signed by its own label
+        agreed = dataclasses.replace(rec, label_b=rec.label_a.copy())
+        assert agreed.kept.all() and agreed.kept_fraction == 1.0
+        samples = agreed.samples()
+        assert len(samples) == agreed.total_pulses
+        assert samples.b.tobytes() == np.where(agreed.label_b == P, -rec.b, rec.b).tobytes()
+        with pytest.raises(ConfigurationError, match="^record arrays must hold n\\*l entries$"):
+            dataclasses.replace(rec, label_b=rec.label_b[1:])
 
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):

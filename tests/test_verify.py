@@ -45,6 +45,10 @@ class TestDiscreteJoint:
         with pytest.raises(ConfigurationError):
             DiscreteJoint(2, UNIFORM_BIT_PAIR)
 
+    def test_rejects_no_pulses(self):
+        with pytest.raises(ConfigurationError, match="^need at least one pulse component$"):
+            DiscreteJoint(0, np.array(1.0))
+
     def test_random_is_valid(self):
         j = DiscreteJoint.random(2, 3, np.random.default_rng(0))
         assert j.table.shape == (3, 3, 3, 3)

@@ -12,7 +12,7 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 202 commands runs in about 14 s on
+It takes no options. The whole list of 205 commands runs in about 14 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -276,6 +276,17 @@ def commands():
     yield "error-sweep-conditional-variance", ["sweep", "--param", "v", "--start", "2",
                                                "--stop", "1.3e154", "--steps", "2",
                                                "--out", "sweep-conditional-variance.csv"]
+
+    # a coherent bound whose conditional variance is 0, a shape parameter with no
+    # value, and statistics the beamsplitter transform rejects, with no hint
+    yield "error-rate-coherent-conditional-variance", [
+        "rate", "--cov", "2,3,2.1213203435596424", "--protocol", "coherent_heterodyne",
+        "--transform", "beamsplitter"]
+    yield "error-simulate-shape-parameter-without-value", [
+        "simulate", "--shape", "uniform:halfwidth", "--out", "shape-no-value.csv"]
+    yield "error-rate-beamsplitter-inconsistent", [
+        "rate", "--cov", "2,2,2", "--protocol", "coherent_heterodyne",
+        "--transform", "beamsplitter"]
 
 
 def sha256(data: bytes) -> str:
