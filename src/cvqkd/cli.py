@@ -267,8 +267,7 @@ def rate(record_path, cov, protocol, beta, n, n0, transform, fmt, out):
         raise ConfigurationError("give exactly one of --record or --cov")
     if record_path is not None and (protocol is not None or n0 is not None):
         raise ConfigurationError(f"{'--protocol' if protocol else '--n0'} is read from the record")
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigurationError(f"beta must be in [0, 1], got {beta}")
+    _check_efficiency(beta)
     out_path = None if out is None else resolve_out(out)
 
     record = sample_count = None

@@ -27,6 +27,11 @@ from .errors import DomainError, InconsistentStatisticsError
 #: so covariances estimated in floating point are not rejected
 PSD_RTOL = 1e-9
 
+#: largest relative rounding error a rate bound accepts on a conditional
+#: variance var_b - cov_ab**2/var_a, whose two terms cancel as B nears a
+#: deterministic function of A
+CONDITIONING_RTOL = 1e-6
+
 
 class ProtocolKind(Enum):
     """Which entanglement-based protocol variant produced the data."""
@@ -186,6 +191,7 @@ def squeezed_rate_bound(k: Covariance2, n: int, n0: float = 1.0) -> RateReport:
         raise DomainError(
             f"conditional variance {cv:.6g} is out of range for a rate bound: "
             f"n0/cv = {quotient:.6g} is not finite and positive")
+    _check_conditioning(k, cv)
     return _report(k, n, math.log2(quotient), cv)
 
 
@@ -251,7 +257,21 @@ def coherent_rate_bound(
         raise DomainError(
             f"conditional variances {cv1:.6g} and {cv2:.6g} are out of range for a rate "
             f"bound: n0/sqrt(cv1*cv2) = {quotient:.6g} is not finite and positive")
+    _check_conditioning(k_measured, cv1)
+    _check_conditioning(k_prime, cv2)
     return _report(k_measured, n, math.log2(quotient), cv1, cv2)
+
+
+def _check_conditioning(k: Covariance2, cv: float) -> None:
+    """Raise DomainError when rounding may have moved the conditional variance
+    cv = var_b - cov_ab**2/var_a of k by more than CONDITIONING_RTOL of itself.
+    Four units in the last place of var_b + cov_ab**2/var_a bound that error."""
+    error = 4.0 * 2.0 ** -53 * (k.var_b + k.cov_ab ** 2 / k.var_a)
+    if error > CONDITIONING_RTOL * cv:
+        raise DomainError(
+            f"conditional variance {cv:.6g} is ill-conditioned: rounding in var_b - "
+            f"cov_ab^2/var_a (var_b = {k.var_b:.6g}) may move it by {error:.3g}, more "
+            f"than {CONDITIONING_RTOL:g} of its value")
 
 
 def _report(k: Covariance2, n: int, per_pulse: float, cv: float,

@@ -231,8 +231,20 @@ def _parse_json_header(line: str) -> list:
     return pairs
 
 
+def _checked_fields(pairs: list, known) -> dict:
+    """The (key, value) pairs as a dict; ValueError at the first key that is
+    not known or that repeats."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r}")
+        if keys.count(key) > 1:
+            raise ValueError(f"repeated key {key!r}")
+    return dict(pairs)
+
+
 def _split_json_row(line: str):
-    row = json.loads(line)
+    row = json.loads(line, object_pairs_hook=lambda pairs: _checked_fields(pairs, ROW_KEYS))
     if not isinstance(row, dict):
         raise ValueError(f"expected a JSON object, got {type(row).__name__}")
     for key, types in JSON_NUMBER_TYPES.items():
@@ -323,13 +335,8 @@ def loads(text: str) -> BlockRecord:
         numbers = numbers[1:]
         columns = _parse_lines(lines, numbers, _split_json_row if is_json else _split_csv_row)
     block, pulse, a, b, label_a, label_b, kept = columns
-    fields, keys = dict(pairs), [key for key, _ in pairs]
     try:
-        for key in keys:
-            if key not in HEADER_TYPES and not (is_json and key == "record"):
-                raise ValueError(f"unknown key {key!r}")
-            if keys.count(key) > 1:
-                raise ValueError(f"repeated key {key!r}")
+        fields = _checked_fields(pairs, {*HEADER_TYPES, *(["record"] if is_json else [])})
         for key, types in HEADER_TYPES.items():
             if is_json and type(fields[key]) not in types:
                 raise ValueError(f"{key} must be {TYPE_NAMES[types]}, got {fields[key]!r}")

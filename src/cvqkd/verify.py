@@ -15,7 +15,7 @@ bug or a broken tolerance, never an expected outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -59,20 +59,19 @@ MIN_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """One checked inequality lhs <= rhs, with slack = rhs - lhs."""
+    """One checked inequality lhs <= rhs. Its slack rhs - lhs and its verdict,
+    slack >= -tolerance, are worked out from the two sides when it is built."""
 
     identifier: str
     lhs: float
     rhs: float
-    slack: float
-    holds: bool
-    tolerance: float
+    slack: float = field(init=False)
+    holds: bool = field(init=False)
+    tolerance: float = EXACT_TOL
 
-    @classmethod
-    def check(cls, identifier: str, lhs: float, rhs: float,
-              tolerance: float = EXACT_TOL) -> "InequalityReport":
-        slack = rhs - lhs
-        return cls(identifier, lhs, rhs, slack, bool(slack >= -tolerance), tolerance)
+    def __post_init__(self):
+        object.__setattr__(self, "slack", self.rhs - self.lhs)
+        object.__setattr__(self, "holds", bool(self.slack >= -self.tolerance))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def _tightest_reports(identifiers, lhs: np.ndarray, rhs: np.ndarray) -> list[Ine
     of equal slacks in row-major (law, check) order, as worst_of does. The exact
     checks share one tolerance, so worst_of over these holds when every law holds."""
     law = int(np.argmin(rhs - lhs)) // lhs.shape[1]
-    return [InequalityReport.check(name, float(l), float(r))
+    return [InequalityReport(name, float(l), float(r))
             for name, l, r in zip(identifiers, lhs[law], rhs[law])]
 
 
@@ -214,7 +213,7 @@ def check_pure_state_entropic_sum(vq: float, vp: float,
         raise UnphysicalInputError(
             f"variance product {vq * vp:.6g} below the vacuum limit "
             f"{n0 ** 2:.6g}: no physical state has these marginals")
-    return InequalityReport.check(
+    return InequalityReport(
         "vacuum-entropic-uncertainty-sum",
         2.0 * vacuum_entropy(n0),
         gaussian_entropy(vq) + gaussian_entropy(vp),
@@ -233,18 +232,18 @@ def check_gaussian_dominance(
         raise DomainError(f"need at least {MIN_SAMPLES} samples, got {len(s)}")
     estimate = conditional_entropy_estimate(s)
     bound = gaussian_conditional_entropy(estimate_covariance(s))
-    return InequalityReport.check(identifier, estimate.value, bound,
-                                  tolerance=3.0 * estimate.std_error)
+    return InequalityReport(identifier, estimate.value, bound,
+                            tolerance=3.0 * estimate.std_error)
 
 
 # ---------------------------------------------------------------------------
 # suites producing the verification manifest
 
 def worst_of(reports: list[InequalityReport], identifier: str) -> InequalityReport:
-    """Collapse a family of reports to its tightest member for the manifest."""
-    worst = min(reports, key=lambda r: r.slack)
-    return InequalityReport(identifier, worst.lhs, worst.rhs, worst.slack,
-                            all(r.holds for r in reports), worst.tolerance)
+    """A family's tightest member, under the family's identifier. When the
+    members share one tolerance, as every family here does, it holds exactly
+    when every member holds."""
+    return replace(min(reports, key=lambda r: r.slack), identifier=identifier)
 
 
 def discrete_suite(seed: int, trials: int) -> list[InequalityReport]:
@@ -265,13 +264,12 @@ def discrete_suite(seed: int, trials: int) -> list[InequalityReport]:
         reports.append(worst_of(chain, f"subadditivity-chain{label}"))
         reports.append(worst_of(mixture, f"mixture-bound{label}"))
 
-    # independent pulses: the chain collapses to equalities
+    # independent pulses: the chain collapses to equalities. An equality report
+    # bounds each |slack| of its family by EXACT_TOL, so every member holds too.
     pulse = np.array([[0.4, 0.1], [0.2, 0.3]])
     product = DiscreteJoint.product([pulse, pulse])
-    equalities = check_subadditivity_chain(product)
-    reports.append(worst_of(equalities, "independent-pulses-chain"))
-    slack_cap = max(abs(r.slack) for r in equalities)
-    reports.append(InequalityReport.check(
+    slack_cap = max(abs(r.slack) for r in check_subadditivity_chain(product))
+    reports.append(InequalityReport(
         "independent-pulses-equality", slack_cap, EXACT_TOL, tolerance=0.0))
 
     # redundant block: B1 = B2 = noisy copy of A1; the per-pulse accounting
@@ -283,16 +281,14 @@ def discrete_suite(seed: int, trials: int) -> list[InequalityReport]:
             for b in (0, 1):
                 p_b = 1.0 - flip if b == a1 else flip
                 redundant[a1, a2, b, b] = 0.25 * p_b
-    reports.append(InequalityReport.check(
+    reports.append(InequalityReport(
         "redundant-block-strict-slack", 0.25,
         check_subadditivity_chain(DiscreteJoint(2, redundant))[-1].slack))
 
     # pure-state entropic sum: equality on the minimum-uncertainty manifold
     grid = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 1000))
-    minimum = [check_pure_state_entropic_sum(vq, 1.0 / vq) for vq in grid]
-    reports.append(worst_of(minimum, "entropic-sum-minimum-uncertainty"))
-    worst_eq = max(abs(r.slack) for r in minimum)
-    reports.append(InequalityReport.check(
+    worst_eq = max(abs(check_pure_state_entropic_sum(vq, 1.0 / vq).slack) for vq in grid)
+    reports.append(InequalityReport(
         "entropic-sum-equality-on-minimum-uncertainty", worst_eq, EXACT_TOL,
         tolerance=0.0))
     thermal = [check_pure_state_entropic_sum(vq, 2.0 / vq + 0.5) for vq in grid]
@@ -321,16 +317,16 @@ def statistical_suite(seed: int, pulses: int) -> list[InequalityReport]:
 
         if name == "gaussian":
             # Gaussian attacks saturate the bound: slack vanishes within error
-            reports.append(InequalityReport.check(
+            reports.append(InequalityReport(
                 "gaussian-attack-saturation", abs(h_gauss - estimate), tol,
                 tolerance=0.0))
         if name == "displacement":
             # the displacement attack destroys conditional squeezing while
             # the conditional entropy stays below the vacuum entropy
-            reports.append(InequalityReport.check(
+            reports.append(InequalityReport(
                 "counterexample-conditional-variance-at-least-vacuum",
                 n0, conditional_variance(estimate_covariance(samples)), tolerance=0.0))
-            reports.append(InequalityReport.check(
+            reports.append(InequalityReport(
                 "counterexample-conditional-entropy-below-vacuum",
                 estimate + tol, vacuum_entropy(n0), tolerance=0.0))
 
@@ -365,13 +361,13 @@ def heterodyne_transform_crosscheck(seed: int, pulses: int) -> list[InequalityRe
     # exactly these (lossless) statistics, which the last report records
     printed_var = 2.0 * (k_hat.var_a - source.n0)
     return [
-        InequalityReport.check(
+        InequalityReport(
             "presplit-variance-matches-beamsplitter-transform",
             abs(transformed.var_a - source.v), tolerance, tolerance=0.0),
-        InequalityReport.check(
+        InequalityReport(
             "printed-transform-reconstructs-one-unit-below-physical",
             abs(printed_var - (source.v - source.n0)), tolerance, tolerance=0.0),
-        InequalityReport.check(
+        InequalityReport(
             "printed-transform-violates-psd-on-lossless-statistics",
             printed_var * k_hat.var_b, transformed.cov_ab ** 2, tolerance=0.0),
     ]

@@ -340,10 +340,15 @@ class TestRate:
          "var_a = 1e+308 is too large for the heterodyne transform: "
          "the reconstructed variance overflows"),
         ("3,3,0", "squeezed_homodyne", ["--n0", "inf"], "shot-noise unit must be finite, got inf"),
+        # the analytic covariance of v = 1e15 at t = 0.5, eps = 0.1
+        ("1e15,500000000000000.56,707106781186547.6", "squeezed_homodyne", [],
+         "conditional variance 0.4375 is ill-conditioned: rounding in var_b - cov_ab^2/var_a "
+         "(var_b = 5e+14) may move it by 0.444, more than 1e-06 of its value"),
     ], ids=["cov-ab-square-overflow", "coherent-product-overflow",
             "coherent-product-underflow", "squeezed-quotient-overflow",
             "squeezed-quotient-underflow", "n-beyond-float", "block-rate-overflow",
-            "transform-cov-ab-overflow", "transform-var-a-overflow", "n0-inf"])
+            "transform-cov-ab-overflow", "transform-var-a-overflow", "n0-inf",
+            "ill-conditioned"])
     def test_out_of_range_literal_exits_2(self, runner, cov, protocol, extra, message):
         # these used to end in an OverflowError or a math domain error (exit 1), print
         # an infinite rate (exit 0), name a transformed cov_ab the user never gave, call
@@ -375,7 +380,7 @@ class TestRate:
     @pytest.mark.parametrize("args, code, message", [
         (["--cov", "1,1,0"], 2, "--cov needs --protocol"),
         (["--cov", "1,1,0", "--protocol", "squeezed_homodyne", "--beta", "1.5"], 2,
-         "beta must be in [0, 1], got 1.5"),
+         "reconciliation efficiency must be in [0, 1], got 1.5"),
         (["--cov", "1,x,2", "--protocol", "squeezed_homodyne"], 3,
          "bad covariance literal '1,x,2': could not convert string to float: 'x'"),
     ], ids=["cov-without-protocol", "beta-above-1", "literal-not-a-number"])
@@ -525,6 +530,8 @@ class TestSweep:
          "error: eps=0: source variance 0.5 below the vacuum variance"),
         (["--param", "v", "--start", "2", "--stop", "1.3e154"], 2,
          "error: v=3.25e+153: conditional variance must be positive for a rate bound"),
+        (["--param", "v", "--start", "2", "--stop", "1e15", "--t", "0.5", "--eps", "0.1"], 2,
+         "error: v=2.5e+14: conditional variance 0.515625 is ill-conditioned"),
         (["--param", "eps", "--start", "0", "--stop", "inf"], 2,
          "error: --start and --stop must span a finite range, got 0 to inf"),
         (["--param", "eps", "--start", "-inf", "--stop", "1"], 2,
@@ -534,7 +541,8 @@ class TestSweep:
         (["--param", "eps", "--start", "-1e308", "--stop", "1e308"], 2,
          "error: --start and --stop must span a finite range, got -1e+308 to 1e+308"),
     ], ids=["transmission", "source", "source-overflow", "fixed-source",
-            "conditional-variance", "stop-inf", "start-inf", "stop-nan", "range-overflow"])
+            "conditional-variance", "ill-conditioned", "stop-inf", "start-inf", "stop-nan",
+            "range-overflow"])
     def test_bad_grid_point(self, runner, tmp_path, args, code, message):
         out = tmp_path / "s.csv"
         result = runner.invoke(main, ["sweep", *args, "--steps", "5", "--out", str(out)])
@@ -702,7 +710,7 @@ def test_negative_seed_or_no_trials_exits_2(runner, tmp_path, args, config, mess
     (ParseError("bad text"), 3, "error: bad text"),
     (FileNotFoundError("no file"), 3, "error: no file"),
     (CapacityError("too big"), 4, "error: too big"),
-    ([InequalityReport.check("holds", 0.0, 1.0), InequalityReport.check("fails", 1.0, 0.0)],
+    ([InequalityReport("holds", 0.0, 1.0), InequalityReport("fails", 1.0, 0.0)],
      5, "verification failed: fails"),
 ], ids=["configuration", "domain", "parse", "file-not-found", "capacity", "failed-report"])
 def test_exit_status_map(runner, monkeypatch, outcome, code, message):

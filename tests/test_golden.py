@@ -230,7 +230,7 @@ SIMULATIONS = {
 RATE_RECORD_DIGEST = "67a501c10bb6221e1f1d95663fcd8f1d5dd149c8cb11179d93227d1afa7e201d"
 
 #: sha256 of the `verify --scope discrete --trials 200` manifest
-VERIFY_DISCRETE_DIGEST = "f7b3cc8daa816869e64f5d1f8118e9397534da4ac453a84047adbb00d0c2b414"
+VERIFY_DISCRETE_DIGEST = "d1a2a3433433d858c0d85b7e45bc79e7603541f71e01db76d3f33cab0f5c7fa5"
 
 #: sha256 of the `verify --scope statistical --pulses 20000` manifest
 VERIFY_STATISTICAL_DIGEST = "e39503ec58597cdd1b9be3609e78599c6e4ace7c81c176b764b9c202e3c407e9"

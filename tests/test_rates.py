@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqkd import (
+    ChannelModel,
     Covariance2,
     DomainError,
+    EprSource,
     HeterodyneTransform,
     InconsistentStatisticsError,
     ProtocolKind,
     RateReport,
+    analytic_covariance,
     apply_sifting,
     coherent_rate_bound,
     conditional_squeezing_check,
@@ -27,6 +31,8 @@ from cvqkd import (
     squeezed_rate_bound,
     vacuum_entropy,
 )
+from cvqkd.rates import CONDITIONING_RTOL
+from cvqkd.simulator import MAX_SOURCE_VARIANCE
 
 H0 = 0.5 * math.log2(2 * math.pi * math.e)
 
@@ -377,6 +383,33 @@ class TestOverflow:
         for protocol in ProtocolKind:
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 rate_bound(Covariance2(3.0, 3.0, 0.0), 1, protocol, n0)
+
+
+class TestConditioning:
+    """A bound refuses a conditional variance that rounding may have moved by
+    more than CONDITIONING_RTOL of itself, rather than overstate the rate."""
+
+    @pytest.mark.parametrize("v", [1e12, 1e15])
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_large_source_variance_raises(self, v, protocol):
+        k = analytic_covariance(EprSource(v), ChannelModel(0.5, 0.1), protocol)
+        with pytest.raises(DomainError, match=r"^conditional variance .* is ill-conditioned: "
+                                              r"rounding in var_b - cov_ab\^2/var_a"):
+            rate_bound(k, 1, protocol, 1.0, HeterodyneTransform.BEAMSPLITTER)
+
+    @given(st.floats(1.0, MAX_SOURCE_VARIANCE), st.floats(0.0, 1.0, exclude_min=True),
+           st.floats(0.0, 1e6))
+    @settings(max_examples=300)
+    def test_squeezed_bound_is_exact_or_raises(self, v, t, eps):
+        k = analytic_covariance(EprSource(v), ChannelModel(t, eps),
+                                ProtocolKind.SQUEEZED_HOMODYNE)
+        try:
+            cv = squeezed_rate_bound(k, 1).cond_var_b_given_a
+        except DomainError:
+            return
+        v, t, eps = Fraction(v), Fraction(t), Fraction(eps)
+        exact = t * v + (1 - t) + t * eps - t * (v * v - 1) / v
+        assert abs(Fraction(cv) - exact) <= Fraction(CONDITIONING_RTOL) * exact
 
 
 #: the functions besides the bounds (TestOverflow) that take a

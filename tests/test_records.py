@@ -219,6 +219,16 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="line 3: expected a JSON object"):
             loads("\n".join(lines))
 
+    @pytest.mark.parametrize("item, problem", [
+        ('"a": 1.5', "repeated key 'a'"), ('"x": 5', "unknown key 'x'"),
+    ], ids=["repeated", "unknown"])
+    def test_json_row_keys(self, record, item, problem):
+        # the rules of the header's keys hold for every row too
+        lines = dumps(record, "json-lines").splitlines()
+        lines[2] = lines[2].removesuffix("}") + f", {item}}}"
+        with pytest.raises(ParseError, match=f"^{re.escape(f'line 3: {problem}')}$"):
+            loads("\n".join(lines))
+
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
     @pytest.mark.parametrize("rows", [0, 199], ids=["header-only", "last-row-dropped"])
     def test_truncated_record(self, record, fmt, rows):

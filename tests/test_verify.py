@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvqkd import (
     ATTACK_CATALOG,
@@ -10,6 +12,7 @@ from cvqkd import (
     ConfigurationError,
     DiscreteJoint,
     DomainError,
+    InequalityReport,
     ProtocolKind,
     SiftingMode,
     UnphysicalInputError,
@@ -261,6 +264,16 @@ class TestSuites:
         assert {"identifier", "lhs", "rhs", "slack", "holds", "tolerance"} \
                <= set(doc["reports"][0])
 
+    def test_identifiers(self):
+        # each equality family is reported once, by its equality report
+        assert [r.identifier for r in discrete_suite(seed=1, trials=40)] == [
+            f"{family}[n={n},alphabet={alphabet},trials=10]"
+            for n, alphabet in [(2, 2), (2, 3), (3, 2), (3, 3)]
+            for family in ("subadditivity-chain", "mixture-bound")
+        ] + ["independent-pulses-equality", "redundant-block-strict-slack",
+             "entropic-sum-equality-on-minimum-uncertainty",
+             "entropic-sum-above-minimum-uncertainty"]
+
     def test_worst_of_picks_min_slack(self):
         reports = discrete_suite(seed=1, trials=40)
         combined = worst_of(reports, "combined")
@@ -282,3 +295,29 @@ class TestSuites:
             mixture = worst_of([check_mixture_lemma(j) for j in laws], f"mixture-bound{label}")
             assert reports[chain.identifier] == chain
             assert reports[mixture.identifier] == mixture
+
+
+FINITE = st.floats(-1e300, 1e300)
+
+
+class TestInequalityReport:
+    @pytest.mark.parametrize("derived", [
+        {"slack": 1.0}, {"holds": True}, {"slack": 1.0, "holds": True},
+    ], ids=["slack", "holds", "both"])
+    def test_derived_fields_cannot_be_passed(self, derived):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            InequalityReport("x", 0.0, 1.0, tolerance=0.0, **derived)
+
+    @given(FINITE, FINITE, st.floats(0.0, 1e300))
+    def test_verdict_follows_from_the_sides(self, lhs, rhs, tolerance):
+        report = InequalityReport("x", lhs, rhs, tolerance)
+        assert report.slack == rhs - lhs
+        assert report.holds == (report.slack >= -tolerance)
+
+    @given(st.lists(st.tuples(FINITE, FINITE), min_size=1), st.floats(0.0, 1e300))
+    def test_worst_of_holds_when_every_member_holds(self, sides, tolerance):
+        reports = [InequalityReport(f"r{i}", lhs, rhs, tolerance)
+                   for i, (lhs, rhs) in enumerate(sides)]
+        worst = worst_of(reports, "family")
+        assert worst.identifier == "family"
+        assert worst.holds == all(r.holds for r in reports)

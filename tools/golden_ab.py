@@ -12,7 +12,7 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 205 commands runs in about 14 s on
+It takes no options. The whole list of 209 commands runs in about 14 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -288,6 +288,19 @@ def commands():
         "rate", "--cov", "2,2,2", "--protocol", "coherent_heterodyne",
         "--transform", "beamsplitter"]
 
+    # a conditional variance that rounding may have moved (the analytic covariance
+    # of v = 1e15 at t = 0.5, eps = 0.1), by literal and by sweep, a json-lines
+    # row with a repeated key, and --beta under the config file's efficiency rule
+    yield "error-rate-ill-conditioned", [
+        "rate", "--cov", "1e15,500000000000000.56,707106781186547.6",
+        "--protocol", "squeezed_homodyne"]
+    yield "error-sweep-ill-conditioned", ["sweep", "--param", "v", "--start", "2",
+                                          "--stop", "1e15", "--steps", "2", "--t", "0.5",
+                                          "--eps", "0.1", "--out", "sweep-ill-conditioned.csv"]
+    yield "error-rate-row-repeated-key", ["rate", "--record", "row-repeated-key.jsonl"]
+    yield "error-rate-beta-above-1", ["rate", "--cov", "1,1,0", "--protocol",
+                                      "squeezed_homodyne", "--beta", "1.5"]
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -342,6 +355,9 @@ def run():
                     write(header={**HEADER, **fields}, rows=rows))
         for name, text in LENIENT_RECORDS.items():
             (root / name).write_text(text())
+        header, first, *rows = json_record().splitlines(keepends=True)
+        (root / "row-repeated-key.jsonl").write_text(
+            "".join([header, first.replace("}", ', "a": 1.5}'), *rows]))
         before = snapshot(root)
         for label, argv in commands():
             result = runner.invoke(main, argv)
