@@ -35,13 +35,11 @@ from .errors import (
     ConfigurationError,
     CvqkdError,
     DomainError,
-    InconsistentStatisticsError,
     ParseError,
 )
 from .estimators import estimate_covariance
 from .rates import (
     Covariance2,
-    HeterodyneTransform,
     ProtocolKind,
     conditional_squeezing_check,
     rate_bound,
@@ -64,7 +62,6 @@ EXIT_CAPACITY = 4
 EXIT_VERIFY = 5
 
 PROTOCOL_NAMES = [p.value for p in ProtocolKind]
-TRANSFORM_NAMES = [t.value for t in HeterodyneTransform]
 SIFTING_NAMES = [m.value for m in SiftingMode]
 
 
@@ -255,13 +252,10 @@ def simulate(config, out, fmt, **overrides):
 @click.option("--n", type=int, default=None,
               help="Block size for the block rate (record's n by default).")
 @click.option("--n0", type=float, default=None, help="Shot-noise unit; only with --cov.")
-@click.option("--transform", type=click.Choice(TRANSFORM_NAMES),
-              default=HeterodyneTransform.PRINTED.value,
-              help="Heterodyne pre-beam-splitter variance convention.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--out", type=click.Path(), default=None,
               help="Also write the JSON report here.")
-def rate(record_path, cov, protocol, beta, n, n0, transform, fmt, out):
+def rate(record_path, cov, protocol, beta, n, n0, fmt, out):
     """Key-rate lower bound from a record or a covariance literal."""
     if (record_path is None) == (cov is None):
         raise ConfigurationError("give exactly one of --record or --cov")
@@ -286,15 +280,7 @@ def rate(record_path, cov, protocol, beta, n, n0, transform, fmt, out):
         block = 1 if n is None else n
         k = _parse_cov(cov)
 
-    transform = HeterodyneTransform(transform)
-    try:
-        report = rate_bound(k, block, kind, shot, transform)
-    except InconsistentStatisticsError as exc:
-        if transform is not HeterodyneTransform.PRINTED:
-            raise
-        raise InconsistentStatisticsError(
-            f"{exc} (the printed variance convention rejects these statistics; "
-            f"try --transform beamsplitter)") from exc
+    report = rate_bound(k, block, kind, shot)
     if record is not None and record.sifting_mode is SiftingMode.RANDOM_BASIS:
         report = report.with_sifting()
     effective = report.effective_rate(beta * report.i_ab)
@@ -409,14 +395,10 @@ SWEEP_ROW_SQUEEZED_ONLY = "{0},{1!r},{2!r},,{4!r},,{6!r},,{8!r},\n"
 @click.option("--start", type=float, required=True)
 @click.option("--stop", type=float, required=True)
 @click.option("--steps", type=int, required=True)
-@click.option("--transform", type=click.Choice(TRANSFORM_NAMES),
-              default=HeterodyneTransform.BEAMSPLITTER.value,
-              help="Heterodyne convention for the coherent column; the "
-                   "beam-splitter inversion keeps it defined on physical channels.")
 @click.option("--out", required=True, type=click.Path(), help="CSV table to write.")
 @click.option("--plot-out", type=click.Path(), default=None,
               help="Column-oriented JSON for plotting tools.")
-def sweep(config, param, start, stop, steps, transform, out, plot_out, **overrides):
+def sweep(config, param, start, stop, steps, out, plot_out, **overrides):
     """Rate bounds on a grid of one channel parameter (analytic, no
     simulation; quantum-memory-mode rates, no sifting factor)."""
     base = load_config(config, overrides)
@@ -428,7 +410,6 @@ def sweep(config, param, start, stop, steps, transform, out, plot_out, **overrid
     path = resolve_out(out)
     plot_path = None if plot_out is None else resolve_out(plot_out)
     kinds = (ProtocolKind.SQUEEZED_HOMODYNE, ProtocolKind.COHERENT_HETERODYNE)
-    transform = HeterodyneTransform(transform)
     point, n0, rows = {"v": base.v, "t": base.t, "eps": base.eps, "beta": base.beta}, base.n0, []
     for i in range(steps):
         value = point[param] = start + (stop - start) * i / (steps - 1)
@@ -439,7 +420,7 @@ def sweep(config, param, start, stop, steps, transform, out, plot_out, **overrid
             for kind in kinds:
                 k = analytic_covariance(source, channel, kind)
                 try:
-                    report = rate_bound(k, 1, kind, n0, transform)
+                    report = rate_bound(k, 1, kind, n0)
                 except DomainError:
                     if not cells:  # the squeezed bound; without it there is no row
                         raise

@@ -43,15 +43,14 @@ class ProtocolKind(Enum):
 class HeterodyneTransform(Enum):
     """Convention for reconstructing Alice's pre-beam-splitter variance.
 
-    PRINTED is the form the standard closed-form rate expressions print,
-    var_a' = 2*(var_a - n0); it recovers the modulation variance, one
-    vacuum unit below the physical mode variance. BEAMSPLITTER inverts
-    the physical 50:50 split with vacuum, var_a' = 2*var_a - n0, and is
-    the one that matches simulated physics (the verification suite
-    records this). Both scale the covariance by sqrt(2).
+    There is one: BEAMSPLITTER inverts the physical 50:50 split with vacuum,
+    var_a' = 2*var_a - n0, and scales the covariance by sqrt(2). It is the
+    mode variance the entanglement-based bound needs, and the verification
+    suite records that it matches simulated physics. The enum stays only
+    because perfbench's monte-carlo-rate workload passes this member to
+    rate_bound by name.
     """
 
-    PRINTED = "printed"
     BEAMSPLITTER = "beamsplitter"
 
 
@@ -159,19 +158,28 @@ def conditional_variance(k: Covariance2) -> float:
 
 def gaussian_conditional_entropy(k: Covariance2) -> float:
     """Conditional entropy H(B|A) of the bivariate Gaussian with covariance
-    k; equals the entropy of a Gaussian at the conditional variance."""
+    k; equals the entropy of a Gaussian at the conditional variance.
+    Raises DomainError when that variance is ill-conditioned."""
     cv = conditional_variance(k)
     if cv <= 0:
         raise DomainError("conditional variance is zero: B is a deterministic "
                           "linear function of A")
+    _check_conditioning(k, cv)
     return gaussian_entropy(cv)
 
 
 def gaussian_mutual_information(k: Covariance2) -> float:
-    """I(A;B) in bits for the bivariate Gaussian model, 0.5*log2(var_b/cond_var)."""
+    """I(A;B) in bits for the bivariate Gaussian model, 0.5*log2(var_b/cond_var).
+    Raises DomainError when the conditional variance is ill-conditioned."""
     cv = conditional_variance(k)
     if cv <= 0 or k.var_b <= 0:
         raise DomainError("mutual information undefined for degenerate covariance")
+    _check_conditioning(k, cv)
+    return _mutual_information(k, cv)
+
+
+def _mutual_information(k: Covariance2, cv: float) -> float:
+    """I(A;B) of k from its positive conditional variance cv, unchecked."""
     return 0.5 * math.log2(k.var_b / cv)
 
 
@@ -195,31 +203,23 @@ def squeezed_rate_bound(k: Covariance2, n: int, n0: float = 1.0) -> RateReport:
     return _report(k, n, math.log2(quotient), cv)
 
 
-def heterodyne_covariance_transform(
-    k_measured: Covariance2,
-    n0: float = 1.0,
-    transform: HeterodyneTransform = HeterodyneTransform.PRINTED,
-) -> Covariance2:
+def heterodyne_covariance_transform(k_measured: Covariance2, n0: float = 1.0) -> Covariance2:
     """Covariance of Alice's pre-beam-splitter mode against Bob, inferred
     from her heterodyne-measured statistics.
 
     The heterodyne 50:50 split halves the signal and adds half a vacuum
     unit, so the measured Alice variance must exceed n0 to carry any
-    signal. See HeterodyneTransform for the two variance conventions; the
-    covariance picks up sqrt(2) either way. Raises
+    signal. Inverting the split gives var_a' = 2*var_a - n0 and
+    cov_ab' = sqrt(2)*cov_ab (see HeterodyneTransform). Raises
     InconsistentStatisticsError when the reconstructed matrix is not
-    positive semidefinite (the PRINTED convention does this on exactly the
-    statistics a low-loss entangled source produces).
+    positive semidefinite.
     """
     _check_shot_noise(n0)
     if not k_measured.var_a > n0:
         raise DomainError(
             f"measured Alice variance {k_measured.var_a} must exceed the "
             f"shot-noise unit {n0} for the heterodyne transform")
-    if transform is HeterodyneTransform.PRINTED:
-        var_a_prime = 2.0 * (k_measured.var_a - n0)
-    else:
-        var_a_prime = 2.0 * k_measured.var_a - n0
+    var_a_prime = 2.0 * k_measured.var_a - n0
     if math.isinf(var_a_prime):
         raise DomainError(f"var_a = {k_measured.var_a:.6g} is too large for the heterodyne "
                           f"transform: the reconstructed variance overflows")
@@ -230,12 +230,7 @@ def heterodyne_covariance_transform(
     return Covariance2(var_a_prime, k_measured.var_b, cov_ab_prime)
 
 
-def coherent_rate_bound(
-    k_measured: Covariance2,
-    n: int,
-    n0: float = 1.0,
-    transform: HeterodyneTransform = HeterodyneTransform.PRINTED,
-) -> RateReport:
+def coherent_rate_bound(k_measured: Covariance2, n: int, n0: float = 1.0) -> RateReport:
     """Secret-key-rate lower bound for the coherent-state/heterodyne
     protocol, from Alice's measured covariance against Bob.
 
@@ -247,7 +242,7 @@ def coherent_rate_bound(
     """
     _check_bound_args(n, n0)
     cv1 = conditional_variance(k_measured)
-    k_prime = heterodyne_covariance_transform(k_measured, n0, transform)
+    k_prime = heterodyne_covariance_transform(k_measured, n0)
     cv2 = conditional_variance(k_prime)
     if cv1 <= 0 or cv2 <= 0:
         raise DomainError("both conditional variances must be positive")
@@ -276,7 +271,8 @@ def _check_conditioning(k: Covariance2, cv: float) -> None:
 
 def _report(k: Covariance2, n: int, per_pulse: float, cv: float,
             cv_prime: float | None = None) -> RateReport:
-    """The unsifted report of a bound of per_pulse bits for blocks of n."""
+    """The unsifted report of a bound of per_pulse bits for blocks of n; the
+    bound has already checked k's conditional variance cv."""
     try:
         block = n * per_pulse
     except OverflowError:  # an n beyond the float range
@@ -285,7 +281,7 @@ def _report(k: Covariance2, n: int, per_pulse: float, cv: float,
         raise DomainError(f"block size {n} is too large: the block rate "
                           f"n * {per_pulse:.6g} bits is not finite")
     return RateReport(
-        delta_i_min_per_pulse=per_pulse, block_size=n, i_ab=gaussian_mutual_information(k),
+        delta_i_min_per_pulse=per_pulse, block_size=n, i_ab=_mutual_information(k, cv),
         cond_var_b_given_a=cv, sifting_applied=False, cond_var_b_given_a_prime=cv_prime)
 
 
@@ -294,12 +290,16 @@ def rate_bound(
     n: int,
     protocol: ProtocolKind,
     n0: float = 1.0,
-    transform: HeterodyneTransform = HeterodyneTransform.PRINTED,
+    transform: HeterodyneTransform = HeterodyneTransform.BEAMSPLITTER,
 ) -> RateReport:
-    """Dispatch to the bound matching the protocol."""
+    """Dispatch to the bound matching the protocol.
+
+    transform has one value and changes nothing; it stays only because
+    perfbench's monte-carlo-rate workload passes it.
+    """
     if protocol is ProtocolKind.SQUEEZED_HOMODYNE:
         return squeezed_rate_bound(k, n, n0)
-    return coherent_rate_bound(k, n, n0, transform)
+    return coherent_rate_bound(k, n, n0)
 
 
 def apply_sifting(rate: float) -> float:

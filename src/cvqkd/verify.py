@@ -26,7 +26,6 @@ from .estimators import (
     estimate_covariance,
 )
 from .rates import (
-    HeterodyneTransform,
     ProtocolKind,
     conditional_variance,
     gaussian_conditional_entropy,
@@ -340,9 +339,10 @@ def heterodyne_transform_crosscheck(seed: int, pulses: int) -> list[InequalityRe
     pre-beam-splitter variance is the source variance itself, and record
     which covariance transform reconstructs it.
 
-    The beam-splitter inversion matches the simulated physics; the printed
-    transform reconstructs one shot-noise unit below it, and that deficit
-    is recorded as its own check.
+    The beam-splitter inversion, the one the rate bounds use, matches the
+    simulated physics. The printed closed-form convention 2*(var_a - n0),
+    computed here by arithmetic only, reconstructs one shot-noise unit below
+    it, and that deficit is recorded as its own check.
     """
     source = EprSource(20.0)
     # only the samples are kept, so the record is freed before the covariance
@@ -354,8 +354,7 @@ def heterodyne_transform_crosscheck(seed: int, pulses: int) -> list[InequalityRe
     # 5 standard errors on the measured variance, propagated through the
     # transform's factor 2
     tolerance = 5.0 * 2.0 * k_hat.var_a * math.sqrt(2.0 / pulses)
-    transformed = heterodyne_covariance_transform(
-        k_hat, source.n0, HeterodyneTransform.BEAMSPLITTER)
+    transformed = heterodyne_covariance_transform(k_hat, source.n0)
     # the printed transform's variance entry, computed arithmetically:
     # constructing its full matrix fails positive semidefiniteness on
     # exactly these (lossless) statistics, which the last report records

@@ -17,8 +17,6 @@ from cvqkd import (
     DomainError,
     EprSource,
     ChannelModel,
-    HeterodyneTransform,
-    InconsistentStatisticsError,
     ProtocolKind,
     SiftingMode,
     check_pure_state_entropic_sum,
@@ -184,17 +182,12 @@ def test_criterion_6_heterodyne_chain_and_transform_crosscheck():
         assert close_enough(chain, closed)
         checked += 1
 
-    # reference low-loss channel: the printed transform rejects these
-    # statistics, the beam-splitter inversion prices them
+    # reference low-loss channel, priced through the beam-splitter inversion
     src, ch = EprSource(20.0), ChannelModel(0.9, 0.05)
     k_het = analytic_covariance(src, ch, ProtocolKind.COHERENT_HETERODYNE)
-    with pytest.raises(InconsistentStatisticsError):
-        coherent_rate_bound(k_het, 1)
-    report = coherent_rate_bound(k_het, 1,
-                                 transform=HeterodyneTransform.BEAMSPLITTER)
+    report = coherent_rate_bound(k_het, 1)
     chain = (2.0 * h0 - gaussian_conditional_entropy(k_het)
-             - gaussian_conditional_entropy(heterodyne_covariance_transform(
-                 k_het, transform=HeterodyneTransform.BEAMSPLITTER)))
+             - gaussian_conditional_entropy(heterodyne_covariance_transform(k_het)))
     assert close_enough(report.delta_i_min_per_pulse, chain)
 
     crosscheck = heterodyne_transform_crosscheck(seed=99, pulses=10_000_000)

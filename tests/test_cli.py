@@ -239,9 +239,17 @@ class TestRate:
         # from I_AB and the per-pulse rate
         lines = run_ok(runner, ["rate", "--cov", "10.5,10.5,9.0", "--protocol",
                                 "coherent_heterodyne", "--n", "4"]).output.splitlines()
-        assert lines[2] == "conditional variance B|A: 2.78571   B|A': 1.97368"
-        assert lines[4] == "I_AB: 0.957135 bits/pulse   I_BE bound: 2.186604 bits/pulse"
-        assert lines[5] == "delta_I_min: -1.229469 bits/pulse, -4.917877 bits/block of n=4"
+        assert lines[2] == "conditional variance B|A: 2.78571   B|A': 2.4"
+        assert lines[4] == "I_AB: 0.957135 bits/pulse   I_BE bound: 2.327676 bits/pulse"
+        assert lines[5] == "delta_I_min: -1.370541 bits/pulse, -5.482163 bits/block of n=4"
+
+    def test_coherent_physical_channel_rate_below_i_ab(self, runner):
+        # the analytic covariance of v = 4, t = 0.4, eps = 0.05; a bound from the
+        # modulation variance would read 1.078 bits here, above the I_AB of 0.561
+        lines = run_ok(runner, ["rate", "--cov", "2.5,2.22,1.7320508075688772", "--protocol",
+                                "coherent_heterodyne"]).output.splitlines()
+        assert lines[4] == "I_AB: 0.560995 bits/pulse   I_BE bound: 0.338314 bits/pulse"
+        assert lines[5] == "delta_I_min: 0.222681 bits/pulse, 0.222681 bits/block of n=1"
 
     def test_beta_zero_no_key(self, runner):
         result = run_ok(runner, [
@@ -273,17 +281,14 @@ class TestRate:
             runner, ["rate", "--record", str(out), "--format", "json"]).output)
         assert payload["sifting_applied"] is False
 
-    def test_heterodyne_record_printed_transform_fails(self, runner, tmp_path):
+    def test_heterodyne_low_loss_record_has_positive_rate(self, runner, tmp_path):
         out = tmp_path / "het.csv"
         run_ok(runner, ["simulate", "--protocol", "coherent_heterodyne",
                         "--v", "20", "--t", "0.9", "--eps", "0.05",
                         "--l", "50000", "--sifting", "quantum_memory",
                         "--seed", "6", "--out", str(out)])
-        failed = runner.invoke(main, ["rate", "--record", str(out)])
-        assert failed.exit_code == 2
         payload = json.loads(run_ok(runner, [
-            "rate", "--record", str(out), "--transform", "beamsplitter",
-            "--format", "json"]).output)
+            "rate", "--record", str(out), "--format", "json"]).output)
         assert payload["delta_i_min_per_pulse"] > 0
 
     @pytest.mark.parametrize("flag, value", [
@@ -357,23 +362,17 @@ class TestRate:
         assert result.exit_code == 2, result.output
         assert result.stderr == f"error: {message}\n"
 
-    @pytest.mark.parametrize("transform, bound, hint", [
-        ("printed", 4, " (the printed variance convention rejects these statistics; "
-                       "try --transform beamsplitter)"),
-        ("beamsplitter", 6, ""),
-    ])
-    def test_inconsistent_transform_hints_at_the_other(self, runner, transform, bound, hint):
-        # the hint names beamsplitter only when that transform is not the one in use
+    def test_inconsistent_heterodyne_statistics_exit_2(self, runner):
+        # the reconstructed pre-beam-splitter matrix is not positive semidefinite
         result = runner.invoke(main, ["rate", "--cov", "2,2,2", "--protocol",
-                                      "coherent_heterodyne", "--transform", transform])
+                                      "coherent_heterodyne"])
         assert result.exit_code == 2, result.output
-        assert result.stderr == f"error: cov_ab^2 = 8 exceeds var_a*var_b = {bound}{hint}\n"
+        assert result.stderr == "error: cov_ab^2 = 8 exceeds var_a*var_b = 6\n"
 
     def test_coherent_conditional_variance_zero_exits_2(self, runner):
         # Bob is an exact linear function of Alice's reconstructed mode
         result = runner.invoke(main, ["rate", "--cov", "2,3,2.1213203435596424",
-                                      "--protocol", "coherent_heterodyne",
-                                      "--transform", "beamsplitter"])
+                                      "--protocol", "coherent_heterodyne"])
         assert result.exit_code == 2, result.output
         assert result.stderr == "error: both conditional variances must be positive\n"
 
@@ -560,7 +559,7 @@ class TestSweep:
                 return _original(*args)
             monkeypatch.setattr(cvqkd.cli, name, counted)
         run_ok(runner, ["sweep", "--param", "v", "--start", "1", "--stop", "40", "--steps", "14",
-                        "--t", "0.4", "--transform", "printed", "--out", str(tmp_path / "s.csv")])
+                        "--t", "0.4", "--out", str(tmp_path / "s.csv")])
         assert calls == {"analytic_covariance": 28, "rate_bound": 28}
 
     def test_single_step_rejected(self, runner, tmp_path):

@@ -50,15 +50,15 @@ SWEEPS = {
              "5555fb689f50fb86d779a929268b0d36c9ff86d4f1c4b11f7abe8ca04fae020c",
              "c5a98b3c04a5b860ec3769a4478e78eaa98a0de9c7107d747df3d820d581dad3"),
     "t-displacement": (["--param", "t", "--start", "0.3", "--stop", "0.9", "--steps", "7",
-                        "--eps", "0.1", "--transform", "printed"],
-                       "b0aca4545affa6b9ae966b95f24e2dbd966afc70a2aa34104d151f832262a795",
-                       "bfe5b92b9bcc044f25e823e6ed8bb783cf2a891bf6b2661bf068c6f5e72c3c70"),
-    # the printed transform is undefined at v = 1 only, so one row leaves its
+                        "--eps", "0.1"],
+                       "ccab27375c5d91c366efde6aa9d353456762fed94d316975754d8c94258477a4",
+                       "f6ff30ef2786fa8e2c4e58d99b01ef5db1eb880699a56a2c733a2a0e0f9e8817"),
+    # the heterodyne transform is undefined at v = 1 only, so one row leaves its
     # coherent cells empty and the others fill them
     "v-printed": (["--param", "v", "--start", "1", "--stop", "40", "--steps", "14",
-                   "--t", "0.4", "--eps", "0.05", "--transform", "printed"],
-                  "c57a8e9c5c6d799ff26e393f3fe04e3e4a4f9f9addf2ff76896e42e1578800a4",
-                  "65dcfeac90ede6f90551c5f02ae34af2ec4f254c881175c64e6a9a2fc17224e1"),
+                   "--t", "0.4", "--eps", "0.05"],
+                  "671023a3cf6953f16048e18921f43e3bb2f7f28c1d94236aa3dfc3287cbe4580",
+                  "02235c08c1b18b8d7c4602208fae0af57145bed146be9082fe18b10f3ca0ac78"),
     "eps-1000": (["--param", "eps", "--start", "0", "--stop", "0.5", "--steps", "1000",
                   "--t", "0.7", "--v", "15", "--beta", "0.95"],
                  "549612fa9fba14e05aba645e4f8d99a41672378179c1873b2da22803828dee9d",
@@ -77,10 +77,9 @@ RATES = {
     "coherent-printed": (["--cov", "10.5,10.5,9.0",
                           "--protocol", "coherent_heterodyne", "--beta", "0.95",
                           "--n", "4"],
-                         "08c6957b0d1ebcf790fffe089b3bc8ea2183cadec826067ebcf31e26fe964b3c"),
+                         "f58592f0c649ac45d3e6f4a17a6a297b2ecfa93e1d72b1045cabf3b00dbc6582"),
     "coherent-beamsplitter": (["--cov", "10.5,10.5,9.987492177719089",
-                               "--protocol", "coherent_heterodyne", "--beta", "0.93",
-                               "--transform", "beamsplitter"],
+                               "--protocol", "coherent_heterodyne", "--beta", "0.93"],
                               "3b4c6f7cc1c1debce852f84c5f6de54d55f39953c8eafda85e5b544eada98211"),
 }
 

@@ -22,3 +22,14 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
     assert patches
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, (owner, attr)
+
+
+def test_monte_carlo_rate_call_matches_default():
+    # perfbench's monte-carlo-rate passes the heterodyne convention by name;
+    # that call must keep working and price exactly as the default does
+    import cvqkd
+
+    for kind in cvqkd.ProtocolKind:
+        k = cvqkd.analytic_covariance(cvqkd.EprSource(20.0), cvqkd.ChannelModel(0.5), kind)
+        assert (cvqkd.rate_bound(k, 1, kind, 1.0, cvqkd.HeterodyneTransform.BEAMSPLITTER)
+                == cvqkd.rate_bound(k, 1, kind, 1.0))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqkd import (
@@ -14,7 +14,6 @@ from cvqkd import (
     Covariance2,
     DomainError,
     EprSource,
-    HeterodyneTransform,
     InconsistentStatisticsError,
     ProtocolKind,
     RateReport,
@@ -194,33 +193,29 @@ class TestSqueezedRateBound:
 
 class TestHeterodyneTransform:
     def test_shot_noise_limited_alice(self):
+        # a measured variance at the vacuum level reconstructs a vacuum mode
         k = heterodyne_covariance_transform(Covariance2(1.0 + 1e-9, 1.0, 0.0))
-        assert k.var_a == pytest.approx(0.0, abs=1e-8)
+        assert k.var_a == pytest.approx(1.0, abs=1e-8)
         assert k.var_b == 1.0
         assert k.cov_ab == 0.0
 
-    def test_printed_form(self):
-        k = heterodyne_covariance_transform(Covariance2(3.0, 5.0, 2.0))
-        assert (k.var_a, k.var_b) == (4.0, 5.0)
-        assert k.cov_ab == pytest.approx(2.0 * math.sqrt(2.0))
-
     def test_beamsplitter_form(self):
-        k = heterodyne_covariance_transform(
-            Covariance2(3.0, 5.0, 2.0), transform=HeterodyneTransform.BEAMSPLITTER)
-        assert k.var_a == pytest.approx(5.0)
+        k = heterodyne_covariance_transform(Covariance2(3.0, 5.0, 2.0))
+        assert (k.var_a, k.var_b) == (5.0, 5.0)
+        assert k.cov_ab == pytest.approx(2.0 * math.sqrt(2.0))
 
     def test_rejects_subvacuum_alice(self):
         with pytest.raises(DomainError):
             heterodyne_covariance_transform(Covariance2(0.9, 5.0, 0.1))
 
     def test_inconsistent_statistics_detected(self):
-        # lossless entangled-source statistics break the printed transform
+        # measured statistics with no physical pre-beam-splitter mode
+        with pytest.raises(InconsistentStatisticsError):
+            heterodyne_covariance_transform(Covariance2(2.0, 2.0, 2.0))
+        # lossless entangled-source statistics reconstruct the source variance
         v = 20.0
         measured = Covariance2((v + 1) / 2, v, math.sqrt(v * v - 1) / math.sqrt(2))
-        with pytest.raises(InconsistentStatisticsError):
-            heterodyne_covariance_transform(measured)
-        physical = heterodyne_covariance_transform(
-            measured, transform=HeterodyneTransform.BEAMSPLITTER)
+        physical = heterodyne_covariance_transform(measured)
         assert physical.var_a == pytest.approx(v, rel=1e-12)
 
 
@@ -275,8 +270,7 @@ class TestCoherentRateBound:
             k_hom = Covariance2(v, var_b, c)
             k_het = Covariance2((v + 1) / 2, var_b, c / math.sqrt(2))
             squeezed = squeezed_rate_bound(k_hom, 1)
-            coherent = coherent_rate_bound(
-                k_het, 1, transform=HeterodyneTransform.BEAMSPLITTER)
+            coherent = coherent_rate_bound(k_het, 1)
             assert (coherent.delta_i_min_per_pulse
                     <= squeezed.delta_i_min_per_pulse + 1e-12)
 
@@ -366,12 +360,11 @@ class TestOverflow:
                                               r"sqrt\(2\)\*cov_ab overflows$"):
             heterodyne_covariance_transform(Covariance2(1e300, 1e300, 1.2e154))
 
-    @pytest.mark.parametrize("transform", list(HeterodyneTransform))
-    def test_transform_overflow_names_given_var_a(self, transform):
+    def test_transform_overflow_names_given_var_a(self):
         with pytest.raises(DomainError, match=r"^var_a = 1e\+308 is too large for the "
                                               r"heterodyne transform: the reconstructed "
                                               r"variance overflows$"):
-            heterodyne_covariance_transform(Covariance2(1e308, 1e308, 0.0), 1.0, transform)
+            heterodyne_covariance_transform(Covariance2(1e308, 1e308, 0.0))
 
     @pytest.mark.parametrize("n0, message", [
         (math.inf, "shot-noise unit must be finite, got inf"),
@@ -395,7 +388,18 @@ class TestConditioning:
         k = analytic_covariance(EprSource(v), ChannelModel(0.5, 0.1), protocol)
         with pytest.raises(DomainError, match=r"^conditional variance .* is ill-conditioned: "
                                               r"rounding in var_b - cov_ab\^2/var_a"):
-            rate_bound(k, 1, protocol, 1.0, HeterodyneTransform.BEAMSPLITTER)
+            rate_bound(k, 1, protocol)
+
+    @pytest.mark.parametrize("information", [gaussian_mutual_information,
+                                             gaussian_conditional_entropy])
+    def test_gaussian_information_raises(self, information):
+        # unchecked, these read 25.01 and 1.451 bits from a conditional
+        # variance of 0.4375 whose exact value is 0.4202
+        k = analytic_covariance(EprSource(1e15), ChannelModel(0.5, 0.1),
+                                ProtocolKind.SQUEEZED_HOMODYNE)
+        with pytest.raises(DomainError, match=r"^conditional variance 0\.4375 is "
+                                              r"ill-conditioned"):
+            information(k)
 
     @given(st.floats(1.0, MAX_SOURCE_VARIANCE), st.floats(0.0, 1.0, exclude_min=True),
            st.floats(0.0, 1e6))
@@ -410,6 +414,21 @@ class TestConditioning:
         v, t, eps = Fraction(v), Fraction(t), Fraction(eps)
         exact = t * v + (1 - t) + t * eps - t * (v * v - 1) / v
         assert abs(Fraction(cv) - exact) <= Fraction(CONDITIONING_RTOL) * exact
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+@given(st.floats(1.0, 1e12), st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1e3))
+@example(2.0, 0.25, 0.0)  # a modulation-variance bound would read 0.5 bits, over I_AB = 0.161
+@settings(max_examples=1000)
+def test_physical_channel_rate_stays_below_i_ab(protocol, v, t, eps):
+    # Eve's information on a physical channel cannot be negative, so no bound
+    # there may exceed I_AB beyond rounding
+    try:
+        k = analytic_covariance(EprSource(v), ChannelModel(t, eps), protocol)
+        report = rate_bound(k, 1, protocol)
+    except DomainError:
+        return
+    assert report.i_be_bound >= -1e-9 * max(1.0, report.i_ab)
 
 
 #: the functions besides the bounds (TestOverflow) that take a
@@ -446,7 +465,7 @@ class TestRateReportDerivedRates:
     @given(covariances(), st.integers(1, 10 ** 6), st.sampled_from(list(ProtocolKind)))
     def test_identities_hold_exactly(self, k, n, protocol):
         try:
-            report = rate_bound(k, n, protocol, 1.0, HeterodyneTransform.BEAMSPLITTER)
+            report = rate_bound(k, n, protocol)
         except DomainError:
             return
         for r in (report, report.with_sifting()):
@@ -455,7 +474,7 @@ class TestRateReportDerivedRates:
 
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_sifting_halves_every_rate_exactly(self, protocol):
-        report = rate_bound(K_WORKED, 7, protocol, 1.0, HeterodyneTransform.BEAMSPLITTER)
+        report = rate_bound(K_WORKED, 7, protocol)
         sifted = report.with_sifting()
         assert sifted.sifting_applied and not report.sifting_applied
         for name in ("delta_i_min_per_pulse", "delta_i_min_block", "i_ab", "i_be_bound"):

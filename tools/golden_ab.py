@@ -12,7 +12,7 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 209 commands runs in about 14 s on
+It takes no options. The whole list of 159 commands runs in about 13 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -111,11 +111,9 @@ def commands():
                      "--out", "config.csv"]
 
     for record in records:
-        for transform in ("printed", "beamsplitter"):
-            for fmt in ("text", "json"):
-                yield (f"rate-{record}-{transform}-{fmt}",
-                       ["rate", "--record", record, "--transform", transform,
-                        "--format", fmt, "--beta", "0.95"])
+        for fmt in ("text", "json"):
+            yield (f"rate-{record}-{fmt}",
+                   ["rate", "--record", record, "--format", fmt, "--beta", "0.95"])
     yield "rate-record-n-out", ["rate", "--record", records[0], "--n", "8",
                                 "--out", "rate-record.json"]
     yield "rate-cov-squeezed", ["rate", *SQUEEZED_COV, "--beta", "0.9",
@@ -123,8 +121,7 @@ def commands():
     yield "rate-cov-coherent", ["rate", "--cov", "10.5,10.5,9.0",
                                 "--protocol", "coherent_heterodyne", "--n", "4"]
     yield "rate-cov-coherent-bs", ["rate", "--cov", "10.5,10.5,9.987492177719089",
-                                   "--protocol", "coherent_heterodyne",
-                                   "--transform", "beamsplitter", "--format", "json"]
+                                   "--protocol", "coherent_heterodyne", "--format", "json"]
 
     sweeps = {
         "t": ["--start", "0.05", "--stop", "1.0", "--steps", "12", "--eps", "0.05"],
@@ -138,7 +135,7 @@ def commands():
                                  "--plot-out", f"sweep-{param}.json"]
     yield "sweep-displacement", ["sweep", "--param", "t", "--start", "0.3", "--stop", "0.9",
                                  "--steps", "7", "--eps", "0.1", "--shape", "displacement",
-                                 "--transform", "printed", "--out", "sweep-disp.csv"]
+                                 "--out", "sweep-disp.csv"]
 
     yield "verify-discrete", ["verify", "--scope", "discrete", "--trials", "200",
                               "--out", "verify-discrete.json"]
@@ -278,15 +275,13 @@ def commands():
                                                "--out", "sweep-conditional-variance.csv"]
 
     # a coherent bound whose conditional variance is 0, a shape parameter with no
-    # value, and statistics the beamsplitter transform rejects, with no hint
+    # value, and statistics the heterodyne transform rejects
     yield "error-rate-coherent-conditional-variance", [
-        "rate", "--cov", "2,3,2.1213203435596424", "--protocol", "coherent_heterodyne",
-        "--transform", "beamsplitter"]
+        "rate", "--cov", "2,3,2.1213203435596424", "--protocol", "coherent_heterodyne"]
     yield "error-simulate-shape-parameter-without-value", [
         "simulate", "--shape", "uniform:halfwidth", "--out", "shape-no-value.csv"]
     yield "error-rate-beamsplitter-inconsistent", [
-        "rate", "--cov", "2,2,2", "--protocol", "coherent_heterodyne",
-        "--transform", "beamsplitter"]
+        "rate", "--cov", "2,2,2", "--protocol", "coherent_heterodyne"]
 
     # a conditional variance that rounding may have moved (the analytic covariance
     # of v = 1e15 at t = 0.5, eps = 0.1), by literal and by sweep, a json-lines
