@@ -36,6 +36,9 @@ JITTER_SCALE = 1e-12
 #: subsampling folds used for standard errors
 FOLDS = 10
 
+#: samples per slice of the covariance's second-moment sums
+MOMENT_CHUNK = 1 << 16
+
 LOG2 = math.log(2.0)
 
 
@@ -107,13 +110,24 @@ class EntropyEstimate:
 def estimate_covariance(s: SampleSet) -> Covariance2:
     """Sample covariance of (a, b) after subtracting sample means,
     population-normalized. A covariance marginally outside the positive-
-    semidefinite cone (floating point) is clipped to the boundary."""
-    a = s.a - s.a.mean()
-    b = s.b - s.b.mean()
+    semidefinite cone (floating point) is clipped to the boundary.
+
+    The centred products are summed one MOMENT_CHUNK slice at a time (numpy's
+    pairwise sum, no BLAS) and the partial sums combined with ``math.fsum``, so
+    the result depends on the input and MOMENT_CHUNK alone, not on the core or
+    BLAS thread count, and no temporary is larger than a slice."""
+    mean_a, mean_b = s.a.mean(), s.b.mean()
+    aa, bb, ab = [], [], []
+    for start in range(0, len(s), MOMENT_CHUNK):
+        a = s.a[start:start + MOMENT_CHUNK] - mean_a
+        b = s.b[start:start + MOMENT_CHUNK] - mean_b
+        aa.append(float((a * a).sum()))
+        bb.append(float((b * b).sum()))
+        ab.append(float((a * b).sum()))
     n = len(s)
-    var_a = float(a @ a) / n
-    var_b = float(b @ b) / n
-    cov = float(a @ b) / n
+    var_a = math.fsum(aa) / n
+    var_b = math.fsum(bb) / n
+    cov = math.fsum(ab) / n
     limit = math.sqrt(var_a * var_b)
     if abs(cov) > limit:
         cov = math.copysign(limit, cov)

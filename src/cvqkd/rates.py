@@ -193,7 +193,9 @@ def squeezed_rate_bound(k: Covariance2, n: int, n0: float = 1.0) -> RateReport:
     _check_bound_args(n, n0)
     cv = conditional_variance(k)
     if cv <= 0:
-        raise DomainError("conditional variance must be positive for a rate bound")
+        raise DomainError(
+            f"conditional variance must be positive for a rate bound (var_b = {k.var_b:.6g}; "
+            f"rounding in var_b - cov_ab^2/var_a may move it by {_rounding_bound(k):.3g})")
     quotient = n0 / cv
     if not 0.0 < quotient < math.inf:
         raise DomainError(
@@ -257,11 +259,16 @@ def coherent_rate_bound(k_measured: Covariance2, n: int, n0: float = 1.0) -> Rat
     return _report(k_measured, n, math.log2(quotient), cv1, cv2)
 
 
+def _rounding_bound(k: Covariance2) -> float:
+    """How far rounding may move the conditional variance var_b - cov_ab**2/var_a
+    of k: four units in the last place of var_b + cov_ab**2/var_a."""
+    return 4.0 * 2.0 ** -53 * (k.var_b + k.cov_ab ** 2 / k.var_a)
+
+
 def _check_conditioning(k: Covariance2, cv: float) -> None:
     """Raise DomainError when rounding may have moved the conditional variance
-    cv = var_b - cov_ab**2/var_a of k by more than CONDITIONING_RTOL of itself.
-    Four units in the last place of var_b + cov_ab**2/var_a bound that error."""
-    error = 4.0 * 2.0 ** -53 * (k.var_b + k.cov_ab ** 2 / k.var_a)
+    cv = var_b - cov_ab**2/var_a of k by more than CONDITIONING_RTOL of itself."""
+    error = _rounding_bound(k)
     if error > CONDITIONING_RTOL * cv:
         raise DomainError(
             f"conditional variance {cv:.6g} is ill-conditioned: rounding in var_b - "

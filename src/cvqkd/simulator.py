@@ -360,15 +360,21 @@ class BlockRecord:
     def samples(self) -> SampleSet:
         """Kept pulses as a SampleSet, both quadratures pooled by flipping
         the sign of Bob's p values (the EPR correlation is anti-symmetric
-        in p, so the flip makes both labels share one joint law)."""
+        in p, so the flip makes both labels share one joint law). When every
+        pulse is kept, Alice's values are a read-only view of ``a``, not a copy."""
         kept = self.kept
-        b, labels = self.b[kept], self.label_b[kept]
+        if kept.all():
+            a = self.a.view()
+            a.flags.writeable = False
+            b, labels = self.b.copy(), self.label_b
+        else:
+            a, b, labels = self.a[kept], self.b[kept], self.label_b[kept]
         # x * -1.0 is -x bit for bit (NaN aside, which SampleSet rejects); a chunk
         # at a time, so the signs never take a whole column of floats
         sign = np.array([1.0, -1.0])  # by label code: Q keeps its sign, P flips it
         for start in range(0, len(b), CHUNK_PULSES):
             b[start:start + CHUNK_PULSES] *= sign[labels[start:start + CHUNK_PULSES]]
-        return SampleSet(self.a[kept], b)
+        return SampleSet(a, b)
 
 
 def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,

@@ -345,8 +345,8 @@ def heterodyne_transform_crosscheck(seed: int, pulses: int) -> list[InequalityRe
     it, and that deficit is recorded as its own check.
     """
     source = EprSource(20.0)
-    # only the samples are kept, so the record is freed before the covariance
-    # makes its centred copies
+    # only the samples are kept, so the record's b and label columns are freed
+    # before the covariance runs (samples.a is a view of its a column)
     samples = run_session(source, ChannelModel(1.0, 0.0),
                           ProtocolKind.COHERENT_HETERODYNE, n=1, l=pulses,
                           sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=seed).samples()

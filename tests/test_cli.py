@@ -528,7 +528,8 @@ class TestSweep:
         (["--param", "eps", "--start", "0", "--stop", "1", "--v", "0.5"], 2,
          "error: eps=0: source variance 0.5 below the vacuum variance"),
         (["--param", "v", "--start", "2", "--stop", "1.3e154"], 2,
-         "error: v=3.25e+153: conditional variance must be positive for a rate bound"),
+         "error: v=3.25e+153: conditional variance must be positive for a rate bound "
+         "(var_b = 3.25e+153; rounding in var_b - cov_ab^2/var_a may move it by 2.89e+138)"),
         (["--param", "v", "--start", "2", "--stop", "1e15", "--t", "0.5", "--eps", "0.1"], 2,
          "error: v=2.5e+14: conditional variance 0.515625 is ill-conditioned"),
         (["--param", "eps", "--start", "0", "--stop", "inf"], 2,

@@ -4,9 +4,12 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from cvqkd import (
@@ -26,6 +29,7 @@ from cvqkd import (
 from cvqkd import estimators
 from cvqkd.estimators import (
     FOLDS,
+    MOMENT_CHUNK,
     _knn_estimate,
     _kth_neighbor_distance_1d,
     _kth_neighbor_distance_tree,
@@ -97,6 +101,44 @@ class TestEstimateCovariance:
             s = SampleSet(a, a * rng.choice([-1.0, 1.0]) * 2.0)
             k = estimate_covariance(s)
             assert k.cov_ab ** 2 <= k.var_a * k.var_b * (1 + 1e-9)
+
+    def test_peak_memory_is_a_few_slices(self):
+        # the second moments stream through MOMENT_CHUNK slices: no whole-column
+        # temporary, where centred copies of both columns took 16 MB here. Its
+        # own generator, so the module's stream reaches later tests unchanged
+        z = np.random.default_rng(5).normal(size=(2, 10**6))
+        s = SampleSet(z[0], z[1])
+        tracemalloc.start()
+        try:
+            estimate_covariance(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @settings(max_examples=40, deadline=None)
+    @given(length=st.one_of(st.integers(2, 500),
+                            st.integers(MOMENT_CHUNK - 3, 3 * MOMENT_CHUNK + 7)),
+           offset=st.sampled_from([0.0, -3.5, 1e6]),
+           rho=st.sampled_from([0.0, 0.6, -0.99, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_exactly_rounded_sums(self, length, offset, rho, seed):
+        # within 1e-12 of the correctly rounded sums of the centred products,
+        # also at lengths that are no multiple of MOMENT_CHUNK and on data far
+        # from the origin, and never outside the positive-semidefinite cone.
+        # A slice's pairwise sum errs by at most about 16 * 2**-53 of the sum of
+        # its terms' magnitudes, and fsum adds no more than one more rounding
+        z = np.random.default_rng(seed).normal(size=(2, length))
+        a = offset + z[0]
+        b = 2.0 * offset + rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]
+        k = estimate_covariance(SampleSet(a, b))
+        x, y = a - math.fsum(a) / length, b - math.fsum(b) / length
+        var_a, var_b = math.fsum(x * x) / length, math.fsum(y * y) / length
+        cov = math.fsum(x * y) / length
+        assert k.var_a == pytest.approx(var_a, rel=1e-12)
+        assert k.var_b == pytest.approx(var_b, rel=1e-12)
+        assert abs(k.cov_ab - cov) <= 1e-12 * math.sqrt(var_a * var_b)
+        assert abs(k.cov_ab) <= math.sqrt(k.var_a * k.var_b)
 
 
 class TestKnnEntropy:

@@ -10,18 +10,23 @@ The CLI digests pin `simulate` (stdout and record) for both protocols in
 both sifting modes, `rate --record` on one of those records, and the
 `verify --scope discrete` and `verify --scope statistical` manifests.
 The column digests pin sessions of three chunks, whose chunks run on as
-many cores as the process may use.
+many cores as the process may use. The statistical manifest is also pinned
+from fresh interpreters on one and two BLAS threads and on one core.
 """
 
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cvqkd
 from cvqkd import (
     ChannelModel,
     DiscreteDisplacement,
@@ -212,16 +217,16 @@ SIMULATE_ARGS = ["--v", "20", "--t", "0.5", "--eps", "0.05", "--n", "2", "--l", 
 #: (protocol, sifting), with the sha256 of simulate's stdout and of the record
 SIMULATIONS = {
     ("squeezed_homodyne", "random_basis"): (
-        "c78a7e17da126c17ea2ed1a409a07c8a120d742ff365c921f5b904786d69d106",
+        "2bfd5f752767c139e2c4fff7f4a3b22b300561c1a8a5d630649d2277697c087b",
         "cc436ad8ed54a0961e3426486309ab36a48b31213d7ab3bec679b9007253e851"),
     ("squeezed_homodyne", "quantum_memory"): (
-        "ea6ab2a82a625200a44e5213890f82878b18f58ab636a5e5bb40cf9b4ee411d7",
+        "0dd893811c4b95d348fad30e186f440a384f17f34bf6fcd6daf32a7f0d2a2393",
         "103169a18ae79a64083482cbd84a739fc54303a666d62454932dceaeb978f1a2"),
     ("coherent_heterodyne", "random_basis"): (
-        "662738efc060577191ff41b9ff9ae90d99ea62ba4847b9647b19ccc806da2544",
+        "343ffc32b77ed5eec5e31f82715913f6d2d818fe8148018e64039ef39962cd56",
         "4e1d3b87fc5c24337bb7b5d1bef62c8b24113019299516f2d205779c12ae4de9"),
     ("coherent_heterodyne", "quantum_memory"): (
-        "1d0e93e15bde2fadf61d7220bec9c59d95f0cf58148e8163defd191640e42891",
+        "26f364760994ef4b5f1ee5e8ea29e34314ade5c000eb74f17dd892a546964589",
         "eaddc82dc58f6df70f53393d952b2c3681bd08364305c3a88757e48de327b0ff"),
 }
 
@@ -232,7 +237,7 @@ RATE_RECORD_DIGEST = "67a501c10bb6221e1f1d95663fcd8f1d5dd149c8cb11179d93227d1afa
 VERIFY_DISCRETE_DIGEST = "d1a2a3433433d858c0d85b7e45bc79e7603541f71e01db76d3f33cab0f5c7fa5"
 
 #: sha256 of the `verify --scope statistical --pulses 20000` manifest
-VERIFY_STATISTICAL_DIGEST = "e39503ec58597cdd1b9be3609e78599c6e4ace7c81c176b764b9c202e3c407e9"
+VERIFY_STATISTICAL_DIGEST = "f8ed7ef3abb5441ec0770f993ee5cfec615130ba92f179ab798eda692400e357"
 
 
 @pytest.fixture
@@ -273,3 +278,33 @@ def test_verify_statistical_manifest_bytes(workdir):
                                   "--out", "manifest.json"])
     assert result.exit_code == 0, result.output
     assert sha256((path / "manifest.json").read_bytes()) == VERIFY_STATISTICAL_DIGEST
+
+
+#: a fresh interpreter running the CLI on its arguments, on one core when the
+#: first argument is "one-core" (set before numpy and its BLAS load)
+CLI_SCRIPT = """
+import os, sys
+if sys.argv.pop(1) == "one-core":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from cvqkd.cli import main
+main()
+"""
+
+
+@pytest.mark.parametrize("blas_threads, cores", [("1", "all-cores"), ("2", "all-cores"),
+                                                 ("2", "one-core")])
+def test_verify_statistical_manifest_bytes_on_any_core_count(tmp_path, blas_threads, cores):
+    # the sample covariance sums in fixed slices without BLAS, and the estimate
+    # terms are summed in a fixed order, so neither the BLAS thread count nor
+    # the number of cores reaches the manifest
+    if cores == "one-core" and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    src = str(Path(cvqkd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas_threads}
+    env.pop("CVQKD_OUT_DIR", None)
+    result = subprocess.run(
+        [sys.executable, "-c", CLI_SCRIPT, cores, "verify", "--scope", "statistical",
+         "--pulses", "20000", "--out", "manifest.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert sha256((tmp_path / "manifest.json").read_bytes()) == VERIFY_STATISTICAL_DIGEST

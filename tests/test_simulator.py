@@ -283,6 +283,27 @@ class TestRunSession:
         assert samples.b.tobytes() == expected.tobytes()
         assert samples.a.tobytes() == rec.a[rec.kept].tobytes()
 
+    @pytest.mark.parametrize("sifting", list(SiftingMode))
+    def test_all_kept_samples_view_alices_column(self, sifting):
+        # with every pulse kept, Alice's column is lent read-only instead of
+        # copied; Bob's is always a copy, since its p values are flipped
+        rec = run_session(EprSource(8.0), ChannelModel(0.7, 0.2), HOMODYNE, n=1, l=5_000,
+                          sifting_mode=sifting, rng_seed=19)
+        b_before = rec.b.tobytes()
+        samples = rec.samples()
+        assert samples.a.tobytes() == rec.a[rec.kept].tobytes()
+        assert rec.kept.all() == (sifting is SiftingMode.QUANTUM_MEMORY)
+        if rec.kept.all():
+            assert np.shares_memory(samples.a, rec.a)
+            assert not samples.a.flags.writeable
+            with pytest.raises(ValueError):
+                samples.a[0] = 0.0
+        else:
+            assert not np.shares_memory(samples.a, rec.a)
+        assert rec.a.flags.writeable
+        assert not np.shares_memory(samples.b, rec.b)
+        assert rec.b.tobytes() == b_before
+
     def test_kept_is_derived_from_the_labels(self):
         rec = run_session(EprSource(8.0), ChannelModel(0.7, 0.2), HOMODYNE,
                           n=2, l=500, rng_seed=18)

@@ -12,7 +12,13 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-It takes no options. The whole list of 159 commands runs in about 13 s on
+and rerun the change on one BLAS thread, whose output must not differ from
+the default run, so that no output depends on the BLAS thread count:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/golden_ab.py > change-1.txt
+    diff change.txt change-1.txt
+
+It takes no options. The whole list of 160 commands runs in about 13 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -295,6 +301,11 @@ def commands():
     yield "error-rate-row-repeated-key", ["rate", "--record", "row-repeated-key.jsonl"]
     yield "error-rate-beta-above-1", ["rate", "--cov", "1,1,0", "--protocol",
                                       "squeezed_homodyne", "--beta", "1.5"]
+
+    # the conditional variance that cancels to 0 at the sweep point v = 1.3e154
+    # above, as a literal: the error names var_b and how far rounding may move it
+    yield "error-rate-conditional-variance-rounding", [
+        "rate", "--cov", "1.3e154,1.3e154,1.3e154", "--protocol", "squeezed_homodyne"]
 
 
 def sha256(data: bytes) -> str:
