@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import records
 from .errors import (
@@ -41,8 +42,10 @@ from .estimators import estimate_covariance
 from .rates import (
     Covariance2,
     ProtocolKind,
+    RateReport,
     conditional_squeezing_check,
     rate_bound,
+    rate_columns,
 )
 from .simulator import (
     SHAPE_KINDS,
@@ -51,6 +54,7 @@ from .simulator import (
     GaussianNoise,
     SiftingMode,
     analytic_covariance,
+    analytic_moments,
     run_session,
 )
 from .verify import manifest as build_manifest
@@ -386,6 +390,11 @@ SWEEP_COLUMNS = (
 SWEEP_ROW = "{},{!r},{!r},{!r},{!r},{!r},{!r},{!r},{!r},{!r}\n"
 SWEEP_ROW_SQUEEZED_ONLY = "{0},{1!r},{2!r},,{4!r},,{6!r},,{8!r},\n"
 
+#: grid points formatted and written at a time
+SWEEP_CHUNK = 4096
+
+SWEEP_KINDS = (ProtocolKind.SQUEEZED_HOMODYNE, ProtocolKind.COHERENT_HETERODYNE)
+
 
 @main.command()
 @config_options
@@ -409,41 +418,97 @@ def sweep(config, param, start, stop, steps, out, plot_out, **overrides):
                                  f"got {start:g} to {stop:g}")
     path = resolve_out(out)
     plot_path = None if plot_out is None else resolve_out(plot_out)
-    kinds = (ProtocolKind.SQUEEZED_HOMODYNE, ProtocolKind.COHERENT_HETERODYNE)
-    point, n0, rows = {"v": base.v, "t": base.t, "eps": base.eps, "beta": base.beta}, base.n0, []
-    for i in range(steps):
-        value = point[param] = start + (stop - start) * i / (steps - 1)
-        try:
-            _check_efficiency(point["beta"])
-            source, channel = EprSource(point["v"], n0), ChannelModel(point["t"], point["eps"])
-            cells = []  # per protocol: delta_i_min, i_ab, i_be_bound, cond_var
-            for kind in kinds:
-                k = analytic_covariance(source, channel, kind)
-                try:
-                    report = rate_bound(k, 1, kind, n0)
-                except DomainError:
-                    if not cells:  # the squeezed bound; without it there is no row
-                        raise
-                    cells.append((None,) * 4)  # the coherent bound is undefined here
-                else:
-                    cells.append((report.effective_rate(point["beta"] * report.i_ab),
-                                  report.i_ab, report.i_be_bound, report.cond_var_b_given_a))
-        except (ConfigurationError, DomainError) as exc:
-            raise type(exc)(f"{param}={value:g}: {exc}") from exc
-        (delta, i_ab, i_be, var), (delta_c, i_ab_c, i_be_c, var_c) = cells
-        rows.append((param, value, delta, delta_c, i_ab, i_ab_c, i_be, i_be_c, var, var_c))
+    try:
+        with np.errstate(all="ignore"):  # an overflowing point fails its domain check
+            values = start + (stop - start) * np.arange(steps) / (steps - 1)
+    except (MemoryError, ValueError):
+        raise CapacityError(f"cannot hold a sweep of {steps} grid points") from None
+    point = {"v": base.v, "t": base.t, "eps": base.eps, "beta": base.beta}
+    columns = _sweep_columns(param, values, point, base.n0)
 
-    path.write_text(",".join(SWEEP_COLUMNS) + "\n" + "".join(
-        (SWEEP_ROW if row[3] is not None else SWEEP_ROW_SQUEEZED_ONLY).format(*row)
-        for row in rows))
+    with path.open("w") as f:
+        f.write(",".join(SWEEP_COLUMNS) + "\n")
+        for first in range(0, steps, SWEEP_CHUNK):
+            chunk = (column[first:first + SWEEP_CHUNK].tolist() for column in (values, *columns))
+            f.write("".join((SWEEP_ROW_SQUEEZED_ONLY if math.isnan(row[2]) else SWEEP_ROW)
+                            .format(param, *row) for row in zip(*chunk)))
     click.echo(f"wrote {path} ({steps} grid points)")
 
     if plot_path is not None:
-        columns = list(zip(*rows))
-        doc = {"param": param, "values": columns[1],
-               "series": dict(zip(SWEEP_COLUMNS[2:], columns[2:]))}
+        doc = {"param": param, "values": values.tolist(), "series": {
+            name: [None if math.isnan(x) else x for x in column.tolist()]
+            for name, column in zip(SWEEP_COLUMNS[2:], columns)}}
         plot_path.write_text(json.dumps(doc, indent=2) + "\n")
         click.echo(f"wrote {plot_path}")
+
+
+def _sweep_columns(param: str, values: np.ndarray, point: dict, n0: float) -> list:
+    """The eight rate columns of a sweep table (SWEEP_COLUMNS after value), NaN in
+    the coherent cells a point leaves empty.
+
+    Each column is evaluated whole, through the closed forms of analytic_moments
+    and rate_columns. The points those reject, and every point when the grid leaves
+    a parameter's domain, go through _sweep_point in grid order, which raises at
+    the first point it cannot price. A domain is an interval and the grid is
+    monotone, so its points are all in the domain when its two ends are.
+    """
+    steps = len(values)
+    try:
+        for value in values[[0, -1]].tolist():
+            _sweep_source({**point, param: value}, n0)
+    except ConfigurationError:
+        columns = [np.full(steps, math.nan) for _ in range(8)]
+    else:
+        grid = {name: np.full(steps, float(value)) for name, value in point.items()}
+        grid[param] = values
+        shot = float(n0)
+        cells = []
+        with np.errstate(all="ignore"):
+            for kind in SWEEP_KINDS:
+                k = analytic_moments(grid["v"], grid["t"], grid["eps"], shot, kind)
+                cells.append(_sweep_cells(rate_columns(k, kind, shot), grid["beta"]))
+        columns = [column for pair in zip(*cells) for column in pair]
+    for i in np.flatnonzero(np.isnan(columns[0]) | np.isnan(columns[1])).tolist():
+        for column, cell in zip(columns, _sweep_point(param, values[i].item(), point, n0)):
+            column[i] = cell
+    return columns
+
+
+def _sweep_source(point: dict, n0: float) -> tuple[EprSource, ChannelModel]:
+    """The source and channel of one grid point, after checking its beta."""
+    _check_efficiency(point["beta"])
+    return EprSource(point["v"], n0), ChannelModel(point["t"], point["eps"])
+
+
+def _sweep_point(param: str, value: float, point: dict, n0: float) -> list:
+    """The eight rate cells of the grid point param=value, one at a time through
+    analytic_covariance and rate_bound: NaN in the coherent cells where that bound
+    is undefined. Raises, naming the point, where the point is outside a domain or
+    its squeezed bound is undefined."""
+    point = {**point, param: value}
+    try:
+        source, channel = _sweep_source(point, n0)
+        cells = []
+        for kind in SWEEP_KINDS:
+            k = analytic_covariance(source, channel, kind)
+            try:
+                report = rate_bound(k, 1, kind, n0)
+            except DomainError:
+                if not cells:  # the squeezed bound; without it there is no row
+                    raise
+                cells.append((math.nan,) * 4)  # the coherent bound is undefined here
+            else:
+                cells.append(_sweep_cells(report, point["beta"]))
+    except (ConfigurationError, DomainError) as exc:
+        raise type(exc)(f"{param}={value:g}: {exc}") from exc
+    return [cell for pair in zip(*cells) for cell in pair]
+
+
+def _sweep_cells(report: RateReport, beta) -> tuple:
+    """One protocol's cells of a sweep row, or its columns: delta_i_min at
+    efficiency beta, i_ab, i_be_bound and the conditional variance B|A."""
+    return (report.effective_rate(beta * report.i_ab), report.i_ab, report.i_be_bound,
+            report.cond_var_b_given_a)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, InconsistentStatisticsError
 
@@ -54,6 +57,16 @@ class HeterodyneTransform(Enum):
     BEAMSPLITTER = "beamsplitter"
 
 
+class Moments(NamedTuple):
+    """Second moments var_a, var_b and cov_ab, unchecked: floats for one point, or
+    numpy columns for a grid of points. The closed forms below take either, or a
+    Covariance2, the checked moments of one point."""
+
+    var_a: float | np.ndarray
+    var_b: float | np.ndarray
+    cov_ab: float | np.ndarray
+
+
 @dataclass(frozen=True)
 class Covariance2:
     """Second moments of one zero-mean Alice/Bob quadrature pair."""
@@ -69,20 +82,47 @@ class Covariance2:
         if self.var_a < 0 or self.var_b < 0:
             raise DomainError(
                 f"variances must be non-negative, got ({self.var_a}, {self.var_b})")
-        bound = self.var_a * self.var_b
-        try:
-            square = self.cov_ab ** 2
-        except OverflowError:
+        square = self.cov_ab * self.cov_ab
+        if math.isinf(square):
             raise DomainError(f"cov_ab = {self.cov_ab:.6g} is too large: "
-                              f"its square overflows") from None
-        if square > bound * (1.0 + PSD_RTOL):
-            raise InconsistentStatisticsError(
-                f"cov_ab^2 = {square:.6g} exceeds var_a*var_b = {bound:.6g}")
+                              f"its square overflows")
+        if not _within_psd(self, square):
+            raise InconsistentStatisticsError(f"cov_ab^2 = {square:.6g} exceeds "
+                                              f"var_a*var_b = {self.var_a * self.var_b:.6g}")
+
+
+# The closed forms take floats or numpy columns alike, with the same roundings:
+# squares are products, because the C library's pow(x, 2) is not always correctly
+# rounded (a product is); a square root is correctly rounded in numpy and in math;
+# and log2 is math.log2 on every entry, because numpy's log2 rounds differently
+# on some. So a grid of points gets the bits of each point on its own.
+
+def _sqrt(x):
+    """The square root of a float, or of each entry of a column."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _clip_at_zero(x):
+    """x, or 0 where x is negative, of a float or of each entry of a column."""
+    return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
+
+
+def _log2(x):
+    """math.log2 of a float, or of each entry of a column."""
+    if not isinstance(x, np.ndarray):
+        return math.log2(x)
+    return np.array([math.log2(e) for e in x.tolist()])
+
+
+def _within_psd(k, square):
+    """Whether cov_ab^2 = square is within var_a*var_b, up to PSD_RTOL."""
+    return square <= k.var_a * k.var_b * (1.0 + PSD_RTOL)
 
 
 @dataclass(frozen=True)
 class RateReport:
-    """Key-rate bound plus the intermediate quantities that produced it.
+    """Key-rate bound plus the intermediate quantities that produced it, of one
+    point, or of a grid of points as numpy columns (see rate_columns).
 
     For covariances of physically realizable states (var_b * cond_var >=
     n0**2) the usual orderings hold: i_be_bound >= 0 and
@@ -123,9 +163,9 @@ class RateReport:
         i_eff = i_ab (perfect reconciliation) recovers the plain bound;
         i_eff above the Gaussian mutual information is impossible and raises.
         """
-        if i_eff < 0:
+        if np.any(i_eff < 0):
             raise DomainError(f"reconciled information cannot be negative, got {i_eff}")
-        if i_eff > self.i_ab * (1.0 + 1e-12):
+        if np.any(i_eff > self.i_ab * (1.0 + 1e-12)):
             raise DomainError(
                 f"reconciled information {i_eff} exceeds the Shannon limit {self.i_ab}")
         return i_eff - self.i_be_bound
@@ -152,8 +192,12 @@ def conditional_variance(k: Covariance2) -> float:
     residue at the perfectly-correlated boundary is clipped to 0."""
     if k.var_a <= 0:
         raise DomainError("var_a must be positive to condition on A")
-    # cov_ab ** 2 cannot overflow here: Covariance2 rejects a cov_ab whose square does
-    return max(k.var_b - k.cov_ab ** 2 / k.var_a, 0.0)
+    return _conditional_variance(k)
+
+
+def _conditional_variance(k):
+    """var_b - cov_ab**2 / var_a of moments k, clipped at 0, unchecked."""
+    return _clip_at_zero(k.var_b - k.cov_ab * k.cov_ab / k.var_a)
 
 
 def gaussian_conditional_entropy(k: Covariance2) -> float:
@@ -178,9 +222,9 @@ def gaussian_mutual_information(k: Covariance2) -> float:
     return _mutual_information(k, cv)
 
 
-def _mutual_information(k: Covariance2, cv: float) -> float:
-    """I(A;B) of k from its positive conditional variance cv, unchecked."""
-    return 0.5 * math.log2(k.var_b / cv)
+def _mutual_information(k, cv):
+    """I(A;B) of moments k from its positive conditional variance cv, unchecked."""
+    return 0.5 * _log2(k.var_b / cv)
 
 
 def squeezed_rate_bound(k: Covariance2, n: int, n0: float = 1.0) -> RateReport:
@@ -196,13 +240,13 @@ def squeezed_rate_bound(k: Covariance2, n: int, n0: float = 1.0) -> RateReport:
         raise DomainError(
             f"conditional variance must be positive for a rate bound (var_b = {k.var_b:.6g}; "
             f"rounding in var_b - cov_ab^2/var_a may move it by {_rounding_bound(k):.3g})")
-    quotient = n0 / cv
+    quotient = _quotient(n0, cv)
     if not 0.0 < quotient < math.inf:
         raise DomainError(
             f"conditional variance {cv:.6g} is out of range for a rate bound: "
             f"n0/cv = {quotient:.6g} is not finite and positive")
     _check_conditioning(k, cv)
-    return _report(k, n, math.log2(quotient), cv)
+    return _report(k, n, _log2(quotient), cv)
 
 
 def heterodyne_covariance_transform(k_measured: Covariance2, n0: float = 1.0) -> Covariance2:
@@ -221,15 +265,20 @@ def heterodyne_covariance_transform(k_measured: Covariance2, n0: float = 1.0) ->
         raise DomainError(
             f"measured Alice variance {k_measured.var_a} must exceed the "
             f"shot-noise unit {n0} for the heterodyne transform")
-    var_a_prime = 2.0 * k_measured.var_a - n0
-    if math.isinf(var_a_prime):
+    k_prime = _presplit(k_measured, n0)
+    if math.isinf(k_prime.var_a):
         raise DomainError(f"var_a = {k_measured.var_a:.6g} is too large for the heterodyne "
                           f"transform: the reconstructed variance overflows")
-    cov_ab_prime = math.sqrt(2.0) * k_measured.cov_ab
-    if math.isinf(cov_ab_prime * cov_ab_prime):
+    if math.isinf(k_prime.cov_ab * k_prime.cov_ab):
         raise DomainError(f"cov_ab = {k_measured.cov_ab:.6g} is too large for the heterodyne "
                           f"transform: the square of sqrt(2)*cov_ab overflows")
-    return Covariance2(var_a_prime, k_measured.var_b, cov_ab_prime)
+    return Covariance2(*k_prime)
+
+
+def _presplit(k, n0) -> Moments:
+    """The heterodyne transform of moments k, unchecked: Alice's pre-beam-splitter
+    mode against Bob."""
+    return Moments(2.0 * k.var_a - n0, k.var_b, math.sqrt(2.0) * k.cov_ab)
 
 
 def coherent_rate_bound(k_measured: Covariance2, n: int, n0: float = 1.0) -> RateReport:
@@ -247,29 +296,44 @@ def coherent_rate_bound(k_measured: Covariance2, n: int, n0: float = 1.0) -> Rat
     k_prime = heterodyne_covariance_transform(k_measured, n0)
     cv2 = conditional_variance(k_prime)
     if cv1 <= 0 or cv2 <= 0:
-        raise DomainError("both conditional variances must be positive")
-    product = cv1 * cv2
-    quotient = n0 / math.sqrt(product) if product > 0 else math.inf
+        raise DomainError(
+            f"both conditional variances must be positive (var_b = {k_measured.var_b:.6g}; "
+            f"rounding in var_b - cov_ab^2/var_a may move them by "
+            f"{max(_rounding_bound(k_measured), _rounding_bound(k_prime)):.3g})")
+    quotient = _quotient(n0, cv1, cv2)
     if not 0.0 < quotient < math.inf:
         raise DomainError(
             f"conditional variances {cv1:.6g} and {cv2:.6g} are out of range for a rate "
             f"bound: n0/sqrt(cv1*cv2) = {quotient:.6g} is not finite and positive")
     _check_conditioning(k_measured, cv1)
     _check_conditioning(k_prime, cv2)
-    return _report(k_measured, n, math.log2(quotient), cv1, cv2)
+    return _report(k_measured, n, _log2(quotient), cv1, cv2)
 
 
-def _rounding_bound(k: Covariance2) -> float:
+def _quotient(n0, cv, cv_prime=None):
+    """2 to the power of a bound's bits per pulse: n0/cv for the squeezed bound,
+    n0/sqrt(cv*cv_prime) for the coherent one; infinite where the divisor is 0."""
+    divisor = cv if cv_prime is None else _sqrt(cv * cv_prime)
+    return n0 / divisor if isinstance(divisor, np.ndarray) or divisor > 0 else math.inf
+
+
+def _rounding_bound(k) -> float:
     """How far rounding may move the conditional variance var_b - cov_ab**2/var_a
-    of k: four units in the last place of var_b + cov_ab**2/var_a."""
-    return 4.0 * 2.0 ** -53 * (k.var_b + k.cov_ab ** 2 / k.var_a)
+    of moments k: four units in the last place of var_b + cov_ab**2/var_a."""
+    return 4.0 * 2.0 ** -53 * (k.var_b + k.cov_ab * k.cov_ab / k.var_a)
+
+
+def _well_conditioned(k, cv):
+    """Whether rounding may have moved the conditional variance cv of moments k
+    by at most CONDITIONING_RTOL of itself."""
+    return _rounding_bound(k) <= CONDITIONING_RTOL * cv
 
 
 def _check_conditioning(k: Covariance2, cv: float) -> None:
     """Raise DomainError when rounding may have moved the conditional variance
     cv = var_b - cov_ab**2/var_a of k by more than CONDITIONING_RTOL of itself."""
-    error = _rounding_bound(k)
-    if error > CONDITIONING_RTOL * cv:
+    if not _well_conditioned(k, cv):
+        error = _rounding_bound(k)
         raise DomainError(
             f"conditional variance {cv:.6g} is ill-conditioned: rounding in var_b - "
             f"cov_ab^2/var_a (var_b = {k.var_b:.6g}) may move it by {error:.3g}, more "
@@ -307,6 +371,39 @@ def rate_bound(
     if protocol is ProtocolKind.SQUEEZED_HOMODYNE:
         return squeezed_rate_bound(k, n, n0)
     return coherent_rate_bound(k, n, n0)
+
+
+def rate_columns(k: Moments, protocol: ProtocolKind, n0: float) -> RateReport:
+    """rate_bound(Covariance2(*point), 1, protocol, n0) at every point of a grid of
+    moments k (numpy columns), through the same closed forms: a report whose values
+    are columns, NaN at each point where Covariance2 or the bound would raise. Run
+    it under np.errstate(all="ignore"): the points it rejects may overflow."""
+    passed = _acceptable(k) & (0.0 < n0 < math.inf)
+    cv = _conditional_variance(k)
+    cv_prime = None
+    if protocol is ProtocolKind.SQUEEZED_HOMODYNE:
+        quotient = _quotient(n0, cv)
+    else:
+        k_prime = _presplit(k, n0)
+        cv_prime = _conditional_variance(k_prime)
+        quotient = _quotient(n0, cv, cv_prime)
+        passed &= ((k.var_a > n0) & _acceptable(k_prime) & (cv_prime > 0)
+                   & _well_conditioned(k_prime, cv_prime))
+        cv_prime = np.where(passed, cv_prime, np.nan)
+    passed &= (cv > 0) & (0.0 < quotient) & (quotient < math.inf) & _well_conditioned(k, cv)
+    cv = np.where(passed, cv, np.nan)
+    return RateReport(
+        delta_i_min_per_pulse=_log2(np.where(passed, quotient, np.nan)), block_size=1,
+        i_ab=_mutual_information(k, cv), cond_var_b_given_a=cv, sifting_applied=False,
+        cond_var_b_given_a_prime=cv_prime)
+
+
+def _acceptable(k):
+    """Where Covariance2 accepts the moments k (columns) and conditional_variance
+    conditions on them."""
+    square = k.cov_ab * k.cov_ab
+    return (np.isfinite(k.var_a) & np.isfinite(k.var_b) & np.isfinite(square)
+            & (k.var_a > 0) & (k.var_b >= 0) & _within_psd(k, square))
 
 
 def apply_sifting(rate: float) -> float:

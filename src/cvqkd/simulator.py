@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigurationError
 from .estimators import SampleSet, in_parallel
-from .rates import Covariance2, ProtocolKind
+from .rates import Covariance2, Moments, ProtocolKind, _sqrt
 
 #: target pulses per RNG substream; chunks always hold whole blocks
 CHUNK_PULSES = 1 << 18
@@ -32,7 +32,7 @@ CHUNK_PULSES = 1 << 18
 #: relative tolerance when matching a noise shape's variance to the channel
 SHAPE_RTOL = 1e-9
 
-#: the largest source variance v whose v ** 2 is a finite float
+#: the largest source variance v whose square v*v is a finite float
 MAX_SOURCE_VARIANCE = math.sqrt(sys.float_info.max)
 
 Q, P = 0, 1  # quadrature label codes used in record arrays
@@ -163,7 +163,7 @@ SHAPE_KINDS = {shape.kind: shape for shape in NOISE_SHAPES}
 @dataclass(frozen=True)
 class EprSource:
     """Two-mode squeezed vacuum: each half has quadrature variance v, the
-    halves are correlated +sqrt(v**2 - n0**2) in q and the opposite in p.
+    halves are correlated +sqrt(v*v - n0*n0) in q and the opposite in p.
     v = n0 is the vacuum (no entanglement)."""
 
     v: float
@@ -181,7 +181,12 @@ class EprSource:
 
     @property
     def cross_correlation(self) -> float:
-        return math.sqrt(self.v ** 2 - self.n0 ** 2)
+        return _cross_correlation(self.v, self.n0)
+
+
+def _cross_correlation(v, n0):
+    """The EPR correlation sqrt(v*v - n0*n0) of source variances v, a float or a column."""
+    return _sqrt(v * v - n0 * n0)
 
 
 @dataclass(frozen=True)
@@ -437,14 +442,19 @@ def analytic_covariance(src: EprSource, ch: ChannelModel,
     """Exact second moments of the kept (sign-pooled) session data, the
     closed-form oracle for the Monte Carlo pipeline. Independent of the
     noise shape by construction."""
-    n0 = src.n0
+    return Covariance2(*analytic_moments(src.v, ch.t, ch.eps, src.n0, protocol))
+
+
+def analytic_moments(v, t, eps, n0, protocol: ProtocolKind) -> Moments:
+    """The moments analytic_covariance gives source variance v, transmission t and
+    excess noise eps, unchecked; each a float, or a numpy column for a grid of points."""
     # summed left to right, not as t*v + ch.noise_variance(n0): regrouping
     # the terms changes the last bit of var_b at some grid points
-    var_b = ch.t * src.v + (1.0 - ch.t) * n0 + ch.t * ch.eps * n0
-    cov = math.sqrt(ch.t) * src.cross_correlation
+    var_b = t * v + (1.0 - t) * n0 + t * eps * n0
+    cov = _sqrt(t) * _cross_correlation(v, n0)
     if protocol is ProtocolKind.SQUEEZED_HOMODYNE:
-        return Covariance2(src.v, var_b, cov)
-    return Covariance2((src.v + n0) / 2.0, var_b, cov / math.sqrt(2.0))
+        return Moments(v, var_b, cov)
+    return Moments((v + n0) / 2.0, var_b, cov / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

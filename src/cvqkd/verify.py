@@ -149,14 +149,22 @@ def _tightest_reports(identifiers, lhs: np.ndarray, rhs: np.ndarray) -> list[Ine
             for name, l, r in zip(identifiers, lhs[law], rhs[law])]
 
 
-def _chain_checks(n: int, tables: np.ndarray):
-    """The chain's identifiers, and its lhs and rhs per (law, check)."""
-    alice = tuple(range(n))
-    h_alice = _entropies(tables, alice)
+def _stack_entropies(n: int, tables: np.ndarray):
+    """What the chain and the mixture checks both read of a stack of laws: each
+    law's H(A_vec) and H(B_vec|A_vec), and its marginals on the pairs (A_i, B_i)."""
+    h_alice = _entropies(tables, tuple(range(n)))
     h_joint = _entropies(tables, range(2 * n)) - h_alice
+    return h_alice, h_joint, [_marginals(tables, (i, n + i)) for i in range(n)]
+
+
+def _chain_checks(n: int, tables: np.ndarray, shared):
+    """The chain's identifiers, and its lhs and rhs per (law, check); shared is
+    _stack_entropies(n, tables)."""
+    h_alice, h_joint, pairs = shared
+    alice = tuple(range(n))
     h_bi_given_all = [_entropies(tables, alice + (n + i,)) - h_alice for i in range(n)]
-    h_bi_given_ai = [_entropies(tables, (i, n + i)) - _entropies(tables, (i,))
-                     for i in range(n)]
+    h_bi_given_ai = [_entropies(pair, (0, 1)) - _entropies(tables, (i,))
+                     for i, pair in enumerate(pairs)]
     identifiers = ["joint-conditional-subadditivity",
                    *(f"conditioning-cannot-increase-entropy-pulse-{i}" for i in range(n)),
                    "individual-attack-conditional-bound"]
@@ -165,15 +173,16 @@ def _chain_checks(n: int, tables: np.ndarray):
     return identifiers, lhs, rhs
 
 
-def _mixture_checks(n: int, tables: np.ndarray):
-    """The mixture bound's identifier, and its lhs and rhs per law."""
+def _mixture_checks(n: int, tables: np.ndarray, shared):
+    """The mixture bound's identifier, and its lhs and rhs per law; shared is
+    _stack_entropies(n, tables)."""
     shape = tables.shape[1:]
     if len(set(shape[:n])) != 1 or len(set(shape[n:])) != 1:
         raise ConfigurationError(
             f"mixture averaging needs one shared alphabet per side, got shapes {shape}")
-    pair = sum(_marginals(tables, (i, n + i)) for i in range(n)) / n
+    _, h_joint, pairs = shared
+    pair = sum(pairs) / n
     h_mixture_pair = _entropies(pair, (0, 1)) - _entropies(pair, (0,))
-    h_joint = _entropies(tables, range(2 * n)) - _entropies(tables, range(n))
     return ["mixture-individual-attack-bound"], h_joint[:, None], n * h_mixture_pair[:, None]
 
 
@@ -192,13 +201,15 @@ def check_subadditivity_chain(j: DiscreteJoint) -> list[InequalityReport]:
     2. H(B_i | A_vec) <= H(B_i | A_i) for each i
     3. therefore H(B_vec | A_vec) <= sum_i H(B_i | A_i)
     """
-    return _tightest_reports(*_chain_checks(j.n, _stack_of_one(j)))
+    tables = _stack_of_one(j)
+    return _tightest_reports(*_chain_checks(j.n, tables, _stack_entropies(j.n, tables)))
 
 
 def check_mixture_lemma(j: DiscreteJoint) -> InequalityReport:
     """Certify the block-averaging step: with (A, B) distributed as the
     uniform mixture of the per-pulse pairs, H(B_vec | A_vec) <= n * H(B | A)."""
-    return _tightest_reports(*_mixture_checks(j.n, _stack_of_one(j)))[0]
+    tables = _stack_of_one(j)
+    return _tightest_reports(*_mixture_checks(j.n, tables, _stack_entropies(j.n, tables)))[0]
 
 
 def check_pure_state_entropic_sum(vq: float, vp: float,
@@ -258,8 +269,9 @@ def discrete_suite(seed: int, trials: int) -> list[InequalityReport]:
         label = f"[n={n},alphabet={alphabet},trials={per_combo}]"
         chain, mixture = [], []
         for tables in _random_laws(n, alphabet, per_combo, rng):
-            chain += _tightest_reports(*_chain_checks(n, tables))
-            mixture += _tightest_reports(*_mixture_checks(n, tables))
+            shared = _stack_entropies(n, tables)
+            chain += _tightest_reports(*_chain_checks(n, tables, shared))
+            mixture += _tightest_reports(*_mixture_checks(n, tables, shared))
         reports.append(worst_of(chain, f"subadditivity-chain{label}"))
         reports.append(worst_of(mixture, f"mixture-bound{label}"))
 

@@ -18,7 +18,7 @@ the default run, so that no output depends on the BLAS thread count:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/golden_ab.py > change-1.txt
     diff change.txt change-1.txt
 
-It takes no options. The whole list of 160 commands runs in about 13 s on
+It takes no options. The whole list of 164 commands runs in about 13 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -306,6 +306,25 @@ def commands():
     # above, as a literal: the error names var_b and how far rounding may move it
     yield "error-rate-conditional-variance-rounding", [
         "rate", "--cov", "1.3e154,1.3e154,1.3e154", "--protocol", "squeezed_homodyne"]
+
+    # sweeps over wide ranges of v and t, which the table evaluates as whole columns:
+    # v from 1 (where the coherent cells are empty) to 1e8, t from 1e-9 to 1, and v
+    # with n0 = 1.5 and plot data; then the coherent bound's conditional variances
+    # cancelling to 0 at one unit in the last place of cov_ab above the analytic
+    # heterodyne covariance at v = 1.3e154, whose error names var_b and the rounding
+    yield "sweep-v-wide", ["sweep", "--param", "v", "--start", "1", "--stop", "1e8",
+                           "--steps", "401", "--t", "0.4", "--eps", "0.05",
+                           "--out", "sweep-v-wide.csv"]
+    yield "sweep-t-wide", ["sweep", "--param", "t", "--start", "1e-9", "--stop", "1",
+                           "--steps", "401", "--v", "30", "--eps", "0.2",
+                           "--out", "sweep-t-wide.csv"]
+    yield "sweep-v-n0", ["sweep", "--param", "v", "--start", "1.5", "--stop", "1e6",
+                         "--steps", "301", "--n0", "1.5", "--t", "0.7", "--eps", "0.1",
+                         "--beta", "0.95", "--out", "sweep-v-n0.csv",
+                         "--plot-out", "sweep-v-n0.json"]
+    yield "error-rate-coherent-conditional-variance-rounding", [
+        "rate", "--cov", "6.5e153,1.3e154,9.192388155425117e153",
+        "--protocol", "coherent_heterodyne"]
 
 
 def sha256(data: bytes) -> str:
