@@ -43,6 +43,7 @@ from .rates import (
     Covariance2,
     ProtocolKind,
     RateReport,
+    _accepted,
     conditional_squeezing_check,
     rate_bound,
     rate_columns,
@@ -446,31 +447,32 @@ def _sweep_columns(param: str, values: np.ndarray, point: dict, n0: float) -> li
     """The eight rate columns of a sweep table (SWEEP_COLUMNS after value), NaN in
     the coherent cells a point leaves empty.
 
-    Each column is evaluated whole, through the closed forms of analytic_moments
-    and rate_columns. The points those reject, and every point when the grid leaves
-    a parameter's domain, go through _sweep_point in grid order, which raises at
-    the first point it cannot price. A domain is an interval and the grid is
-    monotone, so its points are all in the domain when its two ends are.
+    Each column is evaluated whole, through the closed forms and checks of
+    analytic_moments, Covariance2 and rate_columns. A grid point outside a domain,
+    whose covariance Covariance2 rejects for either protocol or whose squeezed bound
+    is undefined fails the sweep: the first such point goes through _sweep_point,
+    which raises its error. A domain is an interval and the grid is monotone, so
+    its points are all in the domain when its two ends are.
     """
-    steps = len(values)
     try:
         for value in values[[0, -1]].tolist():
             _sweep_source({**point, param: value}, n0)
     except ConfigurationError:
-        columns = [np.full(steps, math.nan) for _ in range(8)]
-    else:
-        grid = {name: np.full(steps, float(value)) for name, value in point.items()}
-        grid[param] = values
-        shot = float(n0)
-        cells = []
-        with np.errstate(all="ignore"):
-            for kind in SWEEP_KINDS:
-                k = analytic_moments(grid["v"], grid["t"], grid["eps"], shot, kind)
-                cells.append(_sweep_cells(rate_columns(k, kind, shot), grid["beta"]))
-        columns = [column for pair in zip(*cells) for column in pair]
-    for i in np.flatnonzero(np.isnan(columns[0]) | np.isnan(columns[1])).tolist():
-        for column, cell in zip(columns, _sweep_point(param, values[i].item(), point, n0)):
-            column[i] = cell
+        for value in values.tolist():  # raises at the first point outside a domain
+            _sweep_point(param, value, point, n0)
+    grid = {name: np.full(len(values), float(value)) for name, value in point.items()}
+    grid[param] = values
+    shot = float(n0)
+    cells, accepted = [], True
+    with np.errstate(all="ignore"):
+        for kind in SWEEP_KINDS:
+            k = analytic_moments(grid["v"], grid["t"], grid["eps"], shot, kind)
+            accepted &= _accepted(k)
+            cells.append(_sweep_cells(rate_columns(k, kind, shot), grid["beta"]))
+    columns = [column for pair in zip(*cells) for column in pair]
+    failed = np.flatnonzero(~accepted | np.isnan(columns[0]))
+    if failed.size:
+        _sweep_point(param, values[failed[0]].item(), point, n0)
     return columns
 
 
@@ -480,28 +482,18 @@ def _sweep_source(point: dict, n0: float) -> tuple[EprSource, ChannelModel]:
     return EprSource(point["v"], n0), ChannelModel(point["t"], point["eps"])
 
 
-def _sweep_point(param: str, value: float, point: dict, n0: float) -> list:
-    """The eight rate cells of the grid point param=value, one at a time through
-    analytic_covariance and rate_bound: NaN in the coherent cells where that bound
-    is undefined. Raises, naming the point, where the point is outside a domain or
-    its squeezed bound is undefined."""
-    point = {**point, param: value}
+def _sweep_point(param: str, value: float, point: dict, n0: float) -> None:
+    """Check the grid point param=value on its own, through analytic_covariance
+    and rate_bound, as the table needs it: raise, naming the point, where it is
+    outside a domain, Covariance2 rejects either protocol's covariance or the
+    squeezed bound is undefined."""
+    squeezed, coherent = SWEEP_KINDS
     try:
-        source, channel = _sweep_source(point, n0)
-        cells = []
-        for kind in SWEEP_KINDS:
-            k = analytic_covariance(source, channel, kind)
-            try:
-                report = rate_bound(k, 1, kind, n0)
-            except DomainError:
-                if not cells:  # the squeezed bound; without it there is no row
-                    raise
-                cells.append((math.nan,) * 4)  # the coherent bound is undefined here
-            else:
-                cells.append(_sweep_cells(report, point["beta"]))
+        source, channel = _sweep_source({**point, param: value}, n0)
+        rate_bound(analytic_covariance(source, channel, squeezed), 1, squeezed, n0)
+        analytic_covariance(source, channel, coherent)
     except (ConfigurationError, DomainError) as exc:
         raise type(exc)(f"{param}={value:g}: {exc}") from exc
-    return [cell for pair in zip(*cells) for cell in pair]
 
 
 def _sweep_cells(report: RateReport, beta) -> tuple:

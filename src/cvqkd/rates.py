@@ -76,26 +76,43 @@ class Covariance2:
     cov_ab: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.var_a) and math.isfinite(self.var_b)
-                and math.isfinite(self.cov_ab)):
-            raise DomainError("covariance entries must be finite")
-        if self.var_a < 0 or self.var_b < 0:
-            raise DomainError(
-                f"variances must be non-negative, got ({self.var_a}, {self.var_b})")
-        square = self.cov_ab * self.cov_ab
-        if math.isinf(square):
-            raise DomainError(f"cov_ab = {self.cov_ab:.6g} is too large: "
-                              f"its square overflows")
-        if not _within_psd(self, square):
-            raise InconsistentStatisticsError(f"cov_ab^2 = {square:.6g} exceeds "
-                                              f"var_a*var_b = {self.var_a * self.var_b:.6g}")
+        _accepted(self)
 
 
 # The closed forms take floats or numpy columns alike, with the same roundings:
 # squares are products, because the C library's pow(x, 2) is not always correctly
 # rounded (a product is); a square root is correctly rounded in numpy and in math;
 # and log2 is math.log2 on every entry, because numpy's log2 rounds differently
-# on some. So a grid of points gets the bits of each point on its own.
+# on some. So a grid of points gets the bits of each point on its own. Their checks
+# are written once for both: each is a _require, which for one point raises where
+# the check fails, in the order the checks are written, and for a grid returns
+# where it holds.
+
+def _require(holds, error):
+    """holds, a column of where a check holds on a grid of points, unchanged; or,
+    for one point, True where the check holds, and otherwise raise error()."""
+    if holds is True or isinstance(holds, np.ndarray):
+        return holds
+    if not holds:
+        raise error()
+    return True
+
+
+def _accepted(k):
+    """Where Covariance2 accepts the moments k: finite, non-negative variances and
+    cov_ab^2 within var_a*var_b, up to PSD_RTOL."""
+    holds = _require((abs(k.var_a) < math.inf) & (abs(k.var_b) < math.inf)
+                     & (abs(k.cov_ab) < math.inf),
+                     lambda: DomainError("covariance entries must be finite"))
+    holds &= _require((k.var_a >= 0) & (k.var_b >= 0), lambda: DomainError(
+        f"variances must be non-negative, got ({k.var_a}, {k.var_b})"))
+    square = k.cov_ab * k.cov_ab
+    holds &= _require(square < math.inf, lambda: DomainError(
+        f"cov_ab = {k.cov_ab:.6g} is too large: its square overflows"))
+    return holds & _require(
+        square <= k.var_a * k.var_b * (1.0 + PSD_RTOL), lambda: InconsistentStatisticsError(
+            f"cov_ab^2 = {square:.6g} exceeds var_a*var_b = {k.var_a * k.var_b:.6g}"))
+
 
 def _sqrt(x):
     """The square root of a float, or of each entry of a column."""
@@ -112,11 +129,6 @@ def _log2(x):
     if not isinstance(x, np.ndarray):
         return math.log2(x)
     return np.array([math.log2(e) for e in x.tolist()])
-
-
-def _within_psd(k, square):
-    """Whether cov_ab^2 = square is within var_a*var_b, up to PSD_RTOL."""
-    return square <= k.var_a * k.var_b * (1.0 + PSD_RTOL)
 
 
 @dataclass(frozen=True)
@@ -190,14 +202,13 @@ def conditional_variance(k: Covariance2) -> float:
     """Residual variance of B after the best linear estimate from A:
     var_b - cov_ab**2 / var_a. Never negative; tiny negative floating-point
     residue at the perfectly-correlated boundary is clipped to 0."""
-    if k.var_a <= 0:
-        raise DomainError("var_a must be positive to condition on A")
-    return _conditional_variance(k)
+    return _conditional_variance(k)[1]
 
 
 def _conditional_variance(k):
-    """var_b - cov_ab**2 / var_a of moments k, clipped at 0, unchecked."""
-    return _clip_at_zero(k.var_b - k.cov_ab * k.cov_ab / k.var_a)
+    """(where var_a > 0, var_b - cov_ab**2 / var_a clipped at 0) of moments k."""
+    holds = _require(k.var_a > 0, lambda: DomainError("var_a must be positive to condition on A"))
+    return holds, _clip_at_zero(k.var_b - k.cov_ab * k.cov_ab / k.var_a)
 
 
 def gaussian_conditional_entropy(k: Covariance2) -> float:
@@ -208,7 +219,7 @@ def gaussian_conditional_entropy(k: Covariance2) -> float:
     if cv <= 0:
         raise DomainError("conditional variance is zero: B is a deterministic "
                           "linear function of A")
-    _check_conditioning(k, cv)
+    _conditioned(k, cv)
     return gaussian_entropy(cv)
 
 
@@ -218,7 +229,7 @@ def gaussian_mutual_information(k: Covariance2) -> float:
     cv = conditional_variance(k)
     if cv <= 0 or k.var_b <= 0:
         raise DomainError("mutual information undefined for degenerate covariance")
-    _check_conditioning(k, cv)
+    _conditioned(k, cv)
     return _mutual_information(k, cv)
 
 
@@ -234,19 +245,7 @@ def squeezed_rate_bound(k: Covariance2, n: int, n0: float = 1.0) -> RateReport:
     they mean no secure key at this covariance, which the caller decides
     how to report.
     """
-    _check_bound_args(n, n0)
-    cv = conditional_variance(k)
-    if cv <= 0:
-        raise DomainError(
-            f"conditional variance must be positive for a rate bound (var_b = {k.var_b:.6g}; "
-            f"rounding in var_b - cov_ab^2/var_a may move it by {_rounding_bound(k):.3g})")
-    quotient = _quotient(n0, cv)
-    if not 0.0 < quotient < math.inf:
-        raise DomainError(
-            f"conditional variance {cv:.6g} is out of range for a rate bound: "
-            f"n0/cv = {quotient:.6g} is not finite and positive")
-    _check_conditioning(k, cv)
-    return _report(k, n, _log2(quotient), cv)
+    return rate_bound(k, n, ProtocolKind.SQUEEZED_HOMODYNE, n0)
 
 
 def heterodyne_covariance_transform(k_measured: Covariance2, n0: float = 1.0) -> Covariance2:
@@ -261,24 +260,24 @@ def heterodyne_covariance_transform(k_measured: Covariance2, n0: float = 1.0) ->
     positive semidefinite.
     """
     _check_shot_noise(n0)
-    if not k_measured.var_a > n0:
-        raise DomainError(
-            f"measured Alice variance {k_measured.var_a} must exceed the "
-            f"shot-noise unit {n0} for the heterodyne transform")
-    k_prime = _presplit(k_measured, n0)
-    if math.isinf(k_prime.var_a):
-        raise DomainError(f"var_a = {k_measured.var_a:.6g} is too large for the heterodyne "
-                          f"transform: the reconstructed variance overflows")
-    if math.isinf(k_prime.cov_ab * k_prime.cov_ab):
-        raise DomainError(f"cov_ab = {k_measured.cov_ab:.6g} is too large for the heterodyne "
-                          f"transform: the square of sqrt(2)*cov_ab overflows")
-    return Covariance2(*k_prime)
+    return Covariance2(*_presplit(k_measured, n0)[1])
 
 
-def _presplit(k, n0) -> Moments:
-    """The heterodyne transform of moments k, unchecked: Alice's pre-beam-splitter
-    mode against Bob."""
-    return Moments(2.0 * k.var_a - n0, k.var_b, math.sqrt(2.0) * k.cov_ab)
+def _presplit(k, n0) -> tuple:
+    """(where the heterodyne transform's own checks hold, its moments) of moments k:
+    Alice's pre-beam-splitter mode against Bob. Covariance2's checks of those moments
+    come next, in its callers."""
+    holds = _require(k.var_a > n0, lambda: DomainError(
+        f"measured Alice variance {k.var_a} must exceed the "
+        f"shot-noise unit {n0} for the heterodyne transform"))
+    k_prime = Moments(2.0 * k.var_a - n0, k.var_b, math.sqrt(2.0) * k.cov_ab)
+    holds &= _require(k_prime.var_a < math.inf, lambda: DomainError(
+        f"var_a = {k.var_a:.6g} is too large for the heterodyne "
+        f"transform: the reconstructed variance overflows"))
+    holds &= _require(k_prime.cov_ab * k_prime.cov_ab < math.inf, lambda: DomainError(
+        f"cov_ab = {k.cov_ab:.6g} is too large for the heterodyne "
+        f"transform: the square of sqrt(2)*cov_ab overflows"))
+    return holds, k_prime
 
 
 def coherent_rate_bound(k_measured: Covariance2, n: int, n0: float = 1.0) -> RateReport:
@@ -291,23 +290,39 @@ def coherent_rate_bound(k_measured: Covariance2, n: int, n0: float = 1.0) -> Rat
     2*H0 - H_G(B|A) - H_G(B|A'), which the test suite checks against this
     closed form.
     """
-    _check_bound_args(n, n0)
-    cv1 = conditional_variance(k_measured)
-    k_prime = heterodyne_covariance_transform(k_measured, n0)
-    cv2 = conditional_variance(k_prime)
-    if cv1 <= 0 or cv2 <= 0:
-        raise DomainError(
-            f"both conditional variances must be positive (var_b = {k_measured.var_b:.6g}; "
-            f"rounding in var_b - cov_ab^2/var_a may move them by "
-            f"{max(_rounding_bound(k_measured), _rounding_bound(k_prime)):.3g})")
-    quotient = _quotient(n0, cv1, cv2)
-    if not 0.0 < quotient < math.inf:
-        raise DomainError(
-            f"conditional variances {cv1:.6g} and {cv2:.6g} are out of range for a rate "
-            f"bound: n0/sqrt(cv1*cv2) = {quotient:.6g} is not finite and positive")
-    _check_conditioning(k_measured, cv1)
-    _check_conditioning(k_prime, cv2)
-    return _report(k_measured, n, _log2(quotient), cv1, cv2)
+    return rate_bound(k_measured, n, ProtocolKind.COHERENT_HETERODYNE, n0)
+
+
+def _bound(k, protocol: ProtocolKind, n0: float) -> tuple:
+    """The body of both rate bounds on moments k, for one point or a grid: (where
+    the bound holds, 2 to the power of its bits per pulse, the conditional variance
+    B|A, and B|A' for the coherent bound or None). A point's n0 is checked first; on
+    a grid, an n0 that is not finite and positive fails the quotient's range."""
+    holds, cv = _conditional_variance(k)
+    k_prime = cv_prime = None
+    if protocol is ProtocolKind.COHERENT_HETERODYNE:
+        transformed, k_prime = _presplit(k, n0)
+        holds &= transformed & _accepted(k_prime)
+        cv_prime = _conditional_variance(k_prime)[1]  # var_a' > var_a > 0 where it holds
+    positive = cv > 0 if k_prime is None else (cv > 0) & (cv_prime > 0)
+    holds &= _require(positive, lambda: DomainError(
+        f"conditional variance must be positive for a rate bound (var_b = {k.var_b:.6g}; "
+        f"rounding in var_b - cov_ab^2/var_a may move it by {_rounding_bound(k):.3g})"
+        if k_prime is None else
+        f"both conditional variances must be positive (var_b = {k.var_b:.6g}; "
+        f"rounding in var_b - cov_ab^2/var_a may move them by "
+        f"{max(_rounding_bound(k), _rounding_bound(k_prime)):.3g})"))
+    quotient = _quotient(n0, cv, cv_prime)
+    holds &= _require((0.0 < quotient) & (quotient < math.inf), lambda: DomainError(
+        f"conditional variance {cv:.6g} is out of range for a rate bound: "
+        f"n0/cv = {quotient:.6g} is not finite and positive"
+        if k_prime is None else
+        f"conditional variances {cv:.6g} and {cv_prime:.6g} are out of range for a rate "
+        f"bound: n0/sqrt(cv1*cv2) = {quotient:.6g} is not finite and positive"))
+    holds &= _conditioned(k, cv)
+    if k_prime is not None:
+        holds &= _conditioned(k_prime, cv_prime)
+    return holds, quotient, cv, cv_prime
 
 
 def _quotient(n0, cv, cv_prime=None):
@@ -323,21 +338,14 @@ def _rounding_bound(k) -> float:
     return 4.0 * 2.0 ** -53 * (k.var_b + k.cov_ab * k.cov_ab / k.var_a)
 
 
-def _well_conditioned(k, cv):
-    """Whether rounding may have moved the conditional variance cv of moments k
-    by at most CONDITIONING_RTOL of itself."""
-    return _rounding_bound(k) <= CONDITIONING_RTOL * cv
-
-
-def _check_conditioning(k: Covariance2, cv: float) -> None:
-    """Raise DomainError when rounding may have moved the conditional variance
-    cv = var_b - cov_ab**2/var_a of k by more than CONDITIONING_RTOL of itself."""
-    if not _well_conditioned(k, cv):
-        error = _rounding_bound(k)
-        raise DomainError(
-            f"conditional variance {cv:.6g} is ill-conditioned: rounding in var_b - "
-            f"cov_ab^2/var_a (var_b = {k.var_b:.6g}) may move it by {error:.3g}, more "
-            f"than {CONDITIONING_RTOL:g} of its value")
+def _conditioned(k, cv):
+    """Where rounding may have moved the conditional variance cv = var_b -
+    cov_ab^2/var_a of moments k by at most CONDITIONING_RTOL of itself."""
+    error = _rounding_bound(k)
+    return _require(error <= CONDITIONING_RTOL * cv, lambda: DomainError(
+        f"conditional variance {cv:.6g} is ill-conditioned: rounding in var_b - "
+        f"cov_ab^2/var_a (var_b = {k.var_b:.6g}) may move it by {error:.3g}, more "
+        f"than {CONDITIONING_RTOL:g} of its value"))
 
 
 def _report(k: Covariance2, n: int, per_pulse: float, cv: float,
@@ -363,47 +371,28 @@ def rate_bound(
     n0: float = 1.0,
     transform: HeterodyneTransform = HeterodyneTransform.BEAMSPLITTER,
 ) -> RateReport:
-    """Dispatch to the bound matching the protocol.
+    """The rate bound of the protocol at covariance k, for blocks of n.
 
     transform has one value and changes nothing; it stays only because
     perfbench's monte-carlo-rate workload passes it.
     """
-    if protocol is ProtocolKind.SQUEEZED_HOMODYNE:
-        return squeezed_rate_bound(k, n, n0)
-    return coherent_rate_bound(k, n, n0)
+    _check_bound_args(n, n0)
+    _, quotient, cv, cv_prime = _bound(k, protocol, n0)
+    return _report(k, n, _log2(quotient), cv, cv_prime)
 
 
 def rate_columns(k: Moments, protocol: ProtocolKind, n0: float) -> RateReport:
     """rate_bound(Covariance2(*point), 1, protocol, n0) at every point of a grid of
-    moments k (numpy columns), through the same closed forms: a report whose values
-    are columns, NaN at each point where Covariance2 or the bound would raise. Run
-    it under np.errstate(all="ignore"): the points it rejects may overflow."""
-    passed = _acceptable(k) & (0.0 < n0 < math.inf)
-    cv = _conditional_variance(k)
-    cv_prime = None
-    if protocol is ProtocolKind.SQUEEZED_HOMODYNE:
-        quotient = _quotient(n0, cv)
-    else:
-        k_prime = _presplit(k, n0)
-        cv_prime = _conditional_variance(k_prime)
-        quotient = _quotient(n0, cv, cv_prime)
-        passed &= ((k.var_a > n0) & _acceptable(k_prime) & (cv_prime > 0)
-                   & _well_conditioned(k_prime, cv_prime))
-        cv_prime = np.where(passed, cv_prime, np.nan)
-    passed &= (cv > 0) & (0.0 < quotient) & (quotient < math.inf) & _well_conditioned(k, cv)
-    cv = np.where(passed, cv, np.nan)
+    moments k (numpy columns), through the same closed forms and checks: a report
+    whose values are columns, NaN at each point where Covariance2 or the bound would
+    raise. Run it under np.errstate(all="ignore"): the points it rejects may overflow."""
+    holds, quotient, cv, cv_prime = _bound(k, protocol, n0)
+    holds &= _accepted(k)
+    cv = np.where(holds, cv, np.nan)
     return RateReport(
-        delta_i_min_per_pulse=_log2(np.where(passed, quotient, np.nan)), block_size=1,
+        delta_i_min_per_pulse=_log2(np.where(holds, quotient, np.nan)), block_size=1,
         i_ab=_mutual_information(k, cv), cond_var_b_given_a=cv, sifting_applied=False,
-        cond_var_b_given_a_prime=cv_prime)
-
-
-def _acceptable(k):
-    """Where Covariance2 accepts the moments k (columns) and conditional_variance
-    conditions on them."""
-    square = k.cov_ab * k.cov_ab
-    return (np.isfinite(k.var_a) & np.isfinite(k.var_b) & np.isfinite(square)
-            & (k.var_a > 0) & (k.var_b >= 0) & _within_psd(k, square))
+        cond_var_b_given_a_prime=None if cv_prime is None else np.where(holds, cv_prime, np.nan))
 
 
 def apply_sifting(rate: float) -> float:

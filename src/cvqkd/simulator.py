@@ -109,7 +109,7 @@ class UniformNoise:
 
     @property
     def declared_variance(self) -> float:
-        return self.halfwidth ** 2 / 3.0
+        return self.halfwidth * self.halfwidth / 3.0
 
     @classmethod
     def matching(cls, variance: float) -> "UniformNoise":
@@ -140,7 +140,7 @@ class DiscreteDisplacement:
 
     @property
     def declared_variance(self) -> float:
-        return self.probability * self.magnitude ** 2
+        return self.probability * (self.magnitude * self.magnitude)
 
     @classmethod
     def matching(cls, variance: float) -> "DiscreteDisplacement":

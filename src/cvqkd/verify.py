@@ -219,10 +219,10 @@ def check_pure_state_entropic_sum(vq: float, vp: float,
     marginals vq * vp = n0**2."""
     if not (vq > 0 and vp > 0):
         raise DomainError(f"variances must be positive, got ({vq}, {vp})")
-    if vq * vp < n0 ** 2 * (1.0 - 1e-12):
+    if vq * vp < n0 * n0 * (1.0 - 1e-12):
         raise UnphysicalInputError(
             f"variance product {vq * vp:.6g} below the vacuum limit "
-            f"{n0 ** 2:.6g}: no physical state has these marginals")
+            f"{n0 * n0:.6g}: no physical state has these marginals")
     return InequalityReport(
         "vacuum-entropic-uncertainty-sum",
         2.0 * vacuum_entropy(n0),
@@ -380,7 +380,7 @@ def heterodyne_transform_crosscheck(seed: int, pulses: int) -> list[InequalityRe
             abs(printed_var - (source.v - source.n0)), tolerance, tolerance=0.0),
         InequalityReport(
             "printed-transform-violates-psd-on-lossless-statistics",
-            printed_var * k_hat.var_b, transformed.cov_ab ** 2, tolerance=0.0),
+            printed_var * k_hat.var_b, transformed.cov_ab * transformed.cov_ab, tolerance=0.0),
     ]
 
 

@@ -30,7 +30,7 @@ from cvqkd import (
     squeezed_rate_bound,
     vacuum_entropy,
 )
-from cvqkd.rates import CONDITIONING_RTOL
+from cvqkd.rates import CONDITIONING_RTOL, Moments, rate_columns
 from cvqkd.simulator import MAX_SOURCE_VARIANCE
 
 H0 = 0.5 * math.log2(2 * math.pi * math.e)
@@ -429,6 +429,53 @@ def test_physical_channel_rate_stays_below_i_ab(protocol, v, t, eps):
     except DomainError:
         return
     assert report.i_be_bound >= -1e-9 * max(1.0, report.i_ab)
+
+
+#: moment entries at the edges of the float range and of the bounds' domains,
+#: the shot-noise units below among them
+EDGE_MOMENTS = [0.0, -0.0, -1.0, 1e-310, 0.25, 1.0, 1.5, 1e154, 1e200, 1e308,
+                math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def moment_points(draw):
+    """(var_a, var_b, cov_ab): edge entries, ordinary ones and any float, with
+    cov_ab either drawn alike or within 1e-7 of the PSD boundary, either side."""
+    entry = st.one_of(st.sampled_from(EDGE_MOMENTS), st.floats(-10.0, 100.0), st.floats())
+    var_a, var_b = draw(entry), draw(entry)
+    product = var_a * var_b
+    if 0.0 <= product < math.inf and draw(st.booleans()):
+        scale = (1.0 + draw(st.floats(-1e-7, 1e-7))) * draw(st.sampled_from([1.0, -1.0]))
+        return var_a, var_b, math.sqrt(product) * scale
+    return var_a, var_b, draw(entry)
+
+
+def stored_rates(report):
+    """The values a RateReport stores, of one point or of a grid."""
+    return [report.delta_i_min_per_pulse, report.i_ab, report.cond_var_b_given_a,
+            report.cond_var_b_given_a_prime]
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+@pytest.mark.parametrize("n0", [0.25, 1.0, 1.5])
+@given(st.lists(moment_points(), min_size=1, max_size=30))
+@settings(max_examples=200)
+def test_columns_equal_points(protocol, n0, points):
+    # a grid goes through the closed forms and checks of one point: each entry of
+    # rate_columns has rate_bound's bits, and is NaN exactly where Covariance2 or
+    # rate_bound raises
+    with np.errstate(all="ignore"):
+        columns = stored_rates(rate_columns(Moments(*map(np.array, zip(*points))),
+                                            protocol, n0))
+    for i, point in enumerate(points):
+        got = [None if column is None else column[i].item() for column in columns]
+        try:
+            want = stored_rates(rate_bound(Covariance2(*point), 1, protocol, n0))
+        except DomainError:
+            assert all(x is None or math.isnan(x) for x in got), (point, got)
+        else:
+            assert [None if x is None else x.hex() for x in got] == \
+                [None if x is None else x.hex() for x in want], point
 
 
 #: the functions besides the bounds (TestOverflow) that take a

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,15 @@ class TestNoiseShapes:
         assert shape.declared_variance == pytest.approx(2.0)
         assert shape.magnitude == pytest.approx(math.sqrt(2.0))
         assert shape.probability == 1.0
+
+    def test_declared_variances_square_by_product(self):
+        # glibc 2.36's pow(x, 2) rounds the square of this halfwidth one unit in the
+        # last place low, and that unit survives the division by 3; a product is
+        # the correctly rounded square
+        x = 1.5261283972998259
+        square = float(Fraction(x) ** 2)
+        assert UniformNoise(x).declared_variance == square / 3.0
+        assert DiscreteDisplacement(x, 0.5).declared_variance == 0.5 * square
 
     def test_bad_mixture_weights(self):
         with pytest.raises(ConfigurationError):

@@ -18,7 +18,7 @@ the default run, so that no output depends on the BLAS thread count:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/golden_ab.py > change-1.txt
     diff change.txt change-1.txt
 
-It takes no options. The whole list of 164 commands runs in about 13 s on
+It takes no options. The whole list of 167 commands runs in about 13 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -325,6 +325,18 @@ def commands():
     yield "error-rate-coherent-conditional-variance-rounding", [
         "rate", "--cov", "6.5e153,1.3e154,9.192388155425117e153",
         "--protocol", "coherent_heterodyne"]
+
+    # sweeps whose first failing point lies inside the grid: t leaves its domain at
+    # t = 1.25, the squeezed bound is ill-conditioned from v = 2.5e14, and its
+    # conditional variance cancels to 0 from v = 3.25e153
+    yield "error-sweep-t-interior", ["sweep", "--param", "t", "--start", "0.5", "--stop", "1.5",
+                                     "--steps", "5", "--out", "sweep-t-interior.csv"]
+    yield "error-sweep-ill-conditioned-interior", [
+        "sweep", "--param", "v", "--start", "2", "--stop", "1e15", "--steps", "5", "--t", "0.5",
+        "--eps", "0.1", "--out", "sweep-ill-conditioned-interior.csv"]
+    yield "error-sweep-conditional-variance-interior", [
+        "sweep", "--param", "v", "--start", "2", "--stop", "1.3e154", "--steps", "5",
+        "--out", "sweep-conditional-variance-interior.csv"]
 
 
 def sha256(data: bytes) -> str:
