@@ -44,6 +44,8 @@ from .rates import (
     ProtocolKind,
     RateReport,
     _accepted,
+    _bound,
+    _require,
     conditional_squeezing_check,
     rate_bound,
     rate_columns,
@@ -54,6 +56,8 @@ from .simulator import (
     EprSource,
     GaussianNoise,
     SiftingMode,
+    _channel_accepted,
+    _source_accepted,
     analytic_covariance,
     analytic_moments,
     run_session,
@@ -96,6 +100,8 @@ class ExperimentConfig:
             if f.type in ("int", "float"):
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+                if f.type == "float" and abs(value) > sys.float_info.max:  # as JSON reads 1e400
+                    setattr(self, f.name, math.inf if value > 0 else -math.inf)
             elif not (isinstance(value, str) or (value is None and f.default is None)):
                 raise ConfigurationError(f"{f.name} must be a string, got {value!r}")
         if self.format not in records.FORMATS:
@@ -107,7 +113,7 @@ class ExperimentConfig:
         _check_efficiency(self.beta)
         for name in ("n", "l", "seed"):
             value = getattr(self, name)
-            if not float(value).is_integer():
+            if isinstance(value, float) and not value.is_integer():
                 raise ConfigurationError(f"{name} must be an integer, got {value}")
             setattr(self, name, int(value))
         if self.seed < 0:
@@ -130,10 +136,10 @@ class ExperimentConfig:
         return ChannelModel(self.t, self.eps, shape, self.rho_block)
 
 
-def _check_efficiency(beta: float) -> None:
-    """Raise unless the reconciliation efficiency beta is in [0, 1]."""
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigurationError(f"reconciliation efficiency must be in [0, 1], got {beta}")
+def _check_efficiency(beta):
+    """Where the reconciliation efficiency beta, a float or a column, is in [0, 1]."""
+    return _require((0.0 <= beta) & (beta <= 1.0), lambda: ConfigurationError(
+        f"reconciliation efficiency must be in [0, 1], got {beta}"))
 
 
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -424,8 +430,8 @@ def sweep(config, param, start, stop, steps, out, plot_out, **overrides):
             values = start + (stop - start) * np.arange(steps) / (steps - 1)
     except (MemoryError, ValueError):
         raise CapacityError(f"cannot hold a sweep of {steps} grid points") from None
-    point = {"v": base.v, "t": base.t, "eps": base.eps, "beta": base.beta}
-    columns = _sweep_columns(param, values, point, base.n0)
+    point = {"v": base.v, "t": base.t, "eps": base.eps, "beta": base.beta, "n0": base.n0}
+    columns = _sweep_columns(param, values, point)
 
     with path.open("w") as f:
         f.write(",".join(SWEEP_COLUMNS) + "\n")
@@ -443,57 +449,38 @@ def sweep(config, param, start, stop, steps, out, plot_out, **overrides):
         click.echo(f"wrote {plot_path}")
 
 
-def _sweep_columns(param: str, values: np.ndarray, point: dict, n0: float) -> list:
+def _sweep_columns(param: str, values: np.ndarray, point: dict) -> list:
     """The eight rate columns of a sweep table (SWEEP_COLUMNS after value), NaN in
-    the coherent cells a point leaves empty.
-
-    Each column is evaluated whole, through the closed forms and checks of
-    analytic_moments, Covariance2 and rate_columns. A grid point outside a domain,
-    whose covariance Covariance2 rejects for either protocol or whose squeezed bound
-    is undefined fails the sweep: the first such point goes through _sweep_point,
-    which raises its error. A domain is an interval and the grid is monotone, so
-    its points are all in the domain when its two ends are.
-    """
-    try:
-        for value in values[[0, -1]].tolist():
-            _sweep_source({**point, param: value}, n0)
-    except ConfigurationError:
-        for value in values.tolist():  # raises at the first point outside a domain
-            _sweep_point(param, value, point, n0)
+    the coherent cells a point leaves empty. The grid goes through _sweep_moments
+    as columns, and then, if a row is not defined at every point, the first point
+    where it is not goes through it on its own, which raises that point's error.
+    Only a grid that passes is priced, through rate_columns."""
     grid = {name: np.full(len(values), float(value)) for name, value in point.items()}
     grid[param] = values
-    shot = float(n0)
-    cells, accepted = [], True
-    with np.errstate(all="ignore"):
-        for kind in SWEEP_KINDS:
-            k = analytic_moments(grid["v"], grid["t"], grid["eps"], shot, kind)
-            accepted &= _accepted(k)
-            cells.append(_sweep_cells(rate_columns(k, kind, shot), grid["beta"]))
-    columns = [column for pair in zip(*cells) for column in pair]
-    failed = np.flatnonzero(~accepted | np.isnan(columns[0]))
-    if failed.size:
-        _sweep_point(param, values[failed[0]].item(), point, n0)
-    return columns
+    with np.errstate(all="ignore"):  # the points a check rejects may overflow
+        holds, *moments = _sweep_moments(**grid)
+        if not holds.all():
+            value = values[holds.argmin()].item()  # the first point where holds is False
+            try:
+                _sweep_moments(**{**point, param: value})
+            except (ConfigurationError, DomainError) as exc:
+                raise type(exc)(f"{param}={value:g}: {exc}") from exc
+        cells = [_sweep_cells(rate_columns(k, kind, float(point["n0"])), grid["beta"])
+                 for kind, k in zip(SWEEP_KINDS, moments)]
+    return [column for pair in zip(*cells) for column in pair]
 
 
-def _sweep_source(point: dict, n0: float) -> tuple[EprSource, ChannelModel]:
-    """The source and channel of one grid point, after checking its beta."""
-    _check_efficiency(point["beta"])
-    return EprSource(point["v"], n0), ChannelModel(point["t"], point["eps"])
-
-
-def _sweep_point(param: str, value: float, point: dict, n0: float) -> None:
-    """Check the grid point param=value on its own, through analytic_covariance
-    and rate_bound, as the table needs it: raise, naming the point, where it is
-    outside a domain, Covariance2 rejects either protocol's covariance or the
-    squeezed bound is undefined."""
-    squeezed, coherent = SWEEP_KINDS
-    try:
-        source, channel = _sweep_source({**point, param: value}, n0)
-        rate_bound(analytic_covariance(source, channel, squeezed), 1, squeezed, n0)
-        analytic_covariance(source, channel, coherent)
-    except (ConfigurationError, DomainError) as exc:
-        raise type(exc)(f"{param}={value:g}: {exc}") from exc
+def _sweep_moments(v, t, eps, beta, n0) -> tuple:
+    """(where a sweep row is defined, each of SWEEP_KINDS' analytic_moments) at source
+    variance v, transmission t, excess noise eps, efficiency beta and shot-noise unit
+    n0, as columns for a grid or floats for one point (see rates._require). A row is
+    defined where, in this order, beta, the source and the channel are in their
+    domains, Covariance2 accepts the squeezed moments and their bound holds, and
+    Covariance2 accepts the coherent moments."""
+    holds = _check_efficiency(beta) & _source_accepted(v, n0) & _channel_accepted(t, eps)
+    squeezed, coherent = (analytic_moments(v, t, eps, n0, kind) for kind in SWEEP_KINDS)
+    holds &= _accepted(squeezed) & _bound(squeezed, SWEEP_KINDS[0], n0)[0]
+    return holds & _accepted(coherent), squeezed, coherent
 
 
 def _sweep_cells(report: RateReport, beta) -> tuple:

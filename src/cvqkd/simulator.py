@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigurationError
 from .estimators import SampleSet, in_parallel
-from .rates import Covariance2, Moments, ProtocolKind, _sqrt
+from .rates import Covariance2, Moments, ProtocolKind, _require, _sqrt
 
 #: target pulses per RNG substream; chunks always hold whole blocks
 CHUNK_PULSES = 1 << 18
@@ -170,18 +170,22 @@ class EprSource:
     n0: float = 1.0
 
     def __post_init__(self):
-        if not self.n0 > 0:
-            raise ConfigurationError(f"shot-noise unit must be positive, got {self.n0}")
-        if not self.v >= self.n0:
-            raise ConfigurationError(
-                f"source variance {self.v} below the vacuum variance {self.n0}")
-        if not self.v <= MAX_SOURCE_VARIANCE:  # so n0 <= v is finite too
-            raise ConfigurationError(
-                f"source variance {self.v} is too large: its square overflows")
+        _source_accepted(self.v, self.n0)
 
     @property
     def cross_correlation(self) -> float:
         return _cross_correlation(self.v, self.n0)
+
+
+def _source_accepted(v, n0):
+    """Where 0 < n0 <= v <= MAX_SOURCE_VARIANCE (so n0*n0 is finite too) holds for
+    EprSource's v and n0, each a float or a column (see rates._require)."""
+    holds = _require(n0 > 0, lambda: ConfigurationError(
+        f"shot-noise unit must be positive, got {n0}"))
+    holds &= _require(v >= n0, lambda: ConfigurationError(
+        f"source variance {v} below the vacuum variance {n0}"))
+    return holds & _require(v <= MAX_SOURCE_VARIANCE, lambda: ConfigurationError(
+        f"source variance {v} is too large: its square overflows"))
 
 
 def _cross_correlation(v, n0):
@@ -202,10 +206,7 @@ class ChannelModel:
     rho_block: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.t <= 1.0:
-            raise ConfigurationError(f"transmission must be in (0, 1], got {self.t}")
-        if not 0 <= self.eps < math.inf:
-            raise ConfigurationError(f"excess noise must be finite and >= 0, got {self.eps}")
+        _channel_accepted(self.t, self.eps)
         if not isinstance(self.shape, NOISE_SHAPES):
             raise ConfigurationError(f"unknown noise shape {self.shape!r}")
         if not 0.0 <= self.rho_block < 1.0:
@@ -230,6 +231,15 @@ class ChannelModel:
             raise ConfigurationError(
                 f"noise shape variance {declared:.6g} does not match the channel's "
                 f"(1-t)*n0 + t*eps*n0 = {target:.6g}")
+
+
+def _channel_accepted(t, eps):
+    """Where ChannelModel accepts transmission t and excess noise eps, each a float
+    or a column (see rates._require)."""
+    holds = _require((0.0 < t) & (t <= 1.0), lambda: ConfigurationError(
+        f"transmission must be in (0, 1], got {t}"))
+    return holds & _require((0 <= eps) & (eps < math.inf), lambda: ConfigurationError(
+        f"excess noise must be finite and >= 0, got {eps}"))
 
 
 class SiftingMode(Enum):

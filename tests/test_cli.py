@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import cvqkd
 from cvqkd import simulator
-from cvqkd.cli import CONFIG_FIELDS, _check_efficiency, main
+from cvqkd.cli import CONFIG_FIELDS, _check_efficiency, _sweep_moments, main
 from cvqkd import (
     CapacityError,
     ChannelModel,
@@ -159,6 +159,54 @@ class TestSimulate:
         assert isinstance(result.exception, SystemExit)  # handled, no traceback
         assert result.stdout == ""
         assert result.stderr == f"error: cannot hold a session of n*l = {n * l} pulses\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n", "l"])
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    def test_integer_beyond_the_float_range_exits_4(self, runner, tmp_path, key, from_config):
+        # a 401-digit n or l is an integer; numpy refuses its n*l columns at once
+        huge, out = 10 ** 400, tmp_path / "x.csv"
+        result = runner.invoke(main, ["simulate", *self._huge(tmp_path, key, from_config),
+                                      "--out", str(out)])
+        n, l = (huge, 100_000) if key == "n" else (1, huge)
+        assert result.exit_code == 4, result.output
+        assert result.stderr == f"error: cannot hold a session of n*l = {n * l} pulses\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt, ext", [("csv", "csv"), ("json-lines", "jsonl")])
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    def test_seed_beyond_the_float_range_is_accepted(self, runner, tmp_path, fmt, ext,
+                                                      from_config):
+        # as verify --seed takes it; the record keeps the seed through write and read
+        out = tmp_path / f"r.{ext}"
+        run_ok(runner, ["simulate", *self._huge(tmp_path, "seed", from_config), "--l", "100",
+                        "--format", fmt, "--out", str(out)])
+        assert read_record(out).seed == 10 ** 400
+
+    @staticmethod
+    def _huge(tmp_path, key, from_config):
+        """Arguments that set key to 10**400, by flag or in a config file."""
+        if not from_config:
+            return [f"--{key}", str(10 ** 400)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": {10 ** 400}}}')
+        return ["--config", str(cfg)]
+
+    @pytest.mark.parametrize("key, message", [
+        ("eps", "excess noise must be finite and >= 0, got inf"),
+        ("v", "source variance inf is too large: its square overflows"),
+        ("n0", "source variance 20.0 below the vacuum variance inf"),
+        ("t", "transmission must be in (0, 1], got inf"),
+    ])
+    def test_config_number_beyond_the_float_range_is_infinite(self, runner, tmp_path, key,
+                                                               message):
+        # a JSON integer of 401 digits reads as the float 1e400 does, so the
+        # channel's noise variance never converts it (which ended in exit 1)
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["simulate", *self._huge(tmp_path, key, True), "--l", "100",
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {message}\n"
         assert not out.exists()
 
     def test_shape_mismatch_exits_2_before_allocating(self, runner, tmp_path):
@@ -543,6 +591,10 @@ def sweep_grids(draw):
     return param, start, stop, draw(st.integers(2, 40)), point
 
 
+#: shot-noise units of a sweep: valid ones, ones out of the domain, and extremes
+SWEEP_N0 = st.sampled_from([1.0, 1.5, 0.25, 0.0, -1.0, math.nan, math.inf, 1e-320, 1e300])
+
+
 class TestSweep:
     def test_bad_sifting_in_config_writes_nothing(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -624,9 +676,20 @@ class TestSweep:
          "error: --start and --stop must span a finite range, got 0 to nan"),
         (["--param", "eps", "--start", "-1e308", "--stop", "1e308"], 2,
          "error: --start and --stop must span a finite range, got -1e+308 to 1e+308"),
+        (["--param", "eps", "--start", "0", "--stop", "1", "--n0", "0"], 2,
+         "error: eps=0: shot-noise unit must be positive, got 0.0"),
+        (["--param", "eps", "--start", "0", "--stop", "1", "--n0", "nan"], 2,
+         "error: eps=0: shot-noise unit must be positive, got nan"),
+        (["--param", "beta", "--start", "0.5", "--stop", "1.5"], 2,
+         "error: beta=1.25: reconciliation efficiency must be in [0, 1], got 1.25"),
+        (["--param", "v", "--start", "2", "--stop", "0"], 2,
+         "error: v=0.5: source variance 0.5 below the vacuum variance 1.0"),
+        (["--param", "eps", "--start", "1", "--stop", "-1"], 2,
+         "error: eps=-0.5: excess noise must be finite and >= 0, got -0.5"),
     ], ids=["transmission", "source", "source-overflow", "fixed-source",
             "conditional-variance", "ill-conditioned", "stop-inf", "start-inf", "stop-nan",
-            "range-overflow"])
+            "range-overflow", "n0-zero", "n0-nan", "beta-interior", "v-interior",
+            "eps-interior"])
     def test_bad_grid_point(self, runner, tmp_path, args, code, message):
         out = tmp_path / "s.csv"
         result = runner.invoke(main, ["sweep", *args, "--steps", "5", "--out", str(out)])
@@ -635,8 +698,7 @@ class TestSweep:
         assert not out.exists()
 
     @settings(max_examples=150, deadline=None)
-    @given(grid=sweep_grids(), n0=st.sampled_from([1.0, 1.5, 0.25]),
-           plot=st.booleans())
+    @given(grid=sweep_grids(), n0=SWEEP_N0, plot=st.booleans())
     def test_matches_the_per_point_loop(self, tmp_path_factory, grid, n0, plot):
         # the whole-column sweep against the per-point loop it replaced: the same exit
         # status, stdout, stderr, table bytes and plot data, and no numpy warning
@@ -665,6 +727,27 @@ class TestSweep:
         assert out.read_text() == table
         if plot:
             assert plot_out.read_text() == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid=sweep_grids(), n0=SWEEP_N0)
+    def test_grid_mask_is_false_exactly_where_its_point_raises(self, grid, n0):
+        # the one set of checks a sweep runs on its grid, against the same checks
+        # on each point's floats
+        param, start, stop, steps, point = grid
+        point = {**point, "n0": n0}
+        with np.errstate(all="ignore"):
+            values = start + (stop - start) * np.arange(steps) / (steps - 1)
+            columns = {name: np.full(steps, value) for name, value in point.items()}
+            holds = _sweep_moments(**{**columns, param: values})[0]
+        raises = []
+        for value in values.tolist():
+            try:
+                _sweep_moments(**{**point, param: value})
+            except (ConfigurationError, DomainError):
+                raises.append(True)
+            else:
+                raises.append(False)
+        assert holds.dtype == bool and (~holds).tolist() == raises
 
     def test_large_grid_holds_no_row_objects(self, tmp_path):
         # a 10^5-point sweep keeps its columns and one chunk of rows, never a Python
@@ -808,6 +891,27 @@ def test_sweep_config_may_hold_every_key(runner, tmp_path):
         tables.append(out.read_bytes())
     assert tables[0] == tables[1]
     assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("key, message", [
+    ("n", None), ("l", None), ("seed", None),
+    ("v", "error: t=0.5: source variance inf is too large: its square overflows\n"),
+    ("eps", "error: t=0.5: excess noise must be finite and >= 0, got inf\n"),
+    ("n0", "error: t=0.5: source variance 20.0 below the vacuum variance inf\n"),
+])
+def test_sweep_config_integer_beyond_the_float_range(runner, tmp_path, key, message):
+    # sweep reads no session key, so a 401-digit one passes; a 401-digit channel
+    # value reads as infinite, and its first grid point names it
+    cfg, out = tmp_path / "cfg.json", tmp_path / "s.csv"
+    cfg.write_text(f'{{"{key}": {10 ** 400}}}')
+    result = runner.invoke(main, ["sweep", "--config", str(cfg), "--param", "t", "--start",
+                                  "0.5", "--stop", "1", "--steps", "3", "--out", str(out)])
+    if message is None:
+        assert (result.exit_code, result.stderr) == (0, ""), result.output
+        assert len(out.read_text().splitlines()) == 4
+    else:
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", message)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("args, config, message", [

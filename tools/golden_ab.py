@@ -18,7 +18,7 @@ the default run, so that no output depends on the BLAS thread count:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/golden_ab.py > change-1.txt
     diff change.txt change-1.txt
 
-It takes no options. The whole list of 167 commands runs in about 13 s on
+It takes no options. The whole list of 172 commands runs in about 13 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -337,6 +337,18 @@ def commands():
     yield "error-sweep-conditional-variance-interior", [
         "sweep", "--param", "v", "--start", "2", "--stop", "1.3e154", "--steps", "5",
         "--out", "sweep-conditional-variance-interior.csv"]
+
+    # the other domains' first failing points inside the grid: beta at 1.25, v at
+    # 0.5 and eps at -0.5; and a shot-noise unit of 0 or NaN, which fails at every
+    # point and is named at the first
+    for param, start, stop in (("beta", "0.5", "1.5"), ("v", "2", "0"), ("eps", "1", "-1")):
+        yield f"error-sweep-{param}-interior", [
+            "sweep", "--param", param, "--start", start, "--stop", stop, "--steps", "5",
+            "--out", f"sweep-{param}-interior.csv"]
+    for n0 in ("0", "nan"):
+        yield f"error-sweep-n0-{n0}", ["sweep", "--param", "eps", "--start", "0", "--stop",
+                                       "1", "--steps", "3", "--n0", n0,
+                                       "--out", f"sweep-n0-{n0}.csv"]
 
 
 def sha256(data: bytes) -> str:
