@@ -45,10 +45,10 @@ from .rates import (
     RateReport,
     _accepted,
     _bound,
+    _priced,
     _require,
     conditional_squeezing_check,
     rate_bound,
-    rate_columns,
 )
 from .simulator import (
     SHAPE_KINDS,
@@ -454,33 +454,39 @@ def _sweep_columns(param: str, values: np.ndarray, point: dict) -> list:
     the coherent cells a point leaves empty. The grid goes through _sweep_moments
     as columns, and then, if a row is not defined at every point, the first point
     where it is not goes through it on its own, which raises that point's error.
-    Only a grid that passes is priced, through rate_columns."""
+    Only a grid that passes is priced, through rates._priced: the squeezed bound
+    from _sweep_moments' own results, which hold at every point, and the coherent
+    bound from its _bound, on moments _sweep_moments accepted."""
     grid = {name: np.full(len(values), float(value)) for name, value in point.items()}
     grid[param] = values
     with np.errstate(all="ignore"):  # the points a check rejects may overflow
-        holds, *moments = _sweep_moments(**grid)
+        holds, squeezed, coherent, squeezed_bound = _sweep_moments(**grid)
         if not holds.all():
             value = values[holds.argmin()].item()  # the first point where holds is False
             try:
                 _sweep_moments(**{**point, param: value})
             except (ConfigurationError, DomainError) as exc:
                 raise type(exc)(f"{param}={value:g}: {exc}") from exc
-        cells = [_sweep_cells(rate_columns(k, kind, float(point["n0"])), grid["beta"])
-                 for kind, k in zip(SWEEP_KINDS, moments)]
+        reports = (_priced(squeezed, holds, *squeezed_bound),
+                   _priced(coherent, *_bound(coherent, SWEEP_KINDS[1], float(point["n0"]))))
+        cells = [_sweep_cells(report, grid["beta"]) for report in reports]
     return [column for pair in zip(*cells) for column in pair]
 
 
 def _sweep_moments(v, t, eps, beta, n0) -> tuple:
-    """(where a sweep row is defined, each of SWEEP_KINDS' analytic_moments) at source
-    variance v, transmission t, excess noise eps, efficiency beta and shot-noise unit
-    n0, as columns for a grid or floats for one point (see rates._require). A row is
-    defined where, in this order, beta, the source and the channel are in their
-    domains, Covariance2 accepts the squeezed moments and their bound holds, and
-    Covariance2 accepts the coherent moments."""
+    """(where a sweep row is defined, each of SWEEP_KINDS' analytic_moments, and the
+    rest of the squeezed bound's _bound results: its quotient, conditional variance
+    and None) at source variance v, transmission t, excess noise eps, efficiency beta
+    and shot-noise unit n0, as columns for a grid or floats for one point (see
+    rates._require). A row is defined where, in this order, beta, the source and the
+    channel are in their domains, Covariance2 accepts the squeezed moments and their
+    bound holds, and Covariance2 accepts the coherent moments."""
     holds = _check_efficiency(beta) & _source_accepted(v, n0) & _channel_accepted(t, eps)
     squeezed, coherent = (analytic_moments(v, t, eps, n0, kind) for kind in SWEEP_KINDS)
-    holds &= _accepted(squeezed) & _bound(squeezed, SWEEP_KINDS[0], n0)[0]
-    return holds & _accepted(coherent), squeezed, coherent
+    holds &= _accepted(squeezed)
+    bound_holds, *squeezed_bound = _bound(squeezed, SWEEP_KINDS[0], n0)
+    holds &= bound_holds
+    return holds & _accepted(coherent), squeezed, coherent, squeezed_bound
 
 
 def _sweep_cells(report: RateReport, beta) -> tuple:

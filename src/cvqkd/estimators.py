@@ -4,12 +4,17 @@ The entropy estimator is the classic nearest-neighbor construction
 (digamma-corrected log of k-th neighbor distances), applied after an
 affine whitening of the data so strongly correlated quadrature pairs do
 not bias the neighbor search; the whitening log-determinant is added
-back. In 1-d the k-th neighbor distances come from one sort and a
-window of k neighbors on each side, exactly equal to a k-d tree's; in
-2-d and above they come from scipy's ``cKDTree``, queried in the tree's
-own leaf order for the k-th distance alone. scipy is imported on the
-first estimate, so code that never estimates an entropy does not load
-it. Standard errors come from 10-fold subsampling.
+back. The whitening is the regression of each column on the ones before
+it (a Cholesky factor of the sample covariance) over the second moments
+that ``estimate_covariance`` sums, in fixed MOMENT_CHUNK slices combined
+with ``math.fsum``; it uses no BLAS or LAPACK, so neither the BLAS build
+nor its thread count moves an estimate. In 1-d the k-th neighbor
+distances come from one sort and a window of k neighbors on each side,
+exactly equal to a k-d tree's; in 2-d and above they come from scipy's
+``cKDTree``, queried in the tree's own leaf order for the k-th distance
+alone. scipy is imported on the first estimate, so code that never
+estimates an entropy does not load it. Standard errors come from 10-fold
+subsampling.
 
 The entropy terms of one estimate (all rows and every fold) run through
 ``in_parallel`` and are summed in a fixed order, so estimates are
@@ -36,8 +41,19 @@ JITTER_SCALE = 1e-12
 #: subsampling folds used for standard errors
 FOLDS = 10
 
-#: samples per slice of the covariance's second-moment sums
+#: samples per slice of the second-moment sums
 MOMENT_CHUNK = 1 << 16
+
+#: largest ratio of the sample covariance's least to greatest eigenvalue at
+#: which the k-NN whitening counts it as singular
+SINGULAR_RATIO = 1e-12
+
+#: det/trace^2 of a 2x2 covariance whose eigenvalue ratio r is SINGULAR_RATIO:
+#: det/trace^2 = r/(1 + r)^2, which grows with r
+_SINGULAR_DET = SINGULAR_RATIO / ((1.0 + SINGULAR_RATIO) * (1.0 + SINGULAR_RATIO))
+
+_SINGULAR = ("sample covariance is singular: the data has no spread in some "
+            "direction (e.g. one variable is an exact function of the other)")
 
 LOG2 = math.log(2.0)
 
@@ -47,7 +63,9 @@ def in_parallel(function, calls) -> list:
     core the process may use, the calling thread among them (none is
     started for one core or one call). Calls start in order, none after a
     failure, and the first failing call's error is raised once the started
-    ones end. The threads gain where the calls release the GIL, as numpy does."""
+    ones end. The threads gain where the calls release the GIL, as numpy does.
+    The calls must not start thread pools of their own, such as a BLAS's or
+    a ``workers`` argument's, which would fight these threads for the cores."""
     results, errors = [None] * len(calls), {}
     todo, lock = iter(range(len(calls))), threading.Lock()
 
@@ -107,27 +125,34 @@ class EntropyEstimate:
     std_error: float
 
 
-def estimate_covariance(s: SampleSet) -> Covariance2:
-    """Sample covariance of (a, b) after subtracting sample means,
-    population-normalized. A covariance marginally outside the positive-
-    semidefinite cone (floating point) is clipped to the boundary.
+def _moments(*columns) -> tuple[list, list[list[float]]]:
+    """The means of equal-length 1-d columns and the symmetric matrix of their
+    population second moments about those means: for columns a and b,
+    ([mean_a, mean_b], [[s_aa, s_ab], [s_ab, s_bb]]).
 
     The centred products are summed one MOMENT_CHUNK slice at a time (numpy's
     pairwise sum, no BLAS) and the partial sums combined with ``math.fsum``, so
     the result depends on the input and MOMENT_CHUNK alone, not on the core or
     BLAS thread count, and no temporary is larger than a slice."""
-    mean_a, mean_b = s.a.mean(), s.b.mean()
-    aa, bb, ab = [], [], []
-    for start in range(0, len(s), MOMENT_CHUNK):
-        a = s.a[start:start + MOMENT_CHUNK] - mean_a
-        b = s.b[start:start + MOMENT_CHUNK] - mean_b
-        aa.append(float((a * a).sum()))
-        bb.append(float((b * b).sum()))
-        ab.append(float((a * b).sum()))
-    n = len(s)
-    var_a = math.fsum(aa) / n
-    var_b = math.fsum(bb) / n
-    cov = math.fsum(ab) / n
+    means = [column.mean() for column in columns]
+    pairs = [(i, j) for i in range(len(columns)) for j in range(i, len(columns))]
+    sums = [[] for _ in pairs]
+    for start in range(0, len(columns[0]), MOMENT_CHUNK):
+        centred = [column[start:start + MOMENT_CHUNK] - mean
+                   for column, mean in zip(columns, means)]
+        for (i, j), partial in zip(pairs, sums):
+            partial.append(float((centred[i] * centred[j]).sum()))
+    matrix = [[0.0] * len(columns) for _ in columns]
+    for (i, j), partial in zip(pairs, sums):
+        matrix[i][j] = matrix[j][i] = math.fsum(partial) / len(columns[0])
+    return means, matrix
+
+
+def estimate_covariance(s: SampleSet) -> Covariance2:
+    """Sample covariance of (a, b) after subtracting sample means,
+    population-normalized, from ``_moments``. A covariance marginally outside
+    the positive-semidefinite cone (floating point) is clipped to the boundary."""
+    _, ((var_a, cov), (_, var_b)) = _moments(s.a, s.b)
     limit = math.sqrt(var_a * var_b)
     if abs(cov) > limit:
         cov = math.copysign(limit, cov)
@@ -154,17 +179,56 @@ def _jitter(x: np.ndarray, seed: int) -> np.ndarray:
 
 
 def _whiten(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Map samples to unit covariance; return them with the entropy
-    correction (bits) lost by the map, to be added back."""
-    x = x - x.mean(axis=0)
-    cov = (x.T @ x) / len(x)
-    eigval, eigvec = np.linalg.eigh(cov)
-    if eigval[0] <= eigval[-1] * 1e-12 or eigval[-1] <= 0:
-        raise DegenerateDataError(
-            "sample covariance is singular: the data has no spread in some "
-            "direction (e.g. one variable is an exact function of the other)")
-    y = (x @ eigvec) / np.sqrt(eigval)
-    return y, 0.5 * float(np.log2(eigval).sum())
+    """Map an (n, d) sample to unit sample covariance; return it with the
+    entropy correction (bits) lost by the map, to be added back.
+
+    The map regresses each column on the ones before it, a Cholesky factor of
+    the ``_moments`` covariance S. Column j's covariance with residual k < j is
+    c_jk = S_jk - sum over m < k of (c_km/p_m) c_jm; its residual
+    z_j = x_j - mean_j - sum over k < j of (c_jk/p_k) z_k has the variance (pivot)
+    p_j = S_jj - sum over k < j of c_jk^2/p_k, and maps to z_j/sqrt(p_j). The
+    correction is log2(det S)/2, det S being the pivots' product. For columns a
+    and b, y2 = (b - mean_b - (s_ab/s_aa)(a - mean_a))/sqrt(cv) with
+    cv = s_bb - s_ab^2/s_aa. Its Euclidean distances equal any other whitening's
+    up to rounding, and it needs no BLAS or LAPACK, so no BLAS build moves its bits.
+
+    The covariance is singular when its least eigenvalue is at most
+    SINGULAR_RATIO times its greatest: s_aa <= 0 in 1-d, and
+    s_aa*cv <= _SINGULAR_DET*(s_aa + s_bb)^2 in 2-d, in its determinant and trace.
+    With more columns the rule is a pivot test instead: some p_j is at most
+    SINGULAR_RATIO times the trace. Every pivot is at least the least eigenvalue
+    and the trace at most d times the greatest, so the test rejects only ratios
+    up to d*SINGULAR_RATIO; it may pass a smaller one, but keeps the map finite."""
+    d = x.shape[1]
+    means, cov = _moments(*x.T)
+    trace = sum(cov[j][j] for j in range(d))
+    # with one or two columns the pivots need only be positive to divide by: in
+    # 1-d that is the whole rule, and in 2-d the determinant rule below decides
+    floor = SINGULAR_RATIO * trace if d > 2 else 0.0
+    slopes, pivots = [], []
+    for j in range(d):
+        covs = []
+        for k in range(j):
+            covs.append(cov[j][k] - sum(slope * c for slope, c in zip(slopes[k], covs)))
+        pivot = cov[j][j] - sum(c * c / p for c, p in zip(covs, pivots))
+        if pivot <= floor:
+            raise DegenerateDataError(_SINGULAR)
+        slopes.append([c / p for c, p in zip(covs, pivots)])
+        pivots.append(pivot)
+    det = math.prod(pivots)
+    if d == 2 and det <= _SINGULAR_DET * trace * trace:
+        raise DegenerateDataError(_SINGULAR)
+    y, residuals = np.empty_like(x), []
+    for j in range(d):
+        # the last residual is needed by no other column, so it is formed in place
+        column = y[:, j]
+        residual = (x[:, j] - means[j] if j < d - 1
+                    else np.subtract(x[:, j], means[j], out=column))
+        for slope, earlier in zip(slopes[j], residuals):
+            residual -= slope * earlier
+        residuals.append(residual)
+        np.divide(residual, math.sqrt(pivots[j]), out=column)
+    return y, 0.5 * math.log2(det)
 
 
 def _kth_neighbor_distance_1d(y: np.ndarray, k: int) -> np.ndarray:

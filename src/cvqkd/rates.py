@@ -134,7 +134,7 @@ def _log2(x):
 @dataclass(frozen=True)
 class RateReport:
     """Key-rate bound plus the intermediate quantities that produced it, of one
-    point, or of a grid of points as numpy columns (see rate_columns).
+    point, or of a grid of points as numpy columns (see _priced).
 
     For covariances of physically realizable states (var_b * cond_var >=
     n0**2) the usual orderings hold: i_be_bound >= 0 and
@@ -381,13 +381,13 @@ def rate_bound(
     return _report(k, n, _log2(quotient), cv, cv_prime)
 
 
-def rate_columns(k: Moments, protocol: ProtocolKind, n0: float) -> RateReport:
-    """rate_bound(Covariance2(*point), 1, protocol, n0) at every point of a grid of
-    moments k (numpy columns), through the same closed forms and checks: a report
-    whose values are columns, NaN at each point where Covariance2 or the bound would
-    raise. Run it under np.errstate(all="ignore"): the points it rejects may overflow."""
-    holds, quotient, cv, cv_prime = _bound(k, protocol, n0)
-    holds &= _accepted(k)
+def _priced(k: Moments, holds, quotient, cv, cv_prime) -> RateReport:
+    """The report of blocks of one pulse at every point of a grid of moments k
+    (numpy columns), from the results of their bound (see _bound): its values are
+    columns, NaN wherever holds is False. Where holds is _bound's mask and
+    _accepted(k), each entry has rate_bound(Covariance2(*point), 1, protocol, n0)'s
+    bits, and is NaN exactly where Covariance2 or the bound would raise. Run it and
+    _bound under np.errstate(all="ignore"): the points they reject may overflow."""
     cv = np.where(holds, cv, np.nan)
     return RateReport(
         delta_i_min_per_pulse=_log2(np.where(holds, quotient, np.nan)), block_size=1,

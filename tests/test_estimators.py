@@ -5,10 +5,11 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -30,9 +31,11 @@ from cvqkd import estimators
 from cvqkd.estimators import (
     FOLDS,
     MOMENT_CHUNK,
+    SINGULAR_RATIO,
     _knn_estimate,
     _kth_neighbor_distance_1d,
     _kth_neighbor_distance_tree,
+    _whiten,
     in_parallel,
 )
 
@@ -180,10 +183,20 @@ class TestKnnEntropy:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             knn_differential_entropy(values)
 
+    def test_trivariate_gaussian(self, rng):
+        # any number of columns: a correlated 3-d Gaussian's entropy is
+        # log2((2 pi e)^3 det K)/2
+        k = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.4], [-0.3, 0.4, 0.5]])
+        x = rng.normal(size=(N, 3)) @ np.linalg.cholesky(k).T
+        est = knn_differential_entropy(x)
+        exact = 0.5 * math.log2((2 * math.pi * math.e) ** 3 * np.linalg.det(k))
+        assert est.value == pytest.approx(exact, abs=0.03)
+
     def test_exact_linear_relation_is_singular(self, rng):
-        x = rng.normal(size=1000)
-        with pytest.raises(DegenerateDataError, match="^sample covariance is singular"):
-            knn_differential_entropy(np.column_stack([x, 2 * x]))
+        x, z = rng.normal(size=(2, 1000))
+        for columns in ([x, 2 * x], [x, z, x + z], [x, z, 2 * z]):
+            with pytest.raises(DegenerateDataError, match="^sample covariance is singular"):
+                knn_differential_entropy(np.column_stack(columns))
 
     def test_survives_some_duplicates(self, rng):
         x = np.round(rng.normal(size=50_000), 1)  # heavy ties, nonzero spread
@@ -269,6 +282,147 @@ class TestKthNeighborDistanceTree:
                       np.round(rng.normal(size=(n, 2)), 1)):  # ties, duplicates
                 reference = cKDTree(y).query(y, k=k + 1)[0][:, k]
                 assert np.array_equal(_kth_neighbor_distance_tree(y, k), reference)
+
+
+#: the message of a singular sample covariance, word for word
+SINGULAR_MESSAGE = ("sample covariance is singular: the data has no spread in some "
+                    "direction (e.g. one variable is an exact function of the other)")
+
+
+def eigen_whitened(x):
+    """The eigenvector whitening of an (n, d) sample that the regression map
+    replaced, with its singularity rule: the centred sample times the sample
+    covariance's eigenvectors, over the root eigenvalues, and the log-determinant
+    in bits."""
+    x = x - x.mean(axis=0)
+    eigval, eigvec = np.linalg.eigh((x.T @ x) / len(x))
+    if eigval[0] <= eigval[-1] * 1e-12 or eigval[-1] <= 0:
+        raise DegenerateDataError(SINGULAR_MESSAGE)
+    return (x @ eigvec) / np.sqrt(eigval), 0.5 * float(np.log2(eigval).sum())
+
+
+def kth_distances(y, k=4):
+    return (_kth_neighbor_distance_1d(y[:, 0], k) if y.shape[1] == 1
+            else _kth_neighbor_distance_tree(y, k))
+
+
+class TestWhiten:
+    """The regression whitening against the eigenvector whitening it replaced:
+    the same k-th distances and log-determinant up to rounding, and, for one or
+    two columns, the same samples called singular, with the same message."""
+
+    #: both maps round each whitened coordinate to about one ulp of the raw
+    #: sample's largest entry max|x|, in units of its greatest spread
+    #: sqrt(lambda_max), and lose up to kappa = lambda_max/lambda_min of those ulps
+    #: in the sample's thin direction. So the k-th distances (absolutely, as they
+    #: are differences of coordinates) and the log-determinant bits must agree
+    #: within ULPS * kappa * max|x|/sqrt(lambda_max) ulps: a relative tolerance
+    #: on the whitened coordinates. 4000 random samples like these reached 1.5
+    ULPS = 16
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(5, 2000),
+           st.sampled_from([-1.0, 1.0]), st.floats(0.0, 6.0), st.floats(-1.0, 1.0),
+           st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+    @example(0, 2000, 1.0, 6.0, 0.0, 3.0, -3.0)  # |r| = 1 - 1e-6
+    @example(1, 5, -1.0, 6.0, 1.0, 0.0, 0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_eigen_whitening(self, seed, n, sign, digits, log_ratio, mean_a, mean_b):
+        # correlation r = sign * (1 - 10^-digits), so |r| runs up to 1 - 1e-6
+        r = sign * (1.0 - 10.0 ** -digits)
+        u, v, w = np.random.default_rng(seed).normal(size=(3, n))
+        x = np.column_stack([u + mean_a,
+                             10.0 ** log_ratio * (r * u + math.sqrt(1.0 - r * r) * v) + mean_b,
+                             w - 0.5 * u + 2.0 * v])
+        for sample in (x[:, :1], x[:, :2], x):
+            eigval = np.linalg.eigvalsh(np.atleast_2d(np.cov(sample.T, bias=True)))
+            extent = abs(sample).max() / math.sqrt(eigval[-1])
+            tolerance = self.ULPS * 2.0 ** -52 * eigval[-1] / eigval[0] * extent
+            y, bits = _whiten(sample)
+            reference, reference_bits = eigen_whitened(sample)
+            assert abs(kth_distances(y) - kth_distances(reference)).max() <= tolerance
+            assert abs(bits - reference_bits) <= tolerance
+
+    @staticmethod
+    def thin_sample(ratio, angle):
+        """Four points whose sample covariance has eigenvalues 1 and ratio, exactly
+        while the angle is 0; rotated by the angle."""
+        a = np.array([1.0, -1.0, 1.0, -1.0])
+        b = math.sqrt(ratio) * np.array([1.0, 1.0, -1.0, -1.0])
+        c, s = math.cos(angle), math.sin(angle)
+        return np.column_stack([c * a - s * b, s * a + c * b])
+
+    @pytest.mark.parametrize("angle, margin", [(0.0, 1e-6), (0.3, 0.1), (1.0, 0.1)])
+    def test_each_side_of_the_singular_threshold(self, angle, margin):
+        # rotated, the thin direction's variance is known only to about
+        # 1e12 ulps, so the margin widens
+        below = self.thin_sample(SINGULAR_RATIO * (1.0 - margin), angle)
+        above = self.thin_sample(SINGULAR_RATIO * (1.0 + margin), angle)
+        for whiten in (_whiten, eigen_whitened):
+            with pytest.raises(DegenerateDataError, match=f"^{re.escape(SINGULAR_MESSAGE)}$"):
+                whiten(below)
+            assert math.isfinite(whiten(above)[1])
+
+    @pytest.mark.parametrize("x", [
+        np.zeros((10, 1)), np.zeros((10, 2)),
+        np.column_stack([np.arange(10.0), np.zeros(10)]),
+        np.column_stack([np.zeros(10), np.arange(10.0)]),
+    ], ids=["zeros-1d", "zeros-2d", "constant-b", "constant-a"])
+    def test_no_spread_is_singular(self, x):
+        for whiten in (_whiten, eigen_whitened):
+            with pytest.raises(DegenerateDataError, match=f"^{re.escape(SINGULAR_MESSAGE)}$"):
+                whiten(x)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-14.0, -10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_three_columns_pivot_test(self, seed, log_ratio):
+        # a sample whose covariance has eigenvalues 1, 1 and 10^log_ratio, turned
+        # by a random rotation: the pivot test calls it singular only where the
+        # eigenvalue ratio is at most 3 * SINGULAR_RATIO, and then with the message
+        rng = np.random.default_rng(seed)
+        rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        x = rng.normal(size=(50, 3))
+        x -= x.mean(axis=0)
+        x = x @ np.linalg.cholesky(np.linalg.inv(x.T @ x / len(x)))  # unit covariance
+        x = (x * [1.0, 1.0, math.sqrt(10.0 ** log_ratio)]) @ rotation.T
+        eigval = np.linalg.eigvalsh(x.T @ x / len(x))
+        try:
+            _, bits = _whiten(x)
+        except DegenerateDataError as exc:
+            assert str(exc) == SINGULAR_MESSAGE
+            assert eigval[0] <= 3 * SINGULAR_RATIO * eigval[-1] * (1 + 1e-3)
+        else:
+            assert math.isfinite(bits)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(FOLDS * 5, 400),
+           st.sampled_from(["copy", "scaled", "negated", "constant-a", "constant-b",
+                            "constant", "near-copy", "independent"]),
+           st.sampled_from([1e-12, 1e-9, 1e-7, 1e-5, 1e-3]),
+           st.sampled_from([1, 2]))
+    @settings(max_examples=80, deadline=None)
+    def test_singular_inputs_raise_as_before(self, seed, n, kind, spread, dims):
+        # the estimates raise where the eigenvector whitening raised, with the same
+        # message; the near copies' covariances have eigenvalue ratios of about
+        # spread^2/4, a factor 25 or more from the threshold
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=n)
+        b = {"copy": a, "scaled": 3.0 * a, "negated": -a, "constant-a": a,
+             "constant-b": np.full(n, 2.5), "constant": np.full(n, 2.5),
+             "near-copy": a + spread * rng.normal(size=n),
+             "independent": rng.normal(size=n)}[kind]
+        if kind in ("constant-a", "constant"):
+            a = np.full(n, -1.5)
+        values = a if dims == 1 else np.column_stack([a, b])
+
+        def outcome():
+            try:
+                knn_differential_entropy(values, jitter_seed=seed % 1000)
+            except DegenerateDataError as exc:
+                return str(exc)
+            return None
+
+        with mock.patch.object(estimators, "_whiten", eigen_whitened):
+            before = outcome()
+        assert outcome() == before
 
 
 class TestCores:
@@ -471,21 +625,21 @@ class TestPinnedEstimates:
 
     def test_knn_1d(self, pair):
         assert knn_differential_entropy(pair.a, jitter_seed=5) == EntropyEstimate(
-            2.0349471239175863, 0.03138189037170705)
+            2.0349471239175863, 0.03138189037170716)
 
     def test_knn_1d_ties(self, pair):
         assert knn_differential_entropy(
             np.round(pair.a, 2), k=7, jitter_seed=1) == EntropyEstimate(
-            -18.48991010657216, 0.026226901580768697)
+            -18.489906378723482, 0.026226901580768673)
 
     def test_knn_2d(self, pair):
         assert knn_differential_entropy(
             np.column_stack([pair.a, pair.b]), k=3, jitter_seed=5) == EntropyEstimate(
-            3.347751635815775, 0.03462669485733536)
+            3.3477516358157757, 0.034626694857335286)
 
     def test_conditional(self, pair):
         assert conditional_entropy_estimate(pair, jitter_seed=5) == EntropyEstimate(
-            1.2958715612020173, 0.02973218191997204)
+            1.2958715612020164, 0.029732181919972088)
 
 
 class TestConditionalEntropy:

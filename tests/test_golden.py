@@ -11,7 +11,8 @@ both sifting modes, `rate --record` on one of those records, and the
 `verify --scope discrete` and `verify --scope statistical` manifests.
 The column digests pin sessions of three chunks, whose chunks run on as
 many cores as the process may use. The statistical manifest is also pinned
-from fresh interpreters on one and two BLAS threads and on one core.
+from fresh interpreters on one and two BLAS threads, on one core, and on
+OpenBLAS's Nehalem kernels.
 """
 
 import dataclasses
@@ -237,7 +238,7 @@ RATE_RECORD_DIGEST = "67a501c10bb6221e1f1d95663fcd8f1d5dd149c8cb11179d93227d1afa
 VERIFY_DISCRETE_DIGEST = "d1a2a3433433d858c0d85b7e45bc79e7603541f71e01db76d3f33cab0f5c7fa5"
 
 #: sha256 of the `verify --scope statistical --pulses 20000` manifest
-VERIFY_STATISTICAL_DIGEST = "f8ed7ef3abb5441ec0770f993ee5cfec615130ba92f179ab798eda692400e357"
+VERIFY_STATISTICAL_DIGEST = "65638f2d759c13ded1fd324930826fa260fec54eac08fff0eeaa9758b114f77c"
 
 
 @pytest.fixture
@@ -291,17 +292,24 @@ main()
 """
 
 
-@pytest.mark.parametrize("blas_threads, cores", [("1", "all-cores"), ("2", "all-cores"),
-                                                 ("2", "one-core")])
-def test_verify_statistical_manifest_bytes_on_any_core_count(tmp_path, blas_threads, cores):
-    # the sample covariance sums in fixed slices without BLAS, and the estimate
-    # terms are summed in a fixed order, so neither the BLAS thread count nor
-    # the number of cores reaches the manifest
+@pytest.mark.parametrize("blas, cores", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, "all-cores"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "all-cores"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "one-core"),
+    ({"OPENBLAS_CORETYPE": "Nehalem"}, "all-cores"),
+], ids=["1-all-cores", "2-all-cores", "2-one-core", "nehalem-all-cores"])
+def test_verify_statistical_manifest_bytes_on_any_core_count(tmp_path, blas, cores):
+    # the second moments sum in fixed slices without BLAS, the k-NN whitening is
+    # a closed form over them without BLAS or LAPACK, and the estimate terms are
+    # summed in a fixed order, so neither the BLAS thread count, nor the BLAS
+    # kernel, nor the number of cores reaches the manifest; the BLAS settings
+    # are made in the child's environment, before numpy loads
     if cores == "one-core" and not hasattr(os, "sched_setaffinity"):
         pytest.skip("no CPU affinity on this platform")
     src = str(Path(cvqkd.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas_threads}
-    env.pop("CVQKD_OUT_DIR", None)
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("CVQKD_OUT_DIR", "OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
+    env.update(blas, PYTHONPATH=src)
     result = subprocess.run(
         [sys.executable, "-c", CLI_SCRIPT, cores, "verify", "--scope", "statistical",
          "--pulses", "20000", "--out", "manifest.json"],

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cvqkd import (
@@ -30,8 +30,15 @@ from cvqkd import (
     squeezed_rate_bound,
     vacuum_entropy,
 )
-from cvqkd.rates import CONDITIONING_RTOL, Moments, rate_columns
-from cvqkd.simulator import MAX_SOURCE_VARIANCE
+from cvqkd.rates import (
+    CONDITIONING_RTOL,
+    Moments,
+    _accepted,
+    _bound,
+    _priced,
+    _rounding_bound,
+)
+from cvqkd.simulator import MAX_SOURCE_VARIANCE, analytic_moments
 
 H0 = 0.5 * math.log2(2 * math.pi * math.e)
 
@@ -431,6 +438,34 @@ def test_physical_channel_rate_stays_below_i_ab(protocol, v, t, eps):
     assert report.i_be_bound >= -1e-9 * max(1.0, report.i_ab)
 
 
+@given(st.sampled_from([0.25, 1.0, 1.5]), st.floats(0.0, 6.0),
+       st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+@example(1.0, 1.0, 0.5, 1.0, 1.0 + 2.0 ** -52)  # excess noises one ulp apart
+@settings(max_examples=500)
+def test_pooling_quadratures_is_conservative(n0, digits, t, eps_q, eps_p):
+    # a session pools q with the sign-flipped p, with equal weight. Where the channel
+    # adds different excess noise to each, the pooled squeezed bound log2(n0/cv)
+    # stays below the paper's crosswise per-quadrature bound
+    # log2(n0^2/(cv_q*cv_p))/2: the conditional variance is concave in the moments
+    # (a Schur complement), so cv >= (cv_q + cv_p)/2 >= sqrt(cv_q*cv_p) (AM-GM).
+    # Allowed beyond a few ulps: the rounding each of the three conditional
+    # variances may carry, in bits
+    assume(eps_q != eps_p)
+    # each quadrature's moments, Bob's p sign-flipped as sessions pool it
+    q, p = (analytic_moments(n0 * 10.0 ** digits, t, eps, n0, ProtocolKind.SQUEEZED_HOMODYNE)
+            for eps in (eps_q, eps_p))
+    pooled = Moments(*((x + y) / 2 for x, y in zip(q, p)))
+    ks = [Covariance2(*m) for m in (q, p, pooled)]
+    try:
+        report_q, report_p, report = (squeezed_rate_bound(k, 1, n0) for k in ks)
+    except DomainError:  # a conditional variance the bound calls ill-conditioned
+        return
+    crosswise = 0.5 * math.log2(
+        n0 * n0 / (report_q.cond_var_b_given_a * report_p.cond_var_b_given_a))
+    rounding = sum(_rounding_bound(k) / conditional_variance(k) for k in ks) / math.log(2.0)
+    assert report.delta_i_min_per_pulse <= crosswise + rounding + 4 * math.ulp(abs(crosswise))
+
+
 #: moment entries at the edges of the float range and of the bounds' domains,
 #: the shot-noise units below among them
 EDGE_MOMENTS = [0.0, -0.0, -1.0, 1e-310, 0.25, 1.0, 1.5, 1e154, 1e200, 1e308,
@@ -461,12 +496,13 @@ def stored_rates(report):
 @given(st.lists(moment_points(), min_size=1, max_size=30))
 @settings(max_examples=200)
 def test_columns_equal_points(protocol, n0, points):
-    # a grid goes through the closed forms and checks of one point: each entry of
-    # rate_columns has rate_bound's bits, and is NaN exactly where Covariance2 or
-    # rate_bound raises
+    # a grid goes through the closed forms and checks of one point, priced as the
+    # sweep prices it, from the bound's own results: each entry has rate_bound's
+    # bits, and is NaN exactly where Covariance2 or rate_bound raises
+    k = Moments(*map(np.array, zip(*points)))
     with np.errstate(all="ignore"):
-        columns = stored_rates(rate_columns(Moments(*map(np.array, zip(*points))),
-                                            protocol, n0))
+        holds, *bound = _bound(k, protocol, n0)
+        columns = stored_rates(_priced(k, holds & _accepted(k), *bound))
     for i, point in enumerate(points):
         got = [None if column is None else column[i].item() for column in columns]
         try:

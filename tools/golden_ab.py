@@ -12,11 +12,13 @@ To compare two checkouts, run it once against each and diff the outputs:
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
     diff parent.txt change.txt
 
-and rerun the change on one BLAS thread, whose output must not differ from
-the default run, so that no output depends on the BLAS thread count:
+and rerun the change on one BLAS thread and on OpenBLAS's Nehalem kernels,
+whose outputs must not differ from the default run, so that no output
+depends on the BLAS kernel or its thread count:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/golden_ab.py > change-1.txt
-    diff change.txt change-1.txt
+    OPENBLAS_CORETYPE=Nehalem PYTHONPATH=src python3 tools/golden_ab.py > change-nehalem.txt
+    diff change.txt change-1.txt && diff change.txt change-nehalem.txt
 
 It takes no options. The whole list of 172 commands runs in about 13 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
