@@ -35,7 +35,6 @@ from .rates import (
     conditional_variance,
     gaussian_conditional_entropy,
     gaussian_entropy,
-    gaussian_mutual_information,
     heterodyne_covariance_transform,
     rate_bound,
     squeezed_rate_bound,

@@ -45,7 +45,7 @@ from .rates import (
     RateReport,
     _accepted,
     _bound,
-    _priced,
+    _report,
     _require,
     conditional_squeezing_check,
     rate_bound,
@@ -454,7 +454,7 @@ def _sweep_columns(param: str, values: np.ndarray, point: dict) -> list:
     the coherent cells a point leaves empty. The grid goes through _sweep_moments
     as columns, and then, if a row is not defined at every point, the first point
     where it is not goes through it on its own, which raises that point's error.
-    Only a grid that passes is priced, through rates._priced: the squeezed bound
+    Only a grid that passes is priced, through rates._report: the squeezed bound
     from _sweep_moments' own results, which hold at every point, and the coherent
     bound from its _bound, on moments _sweep_moments accepted."""
     grid = {name: np.full(len(values), float(value)) for name, value in point.items()}
@@ -467,8 +467,8 @@ def _sweep_columns(param: str, values: np.ndarray, point: dict) -> list:
                 _sweep_moments(**{**point, param: value})
             except (ConfigurationError, DomainError) as exc:
                 raise type(exc)(f"{param}={value:g}: {exc}") from exc
-        reports = (_priced(squeezed, holds, *squeezed_bound),
-                   _priced(coherent, *_bound(coherent, SWEEP_KINDS[1], float(point["n0"]))))
+        reports = (_report(squeezed, 1, holds, *squeezed_bound),
+                   _report(coherent, 1, *_bound(coherent, SWEEP_KINDS[1], float(point["n0"]))))
         cells = [_sweep_cells(report, grid["beta"]) for report in reports]
     return [column for pair in zip(*cells) for column in pair]
 

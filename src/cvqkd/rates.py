@@ -18,6 +18,7 @@ Conventions for a reverse-reconciliation link, Bob's data making the key:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -134,7 +135,7 @@ def _log2(x):
 @dataclass(frozen=True)
 class RateReport:
     """Key-rate bound plus the intermediate quantities that produced it, of one
-    point, or of a grid of points as numpy columns (see _priced).
+    point, or of a grid of points as numpy columns (see _report).
 
     For covariances of physically realizable states (var_b * cond_var >=
     n0**2) the usual orderings hold: i_be_bound >= 0 and
@@ -194,7 +195,7 @@ def gaussian_entropy(variance: float) -> float:
 
 def vacuum_entropy(n0: float = 1.0) -> float:
     """Entropy of one vacuum quadrature (2.047095... bits for n0 = 1)."""
-    _check_shot_noise(n0)
+    _shot_noise_accepted(n0)
     return gaussian_entropy(n0)
 
 
@@ -223,21 +224,6 @@ def gaussian_conditional_entropy(k: Covariance2) -> float:
     return gaussian_entropy(cv)
 
 
-def gaussian_mutual_information(k: Covariance2) -> float:
-    """I(A;B) in bits for the bivariate Gaussian model, 0.5*log2(var_b/cond_var).
-    Raises DomainError when the conditional variance is ill-conditioned."""
-    cv = conditional_variance(k)
-    if cv <= 0 or k.var_b <= 0:
-        raise DomainError("mutual information undefined for degenerate covariance")
-    _conditioned(k, cv)
-    return _mutual_information(k, cv)
-
-
-def _mutual_information(k, cv):
-    """I(A;B) of moments k from its positive conditional variance cv, unchecked."""
-    return 0.5 * _log2(k.var_b / cv)
-
-
 def squeezed_rate_bound(k: Covariance2, n: int, n0: float = 1.0) -> RateReport:
     """Secret-key-rate lower bound for the squeezed-state/homodyne protocol.
 
@@ -259,7 +245,7 @@ def heterodyne_covariance_transform(k_measured: Covariance2, n0: float = 1.0) ->
     InconsistentStatisticsError when the reconstructed matrix is not
     positive semidefinite.
     """
-    _check_shot_noise(n0)
+    _shot_noise_accepted(n0)
     return Covariance2(*_presplit(k_measured, n0)[1])
 
 
@@ -296,9 +282,11 @@ def coherent_rate_bound(k_measured: Covariance2, n: int, n0: float = 1.0) -> Rat
 def _bound(k, protocol: ProtocolKind, n0: float) -> tuple:
     """The body of both rate bounds on moments k, for one point or a grid: (where
     the bound holds, 2 to the power of its bits per pulse, the conditional variance
-    B|A, and B|A' for the coherent bound or None). A point's n0 is checked first; on
-    a grid, an n0 that is not finite and positive fails the quotient's range."""
-    holds, cv = _conditional_variance(k)
+    B|A, and B|A' for the coherent bound or None). The shot-noise unit n0 is checked
+    first."""
+    holds = _shot_noise_accepted(n0)
+    conditioned, cv = _conditional_variance(k)
+    holds &= conditioned
     k_prime = cv_prime = None
     if protocol is ProtocolKind.COHERENT_HETERODYNE:
         transformed, k_prime = _presplit(k, n0)
@@ -348,19 +336,25 @@ def _conditioned(k, cv):
         f"than {CONDITIONING_RTOL:g} of its value"))
 
 
-def _report(k: Covariance2, n: int, per_pulse: float, cv: float,
-            cv_prime: float | None = None) -> RateReport:
-    """The unsifted report of a bound of per_pulse bits for blocks of n; the
-    bound has already checked k's conditional variance cv."""
+def _report(k, n: int, holds, quotient, cv, cv_prime=None) -> RateReport:
+    """The unsifted report of blocks of n from the results of a bound on moments k
+    (see _bound), for one point or a grid. On a grid its values are columns, NaN
+    wherever holds is False: where holds is _bound's mask and _accepted(k), each
+    entry has rate_bound(Covariance2(*point), n, protocol, n0)'s bits, and is NaN
+    exactly where Covariance2 or the bound would raise. Run it and _bound under
+    np.errstate(all="ignore") on a grid: the points they reject may overflow."""
+    if isinstance(holds, np.ndarray):
+        quotient, cv = np.where(holds, quotient, np.nan), np.where(holds, cv, np.nan)
+        cv_prime = None if cv_prime is None else np.where(holds, cv_prime, np.nan)
+    per_pulse = _log2(quotient)
     try:
         block = n * per_pulse
     except OverflowError:  # an n beyond the float range
         block = math.inf
-    if not math.isfinite(block):
-        raise DomainError(f"block size {n} is too large: the block rate "
-                          f"n * {per_pulse:.6g} bits is not finite")
+    _require(abs(block) < math.inf, lambda: DomainError(
+        f"block size {n} is too large: the block rate n * {per_pulse:.6g} bits is not finite"))
     return RateReport(
-        delta_i_min_per_pulse=per_pulse, block_size=n, i_ab=_mutual_information(k, cv),
+        delta_i_min_per_pulse=per_pulse, block_size=n, i_ab=0.5 * _log2(k.var_b / cv),
         cond_var_b_given_a=cv, sifting_applied=False, cond_var_b_given_a_prime=cv_prime)
 
 
@@ -376,23 +370,13 @@ def rate_bound(
     transform has one value and changes nothing; it stays only because
     perfbench's monte-carlo-rate workload passes it.
     """
-    _check_bound_args(n, n0)
-    _, quotient, cv, cv_prime = _bound(k, protocol, n0)
-    return _report(k, n, _log2(quotient), cv, cv_prime)
-
-
-def _priced(k: Moments, holds, quotient, cv, cv_prime) -> RateReport:
-    """The report of blocks of one pulse at every point of a grid of moments k
-    (numpy columns), from the results of their bound (see _bound): its values are
-    columns, NaN wherever holds is False. Where holds is _bound's mask and
-    _accepted(k), each entry has rate_bound(Covariance2(*point), 1, protocol, n0)'s
-    bits, and is NaN exactly where Covariance2 or the bound would raise. Run it and
-    _bound under np.errstate(all="ignore"): the points they reject may overflow."""
-    cv = np.where(holds, cv, np.nan)
-    return RateReport(
-        delta_i_min_per_pulse=_log2(np.where(holds, quotient, np.nan)), block_size=1,
-        i_ab=_mutual_information(k, cv), cond_var_b_given_a=cv, sifting_applied=False,
-        cond_var_b_given_a_prime=None if cv_prime is None else np.where(holds, cv_prime, np.nan))
+    try:
+        size = operator.index(n)
+    except TypeError:
+        size = 0
+    if isinstance(n, bool) or size < 1:
+        raise DomainError(f"block size must be a positive integer, got {n!r}")
+    return _report(k, size, *_bound(k, protocol, n0))
 
 
 def apply_sifting(rate: float) -> float:
@@ -405,19 +389,12 @@ def conditional_squeezing_check(k: Covariance2, n0: float = 1.0) -> str:
     """Sufficient security condition on second moments alone: the verdict
     is "secure" iff the conditional variance of B given A is below the
     vacuum variance (strictly; the boundary carries zero key rate)."""
-    _check_shot_noise(n0)
+    _shot_noise_accepted(n0)
     return "secure" if conditional_variance(k) < n0 else "insecure"
 
 
-def _check_bound_args(n: int, n0: float) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"block size must be a positive integer, got {n!r}")
-    _check_shot_noise(n0)
-
-
-def _check_shot_noise(n0: float) -> None:
-    """Raise DomainError unless the shot-noise unit n0 is positive and finite."""
-    if not n0 > 0:
-        raise DomainError(f"shot-noise unit must be positive, got {n0}")
-    if math.isinf(n0):
-        raise DomainError(f"shot-noise unit must be finite, got {n0}")
+def _shot_noise_accepted(n0):
+    """Where the shot-noise unit n0, a float or a column, is positive and finite."""
+    holds = _require(n0 > 0, lambda: DomainError(f"shot-noise unit must be positive, got {n0}"))
+    return holds & _require(n0 < math.inf, lambda: DomainError(
+        f"shot-noise unit must be finite, got {n0}"))

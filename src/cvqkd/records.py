@@ -97,10 +97,16 @@ ROW_PATTERNS = {
 }
 
 
+def _plain(value):
+    """value, or the Python number that a numpy scalar value equals."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def shape_to_string(shape) -> str:
     """``kind`` alone, or ``kind:key=value,...`` with shortest round-trip
     floats, e.g. ``uniform:halfwidth=1.5``."""
-    params = ",".join(f"{key}={value!r}" for key, value in dataclasses.asdict(shape).items())
+    params = ",".join(f"{key}={_plain(value)!r}"
+                      for key, value in dataclasses.asdict(shape).items())
     return f"{shape.kind}:{params}" if params else shape.kind
 
 
@@ -156,6 +162,7 @@ def _text_chunks(record: BlockRecord, fmt: str):
         "shape": shape_to_string(record.channel.shape),
         "rho_block": record.channel.rho_block,
     }
+    fields = {key: _plain(value) for key, value in fields.items()}
     if fmt == "csv":
         header = HEADER_MAGIC + " " + " ".join(
             f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"

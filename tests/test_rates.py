@@ -24,7 +24,6 @@ from cvqkd import (
     conditional_variance,
     gaussian_conditional_entropy,
     gaussian_entropy,
-    gaussian_mutual_information,
     heterodyne_covariance_transform,
     rate_bound,
     squeezed_rate_bound,
@@ -35,7 +34,7 @@ from cvqkd.rates import (
     Moments,
     _accepted,
     _bound,
-    _priced,
+    _report,
     _rounding_bound,
 )
 from cvqkd.simulator import MAX_SOURCE_VARIANCE, analytic_moments
@@ -163,6 +162,20 @@ class TestSqueezedRateBound:
     def test_rejects_bad_block_size(self):
         with pytest.raises(DomainError):
             squeezed_rate_bound(K_WORKED, 0)
+
+    @pytest.mark.parametrize("n", [-1, np.int64(0), True, np.True_, 5.0, np.float64(5.0), "5"],
+                             ids=repr)
+    def test_rejects_non_integer_block_size(self, n):
+        with pytest.raises(DomainError, match="^block size must be a positive integer, "
+                                              f"got {re.escape(repr(n))}$"):
+            squeezed_rate_bound(K_WORKED, n)
+
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_accepts_any_integer_block_size(self, protocol):
+        # a session run with a numpy n gives its record a numpy n
+        report = rate_bound(K_WORKED, np.int64(5), protocol)
+        assert type(report.block_size) is int
+        assert report == rate_bound(K_WORKED, 5, protocol)
 
     @given(covariances(max_rho=0.995), st.integers(1, 1000))
     def test_block_value_is_n_times_per_pulse(self, k, n):
@@ -397,16 +410,14 @@ class TestConditioning:
                                               r"rounding in var_b - cov_ab\^2/var_a"):
             rate_bound(k, 1, protocol)
 
-    @pytest.mark.parametrize("information", [gaussian_mutual_information,
-                                             gaussian_conditional_entropy])
-    def test_gaussian_information_raises(self, information):
-        # unchecked, these read 25.01 and 1.451 bits from a conditional
-        # variance of 0.4375 whose exact value is 0.4202
+    def test_gaussian_conditional_entropy_raises(self):
+        # unchecked, it reads 1.451 bits from a conditional variance of 0.4375
+        # whose exact value is 0.4202
         k = analytic_covariance(EprSource(1e15), ChannelModel(0.5, 0.1),
                                 ProtocolKind.SQUEEZED_HOMODYNE)
         with pytest.raises(DomainError, match=r"^conditional variance 0\.4375 is "
                                               r"ill-conditioned"):
-            information(k)
+            gaussian_conditional_entropy(k)
 
     @given(st.floats(1.0, MAX_SOURCE_VARIANCE), st.floats(0.0, 1.0, exclude_min=True),
            st.floats(0.0, 1e6))
@@ -492,17 +503,18 @@ def stored_rates(report):
 
 
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
-@pytest.mark.parametrize("n0", [0.25, 1.0, 1.5])
+@pytest.mark.parametrize("n0", [0.25, 1.0, 1.5, 0.0, -1.0, math.nan, math.inf, 1e-320])
 @given(st.lists(moment_points(), min_size=1, max_size=30))
 @settings(max_examples=200)
 def test_columns_equal_points(protocol, n0, points):
     # a grid goes through the closed forms and checks of one point, priced as the
     # sweep prices it, from the bound's own results: each entry has rate_bound's
-    # bits, and is NaN exactly where Covariance2 or rate_bound raises
+    # bits, and is NaN exactly where Covariance2 or rate_bound raises, the
+    # shot-noise unit's rule among them
     k = Moments(*map(np.array, zip(*points)))
     with np.errstate(all="ignore"):
-        holds, *bound = _bound(k, protocol, n0)
-        columns = stored_rates(_priced(k, holds & _accepted(k), *bound))
+        holds, *bound = _bound(k, protocol, np.full(len(points), n0))
+        columns = stored_rates(_report(k, 1, holds & _accepted(k), *bound))
     for i, point in enumerate(points):
         got = [None if column is None else column[i].item() for column in columns]
         try:
@@ -624,15 +636,10 @@ class TestConditionalSqueezingCheck:
 
 
 class TestMutualInformation:
-    def test_degenerate_covariance_rejected(self):
-        # B is an exact linear function of A, so its conditional variance is 0
-        with pytest.raises(DomainError, match="^mutual information undefined"):
-            gaussian_mutual_information(Covariance2(4, 9, 6))
-
-    @given(covariances(max_rho=0.999))
-    def test_non_negative(self, k):
+    @given(covariances(max_rho=0.999), st.sampled_from(list(ProtocolKind)))
+    def test_non_negative(self, k, protocol):
         try:
-            mi = gaussian_mutual_information(k)
+            mi = rate_bound(k, 1, protocol).i_ab
         except DomainError:
             return
         assert mi >= 0.0

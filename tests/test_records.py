@@ -392,6 +392,23 @@ def test_round_trip_property(fmt, session):
     assert dumps(back, fmt) == text
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_numpy_scalar_configuration_round_trips(fmt, tmp_path):
+    # numpy scalars in a session's configuration are written as the Python
+    # numbers they equal, so the file is the one Python numbers give
+    def session(real, integer):
+        shape = UniformNoise(real(np.sqrt(1.5)))  # matches the channel's noise variance 0.5
+        return run_session(EprSource(real(20.0)), ChannelModel(real(0.5), real(0.0), shape),
+                           ProtocolKind.SQUEEZED_HOMODYNE, n=integer(3), l=integer(4),
+                           rng_seed=integer(5))
+    plain, scalars = session(float, int), session(np.float64, np.int64)
+    path = write_record(scalars, tmp_path / "rec.dat", fmt)
+    assert path.read_text() == dumps(plain, fmt)
+    back = read_record(path)
+    for field in ("n", "l", "seed", "source", "channel"):
+        assert getattr(back, field) == getattr(plain, field)
+
+
 class TestFormats:
     def test_csv_header_carries_channel(self, record):
         header = dumps(record, "csv").splitlines()[0]
