@@ -30,14 +30,12 @@ from .rates import (
     ProtocolKind,
     RateReport,
     apply_sifting,
-    coherent_rate_bound,
     conditional_squeezing_check,
     conditional_variance,
     gaussian_conditional_entropy,
     gaussian_entropy,
     heterodyne_covariance_transform,
     rate_bound,
-    squeezed_rate_bound,
     vacuum_entropy,
 )
 from .records import read_record, write_record

@@ -45,7 +45,6 @@ from .rates import (
     RateReport,
     _accepted,
     _bound,
-    _report,
     _require,
     conditional_squeezing_check,
     rate_bound,
@@ -238,17 +237,21 @@ def simulate(config, out, fmt, **overrides):
                          cfg.n, cfg.l, cfg.sifting, cfg.seed)
     records.write_record(record, path, cfg.format)
     click.echo(f"wrote {path} ({cfg.format}, {record.total_pulses} pulses)")
-    click.echo(f"kept {int(record.kept.sum())} pulses (fraction {record.kept_fraction:.4f}, "
+    kept = int(record.kept.sum())
+    click.echo(f"kept {kept} pulses (fraction {record.kept_fraction:.4f}, "
                f"sifting {record.sifting_mode.value})")
-    k = estimate_covariance(record.samples())
-    click.echo(f"sample covariance (pooled): var_a={k.var_a:.6g} "
-               f"var_b={k.var_b:.6g} cov_ab={k.cov_ab:.6g}")
+    # a record of fewer than 2 kept pulses is valid, but has no sample covariance
+    k = estimate_covariance(record.samples()) if kept >= 2 else None
+    click.echo("sample covariance (pooled): " + (
+        f"needs at least 2 kept pulses, got {kept}" if k is None else
+        f"var_a={k.var_a:.6g} var_b={k.var_b:.6g} cov_ab={k.cov_ab:.6g}"))
     ka = analytic_covariance(source, channel, record.protocol)
     click.echo(f"analytic covariance:        var_a={ka.var_a:.6g} "
                f"var_b={ka.var_b:.6g} cov_ab={ka.cov_ab:.6g}")
-    # full-precision literal: feeding it to `rate --cov` reproduces the
-    # record-based rate exactly
-    click.echo(f"covariance literal: {k.var_a!r},{k.var_b!r},{k.cov_ab!r}")
+    if k is not None:
+        # full-precision literal: feeding it to `rate --cov` reproduces the
+        # record-based rate exactly
+        click.echo(f"covariance literal: {k.var_a!r},{k.var_b!r},{k.cov_ab!r}")
 
 
 @main.command()
@@ -361,7 +364,8 @@ def _parse_cov(text: str) -> Covariance2:
               default="all")
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--trials", type=click.IntRange(min=1), default=10_000,
-              help="Random joint laws per exact-check family.")
+              help="Random joint laws in all, split evenly over the four (n, alphabet) "
+                   "families of exact checks, rounding down, at least one each.")
 @click.option("--pulses", type=int, default=1_000_000,
               help="Pulses per simulated attack in the statistical scope.")
 @click.option("--out", type=click.Path(), default=None,
@@ -454,39 +458,33 @@ def _sweep_columns(param: str, values: np.ndarray, point: dict) -> list:
     the coherent cells a point leaves empty. The grid goes through _sweep_moments
     as columns, and then, if a row is not defined at every point, the first point
     where it is not goes through it on its own, which raises that point's error.
-    Only a grid that passes is priced, through rates._report: the squeezed bound
-    from _sweep_moments' own results, which hold at every point, and the coherent
-    bound from its _bound, on moments _sweep_moments accepted."""
+    Only a grid that passes is priced, by rate_bound for each of SWEEP_KINDS."""
     grid = {name: np.full(len(values), float(value)) for name, value in point.items()}
     grid[param] = values
     with np.errstate(all="ignore"):  # the points a check rejects may overflow
-        holds, squeezed, coherent, squeezed_bound = _sweep_moments(**grid)
+        holds, *moments = _sweep_moments(**grid)
         if not holds.all():
             value = values[holds.argmin()].item()  # the first point where holds is False
             try:
                 _sweep_moments(**{**point, param: value})
             except (ConfigurationError, DomainError) as exc:
                 raise type(exc)(f"{param}={value:g}: {exc}") from exc
-        reports = (_report(squeezed, 1, holds, *squeezed_bound),
-                   _report(coherent, 1, *_bound(coherent, SWEEP_KINDS[1], float(point["n0"]))))
-        cells = [_sweep_cells(report, grid["beta"]) for report in reports]
+        cells = [_sweep_cells(rate_bound(k, 1, kind, float(point["n0"])), grid["beta"])
+                 for k, kind in zip(moments, SWEEP_KINDS)]
     return [column for pair in zip(*cells) for column in pair]
 
 
 def _sweep_moments(v, t, eps, beta, n0) -> tuple:
-    """(where a sweep row is defined, each of SWEEP_KINDS' analytic_moments, and the
-    rest of the squeezed bound's _bound results: its quotient, conditional variance
-    and None) at source variance v, transmission t, excess noise eps, efficiency beta
-    and shot-noise unit n0, as columns for a grid or floats for one point (see
+    """(where a sweep row is defined, and each of SWEEP_KINDS' analytic_moments) at
+    source variance v, transmission t, excess noise eps, efficiency beta and
+    shot-noise unit n0, as columns for a grid or floats for one point (see
     rates._require). A row is defined where, in this order, beta, the source and the
     channel are in their domains, Covariance2 accepts the squeezed moments and their
     bound holds, and Covariance2 accepts the coherent moments."""
     holds = _check_efficiency(beta) & _source_accepted(v, n0) & _channel_accepted(t, eps)
     squeezed, coherent = (analytic_moments(v, t, eps, n0, kind) for kind in SWEEP_KINDS)
-    holds &= _accepted(squeezed)
-    bound_holds, *squeezed_bound = _bound(squeezed, SWEEP_KINDS[0], n0)
-    holds &= bound_holds
-    return holds & _accepted(coherent), squeezed, coherent, squeezed_bound
+    holds &= _accepted(squeezed) & _bound(squeezed, SWEEP_KINDS[0], n0)[0]
+    return holds & _accepted(coherent), squeezed, coherent
 
 
 def _sweep_cells(report: RateReport, beta) -> tuple:

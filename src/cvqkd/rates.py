@@ -135,7 +135,7 @@ def _log2(x):
 @dataclass(frozen=True)
 class RateReport:
     """Key-rate bound plus the intermediate quantities that produced it, of one
-    point, or of a grid of points as numpy columns (see _report).
+    point, or of a grid of points as numpy columns (see rate_bound).
 
     For covariances of physically realizable states (var_b * cond_var >=
     n0**2) the usual orderings hold: i_be_bound >= 0 and
@@ -224,16 +224,6 @@ def gaussian_conditional_entropy(k: Covariance2) -> float:
     return gaussian_entropy(cv)
 
 
-def squeezed_rate_bound(k: Covariance2, n: int, n0: float = 1.0) -> RateReport:
-    """Secret-key-rate lower bound for the squeezed-state/homodyne protocol.
-
-    Per pulse: log2(n0 / cond_var). Negative values are returned as-is;
-    they mean no secure key at this covariance, which the caller decides
-    how to report.
-    """
-    return rate_bound(k, n, ProtocolKind.SQUEEZED_HOMODYNE, n0)
-
-
 def heterodyne_covariance_transform(k_measured: Covariance2, n0: float = 1.0) -> Covariance2:
     """Covariance of Alice's pre-beam-splitter mode against Bob, inferred
     from her heterodyne-measured statistics.
@@ -264,19 +254,6 @@ def _presplit(k, n0) -> tuple:
         f"cov_ab = {k.cov_ab:.6g} is too large for the heterodyne "
         f"transform: the square of sqrt(2)*cov_ab overflows"))
     return holds, k_prime
-
-
-def coherent_rate_bound(k_measured: Covariance2, n: int, n0: float = 1.0) -> RateReport:
-    """Secret-key-rate lower bound for the coherent-state/heterodyne
-    protocol, from Alice's measured covariance against Bob.
-
-    Per pulse: log2(n0 / sqrt(cv1 * cv2)) where cv1 conditions Bob on
-    Alice's measured data and cv2 on her reconstructed pre-beam-splitter
-    mode. Equivalent to the entropy chain
-    2*H0 - H_G(B|A) - H_G(B|A'), which the test suite checks against this
-    closed form.
-    """
-    return rate_bound(k_measured, n, ProtocolKind.COHERENT_HETERODYNE, n0)
 
 
 def _bound(k, protocol: ProtocolKind, n0: float) -> tuple:
@@ -336,36 +313,19 @@ def _conditioned(k, cv):
         f"than {CONDITIONING_RTOL:g} of its value"))
 
 
-def _report(k, n: int, holds, quotient, cv, cv_prime=None) -> RateReport:
-    """The unsifted report of blocks of n from the results of a bound on moments k
-    (see _bound), for one point or a grid. On a grid its values are columns, NaN
-    wherever holds is False: where holds is _bound's mask and _accepted(k), each
-    entry has rate_bound(Covariance2(*point), n, protocol, n0)'s bits, and is NaN
-    exactly where Covariance2 or the bound would raise. Run it and _bound under
-    np.errstate(all="ignore") on a grid: the points they reject may overflow."""
-    if isinstance(holds, np.ndarray):
-        quotient, cv = np.where(holds, quotient, np.nan), np.where(holds, cv, np.nan)
-        cv_prime = None if cv_prime is None else np.where(holds, cv_prime, np.nan)
-    per_pulse = _log2(quotient)
-    try:
-        block = n * per_pulse
-    except OverflowError:  # an n beyond the float range
-        block = math.inf
-    _require(abs(block) < math.inf, lambda: DomainError(
-        f"block size {n} is too large: the block rate n * {per_pulse:.6g} bits is not finite"))
-    return RateReport(
-        delta_i_min_per_pulse=per_pulse, block_size=n, i_ab=0.5 * _log2(k.var_b / cv),
-        cond_var_b_given_a=cv, sifting_applied=False, cond_var_b_given_a_prime=cv_prime)
-
-
 def rate_bound(
-    k: Covariance2,
+    k: Covariance2 | Moments,
     n: int,
     protocol: ProtocolKind,
     n0: float = 1.0,
     transform: HeterodyneTransform = HeterodyneTransform.BEAMSPLITTER,
 ) -> RateReport:
-    """The rate bound of the protocol at covariance k, for blocks of n.
+    """The unsifted rate bound of the protocol for blocks of n, at one point, whose
+    moments k are a Covariance2, or on a grid, whose moments k are numpy columns. On
+    a grid the report's values are columns, NaN exactly where Covariance2(*point) or
+    rate_bound would raise for that point, and each other entry has that point's
+    bits. Run it under np.errstate(all="ignore") on a grid: the points it rejects
+    may overflow.
 
     transform has one value and changes nothing; it stays only because
     perfbench's monte-carlo-rate workload passes it.
@@ -376,7 +336,23 @@ def rate_bound(
         size = 0
     if isinstance(n, bool) or size < 1:
         raise DomainError(f"block size must be a positive integer, got {n!r}")
-    return _report(k, size, *_bound(k, protocol, n0))
+    holds = _accepted(k)  # a Covariance2 has passed it already
+    bound_holds, quotient, cv, cv_prime = _bound(k, protocol, n0)
+    holds &= bound_holds
+    grid = isinstance(holds, np.ndarray)
+    per_pulse = _log2(np.where(holds, quotient, np.nan) if grid else quotient)
+    try:
+        block = size * per_pulse
+    except OverflowError:  # a size beyond the float range
+        block = per_pulse * math.inf
+    holds &= _require(abs(block) < math.inf, lambda: DomainError(
+        f"block size {size} is too large: the block rate n * {per_pulse:.6g} bits is not finite"))
+    if grid:
+        per_pulse, cv = np.where(holds, per_pulse, np.nan), np.where(holds, cv, np.nan)
+        cv_prime = None if cv_prime is None else np.where(holds, cv_prime, np.nan)
+    return RateReport(
+        delta_i_min_per_pulse=per_pulse, block_size=size, i_ab=0.5 * _log2(k.var_b / cv),
+        cond_var_b_given_a=cv, sifting_applied=False, cond_var_b_given_a_prime=cv_prime)
 
 
 def apply_sifting(rate: float) -> float:

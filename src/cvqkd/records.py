@@ -111,15 +111,20 @@ def shape_to_string(shape) -> str:
 
 
 def shape_from_string(text: str):
-    """The noise shape a spec string names; its keys must be the shape's fields."""
+    """The noise shape a spec string names; its keys must be the shape's fields,
+    each given once."""
     kind, _, params_text = text.partition(":")
     params = {}
     if params_text:
         try:
-            params = {key: float(value) for key, value in
-                      (item.split("=") for item in params_text.split(","))}
+            items = [(key, float(value)) for key, value in
+                     (item.split("=") for item in params_text.split(","))]
         except ValueError as exc:
             raise ParseError(f"bad noise-shape parameters {params_text!r}") from exc
+        for key, value in items:
+            if key in params:
+                raise ParseError(f"noise shape {text!r} repeats {key!r}")
+            params[key] = value
     if kind not in SHAPE_KINDS:
         raise ParseError(f"unknown noise shape {kind!r}")
     cls = SHAPE_KINDS[kind]

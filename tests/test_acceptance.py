@@ -20,7 +20,6 @@ from cvqkd import (
     ProtocolKind,
     SiftingMode,
     check_pure_state_entropic_sum,
-    coherent_rate_bound,
     conditional_entropy_estimate,
     conditional_variance,
     estimate_covariance,
@@ -29,7 +28,6 @@ from cvqkd import (
     analytic_covariance,
     rate_bound,
     run_session,
-    squeezed_rate_bound,
     vacuum_entropy,
 )
 from cvqkd.cli import main as cli_main
@@ -76,13 +74,13 @@ def test_criterion_1_rate_bound_reproduction():
     expected = math.log2(1.0 / 0.525)
 
     k = analytic_covariance(src, ch, HOMODYNE)
-    analytic_rate = squeezed_rate_bound(k, 1).delta_i_min_per_pulse
+    analytic_rate = rate_bound(k, 1, HOMODYNE).delta_i_min_per_pulse
     assert close_enough(analytic_rate, expected)
 
     record = run_session(src, ch, HOMODYNE, n=1, l=10_000_000,
                          sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=2024)
-    mc_rate = squeezed_rate_bound(
-        estimate_covariance(record.samples()), 1).delta_i_min_per_pulse
+    mc_rate = rate_bound(
+        estimate_covariance(record.samples()), 1, HOMODYNE).delta_i_min_per_pulse
     assert abs(mc_rate - expected) <= 0.01
     print(f"\nACCEPTANCE 1 PASS: analytic {analytic_rate:.6f} == log2(1/0.525), "
           f"Monte Carlo {mc_rate:.6f} within 0.01")
@@ -100,7 +98,7 @@ def test_criterion_2_entropy_chain_equals_closed_form():
         rho = rng.uniform(-0.999, 0.999)
         k = Covariance2(var_a, var_b, rho * math.sqrt(var_a * var_b))
         chain = 2.0 * (h0 - gaussian_conditional_entropy(k))
-        closed = squeezed_rate_bound(k, 1).delta_i_min_per_pulse
+        closed = rate_bound(k, 1, HOMODYNE).delta_i_min_per_pulse
         assert close_enough(chain, closed)
         worst = max(worst, abs(chain - closed))
     print(f"\nACCEPTANCE 2 PASS: worst absolute discrepancy {worst:.3e} bits "
@@ -174,7 +172,7 @@ def test_criterion_6_heterodyne_chain_and_transform_crosscheck():
         rho = rng.uniform(-0.999, 0.999)
         k = Covariance2(var_a, var_b, rho * math.sqrt(var_a * var_b))
         try:
-            closed = coherent_rate_bound(k, 1).delta_i_min_per_pulse
+            closed = rate_bound(k, 1, ProtocolKind.COHERENT_HETERODYNE).delta_i_min_per_pulse
         except DomainError:
             continue
         chain = (2.0 * h0 - gaussian_conditional_entropy(k)
@@ -185,7 +183,7 @@ def test_criterion_6_heterodyne_chain_and_transform_crosscheck():
     # reference low-loss channel, priced through the beam-splitter inversion
     src, ch = EprSource(20.0), ChannelModel(0.9, 0.05)
     k_het = analytic_covariance(src, ch, ProtocolKind.COHERENT_HETERODYNE)
-    report = coherent_rate_bound(k_het, 1)
+    report = rate_bound(k_het, 1, ProtocolKind.COHERENT_HETERODYNE)
     chain = (2.0 * h0 - gaussian_conditional_entropy(k_het)
              - gaussian_conditional_entropy(heterodyne_covariance_transform(k_het)))
     assert close_enough(report.delta_i_min_per_pulse, chain)

@@ -55,6 +55,22 @@ class TestSimulate:
         record = read_record(out)
         assert record.total_pulses == 2000
 
+    @pytest.mark.parametrize("l, kept", [(1, 0), (3, 1)])
+    def test_fewer_than_two_kept_pulses_exits_0(self, runner, tmp_path, l, kept):
+        # the record is valid; only its sample covariance is undefined
+        out = tmp_path / "s.csv"
+        result = runner.invoke(main, ["simulate", "--l", str(l), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.splitlines()
+        assert lines[1].startswith(f"kept {kept} pulses ")
+        assert lines[2] == f"sample covariance (pooled): needs at least 2 kept pulses, got {kept}"
+        assert lines[3].startswith("analytic covariance: ")
+        assert len(lines) == 4
+        assert read_record(out).total_pulses == l
+        rate = runner.invoke(main, ["rate", "--record", str(out)])
+        assert rate.exit_code == 2
+        assert rate.stderr == f"error: need at least 2 samples, got {kept}\n"
+
     def test_seed_repeat_is_byte_identical(self, runner, tmp_path):
         args = ["simulate", "--l", "500", "--seed", "9", "--format", "json-lines"]
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -259,6 +275,22 @@ class TestShapeErrors:
         result = self.simulate(runner, tmp_path, "--shape", spec)
         assert result.exit_code == 3
         assert "has unknown key" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    def test_parameterized_repeated_key(self, runner, tmp_path, from_config):
+        # a repeated key is refused, as a repeated record-header key is
+        spec = "uniform:halfwidth=9,halfwidth=1.224744871391589"
+        args = ["--t", "0.5", "--sifting", "quantum_memory", "--l", "10"]
+        if from_config:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"shape": spec}))
+            args += ["--config", str(config)]
+        else:
+            args += ["--shape", spec]
+        result = self.simulate(runner, tmp_path, *args)
+        assert result.exit_code == 3
+        assert result.stderr == f"error: noise shape {spec!r} repeats 'halfwidth'\n"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("args", [

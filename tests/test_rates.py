@@ -19,22 +19,17 @@ from cvqkd import (
     RateReport,
     analytic_covariance,
     apply_sifting,
-    coherent_rate_bound,
     conditional_squeezing_check,
     conditional_variance,
     gaussian_conditional_entropy,
     gaussian_entropy,
     heterodyne_covariance_transform,
     rate_bound,
-    squeezed_rate_bound,
     vacuum_entropy,
 )
 from cvqkd.rates import (
     CONDITIONING_RTOL,
     Moments,
-    _accepted,
-    _bound,
-    _report,
     _rounding_bound,
 )
 from cvqkd.simulator import MAX_SOURCE_VARIANCE, analytic_moments
@@ -139,16 +134,17 @@ class TestGaussianConditionalEntropy:
 
 class TestSqueezedRateBound:
     def test_security_boundary(self):
-        assert squeezed_rate_bound(Covariance2(1, 1, 0), 1).delta_i_min_per_pulse == 0.0
+        report = rate_bound(Covariance2(1, 1, 0), 1, ProtocolKind.SQUEEZED_HOMODYNE)
+        assert report.delta_i_min_per_pulse == 0.0
 
     def test_half_vacuum_conditional_variance(self):
         k = Covariance2(1.0, 0.5, 0.0)
-        report = squeezed_rate_bound(k, 10)
+        report = rate_bound(k, 10, ProtocolKind.SQUEEZED_HOMODYNE)
         assert report.delta_i_min_per_pulse == pytest.approx(1.0)
         assert report.delta_i_min_block == pytest.approx(10.0)
 
     def test_worked_example(self):
-        report = squeezed_rate_bound(K_WORKED, 1)
+        report = rate_bound(K_WORKED, 1, ProtocolKind.SQUEEZED_HOMODYNE)
         assert report.cond_var_b_given_a == pytest.approx(0.525, rel=1e-12)
         assert report.delta_i_min_per_pulse == pytest.approx(
             math.log2(1 / 0.525), rel=1e-12)
@@ -156,19 +152,19 @@ class TestSqueezedRateBound:
         assert report.i_be_bound == pytest.approx(report.i_ab - report.delta_i_min_per_pulse)
 
     def test_negative_rates_returned_as_is(self):
-        report = squeezed_rate_bound(Covariance2(1.0, 4.0, 0.0), 1)
+        report = rate_bound(Covariance2(1.0, 4.0, 0.0), 1, ProtocolKind.SQUEEZED_HOMODYNE)
         assert report.delta_i_min_per_pulse == pytest.approx(-2.0)
 
     def test_rejects_bad_block_size(self):
         with pytest.raises(DomainError):
-            squeezed_rate_bound(K_WORKED, 0)
+            rate_bound(K_WORKED, 0, ProtocolKind.SQUEEZED_HOMODYNE)
 
     @pytest.mark.parametrize("n", [-1, np.int64(0), True, np.True_, 5.0, np.float64(5.0), "5"],
                              ids=repr)
     def test_rejects_non_integer_block_size(self, n):
         with pytest.raises(DomainError, match="^block size must be a positive integer, "
                                               f"got {re.escape(repr(n))}$"):
-            squeezed_rate_bound(K_WORKED, n)
+            rate_bound(K_WORKED, n, ProtocolKind.SQUEEZED_HOMODYNE)
 
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_accepts_any_integer_block_size(self, protocol):
@@ -179,7 +175,7 @@ class TestSqueezedRateBound:
 
     @given(covariances(max_rho=0.995), st.integers(1, 1000))
     def test_block_value_is_n_times_per_pulse(self, k, n):
-        report = squeezed_rate_bound(k, n)
+        report = rate_bound(k, n, ProtocolKind.SQUEEZED_HOMODYNE)
         assert report.delta_i_min_block == pytest.approx(
             n * report.delta_i_min_per_pulse)
 
@@ -187,14 +183,15 @@ class TestSqueezedRateBound:
     @settings(max_examples=200)
     def test_chain_consistency(self, k):
         # direct form agrees with 2*(H0 - H_G(B|A)) to floating-point accuracy
-        report = squeezed_rate_bound(k, 1)
+        report = rate_bound(k, 1, ProtocolKind.SQUEEZED_HOMODYNE)
         chain = 2.0 * (vacuum_entropy() - gaussian_conditional_entropy(k))
         assert report.delta_i_min_per_pulse == pytest.approx(
             chain, rel=1e-12, abs=1e-12)
 
     def test_monotone_in_correlation(self):
         rates = [
-            squeezed_rate_bound(Covariance2(3.0, 5.0, c), 1).delta_i_min_per_pulse
+            rate_bound(Covariance2(3.0, 5.0, c), 1,
+                       ProtocolKind.SQUEEZED_HOMODYNE).delta_i_min_per_pulse
             for c in (0.0, 1.0, 2.0, 3.0, 3.8)
         ]
         assert all(lo < hi for lo, hi in zip(rates, rates[1:]))
@@ -202,10 +199,10 @@ class TestSqueezedRateBound:
     @given(covariances(), st.floats(0.01, 100.0))
     @settings(max_examples=200)
     def test_scale_covariance(self, k, scale):
-        base = squeezed_rate_bound(k, 1, 1.0)
-        scaled = squeezed_rate_bound(
+        base = rate_bound(k, 1, ProtocolKind.SQUEEZED_HOMODYNE, 1.0)
+        scaled = rate_bound(
             Covariance2(scale * k.var_a, scale * k.var_b, scale * k.cov_ab),
-            1, n0=scale)
+            1, ProtocolKind.SQUEEZED_HOMODYNE, n0=scale)
         assert scaled.delta_i_min_per_pulse == pytest.approx(
             base.delta_i_min_per_pulse, rel=1e-9, abs=1e-9)
         assert scaled.i_ab == pytest.approx(base.i_ab, rel=1e-9, abs=1e-9)
@@ -243,20 +240,22 @@ class TestCoherentRateBound:
     def test_boundary(self):
         # var_a = 1.5 puts both conditional variances exactly at the vacuum
         k = Covariance2(1.5, 1.0, 0.0)
-        assert coherent_rate_bound(k, 1).delta_i_min_per_pulse == pytest.approx(0.0)
+        report = rate_bound(k, 1, ProtocolKind.COHERENT_HETERODYNE)
+        assert report.delta_i_min_per_pulse == pytest.approx(0.0)
 
     def test_symmetric_half_vacuum(self):
         # zero correlation makes both conditional variances equal var_b
         k = Covariance2(2.0, 0.5, 0.0)
-        report = coherent_rate_bound(k, 1)
+        report = rate_bound(k, 1, ProtocolKind.COHERENT_HETERODYNE)
         assert report.cond_var_b_given_a == pytest.approx(0.5)
         assert report.cond_var_b_given_a_prime == pytest.approx(0.5)
         assert report.delta_i_min_per_pulse == pytest.approx(1.0)
 
     def test_block_scaling(self):
         k = Covariance2(3.0, 1.0, 1.0)
-        per = coherent_rate_bound(k, 1).delta_i_min_per_pulse
-        assert coherent_rate_bound(k, 7).delta_i_min_block == pytest.approx(7 * per)
+        per = rate_bound(k, 1, ProtocolKind.COHERENT_HETERODYNE).delta_i_min_per_pulse
+        report = rate_bound(k, 7, ProtocolKind.COHERENT_HETERODYNE)
+        assert report.delta_i_min_block == pytest.approx(7 * per)
 
     def test_chain_equals_closed_form(self):
         rng = np.random.default_rng(5)
@@ -267,7 +266,7 @@ class TestCoherentRateBound:
             rho = rng.uniform(-0.99, 0.99)
             k = Covariance2(var_a, var_b, rho * math.sqrt(var_a * var_b))
             try:
-                report = coherent_rate_bound(k, 1)
+                report = rate_bound(k, 1, ProtocolKind.COHERENT_HETERODYNE)
             except DomainError:
                 continue
             chain = (2.0 * vacuum_entropy()
@@ -289,8 +288,8 @@ class TestCoherentRateBound:
             c = math.sqrt(t * (v * v - 1))
             k_hom = Covariance2(v, var_b, c)
             k_het = Covariance2((v + 1) / 2, var_b, c / math.sqrt(2))
-            squeezed = squeezed_rate_bound(k_hom, 1)
-            coherent = coherent_rate_bound(k_het, 1)
+            squeezed = rate_bound(k_hom, 1, ProtocolKind.SQUEEZED_HOMODYNE)
+            coherent = rate_bound(k_het, 1, ProtocolKind.COHERENT_HETERODYNE)
             assert (coherent.delta_i_min_per_pulse
                     <= squeezed.delta_i_min_per_pulse + 1e-12)
 
@@ -305,9 +304,9 @@ class TestCoherentRateBound:
             rho = rng.uniform(-0.99, 0.99)
             k = Covariance2(var_a, var_b, rho * math.sqrt(var_a * var_b))
             try:
-                coherent = coherent_rate_bound(k, 1)
-                squeezed_prime = squeezed_rate_bound(
-                    heterodyne_covariance_transform(k), 1)
+                coherent = rate_bound(k, 1, ProtocolKind.COHERENT_HETERODYNE)
+                squeezed_prime = rate_bound(
+                    heterodyne_covariance_transform(k), 1, ProtocolKind.SQUEEZED_HOMODYNE)
             except DomainError:
                 continue
             assert (coherent.delta_i_min_per_pulse
@@ -344,11 +343,11 @@ class TestOverflow:
     def test_coherent_bound_out_of_range(self, k, quotient):
         with pytest.raises(DomainError,
                            match=rf"n0/sqrt\(cv1\*cv2\) = {quotient} is not finite and positive"):
-            coherent_rate_bound(k, 1)
+            rate_bound(k, 1, ProtocolKind.COHERENT_HETERODYNE)
 
     def test_coherent_bound_in_range_bits(self):
         # the guard leaves the closed form as it was
-        report = coherent_rate_bound(Covariance2(2.0, 0.5, 0.0), 1)
+        report = rate_bound(Covariance2(2.0, 0.5, 0.0), 1, ProtocolKind.COHERENT_HETERODYNE)
         assert report.delta_i_min_per_pulse == math.log2(1.0 / math.sqrt(0.5 * 0.5))
 
     @pytest.mark.parametrize("k, n0, message", [
@@ -359,7 +358,7 @@ class TestOverflow:
     ], ids=["quotient-overflow", "quotient-underflow"])
     def test_squeezed_bound_out_of_range(self, k, n0, message):
         with pytest.raises(DomainError, match=message):
-            squeezed_rate_bound(k, 1, n0)
+            rate_bound(k, 1, ProtocolKind.SQUEEZED_HOMODYNE, n0)
 
     @pytest.mark.parametrize("k, n", [
         (K_WORKED, 10 ** 309), (Covariance2(1000.0, 1000.0, 999.9995), 10 ** 308),
@@ -367,11 +366,28 @@ class TestOverflow:
     def test_block_rate_out_of_range(self, k, n):
         with pytest.raises(DomainError, match=rf"block size {n} is too large: "
                                               r"the block rate n \* .* bits is not finite"):
-            squeezed_rate_bound(k, n)
+            rate_bound(k, n, ProtocolKind.SQUEEZED_HOMODYNE)
+
+    @pytest.mark.parametrize("n", [10 ** 308, 10 ** 309], ids=["block-rate-overflow",
+                                                               "n-beyond-float"])
+    def test_block_rate_out_of_range_on_a_grid(self, n):
+        # a grid leaves NaN wherever the block rate of its point is not finite
+        points = [dataclasses.astuple(K_WORKED), (1000.0, 1000.0, 999.9995)]
+        k = Moments(*map(np.array, zip(*points)))
+        with np.errstate(all="ignore"):
+            grid = stored_rates(rate_bound(k, n, ProtocolKind.SQUEEZED_HOMODYNE))
+        for i, point in enumerate(points):
+            try:
+                want = stored_rates(rate_bound(Covariance2(*point), n,
+                                               ProtocolKind.SQUEEZED_HOMODYNE))
+            except DomainError:
+                assert all(math.isnan(column[i]) for column in grid[:3])
+            else:
+                assert [column[i] for column in grid[:3]] == want[:3]
 
     def test_large_block_in_range_bits(self):
         # the guard leaves the block rate as it was
-        report = squeezed_rate_bound(K_WORKED, 10 ** 300)
+        report = rate_bound(K_WORKED, 10 ** 300, ProtocolKind.SQUEEZED_HOMODYNE)
         assert report.delta_i_min_block == 10 ** 300 * report.delta_i_min_per_pulse
 
     def test_transform_overflow_names_given_cov_ab(self):
@@ -426,7 +442,7 @@ class TestConditioning:
         k = analytic_covariance(EprSource(v), ChannelModel(t, eps),
                                 ProtocolKind.SQUEEZED_HOMODYNE)
         try:
-            cv = squeezed_rate_bound(k, 1).cond_var_b_given_a
+            cv = rate_bound(k, 1, ProtocolKind.SQUEEZED_HOMODYNE).cond_var_b_given_a
         except DomainError:
             return
         v, t, eps = Fraction(v), Fraction(t), Fraction(eps)
@@ -449,6 +465,29 @@ def test_physical_channel_rate_stays_below_i_ab(protocol, v, t, eps):
     assert report.i_be_bound >= -1e-9 * max(1.0, report.i_ab)
 
 
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+@given(st.floats(1e-3, 1e3), st.floats(1.0, 1e7),
+       st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+       st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+@example(32.571426414094596, 33289.98154965703, 1.0, 0.0)  # -0.19 of the allowance
+@settings(max_examples=1000)
+def test_rounding_bounds_how_far_eve_goes_below_zero(protocol, n0, v_over_n0, t, eps):
+    # on a lossless channel (t = 1, eps = 0) var_b*cv = n0^2 exactly and Eve's
+    # bound is 0, so rounding alone may put it below 0. How far is bounded by the
+    # rounding each conditional variance of the report may carry, in bits: a
+    # tolerance for Eve's bound on exact input must allow that much
+    k = analytic_covariance(EprSource(n0 * v_over_n0, n0), ChannelModel(t, eps), protocol)
+    try:
+        report = rate_bound(k, 1, protocol, n0)
+    except DomainError:
+        return
+    ks = [(k, report.cond_var_b_given_a)]
+    if protocol is ProtocolKind.COHERENT_HETERODYNE:
+        ks.append((heterodyne_covariance_transform(k, n0), report.cond_var_b_given_a_prime))
+    allowance = sum(_rounding_bound(k_i) / cv_i for k_i, cv_i in ks) / math.log(2.0)
+    assert report.i_be_bound >= -allowance
+
+
 @given(st.sampled_from([0.25, 1.0, 1.5]), st.floats(0.0, 6.0),
        st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
 @example(1.0, 1.0, 0.5, 1.0, 1.0 + 2.0 ** -52)  # excess noises one ulp apart
@@ -468,7 +507,8 @@ def test_pooling_quadratures_is_conservative(n0, digits, t, eps_q, eps_p):
     pooled = Moments(*((x + y) / 2 for x, y in zip(q, p)))
     ks = [Covariance2(*m) for m in (q, p, pooled)]
     try:
-        report_q, report_p, report = (squeezed_rate_bound(k, 1, n0) for k in ks)
+        report_q, report_p, report = (
+            rate_bound(k, 1, ProtocolKind.SQUEEZED_HOMODYNE, n0) for k in ks)
     except DomainError:  # a conditional variance the bound calls ill-conditioned
         return
     crosswise = 0.5 * math.log2(
@@ -507,14 +547,12 @@ def stored_rates(report):
 @given(st.lists(moment_points(), min_size=1, max_size=30))
 @settings(max_examples=200)
 def test_columns_equal_points(protocol, n0, points):
-    # a grid goes through the closed forms and checks of one point, priced as the
-    # sweep prices it, from the bound's own results: each entry has rate_bound's
-    # bits, and is NaN exactly where Covariance2 or rate_bound raises, the
-    # shot-noise unit's rule among them
+    # rate_bound on a grid goes through the closed forms and checks of one point:
+    # each entry has rate_bound's bits at that point, and is NaN exactly where
+    # Covariance2 or rate_bound raises, the shot-noise unit's rule among them
     k = Moments(*map(np.array, zip(*points)))
     with np.errstate(all="ignore"):
-        holds, *bound = _bound(k, protocol, np.full(len(points), n0))
-        columns = stored_rates(_report(k, 1, holds & _accepted(k), *bound))
+        columns = stored_rates(rate_bound(k, 1, protocol, np.full(len(points), n0)))
     for i, point in enumerate(points):
         got = [None if column is None else column[i].item() for column in columns]
         try:
@@ -631,7 +669,7 @@ class TestConditionalSqueezingCheck:
             rho = rng.uniform(-0.99, 0.99)
             k = Covariance2(var_a, var_b, rho * math.sqrt(var_a * var_b))
             verdict = conditional_squeezing_check(k)
-            rate = squeezed_rate_bound(k, 1).delta_i_min_per_pulse
+            rate = rate_bound(k, 1, ProtocolKind.SQUEEZED_HOMODYNE).delta_i_min_per_pulse
             assert (verdict == "secure") == (rate > 0)
 
 

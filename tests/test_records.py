@@ -104,6 +104,12 @@ class TestShapeStrings:
             shape_from_string(text)
 
 
+    def test_repeated_parameter(self):
+        with pytest.raises(ParseError, match="^noise shape 'uniform:halfwidth=1.0,halfwidth=1.0' "
+                                             "repeats 'halfwidth'$"):
+            shape_from_string("uniform:halfwidth=1.0,halfwidth=1.0")
+
+
 class TestParseErrors:
     def test_not_a_record(self):
         with pytest.raises(ParseError):
@@ -271,6 +277,21 @@ class TestHeaderRules:
         # the later value used to win
         with pytest.raises(ParseError, match=f"bad record header: repeated key '{key}'"):
             loads(_with_header_item(dumps(record, fmt), fmt, key, value))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_repeated_shape_key(self, fmt):
+        # refused as a repeated header key is, in both formats
+        shape = UniformNoise.matching(0.5)
+        session = run_session(EprSource(20.0), ChannelModel(0.5, 0.0, shape),
+                              ProtocolKind.SQUEEZED_HOMODYNE, n=1, l=10,
+                              sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=0)
+        spec = shape_to_string(shape)
+        repeated = spec.replace(":", ":halfwidth=9,")
+        text = dumps(session, fmt)
+        assert text.count(spec) == 1
+        with pytest.raises(ParseError, match=re.escape(
+                f"bad record header: noise shape {repeated!r} repeats 'halfwidth'")):
+            loads(text.replace(spec, repeated))
 
     @pytest.mark.parametrize("key, value, problem", [
         ("n", 5.9, "n must be an integer, got 5.9"),

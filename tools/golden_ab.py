@@ -20,7 +20,7 @@ depends on the BLAS kernel or its thread count:
     OPENBLAS_CORETYPE=Nehalem PYTHONPATH=src python3 tools/golden_ab.py > change-nehalem.txt
     diff change.txt change-1.txt && diff change.txt change-nehalem.txt
 
-It takes no options. The whole list of 172 commands runs in about 13 s on
+It takes no options. The whole list of 177 commands runs in about 13 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -49,6 +49,9 @@ SHAPES = (
     f"uniform:halfwidth={math.sqrt(3.0 * NOISE_VAR)!r}",
     f"displacement:magnitude={math.sqrt(NOISE_VAR / 0.5)!r},probability=0.5",
 )
+
+#: a uniform noise shape whose halfwidth fits t = 0.5, eps = 0, after a first value
+REPEATED_SHAPE = f"uniform:halfwidth=9,halfwidth={math.sqrt(1.5)!r}"
 
 SQUEEZED_COV = ["--cov", "20,10.5,14.124446891825535", "--protocol", "squeezed_homodyne"]
 
@@ -352,6 +355,21 @@ def commands():
                                        "1", "--steps", "3", "--n0", n0,
                                        "--out", f"sweep-n0-{n0}.csv"]
 
+    # a noise-shape key given twice, by flag and in a record header; sessions that
+    # keep fewer than the 2 pulses a sample covariance needs; and a lossless
+    # channel whose Eve's bound rounds to -2.75e-7 bits in both protocols
+    yield "error-simulate-shape-repeated-key", [
+        "simulate", "--t", "0.5", "--sifting", "quantum_memory", "--l", "10",
+        "--shape", REPEATED_SHAPE, "--out", "shape-repeated-key.csv"]
+    yield "error-rate-header-shape-repeated-key", ["rate", "--record",
+                                                   "header-shape-repeated.csv"]
+    for l in ("1", "3"):
+        yield f"simulate-l-{l}", ["simulate", "--l", l, "--out", f"simulate-l-{l}.csv"]
+    yield "sweep-lossless-large-v", [
+        "sweep", "--param", "v", "--start", "1084302.1843712206", "--stop",
+        "1084302.1843712206", "--steps", "2", "--t", "1", "--eps", "0",
+        "--n0", "32.571426414094596", "--out", "sweep-lossless-large-v.csv"]
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -400,6 +418,8 @@ def run():
         (root / "header-unknown.csv").write_text(csv_record(" bogus=7"))
         (root / "header-repeated.csv").write_text(csv_record(" seed=1"))
         (root / "header-float-n.jsonl").write_text(json_record({**HEADER, "n": 1.5}))
+        (root / "header-shape-repeated.csv").write_text(
+            csv_record(header={**HEADER, "t": 0.5, "shape": REPEATED_SHAPE}))
         for name, (fields, rows) in {**RANGE_HEADERS, **CHANNEL_HEADERS}.items():
             for ext, write in (("csv", csv_record), ("jsonl", json_record)):
                 (root / f"header-{name}.{ext}").write_text(
