@@ -47,6 +47,7 @@ from .simulator import (
     ChannelModel,
     EprSource,
     SiftingMode,
+    flip_p,
 )
 
 HEADER_MAGIC = "#cvqkd-record"
@@ -182,16 +183,16 @@ def _text_chunks(record: BlockRecord, fmt: str):
 
 
 def _row_chunks(record: BlockRecord, format_row):
-    """The pulse rows, each chunk's columns made Python lists with `.tolist()`
-    and its kept flags compared from its own labels: a list copy or a
-    comparison of a whole column would raise the peak memory."""
+    """The pulse rows, each chunk's columns made Python lists with `.tolist()`,
+    its pooled Bob values flipped back to measured ones and its kept flags
+    compared from its own labels: doing that to whole columns raises the peak."""
     n, total = record.n, record.total_pulses
     label = LABEL_CHARS.__getitem__
     for start in range(0, total, ROW_CHUNK):
         rows = slice(start, min(start + ROW_CHUNK, total))
         block, pulse = np.divmod(np.arange(rows.start, rows.stop), n)
-        a, b = record.a[rows], record.b[rows]
         label_a, label_b = record.label_a[rows], record.label_b[rows]
+        a, b = record.a[rows], flip_p(record.pooled_b[rows].copy(), label_b)
         text = "\n".join(map(format_row, block.tolist(), pulse.tolist(), a.tolist(), b.tolist(),
                              map(label, label_a.tolist()), map(label, label_b.tolist()),
                              (label_a == label_b).view(np.uint8).tolist())) + "\n"
@@ -217,10 +218,10 @@ def _parse_header_line(line: str) -> list:
     return pairs
 
 
-def _kept_flag(value, flags) -> bool:
-    """The kept flag a row field holds, given the field values of 0 and 1."""
+def _flag(key: str, value, flags, names: str = "0 or 1") -> bool:
+    """The flag a row field holds, given the field values of False and True."""
     if value not in flags:
-        raise ValueError(f"kept must be 0 or 1, got {value!r}")
+        raise ValueError(f"{key} must be {names}, got {value!r}")
     return value == flags[1]
 
 
@@ -230,7 +231,7 @@ def _split_csv_row(line: str):
         raise ValueError(f"expected 7 fields, got {len(parts)}")
     block, pulse, a, b, label_a, label_b, kept = parts
     return (int(block), int(pulse), float(a), float(b), label_a, label_b,
-            _kept_flag(kept, ("0", "1")))
+            _flag("kept", kept, ("0", "1")))
 
 
 def _parse_json_header(line: str) -> list:
@@ -245,13 +246,15 @@ def _parse_json_header(line: str) -> list:
 
 def _checked_fields(pairs: list, known) -> dict:
     """The (key, value) pairs as a dict; ValueError at the first key that is
-    not known or that repeats."""
+    not known or that repeats, then at the first known key that is missing."""
     keys = [key for key, _ in pairs]
     for key in keys:
         if key not in known:
             raise ValueError(f"unknown key {key!r}")
         if keys.count(key) > 1:
             raise ValueError(f"repeated key {key!r}")
+    if missing := [key for key in known if key not in keys]:
+        raise ValueError(f"missing key {missing[0]!r}")
     return dict(pairs)
 
 
@@ -263,7 +266,7 @@ def _split_json_row(line: str):
         if type(row[key]) not in types:
             raise ValueError(f"{key} must be {TYPE_NAMES[types]}, got {row[key]!r}")
     return (row["block"], row["pulse"], row["a"], row["b"], row["label_a"],
-            row["label_b"], _kept_flag(row["kept"], (0, 1)))
+            row["label_b"], _flag("kept", row["kept"], (0, 1)))
 
 
 def _parse_header(first: str):
@@ -319,9 +322,9 @@ def _parse_lines(lines: list, numbers: list, split_row):
         try:
             (block[i], pulse[i], a[i], b[i], label_a_char, label_b_char,
              kept[i]) = split_row(lines[number - 1])
-            label_a[i] = LABEL_CHARS.index(label_a_char)
-            label_b[i] = LABEL_CHARS.index(label_b_char)
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            label_a[i] = _flag("label_a", label_a_char, LABEL_CHARS, "'q' or 'p'")
+            label_b[i] = _flag("label_b", label_b_char, LABEL_CHARS, "'q' or 'p'")
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"line {number}: {exc}") from exc
     return block, pulse, a, b, label_a, label_b, kept
 
@@ -348,7 +351,7 @@ def loads(text: str) -> BlockRecord:
         columns = _parse_lines(lines, numbers, _split_json_row if is_json else _split_csv_row)
     block, pulse, a, b, label_a, label_b, kept = columns
     try:
-        fields = _checked_fields(pairs, {*HEADER_TYPES, *(["record"] if is_json else [])})
+        fields = _checked_fields(pairs, [*HEADER_TYPES, *(["record"] if is_json else [])])
         for key, types in HEADER_TYPES.items():
             if is_json and type(fields[key]) not in types:
                 raise ValueError(f"{key} must be {TYPE_NAMES[types]}, got {fields[key]!r}")
@@ -364,7 +367,7 @@ def loads(text: str) -> BlockRecord:
         for key, value, low in (("n", n, 1), ("l", l, 1), ("seed", seed, 0)):
             if value < low:
                 raise ValueError(f"{key} must be at least {low}, got {value}")
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad record header: {exc}") from exc
     if len(a) != n * l:
         raise ParseError(f"record has {len(a)} pulse rows, but its header "
@@ -372,7 +375,7 @@ def loads(text: str) -> BlockRecord:
     _check_rows(numbers, n, block, pulse, a, b, label_a, label_b, kept)
     return BlockRecord(n=n, l=l, protocol=protocol, sifting_mode=sifting_mode,
                        seed=seed, source=source, channel=channel,
-                       a=a, b=b, label_a=label_a, label_b=label_b)
+                       a=a, pooled_b=flip_p(b, label_b), label_a=label_a, label_b=label_b)
 
 
 def write_record(record: BlockRecord, path, fmt: str = "csv") -> Path:

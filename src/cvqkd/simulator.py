@@ -38,7 +38,7 @@ MAX_SOURCE_VARIANCE = math.sqrt(sys.float_info.max)
 Q, P = 0, 1  # quadrature label codes used in record arrays
 LABEL_CHARS = ("q", "p")
 
-#: dtypes of a record's a, b, label_a and label_b columns
+#: dtypes of a record's a, pooled_b, label_a and label_b columns
 COLUMN_DTYPES = (float, float, np.uint8, np.uint8)
 
 
@@ -337,7 +337,9 @@ def measure_alice(qa, pa, protocol: ProtocolKind, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class BlockRecord:
-    """l blocks of n pulses: measured values and quadrature labels (0=q,
+    """l blocks of n pulses: Alice's measured values, Bob's values pooled (his q
+    values, and his p values negated, so that both labels share one joint law:
+    the EPR correlation is anti-symmetric in p) and the quadrature labels (0=q,
     1=p), plus the configuration that generated them. Pulses are stored
     block-major: pulse j of block i sits at index i*n + j."""
 
@@ -349,15 +351,20 @@ class BlockRecord:
     source: EprSource
     channel: ChannelModel
     a: np.ndarray
-    b: np.ndarray
+    pooled_b: np.ndarray
     label_a: np.ndarray
     label_b: np.ndarray
 
     def __post_init__(self):
         total = self.n * self.l
-        for arr in (self.a, self.b, self.label_a, self.label_b):
+        for arr in (self.a, self.pooled_b, self.label_a, self.label_b):
             if len(arr) != total:
                 raise ConfigurationError("record arrays must hold n*l entries")
+
+    @property
+    def b(self) -> np.ndarray:
+        """Bob's measured values, as a new array."""
+        return flip_p(self.pooled_b.copy(), self.label_b)
 
     @property
     def total_pulses(self) -> int:
@@ -373,23 +380,22 @@ class BlockRecord:
         return float(self.kept.mean())
 
     def samples(self) -> SampleSet:
-        """Kept pulses as a SampleSet, both quadratures pooled by flipping
-        the sign of Bob's p values (the EPR correlation is anti-symmetric
-        in p, so the flip makes both labels share one joint law). When every
-        pulse is kept, Alice's values are a read-only view of ``a``, not a copy."""
+        """Kept pulses as a SampleSet of Alice's values and Bob's pooled ones.
+        When every pulse is kept, both are read-only views of the record's
+        columns, not copies."""
         kept = self.kept
         if kept.all():
-            a = self.a.view()
-            a.flags.writeable = False
-            b, labels = self.b.copy(), self.label_b
+            a, b = self.a.view(), self.pooled_b.view()
+            a.flags.writeable = b.flags.writeable = False
         else:
-            a, b, labels = self.a[kept], self.b[kept], self.label_b[kept]
-        # x * -1.0 is -x bit for bit (NaN aside, which SampleSet rejects); a chunk
-        # at a time, so the signs never take a whole column of floats
-        sign = np.array([1.0, -1.0])  # by label code: Q keeps its sign, P flips it
-        for start in range(0, len(b), CHUNK_PULSES):
-            b[start:start + CHUNK_PULSES] *= sign[labels[start:start + CHUNK_PULSES]]
+            a, b = self.a[kept], self.pooled_b[kept]
         return SampleSet(a, b)
+
+
+def flip_p(b: np.ndarray, label_b: np.ndarray) -> np.ndarray:
+    """Negate in place, and return, the values of b whose label is p: measured to
+    pooled and back. A sign-bit flip, so exact on every bit pattern, NaN included."""
+    return np.negative(b, out=b, where=label_b == P)
 
 
 def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,
@@ -418,10 +424,10 @@ def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,
          [column[start:start + per_chunk] for column in columns])
         for chunk, start in enumerate(range(0, n * l, per_chunk))])
 
-    a, b, label_a, label_b = columns
+    a, pooled_b, label_a, label_b = columns
     return BlockRecord(n=n, l=l, protocol=protocol, sifting_mode=sifting_mode,
                        seed=rng_seed, source=src, channel=ch,
-                       a=a, b=b, label_a=label_a, label_b=label_b)
+                       a=a, pooled_b=pooled_b, label_a=label_a, label_b=label_b)
 
 
 # one chunk, written in place into its slices of the four columns; its own
@@ -437,8 +443,9 @@ def _generate_chunk(src, ch, protocol, n, sifting_mode, rng, out):
     else:
         label_b[:] = label_a
 
+    # Bob's values pooled: q as measured, p negated (see BlockRecord)
     qb, pb = apply_attack(qb0, pb0, ch, rng, src.n0, n)
-    np.copyto(b, pb)
+    np.negative(pb, out=b)
     np.copyto(b, qb, where=label_b == Q)
     del qb, pb
 

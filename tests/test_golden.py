@@ -39,7 +39,7 @@ from cvqkd import (
 )
 from cvqkd.cli import main
 from cvqkd.records import dumps
-from cvqkd.simulator import CHUNK_PULSES
+from cvqkd.simulator import CHUNK_PULSES, flip_p
 
 #: sweep arguments, with the sha256 of the CSV table and of the plot JSON
 SWEEPS = {
@@ -160,12 +160,12 @@ def test_non_finite_discarded_record_bytes():
     record = run_session(EprSource(20.0), ChannelModel(0.5, 0.05),
                          ProtocolKind.SQUEEZED_HOMODYNE, n=1, l=20_000,
                          sifting_mode=SiftingMode.RANDOM_BASIS, rng_seed=12)
-    a, b = record.a.copy(), record.b.copy()
+    a, b = record.a.copy(), record.b  # b is a new array of the measured values
     discarded = np.flatnonzero(~record.kept)
     late = discarded[discarded >= 2**14][:6]
     a[late] = [np.nan, np.inf, -np.inf, np.nan, np.inf, -np.inf]
     b[late] = [-np.inf, np.nan, np.inf, 1.5, -np.inf, np.nan]
-    record = dataclasses.replace(record, a=a, b=b)
+    record = dataclasses.replace(record, a=a, pooled_b=flip_p(b, record.label_b))
     digests = tuple(sha256(dumps(record, fmt).encode()) for fmt in ("csv", "json-lines"))
     assert digests == NON_FINITE_DIGESTS
 

@@ -43,6 +43,17 @@ class TestRoundTrip:
         assert np.array_equal(back.label_b, record.label_b)
         assert np.array_equal(back.kept, record.kept)
 
+    def test_pooled_column_round_trips_bit_for_bit(self, record, fmt):
+        # Bob's pooled values come back byte for byte, signed zeros and discarded
+        # infinities included, through the whole-column reader and the per-line one
+        pooled = record.pooled_b.copy()
+        kept, discarded = np.flatnonzero(record.kept), np.flatnonzero(~record.kept)
+        pooled[kept[:6]] = [0.0, -0.0] * 3
+        pooled[discarded[:2]] = [np.inf, -np.inf]
+        text = dumps(dataclasses.replace(record, pooled_b=pooled), fmt)
+        for back in (loads(text), loads("\n" + text)):
+            assert back.pooled_b.tobytes() == pooled.tobytes()
+
     def test_replaced_labels_write_their_own_flags(self, record, fmt):
         # a record whose labels are replaced writes the flags of its new labels,
         # so the file loads and keeps every pulse whose labels agree
@@ -204,6 +215,10 @@ class TestParseErrors:
             ("json-lines", "a", 10 ** 400, "int too large to convert to float"),
             ("json-lines", "block", "0", "block must be an integer, got '0'"),
             ("json-lines", "pulse", 3, "block and pulse do not follow the row's position"),
+            ("csv", "label_a", "Q", "label_a must be 'q' or 'p', got 'Q'"),
+            ("csv", "label_b", "x", "label_b must be 'q' or 'p', got 'x'"),
+            ("json-lines", "label_a", 0, "label_a must be 'q' or 'p', got 0"),
+            ("json-lines", "label_b", "Q", "label_b must be 'q' or 'p', got 'Q'"),
         ]])
     def test_strict_row_field(self, record, fmt, key, value, problem):
         # file line 6 holds block 0, pulse 4 (n = 5), whose kept flag and
@@ -233,6 +248,13 @@ class TestParseErrors:
         lines = dumps(record, "json-lines").splitlines()
         lines[2] = lines[2].removesuffix("}") + f", {item}}}"
         with pytest.raises(ParseError, match=f"^{re.escape(f'line 3: {problem}')}$"):
+            loads("\n".join(lines))
+
+    @pytest.mark.parametrize("key", ROW_KEYS)
+    def test_json_row_missing_key(self, record, key):
+        lines = dumps(record, "json-lines").splitlines()
+        lines[2] = json.dumps({k: v for k, v in json.loads(lines[2]).items() if k != key})
+        with pytest.raises(ParseError, match=f"^{re.escape(f'line 3: missing key {key!r}')}$"):
             loads("\n".join(lines))
 
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
@@ -277,6 +299,23 @@ class TestHeaderRules:
         # the later value used to win
         with pytest.raises(ParseError, match=f"bad record header: repeated key '{key}'"):
             loads(_with_header_item(dumps(record, fmt), fmt, key, value))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("dropped, named", [
+        (("seed",), "seed"), (("rho_block", "seed"), "seed"), (("seed", "n"), "n"),
+        (("v", "protocol"), "protocol"),
+    ])
+    def test_missing_key(self, record, fmt, dropped, named):
+        # the first missing key in the order dumps writes them is named
+        lines = dumps(record, fmt).splitlines()
+        if fmt == "csv":
+            lines[0] = " ".join(item for item in lines[0].split()
+                                if item.partition("=")[0] not in dropped)
+        else:
+            lines[0] = json.dumps({key: value for key, value in json.loads(lines[0]).items()
+                                   if key not in dropped})
+        with pytest.raises(ParseError, match=f"^bad record header: missing key '{named}'$"):
+            loads("\n".join(lines))
 
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
     def test_repeated_shape_key(self, fmt):

@@ -3,10 +3,13 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvqkd import (
     ATTACK_CATALOG,
@@ -293,26 +296,60 @@ class TestRunSession:
         assert samples.b.tobytes() == expected.tobytes()
         assert samples.a.tobytes() == rec.a[rec.kept].tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.sampled_from([Q, P])),
+                    min_size=1, max_size=64))
+    @example([(np.float64(x).view(np.uint64).item(), label)
+              for x in (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan) for label in (Q, P)])
+    def test_pooling_round_trips_every_bit_pattern(self, pulses):
+        # pooling flips only the sign bit of Bob's p values, so measured ->
+        # pooled -> measured is the identity, -0.0, infinities and NaN included
+        bits = np.array([bit for bit, _ in pulses], np.uint64)
+        labels = np.array([label for _, label in pulses], np.uint8)
+        pooled = simulator.flip_p(bits.view(float).copy(), labels)
+        assert np.array_equal(pooled.view(np.uint64), bits ^ (labels.astype(np.uint64) << 63))
+        rec = BlockRecord(n=len(pulses), l=1, protocol=HOMODYNE,
+                          sifting_mode=SiftingMode.RANDOM_BASIS, seed=0, source=EprSource(2.0),
+                          channel=ChannelModel(1.0), a=np.zeros(len(pulses)), pooled_b=pooled,
+                          label_a=labels, label_b=labels)
+        assert rec.b.tobytes() == bits.tobytes()
+
     @pytest.mark.parametrize("sifting", list(SiftingMode))
     def test_all_kept_samples_view_alices_column(self, sifting):
-        # with every pulse kept, Alice's column is lent read-only instead of
-        # copied; Bob's is always a copy, since its p values are flipped
+        # with every pulse kept, Alice's column and Bob's pooled one are lent
+        # read-only instead of copied; no samples() call changes the record
         rec = run_session(EprSource(8.0), ChannelModel(0.7, 0.2), HOMODYNE, n=1, l=5_000,
                           sifting_mode=sifting, rng_seed=19)
-        b_before = rec.b.tobytes()
+        before = [column.tobytes() for column in (rec.a, rec.pooled_b, rec.label_a, rec.label_b)]
         samples = rec.samples()
         assert samples.a.tobytes() == rec.a[rec.kept].tobytes()
+        assert samples.b.tobytes() == rec.pooled_b[rec.kept].tobytes()
         assert rec.kept.all() == (sifting is SiftingMode.QUANTUM_MEMORY)
-        if rec.kept.all():
-            assert np.shares_memory(samples.a, rec.a)
-            assert not samples.a.flags.writeable
-            with pytest.raises(ValueError):
-                samples.a[0] = 0.0
-        else:
-            assert not np.shares_memory(samples.a, rec.a)
-        assert rec.a.flags.writeable
-        assert not np.shares_memory(samples.b, rec.b)
-        assert rec.b.tobytes() == b_before
+        for lent, column in ((samples.a, rec.a), (samples.b, rec.pooled_b)):
+            if rec.kept.all():
+                assert np.shares_memory(lent, column)
+                assert not lent.flags.writeable
+                with pytest.raises(ValueError):
+                    lent[0] = 0.0
+            else:
+                assert not np.shares_memory(lent, column)
+            assert column.flags.writeable
+        assert not np.shares_memory(rec.b, rec.pooled_b)
+        after = [column.tobytes() for column in (rec.a, rec.pooled_b, rec.label_a, rec.label_b)]
+        assert after == before
+
+    def test_all_kept_samples_allocate_no_column(self):
+        # the traced peak of pooling a 10**6-pulse all-kept session and taking
+        # its covariance stays below half of one float column
+        rec = run_session(EprSource(8.0), ChannelModel(0.7, 0.2), HOMODYNE, n=1,
+                          l=1_000_000, sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=20)
+        tracemalloc.start()
+        try:
+            estimate_covariance(rec.samples())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6
 
     def test_kept_is_derived_from_the_labels(self):
         rec = run_session(EprSource(8.0), ChannelModel(0.7, 0.2), HOMODYNE,
@@ -321,12 +358,12 @@ class TestRunSession:
         assert np.array_equal(rec.kept, rec.label_a == rec.label_b)
         assert not rec.kept.all()
         # new labels bring their own flags: Bob's choices made equal to Alice's
-        # keep every pulse, each signed by its own label
+        # keep every pulse, and the session's pooled values keep their signs
         agreed = dataclasses.replace(rec, label_b=rec.label_a.copy())
         assert agreed.kept.all() and agreed.kept_fraction == 1.0
         samples = agreed.samples()
         assert len(samples) == agreed.total_pulses
-        assert samples.b.tobytes() == np.where(agreed.label_b == P, -rec.b, rec.b).tobytes()
+        assert samples.b.tobytes() == rec.pooled_b.tobytes()
         with pytest.raises(ConfigurationError, match="^record arrays must hold n\\*l entries$"):
             dataclasses.replace(rec, label_b=rec.label_b[1:])
 

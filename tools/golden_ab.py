@@ -20,7 +20,7 @@ depends on the BLAS kernel or its thread count:
     OPENBLAS_CORETYPE=Nehalem PYTHONPATH=src python3 tools/golden_ab.py > change-nehalem.txt
     diff change.txt change-1.txt && diff change.txt change-nehalem.txt
 
-It takes no options. The whole list of 177 commands runs in about 13 s on
+It takes no options. The whole list of 183 commands runs in about 13 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -370,6 +370,11 @@ def commands():
         "1084302.1843712206", "--steps", "2", "--t", "1", "--eps", "0",
         "--n0", "32.571426414094596", "--out", "sweep-lossless-large-v.csv"]
 
+    # records with a row label other than q or p, a key missing from a
+    # json-lines row, or a key missing from the header, in both formats
+    for name in MALFORMED_RECORDS:
+        yield f"error-rate-record-{name}", ["rate", "--record", name]
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -402,6 +407,27 @@ LENIENT_RECORDS = {
 }
 
 
+def third_row(label_a, label_b) -> list:
+    """ROWS with the labels of its third row, file line 4, replaced."""
+    return [*ROWS[:2], (*ROWS[2][:4], label_a, label_b, ROWS[2][6]), *ROWS[3:]]
+
+
+#: the header fields of the valid record, without seed
+HEADER_WITHOUT_SEED = {key: value for key, value in HEADER.items() if key != "seed"}
+
+#: records that do not parse: row labels other than q and p (file line 4), a
+#: json-lines row without kept (file line 3), and headers without seed
+MALFORMED_RECORDS = {
+    "label-a-upper.csv": lambda: csv_record(rows=third_row("Q", "q")),
+    "label-b-x.csv": lambda: csv_record(rows=third_row("q", "x")),
+    "label-a-0.jsonl": lambda: json_record(rows=third_row(0, "q")),
+    "kept-missing.jsonl": lambda: json_record().replace(
+        ', "kept": 1}\n{"block": 2', '}\n{"block": 2'),
+    "seed-missing.csv": lambda: csv_record(header=HEADER_WITHOUT_SEED),
+    "seed-missing.jsonl": lambda: json_record(header=HEADER_WITHOUT_SEED),
+}
+
+
 def run():
     os.environ.pop("CVQKD_OUT_DIR", None)
     runner = CliRunner()
@@ -424,7 +450,7 @@ def run():
             for ext, write in (("csv", csv_record), ("jsonl", json_record)):
                 (root / f"header-{name}.{ext}").write_text(
                     write(header={**HEADER, **fields}, rows=rows))
-        for name, text in LENIENT_RECORDS.items():
+        for name, text in {**LENIENT_RECORDS, **MALFORMED_RECORDS}.items():
             (root / name).write_text(text())
         header, first, *rows = json_record().splitlines(keepends=True)
         (root / "row-repeated-key.jsonl").write_text(
