@@ -42,10 +42,9 @@ from .estimators import estimate_covariance
 from .rates import (
     Covariance2,
     ProtocolKind,
-    RateReport,
     _accepted,
     _bound,
-    _require,
+    _efficiency_accepted,
     conditional_squeezing_check,
     rate_bound,
 )
@@ -109,7 +108,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown protocol {self.protocol!r}")
         if self.sifting not in SIFTING_NAMES:
             raise ConfigurationError(f"unknown sifting mode {self.sifting!r}")
-        _check_efficiency(self.beta)
+        _efficiency_accepted(self.beta)
         for name in ("n", "l", "seed"):
             value = getattr(self, name)
             if isinstance(value, float) and not value.is_integer():
@@ -133,12 +132,6 @@ class ExperimentConfig:
                     "this channel adds no noise")
             shape = SHAPE_KINDS[self.shape].matching(noise_variance)
         return ChannelModel(self.t, self.eps, shape, self.rho_block)
-
-
-def _check_efficiency(beta):
-    """Where the reconciliation efficiency beta, a float or a column, is in [0, 1]."""
-    return _require((0.0 <= beta) & (beta <= 1.0), lambda: ConfigurationError(
-        f"reconciliation efficiency must be in [0, 1], got {beta}"))
 
 
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -238,7 +231,7 @@ def simulate(config, out, fmt, **overrides):
     records.write_record(record, path, cfg.format)
     click.echo(f"wrote {path} ({cfg.format}, {record.total_pulses} pulses)")
     kept = int(record.kept.sum())
-    click.echo(f"kept {kept} pulses (fraction {record.kept_fraction:.4f}, "
+    click.echo(f"kept {kept} pulses (fraction {kept / record.total_pulses:.4f}, "
                f"sifting {record.sifting_mode.value})")
     # a record of fewer than 2 kept pulses is valid, but has no sample covariance
     k = estimate_covariance(record.samples()) if kept >= 2 else None
@@ -275,7 +268,7 @@ def rate(record_path, cov, protocol, beta, n, n0, fmt, out):
         raise ConfigurationError("give exactly one of --record or --cov")
     if record_path is not None and (protocol is not None or n0 is not None):
         raise ConfigurationError(f"{'--protocol' if protocol else '--n0'} is read from the record")
-    _check_efficiency(beta)
+    _efficiency_accepted(beta)
     out_path = None if out is None else resolve_out(out)
 
     record = sample_count = None
@@ -297,7 +290,7 @@ def rate(record_path, cov, protocol, beta, n, n0, fmt, out):
     report = rate_bound(k, block, kind, shot)
     if record is not None and record.sifting_mode is SiftingMode.RANDOM_BASIS:
         report = report.with_sifting()
-    effective = report.effective_rate(beta * report.i_ab)
+    effective = report.effective_rate(beta)
     verdict = "secure key obtainable" if effective > 0 else "no secure key"
 
     payload = {
@@ -469,8 +462,9 @@ def _sweep_columns(param: str, values: np.ndarray, point: dict) -> list:
                 _sweep_moments(**{**point, param: value})
             except (ConfigurationError, DomainError) as exc:
                 raise type(exc)(f"{param}={value:g}: {exc}") from exc
-        cells = [_sweep_cells(rate_bound(k, 1, kind, float(point["n0"])), grid["beta"])
-                 for k, kind in zip(moments, SWEEP_KINDS)]
+        cells = [(r.effective_rate(grid["beta"]), r.i_ab, r.i_be_bound, r.cond_var_b_given_a)
+                 for r in (rate_bound(k, 1, kind, float(point["n0"]))
+                           for k, kind in zip(moments, SWEEP_KINDS))]
     return [column for pair in zip(*cells) for column in pair]
 
 
@@ -481,17 +475,10 @@ def _sweep_moments(v, t, eps, beta, n0) -> tuple:
     rates._require). A row is defined where, in this order, beta, the source and the
     channel are in their domains, Covariance2 accepts the squeezed moments and their
     bound holds, and Covariance2 accepts the coherent moments."""
-    holds = _check_efficiency(beta) & _source_accepted(v, n0) & _channel_accepted(t, eps)
+    holds = _efficiency_accepted(beta) & _source_accepted(v, n0) & _channel_accepted(t, eps)
     squeezed, coherent = (analytic_moments(v, t, eps, n0, kind) for kind in SWEEP_KINDS)
     holds &= _accepted(squeezed) & _bound(squeezed, SWEEP_KINDS[0], n0)[0]
     return holds & _accepted(coherent), squeezed, coherent
-
-
-def _sweep_cells(report: RateReport, beta) -> tuple:
-    """One protocol's cells of a sweep row, or its columns: delta_i_min at
-    efficiency beta, i_ab, i_be_bound and the conditional variance B|A."""
-    return (report.effective_rate(beta * report.i_ab), report.i_ab, report.i_be_bound,
-            report.cond_var_b_given_a)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InconsistentStatisticsError
+from .errors import ConfigurationError, DomainError, InconsistentStatisticsError
 
 #: relative slack allowed on the positive-semidefiniteness invariant,
 #: so covariances estimated in floating point are not rejected
@@ -169,19 +169,12 @@ class RateReport:
             sifting_applied=True,
         )
 
-    def effective_rate(self, i_eff: float) -> float:
-        """Per-pulse key rate when reconciliation extracts only i_eff of
-        the i_ab shared bits per pulse: i_eff - i_be_bound.
-
-        i_eff = i_ab (perfect reconciliation) recovers the plain bound;
-        i_eff above the Gaussian mutual information is impossible and raises.
-        """
-        if np.any(i_eff < 0):
-            raise DomainError(f"reconciled information cannot be negative, got {i_eff}")
-        if np.any(i_eff > self.i_ab * (1.0 + 1e-12)):
-            raise DomainError(
-                f"reconciled information {i_eff} exceeds the Shannon limit {self.i_ab}")
-        return i_eff - self.i_be_bound
+    def effective_rate(self, beta: float) -> float:
+        """Per-pulse key rate at reconciliation efficiency beta, beta * i_ab - i_be_bound,
+        of one point or of a grid, after the one efficiency rule (_efficiency_accepted,
+        which raises for one point outside [0, 1]); beta = 1 gives the plain bound."""
+        _efficiency_accepted(beta)
+        return beta * self.i_ab - self.i_be_bound
 
 
 def gaussian_entropy(variance: float) -> float:
@@ -367,6 +360,12 @@ def conditional_squeezing_check(k: Covariance2, n0: float = 1.0) -> str:
     vacuum variance (strictly; the boundary carries zero key rate)."""
     _shot_noise_accepted(n0)
     return "secure" if conditional_variance(k) < n0 else "insecure"
+
+
+def _efficiency_accepted(beta):
+    """Where the reconciliation efficiency beta, a float or a column, is in [0, 1]."""
+    return _require((0.0 <= beta) & (beta <= 1.0), lambda: ConfigurationError(
+        f"reconciliation efficiency must be in [0, 1], got {beta}"))
 
 
 def _shot_noise_accepted(n0):

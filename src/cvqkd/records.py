@@ -61,11 +61,13 @@ ROW_KEYS = ("block", "pulse", "a", "b", "label_a", "label_b", "kept")
 JSON_NUMBER_TYPES = {"block": (int,), "pulse": (int,), "a": (int, float),
                      "b": (int, float), "kept": (int,)}
 
-#: the header fields dumps writes, each once, and the Python types json may give them
-HEADER_TYPES = {"protocol": (str,), "sifting": (str,), "n": (int,), "l": (int,),
-                "seed": (int,), "v": (int, float), "n0": (int, float), "t": (int, float),
-                "eps": (int, float), "shape": (str,), "rho_block": (int, float)}
-TYPE_NAMES = {(int,): "an integer", (int, float): "a number", (str,): "a string"}
+#: each header field dumps writes, and the types json may give it; a value converts by the last
+HEADER_TYPES = {"protocol": (str, ProtocolKind), "sifting": (str, SiftingMode), "n": (int,),
+                "l": (int,), "seed": (int,), "v": (int, float), "n0": (int, float),
+                "t": (int, float), "eps": (int, float), "shape": (str,), "rho_block": (int, float)}
+#: what the value of a field must be, by the type it converts by
+TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+              **{kind: " or ".join(m.value for m in kind) for kind in (ProtocolKind, SiftingMode)}}
 
 #: pulse rows per chunk of the writer's row loop
 ROW_CHUNK = 1 << 14
@@ -234,10 +236,17 @@ def _split_csv_row(line: str):
             _flag("kept", kept, ("0", "1")))
 
 
+class _Pairs(list):
+    """The (key, value) pairs of a JSON object, in file order, shown as a dict."""
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 def _parse_json_header(line: str) -> list:
     try:
-        pairs = json.loads(line, object_pairs_hook=list)
-    except json.JSONDecodeError as exc:
+        pairs = json.loads(line, object_pairs_hook=_Pairs)
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ParseError(f"bad json-lines header: {exc}") from exc
     if dict(pairs).get("record") != "cvqkd":
         raise ParseError("json-lines file is not a cvqkd record")
@@ -259,12 +268,13 @@ def _checked_fields(pairs: list, known) -> dict:
 
 
 def _split_json_row(line: str):
-    row = json.loads(line, object_pairs_hook=lambda pairs: _checked_fields(pairs, ROW_KEYS))
-    if not isinstance(row, dict):
+    row = json.loads(line, object_pairs_hook=_Pairs)
+    if not isinstance(row, _Pairs):
         raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+    row = _checked_fields(row, ROW_KEYS)
     for key, types in JSON_NUMBER_TYPES.items():
         if type(row[key]) not in types:
-            raise ValueError(f"{key} must be {TYPE_NAMES[types]}, got {row[key]!r}")
+            raise ValueError(f"{key} must be {TYPE_NAMES[types[-1]]}, got {row[key]!r}")
     return (row["block"], row["pulse"], row["a"], row["b"], row["label_a"],
             row["label_b"], _flag("kept", row["kept"], (0, 1)))
 
@@ -353,28 +363,28 @@ def loads(text: str) -> BlockRecord:
     try:
         fields = _checked_fields(pairs, [*HEADER_TYPES, *(["record"] if is_json else [])])
         for key, types in HEADER_TYPES.items():
-            if is_json and type(fields[key]) not in types:
-                raise ValueError(f"{key} must be {TYPE_NAMES[types]}, got {fields[key]!r}")
-        source = EprSource(float(fields["v"]), float(fields["n0"]))
-        channel = ChannelModel(float(fields["t"]), float(fields["eps"]),
-                               shape_from_string(fields["shape"]),
-                               float(fields["rho_block"]))
+            try:  # a json value must have one of the types; each converts by the last
+                if is_json and type(fields[key]) not in types:
+                    raise TypeError
+                fields[key] = types[-1](fields[key])
+            except (OverflowError, TypeError, ValueError):
+                raise ValueError(f"{key} must be {TYPE_NAMES[types[-1]]}, got {fields[key]!r}")
+        source = EprSource(fields["v"], fields["n0"])
+        channel = ChannelModel(fields["t"], fields["eps"], shape_from_string(fields["shape"]),
+                               fields["rho_block"])
         channel.validate_shape(source.n0)
-        n, l = int(fields["n"]), int(fields["l"])
-        protocol = ProtocolKind(fields["protocol"])
-        sifting_mode = SiftingMode(fields["sifting"])
-        seed = int(fields["seed"])
-        for key, value, low in (("n", n, 1), ("l", l, 1), ("seed", seed, 0)):
-            if value < low:
-                raise ValueError(f"{key} must be at least {low}, got {value}")
+        for key, low in (("n", 1), ("l", 1), ("seed", 0)):
+            if fields[key] < low:
+                raise ValueError(f"{key} must be at least {low}, got {fields[key]}")
     except ValueError as exc:
         raise ParseError(f"bad record header: {exc}") from exc
+    n, l = fields["n"], fields["l"]
     if len(a) != n * l:
         raise ParseError(f"record has {len(a)} pulse rows, but its header "
                          f"declares n*l = {n}*{l} = {n * l}")
     _check_rows(numbers, n, block, pulse, a, b, label_a, label_b, kept)
-    return BlockRecord(n=n, l=l, protocol=protocol, sifting_mode=sifting_mode,
-                       seed=seed, source=source, channel=channel,
+    return BlockRecord(n=n, l=l, protocol=fields["protocol"], sifting_mode=fields["sifting"],
+                       seed=fields["seed"], source=source, channel=channel,
                        a=a, pooled_b=flip_p(b, label_b), label_a=label_a, label_b=label_b)
 
 

@@ -375,10 +375,6 @@ class BlockRecord:
         """The sifting flags: a pulse is kept when Alice's and Bob's labels agree."""
         return self.label_a == self.label_b
 
-    @property
-    def kept_fraction(self) -> float:
-        return float(self.kept.mean())
-
     def samples(self) -> SampleSet:
         """Kept pulses as a SampleSet of Alice's values and Bob's pooled ones.
         When every pulse is kept, both are read-only views of the record's

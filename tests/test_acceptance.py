@@ -205,7 +205,7 @@ def test_criterion_7_sifting_factor():
     src, ch = EprSource(20.0), ChannelModel(0.5, 0.0)
     record = run_session(src, ch, HOMODYNE, n=1, l=1_000_000,
                          sifting_mode=SiftingMode.RANDOM_BASIS, rng_seed=31)
-    assert abs(record.kept_fraction - 0.5) <= 0.005
+    assert abs(record.kept.mean() - 0.5) <= 0.005
 
     k = estimate_covariance(record.samples())
     unsifted = rate_bound(k, 1, HOMODYNE)
@@ -221,7 +221,7 @@ def test_criterion_7_sifting_factor():
     qm_rate = rate_bound(estimate_covariance(qm.samples()), 1,
                          HOMODYNE).delta_i_min_per_pulse
     assert sifted.delta_i_min_per_pulse == pytest.approx(qm_rate / 2, abs=0.01)
-    print(f"\nACCEPTANCE 7 PASS: kept fraction {record.kept_fraction:.4f}, "
+    print(f"\nACCEPTANCE 7 PASS: kept fraction {record.kept.mean():.4f}, "
           f"sifted rate exactly half ({sifted.delta_i_min_per_pulse:.6f} vs "
           f"{unsifted.delta_i_min_per_pulse:.6f})")
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import cvqkd
 from cvqkd import simulator
-from cvqkd.cli import CONFIG_FIELDS, _check_efficiency, _sweep_moments, main
+from cvqkd.cli import CONFIG_FIELDS, _sweep_moments, main
+from cvqkd.rates import _efficiency_accepted
 from cvqkd import (
     CapacityError,
     ChannelModel,
@@ -571,7 +572,7 @@ def per_point_sweep(param, start, stop, steps, point, n0):
     for i in range(steps):
         value = point[param] = start + (stop - start) * i / (steps - 1)
         try:
-            _check_efficiency(point["beta"])
+            _efficiency_accepted(point["beta"])
             source, channel = EprSource(point["v"], n0), ChannelModel(point["t"], point["eps"])
             cells = []
             for kind in kinds:
@@ -583,7 +584,7 @@ def per_point_sweep(param, start, stop, steps, point, n0):
                         raise
                     cells.append((None,) * 4)
                 else:
-                    cells.append((report.effective_rate(point["beta"] * report.i_ab),
+                    cells.append((point["beta"] * report.i_ab - report.i_be_bound,
                                   report.i_ab, report.i_be_bound, report.cond_var_b_given_a))
         except (ConfigurationError, DomainError) as exc:
             return f"{param}={value:g}: {exc}", None, None

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cvqkd import (
     ChannelModel,
+    ConfigurationError,
     Covariance2,
     DomainError,
     EprSource,
@@ -465,6 +466,50 @@ def test_physical_channel_rate_stays_below_i_ab(protocol, v, t, eps):
     assert report.i_be_bound >= -1e-9 * max(1.0, report.i_ab)
 
 
+#: relative rounding the uncertainty check allows on each float moment: 2^5 units
+#: in the last place, more than the few roundings that analytic_moments and the
+#: heterodyne transform make
+MOMENT_ROUNDING = Fraction(2) ** -48
+
+
+def assert_physical(k: Covariance2, n0: float) -> None:
+    """Assert that sigma = [[a*I, c*Z], [c*Z, b*I]], Z = diag(1, -1), of the moments
+    k is a physical two-mode covariance matrix: det sigma - n0^2*Delta + n0^4 >= 0,
+    Delta = a^2 + b^2 - 2c^2, and det sigma >= n0^4, which together are nu_- >= n0
+    (Serafini, Illuminati & De Siena, J. Phys. B 37, L21, 2004). Evaluated exactly,
+    in Fractions of the float moments, up to the error that MOMENT_ROUNDING in them
+    can make: the polynomial is f1*f2, f1 = (a + n0)(b - n0) - c^2 and
+    f2 = (a - n0)(b + n0) - c^2, and each factor moves by at most E."""
+    a, b, c, n0 = (Fraction(x) for x in (k.var_a, k.var_b, k.cov_ab, n0))
+    determinant = (a * b - c * c) ** 2
+    polynomial = determinant - n0 ** 2 * (a * a + b * b - 2 * c * c) + n0 ** 4
+    f1, f2 = (a + n0) * (b - n0) - c * c, (a - n0) * (b + n0) - c * c
+    assert polynomial == f1 * f2
+    error = 4 * MOMENT_ROUNDING * ((a + n0) * (b + n0) + c * c)
+    assert polynomial >= -error * (abs(f1) + abs(f2))
+    assert a * b - c * c >= n0 ** 2 - error
+
+
+@given(st.floats(1e-3, 1e3), st.floats(1.0, 1e12), st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(0.0, 1e3))
+@example(1.0, 20.0, 1.0, 0.0)  # lossless: nu_- = n0, on the boundary
+@example(32.571426414094596, 33289.98154965703, 1.0, 0.0)
+@example(1.0, 1.0, 0.5, 0.0)  # a vacuum source
+@settings(max_examples=1000)
+def test_analytic_channels_are_physical(n0, v_over_n0, t, eps):
+    # every state the analytic channels model passes the two-mode uncertainty
+    # principle: the squeezed moments, and the coherent ones through the heterodyne
+    # transform, whose pre-split mode is the one the coherent bound prices
+    source, channel = EprSource(n0 * v_over_n0, n0), ChannelModel(t, eps)
+    assert_physical(analytic_covariance(source, channel, ProtocolKind.SQUEEZED_HOMODYNE), n0)
+    coherent = analytic_covariance(source, channel, ProtocolKind.COHERENT_HETERODYNE)
+    try:
+        k_prime = heterodyne_covariance_transform(coherent, n0)
+    except DomainError:  # measured var_a at n0: a vacuum source, no signal to transform
+        return
+    assert_physical(k_prime, n0)
+
+
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
 @given(st.floats(1e-3, 1e3), st.floats(1.0, 1e7),
        st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
@@ -617,8 +662,7 @@ class TestRateReportDerivedRates:
 class TestEffectiveRate:
     def test_perfect_reconciliation_recovers_bound(self):
         report = rate_bound(K_WORKED, 1, ProtocolKind.SQUEEZED_HOMODYNE)
-        assert report.effective_rate(report.i_ab) == pytest.approx(
-            report.delta_i_min_per_pulse)
+        assert report.effective_rate(1.0) == pytest.approx(report.delta_i_min_per_pulse)
 
     def test_no_reconciled_bits_no_key(self):
         report = rate_bound(K_WORKED, 1, ProtocolKind.SQUEEZED_HOMODYNE)
@@ -628,17 +672,16 @@ class TestEffectiveRate:
 
     def test_ninety_percent_reconciliation(self):
         report = rate_bound(K_WORKED, 1, ProtocolKind.SQUEEZED_HOMODYNE)
-        i_eff = 0.9 * report.i_ab
-        expected = i_eff - (report.i_ab - math.log2(1 / 0.525))
-        assert report.effective_rate(i_eff) == pytest.approx(expected)
+        expected = 0.9 * report.i_ab - (report.i_ab - math.log2(1 / 0.525))
+        assert report.effective_rate(0.9) == pytest.approx(expected)
 
     def test_rejects_super_shannon_efficiency(self):
         report = rate_bound(K_WORKED, 1, ProtocolKind.SQUEEZED_HOMODYNE)
-        with pytest.raises(DomainError):
-            report.effective_rate(report.i_ab * 1.01)
+        with pytest.raises(ConfigurationError, match=r"must be in \[0, 1\], got 1.01"):
+            report.effective_rate(1.01)
 
     def test_rejects_negative(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match=r"must be in \[0, 1\], got -0.1"):
             rate_bound(K_WORKED, 1, ProtocolKind.SQUEEZED_HOMODYNE).effective_rate(-0.1)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -250,6 +251,18 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=f"^{re.escape(f'line 3: {problem}')}$"):
             loads("\n".join(lines))
 
+    @pytest.mark.parametrize("key, value, problem", [
+        ("a", {"x": 1}, "a must be a number, got {'x': 1}"),
+        ("a", {}, "a must be a number, got {}"),
+        ("label_a", {"q": 1}, "label_a must be 'q' or 'p', got {'q': 1}"),
+    ], ids=["a-object", "a-empty-object", "label-object"])
+    def test_json_row_nested_object(self, record, key, value, problem):
+        # the row-key rules hold for the row object, not for objects inside its values
+        lines = dumps(record, "json-lines").splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), key: value})
+        with pytest.raises(ParseError, match=f"^{re.escape(f'line 3: {problem}')}$"):
+            loads("\n".join(lines))
+
     @pytest.mark.parametrize("key", ROW_KEYS)
     def test_json_row_missing_key(self, record, key):
         lines = dumps(record, "json-lines").splitlines()
@@ -347,6 +360,55 @@ class TestHeaderRules:
         lines[0] = json.dumps({**json.loads(lines[0]), key: value})
         with pytest.raises(ParseError, match=re.escape(f"bad record header: {problem}")):
             loads("\n".join(lines))
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("seed", {"n": 1}, "seed must be an integer, got {'n': 1}"),
+        ("shape", {"kind": "gaussian"}, "shape must be a string, got {'kind': 'gaussian'}"),
+        ("v", 10 ** 400, "v must be a number, got 1" + "0" * 400),
+    ], ids=["seed-object", "shape-object", "v-beyond-float"])
+    def test_json_header_value_that_does_not_convert(self, record, key, value, problem):
+        lines = dumps(record, "json-lines").splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), key: value})
+        with pytest.raises(ParseError, match=f"^{re.escape(f'bad record header: {problem}')}$"):
+            loads("\n".join(lines))
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="json converts integers of any length")
+    def test_json_header_integer_of_too_many_digits(self, record):
+        # json refuses it with a ValueError that is not a JSONDecodeError
+        lines = dumps(record, "json-lines").splitlines()
+        digits = "1" + "0" * sys.get_int_max_str_digits()
+        lines[0] = json.dumps({**json.loads(lines[0]), "seed": 0}).replace(
+            '"seed": 0', f'"seed": {digits}')
+        with pytest.raises(ParseError, match="^bad json-lines header: Exceeds the limit"):
+            loads("\n".join(lines))
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("v", "abc", "v must be a number, got 'abc'"),
+        ("t", "", "t must be a number, got ''"),
+        ("n", "1e3", "n must be an integer, got '1e3'"),
+        ("seed", "21.0", "seed must be an integer, got '21.0'"),
+    ], ids=["v-word", "t-empty", "n-exponent", "seed-float"])
+    def test_csv_header_value_that_does_not_convert(self, record, key, value, problem):
+        # named as a json-lines value of the wrong type is
+        lines = dumps(record, "csv").splitlines()
+        lines[0] = " ".join(f"{key}={value}" if item.partition("=")[0] == key else item
+                            for item in lines[0].split())
+        with pytest.raises(ParseError, match=f"^{re.escape(f'bad record header: {problem}')}$"):
+            loads("\n".join(lines))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("key, value, choices", [
+        ("protocol", "bb84", "squeezed_homodyne or coherent_heterodyne"),
+        ("sifting", "sometimes", "random_basis or quantum_memory"),
+    ])
+    def test_header_choice_names_the_choices(self, record, fmt, key, value, choices):
+        text = dumps(record, fmt)
+        current = {"protocol": record.protocol, "sifting": record.sifting_mode}[key].value
+        assert text.count(current) == 1
+        problem = f"bad record header: {key} must be {choices}, got {value!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(problem)}$"):
+            loads(text.replace(current, value))
 
     def test_json_header_integer_numbers_load(self, record):
         # a config's "v": 12 is written as 12, so a whole number is a number

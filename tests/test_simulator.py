@@ -223,7 +223,7 @@ class TestRunSession:
         rec = run_session(EprSource(4.0), ChannelModel(1.0, 0.0), HOMODYNE,
                           n=1, l=200_000, sifting_mode=SiftingMode.QUANTUM_MEMORY,
                           rng_seed=11)
-        assert rec.kept_fraction == 1.0
+        assert rec.kept.mean() == 1.0
         k = estimate_covariance(rec.samples())
         n = rec.total_pulses
         assert k.var_a == pytest.approx(4.0, abs=five_sigma_var(4, n))
@@ -234,7 +234,7 @@ class TestRunSession:
         rec = run_session(EprSource(4.0), ChannelModel(0.9, 0.1), HOMODYNE,
                           n=4, l=50_000, rng_seed=12)
         n = rec.total_pulses
-        assert rec.kept_fraction == pytest.approx(0.5, abs=5 * 0.5 / math.sqrt(n))
+        assert rec.kept.mean() == pytest.approx(0.5, abs=5 * 0.5 / math.sqrt(n))
 
     def test_label_frequencies_balanced(self):
         rec = run_session(EprSource(4.0), ChannelModel(1.0, 0.0), HOMODYNE,
@@ -360,7 +360,7 @@ class TestRunSession:
         # new labels bring their own flags: Bob's choices made equal to Alice's
         # keep every pulse, and the session's pooled values keep their signs
         agreed = dataclasses.replace(rec, label_b=rec.label_a.copy())
-        assert agreed.kept.all() and agreed.kept_fraction == 1.0
+        assert agreed.kept.all() and agreed.kept.mean() == 1.0
         samples = agreed.samples()
         assert len(samples) == agreed.total_pulses
         assert samples.b.tobytes() == rec.pooled_b.tobytes()

@@ -20,7 +20,7 @@ depends on the BLAS kernel or its thread count:
     OPENBLAS_CORETYPE=Nehalem PYTHONPATH=src python3 tools/golden_ab.py > change-nehalem.txt
     diff change.txt change-1.txt && diff change.txt change-nehalem.txt
 
-It takes no options. The whole list of 183 commands runs in about 13 s on
+It takes no options. The whole list of 193 commands runs in about 13 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -375,6 +375,10 @@ def commands():
     for name in MALFORMED_RECORDS:
         yield f"error-rate-record-{name}", ["rate", "--record", name]
 
+    # record values that do not convert, each named with its key and what it must be
+    for name in UNCONVERTED_RECORDS:
+        yield f"error-rate-record-{name}", ["rate", "--record", name]
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -428,6 +432,30 @@ MALFORMED_RECORDS = {
 }
 
 
+def second_row_a(a) -> list:
+    """ROWS with the a value of its second row, file line 3, replaced."""
+    return [ROWS[0], (*ROWS[1][:2], a, *ROWS[1][3:]), *ROWS[2:]]
+
+
+#: records whose CSV header values do not convert, whose protocol is none of the
+#: choices, in both formats, or whose json-lines values are out of the float range,
+#: an integer of more digits than Python converts, or objects nested inside the
+#: header or a row
+UNCONVERTED_RECORDS = {
+    "header-v-word.csv": lambda: csv_record(header={**HEADER, "v": "abc"}),
+    "header-t-empty.csv": lambda: csv_record(header={**HEADER, "t": ""}),
+    "header-n-exponent.csv": lambda: csv_record(header={**HEADER, "n": "1e3"}),
+    "header-protocol-bb84.csv": lambda: csv_record(header={**HEADER, "protocol": "bb84"}),
+    "header-protocol-bb84.jsonl": lambda: json_record(header={**HEADER, "protocol": "bb84"}),
+    "header-v-beyond-float.jsonl": lambda: json_record(header={**HEADER, "v": 10 ** 400}),
+    "header-seed-object.jsonl": lambda: json_record(header={**HEADER, "seed": {"n": 1}}),
+    "header-seed-5001-digits.jsonl": lambda: json_record().replace(
+        '"seed": 0', '"seed": 1' + "0" * 5000),
+    "row-a-object.jsonl": lambda: json_record(rows=second_row_a({"x": 1})),
+    "row-a-empty-object.jsonl": lambda: json_record(rows=second_row_a({})),
+}
+
+
 def run():
     os.environ.pop("CVQKD_OUT_DIR", None)
     runner = CliRunner()
@@ -450,7 +478,7 @@ def run():
             for ext, write in (("csv", csv_record), ("jsonl", json_record)):
                 (root / f"header-{name}.{ext}").write_text(
                     write(header={**HEADER, **fields}, rows=rows))
-        for name, text in {**LENIENT_RECORDS, **MALFORMED_RECORDS}.items():
+        for name, text in {**LENIENT_RECORDS, **MALFORMED_RECORDS, **UNCONVERTED_RECORDS}.items():
             (root / name).write_text(text())
         header, first, *rows = json_record().splitlines(keepends=True)
         (root / "row-repeated-key.jsonl").write_text(
