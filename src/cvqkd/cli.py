@@ -6,13 +6,14 @@ certification manifest), ``sweep`` (rate tables over a channel
 parameter).
 
 Experiments are configured by a JSON config file (``--config``) whose
-keys match the flags of simulate and sweep; each command reads the keys
-it has flags for, and flags win over the file. A sweep's table depends on
-second moments only, so ``sweep`` takes no noise-shape flag; ``rate
---record`` takes the protocol and n0 from its record. All randomness
-flows from the single seed, outputs carry no timestamps, and reruns with
-the same configuration are byte-identical. Relative output paths land in
-``$CVQKD_OUT_DIR`` when that variable is set.
+keys match the flags of simulate and sweep, each given once; each command
+reads the keys it has flags for, and flags win over the file. Every value
+converts by the rule of a record header's (``records.convert_field``). A
+sweep's table depends on second moments only, so ``sweep`` takes no
+noise-shape flag; ``rate --record`` takes the protocol and n0 from its
+record. All randomness flows from the single seed, outputs carry no
+timestamps, and reruns with the same configuration are byte-identical.
+Relative output paths land in ``$CVQKD_OUT_DIR`` when that variable is set.
 
 Exit status: 0 success, 2 configuration or domain error, 3 parse error
 or unreadable/unwritable file, 4 capacity error, 5 verification failure.
@@ -74,9 +75,9 @@ SIFTING_NAMES = [m.value for m in SiftingMode]
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    """One reproducible experiment: source, channel, blocks, seed."""
+    """One reproducible experiment: source, channel, blocks, seed, and its record."""
 
-    protocol: str = ProtocolKind.SQUEEZED_HOMODYNE.value
+    protocol: ProtocolKind = ProtocolKind.SQUEEZED_HOMODYNE
     v: float = 20.0
     t: float = 1.0
     eps: float = 0.0
@@ -84,7 +85,7 @@ class ExperimentConfig:
     rho_block: float = 0.0
     n: int = 1
     l: int = 100_000
-    sifting: str = SiftingMode.RANDOM_BASIS.value
+    sifting: SiftingMode = SiftingMode.RANDOM_BASIS
     seed: int = 0
     beta: float = 1.0
     n0: float = 1.0
@@ -92,34 +93,13 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        # config files can hold any JSON value, so check types before values
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type in ("int", "float"):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
-                if f.type == "float" and abs(value) > sys.float_info.max:  # as JSON reads 1e400
-                    setattr(self, f.name, math.inf if value > 0 else -math.inf)
-            elif not (isinstance(value, str) or (value is None and f.default is None)):
-                raise ConfigurationError(f"{f.name} must be a string, got {value!r}")
         if self.format not in records.FORMATS:
             raise ConfigurationError(f"unknown record format {self.format!r}")
-        if self.protocol not in PROTOCOL_NAMES:
-            raise ConfigurationError(f"unknown protocol {self.protocol!r}")
-        if self.sifting not in SIFTING_NAMES:
-            raise ConfigurationError(f"unknown sifting mode {self.sifting!r}")
         _efficiency_accepted(self.beta)
-        for name in ("n", "l", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, float) and not value.is_integer():
-                raise ConfigurationError(f"{name} must be an integer, got {value}")
-            setattr(self, name, int(value))
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
-    def channel(self) -> ChannelModel:
-        """The channel; a bare shape name is fitted to its noise variance, and a
-        spec like ``displacement:magnitude=1.4,probability=1.0`` taken literally."""
+    def source_and_channel(self) -> tuple[EprSource, ChannelModel]:
+        """The source and channel; a bare shape name is fitted to the channel's noise variance,
+        and a spec like ``displacement:magnitude=1.4,probability=1.0`` taken literally."""
         if ":" in self.shape:
             shape = records.shape_from_string(self.shape)
         elif self.shape not in SHAPE_KINDS:
@@ -131,30 +111,31 @@ class ExperimentConfig:
                     f"shape {self.shape!r} needs a positive channel noise variance; "
                     "this channel adds no noise")
             shape = SHAPE_KINDS[self.shape].matching(noise_variance)
-        return ChannelModel(self.t, self.eps, shape, self.rho_block)
+        return records.source_and_channel(vars(self), shape)
 
 
-CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+#: each config key's type and least value: records.FIELDS's, then beta's, out's and format's
+CONFIG_TYPES = {**{key: field[1:] for key, field in records.FIELDS.items()},
+                "beta": (float, None), "out": (str, None), "format": (str, None)}
+CONFIG_FIELDS = CONFIG_TYPES.keys()
 
 SWEEP_PARAMS = ("t", "eps", "v", "beta")
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
-    """Config file values, overridden by any flag the user actually set."""
-    values: dict = {}
-    if path is not None:
-        try:
-            values = json.loads(records.read_text(path))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(values, dict):
-            raise ParseError(f"config {path} must hold a JSON object, "
-                             f"got {type(values).__name__}")
-        unknown = set(values) - CONFIG_FIELDS
-        if unknown:
-            raise ConfigurationError(
-                f"unknown config keys: {', '.join(sorted(unknown))}")
+    """Config file values, overridden by any flag the user set, each converted as in a header."""
+    pairs = [] if path is None else records.json_object(records.read_text(path),
+                                                         f"cannot read config {path}")
+    try:
+        values = records.checked_fields(pairs, CONFIG_FIELDS, complete=False)
+    except ValueError as exc:
+        raise ConfigurationError(f"config {path}: {exc}") from None
     values.update({k: v for k, v in overrides.items() if v is not None})
+    try:
+        values = {key: records.convert_field(key, values[key], *CONFIG_TYPES[key])
+                  for key in CONFIG_TYPES if key in values}
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
     return ExperimentConfig(**values)
 
 
@@ -224,7 +205,7 @@ def simulate(config, out, fmt, **overrides):
     cfg = load_config(config, {**overrides, "out": out, "format": fmt})
     if cfg.out is None:
         raise ConfigurationError("no output path: pass --out or set 'out' in the config")
-    source, channel = EprSource(cfg.v, cfg.n0), cfg.channel()
+    source, channel = cfg.source_and_channel()
     path = resolve_out(cfg.out)
     record = run_session(source, channel, cfg.protocol,
                          cfg.n, cfg.l, cfg.sifting, cfg.seed)

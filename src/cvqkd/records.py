@@ -13,6 +13,12 @@ Two on-disk formats carry the same fields:
 Floats are written with ``repr`` (shortest round-trip form), so a record
 re-serialized from the same session is byte-identical.
 
+``FIELDS`` is the one table of a header's experiment fields: the attribute
+each is written from, the type its value converts by and its least value.
+``convert_field`` applies it to header and config values alike: a JSON value
+must have the type (or be an integer, for a float), a CSV value converts from
+text, and any other value raises ``<key> must be ...``.
+
 Both formats are written by one row loop that formats the columns in
 chunks of ``ROW_CHUNK`` rows, one format string per format;
 ``write_record`` streams the chunks to the file and ``dumps`` joins them.
@@ -33,6 +39,7 @@ import dataclasses
 import itertools
 import json
 import re
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +49,7 @@ from .rates import ProtocolKind
 from .simulator import (
     COLUMN_DTYPES,
     LABEL_CHARS,
+    NOISE_SHAPES,
     SHAPE_KINDS,
     BlockRecord,
     ChannelModel,
@@ -57,17 +65,21 @@ FORMATS = ("csv", "json-lines")
 #: the fields of one pulse row, in file order, in both formats
 ROW_KEYS = ("block", "pulse", "a", "b", "label_a", "label_b", "kept")
 
-#: the Python types json may give the numeric fields of a row (not bool)
-JSON_NUMBER_TYPES = {"block": (int,), "pulse": (int,), "a": (int, float),
-                     "b": (int, float), "kept": (int,)}
-
-#: each header field dumps writes, and the types json may give it; a value converts by the last
-HEADER_TYPES = {"protocol": (str, ProtocolKind), "sifting": (str, SiftingMode), "n": (int,),
-                "l": (int,), "seed": (int,), "v": (int, float), "n0": (int, float),
-                "t": (int, float), "eps": (int, float), "shape": (str,), "rho_block": (int, float)}
-#: what the value of a field must be, by the type it converts by
+#: the experiment fields, in the order a record header holds them: the BlockRecord
+#: attribute each is written from, the type its value converts by, and its least value
+FIELDS = {"protocol": ("protocol.value", ProtocolKind, None),
+          "sifting": ("sifting_mode.value", SiftingMode, None),
+          "n": ("n", int, 1), "l": ("l", int, 1), "seed": ("seed", int, 0),
+          "v": ("source.v", float, None), "n0": ("source.n0", float, None),
+          "t": ("channel.t", float, None), "eps": ("channel.eps", float, None),
+          "shape": ("channel.shape", str, None), "rho_block": ("channel.rho_block", float, None)}
+#: what a value must be, by the type it converts by
 TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
               **{kind: " or ".join(m.value for m in kind) for kind in (ProtocolKind, SiftingMode)}}
+#: the Python types json may give a value, by the type it converts by (else str; never bool)
+JSON_TYPES = {int: (int,), float: (int, float)}
+#: the type each numeric field of a json-lines row must have
+ROW_TYPES = {"block": int, "pulse": int, "a": float, "b": float, "kept": int}
 
 #: pulse rows per chunk of the writer's row loop
 ROW_CHUNK = 1 << 14
@@ -101,7 +113,9 @@ ROW_PATTERNS = {
 
 
 def _plain(value):
-    """value, or the Python number that a numpy scalar value equals."""
+    """value as a record writes it: a noise shape's spec, a numpy scalar's Python number."""
+    if isinstance(value, NOISE_SHAPES):
+        return shape_to_string(value)
     return value.item() if isinstance(value, np.generic) else value
 
 
@@ -157,20 +171,8 @@ def _check_rows(line_numbers, n, block, pulse, a, b, label_a, label_b, kept) -> 
 def _text_chunks(record: BlockRecord, fmt: str):
     """The text of a record in pieces: its header line, then its pulse rows
     ROW_CHUNK at a time. An unknown format raises before any piece is made."""
-    fields = {
-        "protocol": record.protocol.value,
-        "sifting": record.sifting_mode.value,
-        "n": record.n,
-        "l": record.l,
-        "seed": record.seed,
-        "v": record.source.v,
-        "n0": record.source.n0,
-        "t": record.channel.t,
-        "eps": record.channel.eps,
-        "shape": shape_to_string(record.channel.shape),
-        "rho_block": record.channel.rho_block,
-    }
-    fields = {key: _plain(value) for key, value in fields.items()}
+    fields = {key: _plain(attrgetter(attribute)(record))
+              for key, (attribute, _, _) in FIELDS.items()}
     if fmt == "csv":
         header = HEADER_MAGIC + " " + " ".join(
             f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"
@@ -210,16 +212,6 @@ def dumps(record: BlockRecord, fmt: str = "csv") -> str:
     return "".join(_text_chunks(record, fmt))
 
 
-def _parse_header_line(line: str) -> list:
-    pairs = []
-    for item in line[len(HEADER_MAGIC):].split():
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ParseError(f"malformed header item {item!r}")
-        pairs.append((key, value))
-    return pairs
-
-
 def _flag(key: str, value, flags, names: str = "0 or 1") -> bool:
     """The flag a row field holds, given the field values of False and True."""
     if value not in flags:
@@ -243,38 +235,63 @@ class _Pairs(list):
         return repr(dict(self))
 
 
-def _parse_json_header(line: str) -> list:
+def json_object(text: str, context: str) -> _Pairs:
+    """The (key, value) pairs of the JSON object text holds (and of each object inside);
+    ParseError after context if text is not JSON or holds no object."""
     try:
-        pairs = json.loads(line, object_pairs_hook=_Pairs)
+        pairs = json.loads(text, object_pairs_hook=_Pairs)
     except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
-        raise ParseError(f"bad json-lines header: {exc}") from exc
-    if dict(pairs).get("record") != "cvqkd":
-        raise ParseError("json-lines file is not a cvqkd record")
+        raise ParseError(f"{context}: {exc}") from exc
+    if not isinstance(pairs, _Pairs):
+        raise ParseError(f"{context}: must hold a JSON object, got {type(pairs).__name__}")
     return pairs
 
 
-def _checked_fields(pairs: list, known) -> dict:
-    """The (key, value) pairs as a dict; ValueError at the first key that is
-    not known or that repeats, then at the first known key that is missing."""
+def checked_fields(pairs: list, known, complete: bool = True) -> dict:
+    """The (key, value) pairs as a dict; ValueError at the first key that is not known
+    or that repeats, then, if complete, at the first known key that is missing."""
     keys = [key for key, _ in pairs]
     for key in keys:
         if key not in known:
             raise ValueError(f"unknown key {key!r}")
         if keys.count(key) > 1:
             raise ValueError(f"repeated key {key!r}")
-    if missing := [key for key in known if key not in keys]:
+    if missing := [key for key in known if complete and key not in keys]:
         raise ValueError(f"missing key {missing[0]!r}")
     return dict(pairs)
+
+
+def convert_field(key: str, value, kind, least=None, text: bool = False):
+    """value converted by kind, from a JSON value of one of kind's JSON_TYPES or, if text,
+    from text; ValueError naming key and what it must be if it does not or is below least."""
+    try:
+        if not (text or type(value) in JSON_TYPES.get(kind, (str,))):
+            raise TypeError
+        converted = kind(value)
+    except (OverflowError, TypeError, ValueError):
+        raise ValueError(f"{key} must be {TYPE_NAMES[kind]}, got {value!r}") from None
+    if least is not None and converted < least:
+        raise ValueError(f"{key} must be at least {least}, got {converted}")
+    return converted
+
+
+def source_and_channel(fields, shape):
+    """The EprSource and ChannelModel of the experiment fields, with the noise shape
+    given; ConfigurationError unless the shape matches the channel."""
+    source = EprSource(fields["v"], fields["n0"])
+    channel = ChannelModel(fields["t"], fields["eps"], shape, fields["rho_block"])
+    channel.validate_shape(source.n0)
+    return source, channel
 
 
 def _split_json_row(line: str):
     row = json.loads(line, object_pairs_hook=_Pairs)
     if not isinstance(row, _Pairs):
         raise ValueError(f"expected a JSON object, got {type(row).__name__}")
-    row = _checked_fields(row, ROW_KEYS)
-    for key, types in JSON_NUMBER_TYPES.items():
-        if type(row[key]) not in types:
-            raise ValueError(f"{key} must be {TYPE_NAMES[types[-1]]}, got {row[key]!r}")
+    row = checked_fields(row, ROW_KEYS)
+    for key, kind in ROW_TYPES.items():
+        if type(row[key]) not in JSON_TYPES[kind]:
+            raise ValueError(f"{key} must be {TYPE_NAMES[kind]}, got {row[key]!r}")
     return (row["block"], row["pulse"], row["a"], row["b"], row["label_a"],
             row["label_b"], _flag("kept", row["kept"], (0, 1)))
 
@@ -283,9 +300,15 @@ def _parse_header(first: str):
     """The header pairs of a record's first non-blank line, and whether the
     record is json-lines."""
     if first.startswith(HEADER_MAGIC):
-        return _parse_header_line(first), False
+        items = [item.partition("=") for item in first[len(HEADER_MAGIC):].split()]
+        if malformed := [key for key, sep, _ in items if not sep]:
+            raise ParseError(f"malformed header item {malformed[0]!r}")
+        return [(key, value) for key, _, value in items], False
     if first.startswith("{"):
-        return _parse_json_header(first), True
+        pairs = json_object(first, "bad json-lines header")
+        if dict(pairs).get("record") != "cvqkd":
+            raise ParseError("json-lines file is not a cvqkd record")
+        return pairs, True
     raise ParseError("not a cvqkd record: unrecognized first line")
 
 
@@ -361,21 +384,10 @@ def loads(text: str) -> BlockRecord:
         columns = _parse_lines(lines, numbers, _split_json_row if is_json else _split_csv_row)
     block, pulse, a, b, label_a, label_b, kept = columns
     try:
-        fields = _checked_fields(pairs, [*HEADER_TYPES, *(["record"] if is_json else [])])
-        for key, types in HEADER_TYPES.items():
-            try:  # a json value must have one of the types; each converts by the last
-                if is_json and type(fields[key]) not in types:
-                    raise TypeError
-                fields[key] = types[-1](fields[key])
-            except (OverflowError, TypeError, ValueError):
-                raise ValueError(f"{key} must be {TYPE_NAMES[types[-1]]}, got {fields[key]!r}")
-        source = EprSource(fields["v"], fields["n0"])
-        channel = ChannelModel(fields["t"], fields["eps"], shape_from_string(fields["shape"]),
-                               fields["rho_block"])
-        channel.validate_shape(source.n0)
-        for key, low in (("n", 1), ("l", 1), ("seed", 0)):
-            if fields[key] < low:
-                raise ValueError(f"{key} must be at least {low}, got {fields[key]}")
+        fields = checked_fields(pairs, [*FIELDS, *(["record"] if is_json else [])])
+        fields = {key: convert_field(key, fields[key], kind, least, text=not is_json)
+                  for key, (_, kind, least) in FIELDS.items()}
+        source, channel = source_and_channel(fields, shape_from_string(fields["shape"]))
     except ValueError as exc:
         raise ParseError(f"bad record header: {exc}") from exc
     n, l = fields["n"], fields["l"]

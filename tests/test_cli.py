@@ -109,6 +109,43 @@ class TestSimulate:
                                       "--out", str(tmp_path / "r.csv")])
         assert result.exit_code == 3
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="json converts integers of any length")
+    def test_config_integer_of_too_many_digits_is_parse_error(self, runner, tmp_path):
+        # json refuses it with a ValueError that is not a JSONDecodeError, as
+        # in a json-lines header
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text('{"seed": 1' + "0" * sys.get_int_max_str_digits() + "}")
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)  # handled, no traceback
+        assert result.stderr.startswith(f"error: cannot read config {cfg}: Exceeds the limit")
+        assert not out.exists()
+
+    def test_repeated_config_key(self, runner, tmp_path):
+        # refused as a repeated record-header key is; the later value used to win
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+        cfg.write_text('{"l": 100, "seed": 1, "seed": 2}')
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"error: config {cfg}: repeated key 'seed'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_flag_and_config_write_the_same_record(self, runner, tmp_path, fmt):
+        # a config's whole-number "v": 12 converts to the float a flag's 12 gives
+        session = {"v": 12, "t": 0.7, "eps": 0.1, "n": 3, "l": 20, "seed": 5}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(session))
+        flags = [arg for key, value in session.items() for arg in (f"--{key}", str(value))]
+        texts = []
+        for name, args in (("flags", flags), ("config", ["--config", str(cfg)])):
+            out = tmp_path / f"{name}.rec"
+            run_ok(runner, ["simulate", *args, "--format", fmt, "--out", str(out)])
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert b"v=12.0 " in texts[0] or b'"v": 12.0,' in texts[0]
+
     def test_out_dir_env(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("CVQKD_OUT_DIR", str(tmp_path))
         run_ok(runner, ["simulate", "--l", "100", "--out", "rel.csv"])
@@ -126,17 +163,18 @@ class TestSimulate:
         assert runner.invoke(main, ["simulate"]).exit_code == 2
 
     @pytest.mark.parametrize("config, code, message", [
-        ({"n": "x"}, 2, "n must be a number, got 'x'"),
+        ({"n": "x"}, 2, "n must be an integer, got 'x'"),
         ({"v": "x"}, 2, "v must be a number, got 'x'"),
         ({"t": "0.5"}, 2, "t must be a number, got '0.5'"),
         ({"rho_block": "x"}, 2, "rho_block must be a number, got 'x'"),
         ({"beta": "0.5"}, 2, "beta must be a number, got '0.5'"),
-        ({"seed": True}, 2, "seed must be a number, got True"),
+        ({"seed": True}, 2, "seed must be an integer, got True"),
         ({"shape": 3}, 2, "shape must be a string, got 3"),
         ({"format": ["csv"]}, 2, "format must be a string, got ['csv']"),
         ([1, 2], 3, "must hold a JSON object, got list"),
         ({"format": "xml"}, 2, "unknown record format 'xml'"),
-        ({"protocol": "bogus"}, 2, "unknown protocol 'bogus'"),
+        ({"protocol": "bogus"}, 2,
+         "protocol must be squeezed_homodyne or coherent_heterodyne, got 'bogus'"),
         ({"beta": 1.5}, 2, "reconciliation efficiency must be in [0, 1], got 1.5"),
         ({"n": 1.5}, 2, "n must be an integer, got 1.5"),
     ], ids=["n", "v", "t", "rho_block", "beta", "seed", "shape", "format", "array",
@@ -217,14 +255,16 @@ class TestSimulate:
     ])
     def test_config_number_beyond_the_float_range_is_infinite(self, runner, tmp_path, key,
                                                                message):
-        # a JSON integer of 401 digits reads as the float 1e400 does, so the
-        # channel's noise variance never converts it (which ended in exit 1)
-        out = tmp_path / "x.csv"
-        result = runner.invoke(main, ["simulate", *self._huge(tmp_path, key, True), "--l", "100",
-                                      "--out", str(out)])
-        assert result.exit_code == 2, result.output
-        assert result.stderr == f"error: {message}\n"
-        assert not out.exists()
+        # JSON's 1e400 reads as infinite and fails the key's domain; a JSON integer
+        # of 401 digits does not convert to a float, as in a json-lines header
+        cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+        for value, problem in (("1e400", message), (10 ** 400, f"{key} must be a number, "
+                                                                f"got {10 ** 400}")):
+            cfg.write_text(f'{{"{key}": {value}, "l": 100}}')
+            result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+            assert result.exit_code == 2, result.output
+            assert result.stderr == f"error: {problem}\n"
+            assert not out.exists()
 
     def test_shape_mismatch_exits_2_before_allocating(self, runner, tmp_path):
         # 10^20 pulses cannot be allocated (exit 4), but the shape is checked first
@@ -637,7 +677,7 @@ class TestSweep:
             "sweep", "--config", str(cfg), "--param", "t", "--start", "0.5",
             "--stop", "0.9", "--steps", "3", "--out", str(out)])
         assert result.exit_code == 2
-        assert "unknown sifting mode 'bogus'" in result.output
+        assert "sifting must be random_basis or quantum_memory, got 'bogus'" in result.output
         assert not out.exists()
 
     def test_eps_sweep_monotone(self, runner, tmp_path):
@@ -933,23 +973,29 @@ def test_sweep_config_may_hold_every_key(runner, tmp_path):
     ("n0", "error: t=0.5: source variance 20.0 below the vacuum variance inf\n"),
 ])
 def test_sweep_config_integer_beyond_the_float_range(runner, tmp_path, key, message):
-    # sweep reads no session key, so a 401-digit one passes; a 401-digit channel
-    # value reads as infinite, and its first grid point names it
+    # sweep reads no session key, so a 401-digit one passes. A 401-digit channel
+    # value does not convert to a float, as in a json-lines header, and is named at
+    # load; JSON's 1e400 reads as infinite, and the first grid point names it
     cfg, out = tmp_path / "cfg.json", tmp_path / "s.csv"
-    cfg.write_text(f'{{"{key}": {10 ** 400}}}')
-    result = runner.invoke(main, ["sweep", "--config", str(cfg), "--param", "t", "--start",
-                                  "0.5", "--stop", "1", "--steps", "3", "--out", str(out)])
+    args = ["sweep", "--config", str(cfg), "--param", "t", "--start", "0.5", "--stop", "1",
+            "--steps", "3", "--out", str(out)]
     if message is None:
+        cfg.write_text(f'{{"{key}": {10 ** 400}}}')
+        result = runner.invoke(main, args)
         assert (result.exit_code, result.stderr) == (0, ""), result.output
         assert len(out.read_text().splitlines()) == 4
-    else:
-        assert (result.exit_code, result.stdout, result.stderr) == (2, "", message)
+        return
+    for value, problem in ((10 ** 400, f"error: {key} must be a number, got {10 ** 400}\n"),
+                           ("1e400", message)):
+        cfg.write_text(f'{{"{key}": {value}}}')
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", problem)
         assert not out.exists()
 
 
 @pytest.mark.parametrize("args, config, message", [
-    (["simulate", "--l", "100", "--seed", "-1"], None, "error: seed must be non-negative, got -1"),
-    (["simulate"], {"l": 100, "seed": -3}, "error: seed must be non-negative, got -3"),
+    (["simulate", "--l", "100", "--seed", "-1"], None, "error: seed must be at least 0, got -1"),
+    (["simulate"], {"l": 100, "seed": -3}, "error: seed must be at least 0, got -3"),
     (["verify", "--scope", "discrete", "--seed", "-1"], None, "Invalid value for '--seed'"),
     (["verify", "--scope", "discrete", "--trials", "0"], None, "Invalid value for '--trials'"),
     (["verify", "--scope", "discrete", "--trials", "-5"], None, "Invalid value for '--trials'"),

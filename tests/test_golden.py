@@ -316,3 +316,32 @@ def test_verify_statistical_manifest_bytes_on_any_core_count(tmp_path, blas, cor
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert sha256((tmp_path / "manifest.json").read_bytes()) == VERIFY_STATISTICAL_DIGEST
+
+
+#: tools/golden_compare.py, which CI runs on the golden outputs of a base commit and a change
+GOLDEN_COMPARE = Path(__file__).resolve().parents[1] / "tools" / "golden_compare.py"
+
+#: a base golden output, and the same lines with the second one changed
+GOLDEN_BASE = ["simulate exit=0 stdout=aa", "rate exit=0 stdout=bb", "sweep exit=0 stdout=cc"]
+GOLDEN_RATE_MOVED = [GOLDEN_BASE[0], "rate exit=2 stdout=dd", GOLDEN_BASE[2]]
+
+
+@pytest.mark.parametrize("head, moved, code", [
+    (GOLDEN_BASE + ["verify exit=0 stdout=ee"], [], 0),
+    (GOLDEN_RATE_MOVED, [], 1),
+    (GOLDEN_RATE_MOVED + ["verify exit=0 stdout=ee"], ["rate"], 0),
+    (GOLDEN_BASE, ["rate"], 1),
+    (GOLDEN_RATE_MOVED, ["rate", "verify"], 1),
+    (GOLDEN_BASE[:2], [], 1),
+], ids=["appended", "unlisted-change", "listed-change", "listed-unchanged", "listed-missing",
+        "line-dropped"])
+def test_golden_compare(tmp_path, head, moved, code):
+    # unlisted lines must print unchanged with new ones appended, and a listed
+    # line must change
+    for name, lines in (("base", GOLDEN_BASE), ("head", head),
+                        ("moved", ["# comment", "", *moved])):
+        (tmp_path / name).write_text("".join(line + "\n" for line in lines))
+    result = subprocess.run([sys.executable, str(GOLDEN_COMPARE), "base", "head", "moved"],
+                            cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert result.returncode == code, result.stdout + result.stderr
+    assert (result.stdout == "") == (code == 0)

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from cvqkd import (
     write_record,
 )
 from cvqkd import records
+from cvqkd.cli import main
 from cvqkd.records import ROW_KEYS, dumps, loads, shape_from_string, shape_to_string
 from cvqkd.simulator import SHAPE_KINDS
 
@@ -466,6 +468,49 @@ class TestHeaderRanges:
     def test_out_of_range(self, fmt, header, rows, problem):
         with pytest.raises(ParseError, match=re.escape(f"bad record header: {problem}")):
             loads(_hand_record(fmt, rows, **header))
+
+
+#: values put into one experiment field of a config file and of a json-lines header
+FIELD_VALUES = {"2.0": 2.0, "1.5": 1.5, "True": True, "x": "x", "10**400": 10 ** 400,
+                "1e30": 1e30, "-1": -1, "0": 0, "object": {"n": 1}}
+
+
+def _field_rule_accepts(key: str, value) -> bool:
+    """The rule of a config's and a header's field values: n and l are integers of at
+    least 1, seed one of at least 0, the other numbers floats (a JSON integer in the
+    float range included), shape a string, protocol and sifting one of their names."""
+    if key in ("n", "l", "seed"):
+        return type(value) is int and value >= (key != "seed")
+    if key in ("protocol", "sifting", "shape"):
+        return key == "shape" and type(value) is str
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+#: what the field rule says a value must be; "rho_block must be in [0, 1)" is the
+#: channel's own check, made after the rule
+FIELD_RULE = r"(an integer|a number|a string|at least \d+|\w+ or \w+), got "
+
+
+@pytest.mark.parametrize("name", FIELD_VALUES)
+@pytest.mark.parametrize("key", HAND_HEADER)
+def test_config_and_header_share_the_field_rule(tmp_path, key, name):
+    # a value the field rule refuses is named with the same text by a config file
+    # (exit 2) and a json-lines header (exit 3); one accepts what the other does
+    value, runner = FIELD_VALUES[name], CliRunner()
+    cfg, record = tmp_path / "cfg.json", tmp_path / "r.jsonl"
+    cfg.write_text(json.dumps({"l": 4, key: value}))
+    record.write_text(_hand_record("json-lines", TestHeaderRanges.ROWS, **{key: value}))
+    problems = []
+    for args, prefix, code in (
+            (["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")], "error: ", 2),
+            (["rate", "--record", str(record)], "error: bad record header: ", 3)):
+        result = runner.invoke(main, args)
+        problem = result.stderr.removeprefix(prefix)
+        if re.match(f"{key} must be {FIELD_RULE}", problem):
+            assert result.exit_code == code, result.output
+            problems.append(problem)
+    assert len(problems) in (0, 2) and len(set(problems)) <= 1, problems
+    assert (not problems) == _field_rule_accepts(key, value)
 
 
 CSV_COLUMNS = ("block", "pulse", "a", "b", "label_a", "label_b", "kept")

@@ -6,13 +6,15 @@ prints one line per command: its exit status (and the exception type if
 it ended in an uncaught exception), the sha256 of stdout and of stderr,
 and the sha256 of every file the command wrote or changed.
 
-To compare two checkouts, run it once against each and diff the outputs:
+To compare two checkouts, run it once against each and compare the outputs:
 
     PYTHONPATH=parent/src python3 tools/golden_ab.py > parent.txt
     PYTHONPATH=src python3 tools/golden_ab.py > change.txt
-    diff parent.txt change.txt
+    python3 tools/golden_compare.py parent.txt change.txt tools/golden_moved.txt
 
-and rerun the change on one BLAS thread and on OpenBLAS's Nehalem kernels,
+which passes when the parent's lines print unchanged, new lines are only
+appended, and exactly the lines tools/golden_moved.txt lists change. Then
+rerun the change on one BLAS thread and on OpenBLAS's Nehalem kernels,
 whose outputs must not differ from the default run, so that no output
 depends on the BLAS kernel or its thread count:
 
@@ -20,7 +22,7 @@ depends on the BLAS kernel or its thread count:
     OPENBLAS_CORETYPE=Nehalem PYTHONPATH=src python3 tools/golden_ab.py > change-nehalem.txt
     diff change.txt change-1.txt && diff change.txt change-nehalem.txt
 
-It takes no options. The whole list of 193 commands runs in about 13 s on
+It takes no options. The whole list of 195 commands runs in about 13 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -379,6 +381,12 @@ def commands():
     for name in UNCONVERTED_RECORDS:
         yield f"error-rate-record-{name}", ["rate", "--record", name]
 
+    # config files that a json-lines header's rules refuse: an integer of more
+    # digits than Python converts, and a repeated key
+    for name in CONFIGS:
+        yield f"error-simulate-config-{name}", ["simulate", "--config", f"config-{name}.json",
+                                                "--out", f"config-{name}.csv"]
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -456,6 +464,13 @@ UNCONVERTED_RECORDS = {
 }
 
 
+#: config files of the config cases: an integer of 5001 digits and a repeated key
+CONFIGS = {
+    "huge-integer": '{"l": 100, "seed": 1' + "0" * 5000 + "}\n",
+    "repeated-key": '{"l": 100, "seed": 1, "seed": 2}\n',
+}
+
+
 def run():
     os.environ.pop("CVQKD_OUT_DIR", None)
     runner = CliRunner()
@@ -480,6 +495,8 @@ def run():
                     write(header={**HEADER, **fields}, rows=rows))
         for name, text in {**LENIENT_RECORDS, **MALFORMED_RECORDS, **UNCONVERTED_RECORDS}.items():
             (root / name).write_text(text())
+        for name, text in CONFIGS.items():
+            (root / f"config-{name}.json").write_text(text)
         header, first, *rows = json_record().splitlines(keepends=True)
         (root / "row-repeated-key.jsonl").write_text(
             "".join([header, first.replace("}", ', "a": 1.5}'), *rows]))
