@@ -17,20 +17,23 @@ re-serialized from the same session is byte-identical.
 each is written from, the type its value converts by and its least value.
 ``convert_field`` applies it to header and config values alike: a JSON value
 must have the type (or be an integer, for a float), a CSV value converts from
-text, and any other value raises ``<key> must be ...``.
+text, and any other value raises ``<key> must be ...``. The writer converts
+each number by its type too, so a record built with ``EprSource(20)`` writes
+``v=20.0``, the value ``loads`` gives back.
 
 Both formats are written by one row loop that formats the columns in
 chunks of ``ROW_CHUNK`` rows, one format string per format;
 ``write_record`` streams the chunks to the file and ``dumps`` joins them.
-``loads`` first parses whole columns: each chunk of about ``PARSE_CHUNK``
-characters of whole lines goes through one ``findall`` of the format's
-anchored row pattern, which accepts the rows as ``dumps`` writes them.
-When the header is not on the first line, or a body line is blank or
-does not match in full, it runs the per-line loop instead, which also
-takes the lenient forms (whitespace around a CSV number, ``1_0``, JSON
-keys in any order, blank lines) and gives every error message with its
-line number. Both paths convert with ``int`` and ``float``, so a text
-either gives the same columns or the fast path declines it.
+``read_record`` and ``loads`` read the rows ``PARSE_CHUNK`` characters at a
+time, cut at line ends: each piece goes through one ``findall`` of the
+format's anchored row pattern, which accepts the rows as ``dumps`` writes
+them, and is converted and checked before the next is read, so a record
+``dumps`` wrote is held as its columns, never as its text. Any other text
+(a header that is not first or breaks a rule, a blank or unmatched line, a
+file that is not UTF-8) is read whole by the per-line loop, which also
+takes the lenient forms (whitespace around a CSV number, ``1_0``, JSON keys
+in any order, blank lines). Both paths convert with ``int`` and ``float``
+and report the same faults, at the same lines, in the same order.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
 import re
-from operator import attrgetter
+from functools import partial
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +87,7 @@ JSON_TYPES = {int: (int,), float: (int, float)}
 ROW_TYPES = {"block": int, "pulse": int, "a": float, "b": float, "kept": int}
 
 #: pulse rows per chunk of the writer's row loop
-ROW_CHUNK = 1 << 14
+ROW_CHUNK = 1 << 12
 
 #: one pulse row in each format, as dumps writes it; json.dumps of the row's
 #: dict gives the same text for finite a and b
@@ -90,8 +95,12 @@ CSV_ROW = "{},{},{!r},{!r},{},{},{}".format
 JSON_ROW = ('{{"block": {}, "pulse": {}, "a": {!r}, "b": {!r}, '
             '"label_a": "{}", "label_b": "{}", "kept": {}}}').format
 
-#: characters per findall of the fast reader, extended to the next line end
-PARSE_CHUNK = 1 << 20
+#: characters per piece of the fast reader, extended to the next line end
+PARSE_CHUNK = 1 << 17
+
+#: characters of the shortest row line either row pattern accepts, line end included;
+#: a header declaring more rows than a text of its size holds goes to the per-line loop
+MIN_ROW_CHARS = len("0,0,nan,nan,q,q,1\n")
 
 #: a float as repr writes it, and a float token of JSON's number grammar (a
 #: fraction or an exponent, so json gives a float) or a constant json.dumps writes
@@ -101,14 +110,13 @@ _JSON_FLOAT = (r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0
 #: at most 18 digits, so every block and pulse fits the int64 columns
 _CSV_INT, _JSON_INT = r"([0-9]{1,18})", r"(-?(?:0|[1-9][0-9]{0,17}))"
 
-#: one whole pulse line of each format, as the fast reader accepts it; the
-#: key is whether the record is json-lines
+#: one whole pulse line of each format, as the fast reader accepts it, compiled
+#: when a record is read, not on import; the key is whether the record is json-lines
 ROW_PATTERNS = {
-    False: re.compile(rf"^{_CSV_INT},{_CSV_INT},{_REPR_FLOAT},{_REPR_FLOAT},([qp]),([qp]),([01])$",
-                      re.MULTILINE),
-    True: re.compile(rf'^\{{"block": {_JSON_INT}, "pulse": {_JSON_INT}, "a": {_JSON_FLOAT}, '
-                     rf'"b": {_JSON_FLOAT}, "label_a": "([qp])", "label_b": "([qp])", '
-                     rf'"kept": ([01])\}}$', re.MULTILINE),
+    False: rf"(?m)^{_CSV_INT},{_CSV_INT},{_REPR_FLOAT},{_REPR_FLOAT},([qp]),([qp]),([01])$",
+    True: (rf'(?m)^\{{"block": {_JSON_INT}, "pulse": {_JSON_INT}, "a": {_JSON_FLOAT}, '
+           rf'"b": {_JSON_FLOAT}, "label_a": "([qp])", "label_b": "([qp])", '
+           rf'"kept": ([01])\}}$'),
 }
 
 
@@ -153,26 +161,44 @@ def shape_from_string(text: str):
     return cls(**params)
 
 
-def _check_rows(line_numbers, n, block, pulse, a, b, label_a, label_b, kept) -> None:
-    """Row invariants, checked on whole columns: a pulse is kept exactly
-    when the labels agree, every kept pulse has finite values, and row i
-    is pulse i % n of block i // n. The first offending row is reported
-    by its file line, line_numbers[i]."""
-    position_block, position_pulse = np.divmod(np.arange(len(a)), n)
-    for bad, problem in (
-            (kept != (label_a == label_b), "kept flag contradicts the labels"),
-            (kept & ~(np.isfinite(a) & np.isfinite(b)), "kept pulse has a non-finite value"),
-            ((block != position_block) | (pulse != position_pulse),
-             f"block and pulse do not follow the row's position (n={n})")):
-        if bad.any():
-            raise ParseError(f"line {line_numbers[int(bad.argmax())]}: {problem}")
+#: the row invariants' faults, in the order they are reported
+ROW_FAULTS = ("kept flag contradicts the labels", "kept pulse has a non-finite value",
+              "block and pulse do not follow the row's position (n={n})")
+
+
+def _row_faults(start, n, block, pulse, a, b, label_a, label_b, kept) -> list:
+    """For each of ROW_FAULTS, the first of the rows start, start + 1, ... of
+    these columns that breaks its invariant, or None: a pulse is kept exactly
+    when the labels agree, every kept pulse has finite values, and row i is
+    pulse i % n of block i // n."""
+    position_block, position_pulse = np.divmod(np.arange(start, start + len(a)), n)
+    return [start + int(bad.argmax()) if bad.any() else None for bad in (
+        kept != (label_a == label_b), kept & ~(np.isfinite(a) & np.isfinite(b)),
+        (block != position_block) | (pulse != position_pulse))]
+
+
+def _check_rows(faults, line, n) -> None:
+    """ParseError at the first row of the first of ROW_FAULTS that some
+    piece's _row_faults found, cited by its file line, line(row)."""
+    for k, fault in enumerate(ROW_FAULTS):
+        if rows := [piece[k] for piece in faults if piece[k] is not None]:
+            raise ParseError(f"line {line(rows[0])}: {fault.format(n=n)}")
+
+
+def _check_count(rows: int, experiment: dict) -> None:
+    n, l = experiment["n"], experiment["l"]
+    if rows != n * l:
+        raise ParseError(f"record has {rows} pulse rows, but its header "
+                         f"declares n*l = {n}*{l} = {n * l}")
 
 
 def _text_chunks(record: BlockRecord, fmt: str):
     """The text of a record in pieces: its header line, then its pulse rows
     ROW_CHUNK at a time. An unknown format raises before any piece is made."""
-    fields = {key: _plain(attrgetter(attribute)(record))
-              for key, (attribute, _, _) in FIELDS.items()}
+    fields = {}
+    for key, (attribute, kind, _) in FIELDS.items():
+        value = attrgetter(attribute)(record)
+        fields[key] = kind(value) if kind in JSON_TYPES else _plain(value)
     if fmt == "csv":
         header = HEADER_MAGIC + " " + " ".join(
             f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"
@@ -317,32 +343,47 @@ def _is_char(chars, char: str) -> np.ndarray:
     return np.frombuffer("".join(chars).encode(), np.uint8) == ord(char)
 
 
-def _parse_columns(text: str, start: int, pattern):
-    """The block, pulse, a, b, label_a, label_b and kept columns of the pulse
-    lines text[start:], or None unless every line matches pattern in full.
-    Each chunk of about PARSE_CHUNK characters goes through one findall and
-    is converted before the next."""
-    total = text.count("\n", start) + (start < len(text) and text[-1] != "\n")
-    block, pulse = np.empty((2, total), dtype=np.int64)
-    a, b, label_a, label_b, kept = (np.empty(total, dtype) for dtype in (*COLUMN_DTYPES, bool))
-    done = 0
-    while start < len(text):
-        end = text.find("\n", start + PARSE_CHUNK) + 1 or len(text)
-        matches = pattern.findall(text, start, end)
-        # a match is one whole line, so every line matched when the counts agree
-        if len(matches) != text.count("\n", start, end) + (text[end - 1] != "\n"):
-            return None
-        count = len(matches)
-        rows = slice(done, done + count)
-        block_s, pulse_s, a_s, b_s, label_a_s, label_b_s, kept_s = zip(*matches)
-        for column, strings, kind in ((block, block_s, int), (pulse, pulse_s, int),
-                                      (a, a_s, float), (b, b_s, float)):
-            column[rows] = np.fromiter(map(kind, strings), column.dtype, count)
-        label_a[rows] = _is_char(label_a_s, LABEL_CHARS[1])
-        label_b[rows] = _is_char(label_b_s, LABEL_CHARS[1])
-        kept[rows] = _is_char(kept_s, "1")
-        done, start = rows.stop, end
-    return block, pulse, a, b, label_a, label_b, kept
+def _pieces(chunks):
+    """The text of some chunks in pieces of whole lines, each cut after the
+    last line end of a chunk."""
+    rest = ""
+    for chunk in chunks:
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield rest + chunk[:cut]
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+    if rest:
+        yield rest
+
+
+def _parse_columns(pieces, pattern: str):
+    """For each whole-line piece of pulse lines, its block, pulse, a, b,
+    label_a, label_b and kept columns; None, and no more, at the first piece
+    with a line that does not match pattern in full. Each piece goes through
+    one findall, whose strings are freed before the next piece is read."""
+    findall = re.compile(pattern).findall
+    for piece in pieces:
+        columns = _match_columns(findall(piece),
+                                 piece.count("\n") + (piece[-1] != "\n"))
+        yield columns
+        if columns is None:
+            return
+
+
+def _match_columns(matches: list, lines: int):
+    """The columns of one piece's row matches, or None unless it has lines of them."""
+    # a match is one whole line, so every line matched when the counts agree
+    if len(matches) != lines:
+        return None
+    count = len(matches)
+    block, pulse, a, b, label_a, label_b, kept = (map(itemgetter(group), matches)
+                                                  for group in range(len(ROW_KEYS)))
+    return (*(np.fromiter(map(int, strings), np.int64, count) for strings in (block, pulse)),
+            *(np.fromiter(map(float, strings), float, count) for strings in (a, b)),
+            _is_char(label_a, LABEL_CHARS[1]), _is_char(label_b, LABEL_CHARS[1]),
+            _is_char(kept, "1"))
 
 
 def _parse_lines(lines: list, numbers: list, split_row):
@@ -362,27 +403,9 @@ def _parse_lines(lines: list, numbers: list, split_row):
     return block, pulse, a, b, label_a, label_b, kept
 
 
-def loads(text: str) -> BlockRecord:
-    """Parse a record from text, detecting the format from its first
-    non-blank line. Blank lines are skipped but counted, so errors cite
-    the line a user sees. A record whose header is its first line and
-    whose every other line is a row as dumps writes it is parsed a whole
-    column at a time; any other text goes through the per-line loop."""
-    header_end = text.find("\n") + 1 or len(text)
-    first = text[:header_end].removesuffix("\n")
-    columns = None
-    if first.splitlines() == [first]:
-        pairs, is_json = _parse_header(first)
-        columns = _parse_columns(text, header_end, ROW_PATTERNS[is_json])
-    if columns is not None:
-        numbers = range(2, 2 + len(columns[0]))  # no blank line: row i is on line i + 2
-    else:
-        lines = text.splitlines()
-        numbers = [number for number, line in enumerate(lines, 1) if line]
-        pairs, is_json = _parse_header(lines[numbers[0] - 1] if numbers else "")
-        numbers = numbers[1:]
-        columns = _parse_lines(lines, numbers, _split_json_row if is_json else _split_csv_row)
-    block, pulse, a, b, label_a, label_b, kept = columns
+def _experiment(pairs: list, is_json: bool) -> dict:
+    """The BlockRecord fields but the columns, from a header's (key, value)
+    pairs; ParseError naming the first that breaks the header's rules."""
     try:
         fields = checked_fields(pairs, [*FIELDS, *(["record"] if is_json else [])])
         fields = {key: convert_field(key, fields[key], kind, least, text=not is_json)
@@ -390,14 +413,73 @@ def loads(text: str) -> BlockRecord:
         source, channel = source_and_channel(fields, shape_from_string(fields["shape"]))
     except ValueError as exc:
         raise ParseError(f"bad record header: {exc}") from exc
-    n, l = fields["n"], fields["l"]
-    if len(a) != n * l:
-        raise ParseError(f"record has {len(a)} pulse rows, but its header "
-                         f"declares n*l = {n}*{l} = {n * l}")
-    _check_rows(numbers, n, block, pulse, a, b, label_a, label_b, kept)
-    return BlockRecord(n=n, l=l, protocol=fields["protocol"], sifting_mode=fields["sifting"],
-                       seed=fields["seed"], source=source, channel=channel,
-                       a=a, pooled_b=flip_p(b, label_b), label_a=label_a, label_b=label_b)
+    return {"n": fields["n"], "l": fields["l"], "protocol": fields["protocol"],
+            "sifting_mode": fields["sifting"], "seed": fields["seed"], "source": source,
+            "channel": channel}
+
+
+def _stream(first: str, pieces, size: int):
+    """The record whose text, of size characters or more, is its first line
+    and then the given whole-line pieces, parsed and checked a piece at a time
+    into columns of the header's n*l rows. None, for the per-line loop to read
+    the text, unless the first line is a header that follows the header's
+    rules, the text can hold n*l rows, and every other line is a row as dumps
+    writes it."""
+    first = first.removesuffix("\n")
+    try:
+        if first.splitlines() != [first]:
+            return None
+        pairs, is_json = _parse_header(first)
+        experiment = _experiment(pairs, is_json)
+    except ValueError:  # the per-line loop reports it, after any fault of a row
+        return None
+    n, total = experiment["n"], experiment["n"] * experiment["l"]
+    if total * MIN_ROW_CHARS > size + 1:  # the last row may lack its line end
+        return None
+    a, pooled_b, label_a, label_b = (np.empty(total, dtype) for dtype in COLUMN_DTYPES)
+    done, faults = 0, []
+    for columns in _parse_columns(pieces, ROW_PATTERNS[is_json]):
+        if columns is None:
+            return None
+        rows = slice(done, done + len(columns[0]))
+        done = rows.stop
+        if done <= total:  # rows beyond n*l are only counted
+            faults.append(_row_faults(rows.start, n, *columns))
+            _, _, a[rows], b, label_a[rows], label_b[rows], _ = columns
+            pooled_b[rows] = flip_p(b, label_b[rows])
+    _check_count(done, experiment)
+    _check_rows(faults, lambda row: row + 2, n)  # no blank line: row i is on line i + 2
+    return BlockRecord(**experiment, a=a, pooled_b=pooled_b, label_a=label_a, label_b=label_b)
+
+
+def _per_line(text: str) -> BlockRecord:
+    """The record text holds, read one line at a time, with its whole columns
+    checked at once: the reader of any text dumps does not write."""
+    lines = text.splitlines()
+    numbers = [number for number, line in enumerate(lines, 1) if line]
+    pairs, is_json = _parse_header(lines[numbers[0] - 1] if numbers else "")
+    numbers = numbers[1:]
+    columns = _parse_lines(lines, numbers, _split_json_row if is_json else _split_csv_row)
+    experiment = _experiment(pairs, is_json)
+    _check_count(len(numbers), experiment)
+    n = experiment["n"]
+    _check_rows([_row_faults(0, n, *columns)], numbers.__getitem__, n)
+    _, _, a, b, label_a, label_b, _ = columns
+    return BlockRecord(**experiment, a=a, pooled_b=flip_p(b, label_b), label_a=label_a,
+                       label_b=label_b)
+
+
+def loads(text: str) -> BlockRecord:
+    """Parse a record from text, detecting the format from its first
+    non-blank line. Blank lines are skipped but counted, so errors cite
+    the line a user sees. A record whose header is its first line and
+    whose every other line is a row as dumps writes it is parsed a piece
+    at a time; any other text goes through the per-line loop."""
+    header_end = text.find("\n") + 1 or len(text)
+    chunks = (text[start:start + PARSE_CHUNK]
+              for start in range(header_end, len(text), PARSE_CHUNK))
+    record = _stream(text[:header_end], _pieces(chunks), len(text))
+    return _per_line(text) if record is None else record
 
 
 def write_record(record: BlockRecord, path, fmt: str = "csv") -> Path:
@@ -410,7 +492,11 @@ def write_record(record: BlockRecord, path, fmt: str = "csv") -> Path:
 
 def read_text(path) -> str:
     """A file's UTF-8 text; other bytes raise ParseError citing the file and line."""
-    data = Path(path).read_bytes()
+    return _decoded(Path(path).read_bytes(), path)
+
+
+def _decoded(data: bytes, path) -> str:
+    """The UTF-8 text of the bytes of the file at path; ParseError citing its line if not."""
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
@@ -419,4 +505,19 @@ def read_text(path) -> str:
 
 
 def read_record(path) -> BlockRecord:
-    return loads(read_text(path))
+    """The record a file holds, as loads reads its text. A file that loads
+    reads a piece at a time is read PARSE_CHUNK characters at a time, as
+    strict UTF-8 with its line ends kept, and never held whole; any other
+    file, or one that reports no size (a pipe), is read whole, once."""
+    with open(path, encoding="utf-8", newline="") as file:
+        if size := os.fstat(file.fileno()).st_size:
+            try:
+                record = _stream(file.readline(),
+                                 _pieces(iter(partial(file.read, PARSE_CHUNK), "")), size)
+            except UnicodeDecodeError:  # _decoded names its line
+                record = None
+            if record is not None:
+                return record
+            file.buffer.seek(0)
+        text = _decoded(file.buffer.read(), path)
+    return _per_line(text)

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
 import re
 import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -576,6 +579,20 @@ def test_numpy_scalar_configuration_round_trips(fmt, tmp_path):
         assert getattr(back, field) == getattr(plain, field)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_integer_configuration_is_written_by_field_type(fmt):
+    # a record built through the library with integer numbers writes each header
+    # value converted by its field's type, as loads reads it, so its text is the
+    # one float numbers give and re-serializes byte for byte
+    def session(real):
+        return run_session(EprSource(real(20)), ChannelModel(real(1), real(0)),
+                           ProtocolKind.SQUEEZED_HOMODYNE, n=2, l=3,
+                           sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=4)
+    text = dumps(session(int), fmt)
+    assert text == dumps(session(float), fmt)
+    assert dumps(loads(text), fmt) == text
+
+
 class TestFormats:
     def test_csv_header_carries_channel(self, record):
         header = dumps(record, "csv").splitlines()[0]
@@ -668,11 +685,11 @@ def edited_records(draw):
     return "\n".join(lines)
 
 
-def _outcome(text: str):
-    """The columns and configuration loads gives, as bytes and values, or
-    the message of the ParseError it raises."""
+def _outcome(text, read=loads):
+    """The columns and configuration read gives (of text, or a path), as bytes
+    and values, or the message of the ParseError it raises."""
     try:
-        record = loads(text)
+        record = read(text)
     except ParseError as exc:
         return str(exc)
     return ([getattr(record, c).tobytes() for c in ("a", "b", "label_a", "label_b", "kept")],
@@ -681,9 +698,9 @@ def _outcome(text: str):
 
 
 def _per_line_outcome(text: str):
-    """_outcome with the whole-column parser declining, so every row goes
-    through the per-line loop."""
-    with mock.patch.object(records, "_parse_columns", return_value=None):
+    """_outcome with the piece reader declining, so every row goes through
+    the per-line loop."""
+    with mock.patch.object(records, "_stream", return_value=None):
         return _outcome(text)
 
 
@@ -731,5 +748,190 @@ def test_whole_column_reader_declines_lenient_text(fmt, edit):
     text = "\n".join(lines)
     header_end = text.find("\n") + 1
     pattern = records.ROW_PATTERNS[fmt == "json-lines"]
-    assert records._parse_columns(text, header_end, pattern) is None
+    assert list(records._parse_columns([text[header_end:]], pattern))[-1] is None
     assert isinstance(_outcome(text), tuple)
+
+
+def _set_fields(line: str, fmt: str, **values) -> str:
+    """One pulse line of either format with some fields set, written as dumps writes them."""
+    if fmt == "csv":
+        parts = line.split(",")
+        for key, value in values.items():
+            parts[CSV_COLUMNS.index(key)] = repr(value) if isinstance(value, float) else str(value)
+        return ",".join(parts)
+    return json.dumps({**json.loads(line), **values})
+
+
+#: how each fault kind edits the lines of DIFF_TEXTS at index i, the line of row i - 1
+FAULTS = {
+    "kept": lambda lines, i, fmt: lines.__setitem__(i, _edit_row(lines[i], fmt,
+                                                                 kept=lambda k: 1 - k)),
+    "non-finite": lambda lines, i, fmt: lines.__setitem__(i, _set_fields(
+        lines[i], fmt, label_a="q", label_b="q", kept=1, a=float("nan"))),
+    "position": lambda lines, i, fmt: lines.__setitem__(i, _set_fields(lines[i], fmt, block=99)),
+    "too-few": lambda lines, i, fmt: lines.pop(i),
+    "too-many": lambda lines, i, fmt: lines.insert(i, lines[i]),
+    "blank": lambda lines, i, fmt: lines.insert(i, ""),
+    "crlf": lambda lines, i, fmt: lines.__setitem__(i, lines[i] + "\r"),
+    # a lone surrogate, which the surrogateescape encoding writes as the byte 0xff
+    "non-utf8": lambda lines, i, fmt: lines.__setitem__(i, lines[i][:5] + "\udcff" + lines[i][5:]),
+}
+
+#: faults that a record as dumps writes it keeps on the piece reader, which reports them itself
+PIECE_FAULTS = {"kept", "non-finite", "position", "too-few", "too-many"}
+
+#: characters per piece: 24 is shorter than any line, so that every line is a piece of its
+#: own and every line end a piece boundary; 96 puts one to three CSV rows in a piece
+PIECE_SIZES = [24, 96]
+
+ROWS = DIFF_RECORD.total_pulses
+
+
+def _faulted(fmt: str, faults) -> bytes:
+    """DIFF_TEXTS[fmt] with each (kind, row) of faults put into its row, the last
+    row first, so that a fault never moves the row of another."""
+    lines = DIFF_TEXTS[fmt].split("\n")
+    for kind, row in sorted(faults, key=lambda fault: -fault[1]):
+        FAULTS[kind](lines, row + 1, fmt)
+    return "\n".join(lines).encode("utf-8", "surrogateescape")
+
+
+def _expected(faults, path) -> str:
+    """The message of the first of two faults in rows r < s that the rules report:
+    a byte that is not UTF-8 first, then a row count, then ROW_FAULTS in order,
+    each at its first row; a blank line before a row moves it one line down."""
+    (first, r), (second, s) = faults
+    line = {r: r + 2, s: s + 2 + (first == "blank")}
+    for kind in ("non-utf8", "too-few", "too-many", "kept", "non-finite", "position"):
+        row = r if first == kind else s if second == kind else None
+        if row is None:
+            continue
+        if kind == "non-utf8":
+            return f"{path}: line {line[row]}: not UTF-8 text"
+        if kind.startswith("too"):
+            rows = ROWS + (kind == "too-many") - (kind == "too-few")
+            return f"record has {rows} pulse rows, but its header declares n*l = 2*6 = {ROWS}"
+        fault = records.ROW_FAULTS[["kept", "non-finite", "position"].index(kind)]
+        return f"line {line[row]}: {fault.format(n=2)}"
+    raise AssertionError(faults)
+
+
+@pytest.mark.parametrize("size", PIECE_SIZES)
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+class TestPieces:
+    """read_record reads a file PARSE_CHUNK characters at a time; with pieces of a
+    few dozen characters it must give what loads and the per-line loop give."""
+
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["final-newline", "no-final-newline"])
+    def test_file_reads_as_its_text(self, fmt, size, end, tmp_path, monkeypatch):
+        monkeypatch.setattr(records, "PARSE_CHUNK", size)
+        text = DIFF_TEXTS[fmt].removesuffix("\n") + end
+        path = tmp_path / "rec"
+        path.write_text(text)
+        with mock.patch.object(records, "_parse_lines", side_effect=AssertionError):
+            outcome = _outcome(path, read_record)
+            assert outcome == _outcome(text)
+        assert isinstance(outcome, tuple) and outcome == _per_line_outcome(text)
+        assert outcome[0] == [getattr(DIFF_RECORD, column).tobytes()
+                              for column in ("a", "b", "label_a", "label_b", "kept")]
+
+    @pytest.mark.parametrize("pair", [
+        ("kept", "kept"), ("position", "kept"), ("non-finite", "position"),
+        ("kept", "non-finite"), ("kept", "too-few"), ("position", "too-many"),
+        ("too-many", "non-finite"), ("blank", "kept"), ("crlf", "position"),
+        ("non-utf8", "kept"), ("kept", "non-utf8"),
+    ], ids="-then-".join)
+    def test_two_faults_in_any_two_rows(self, fmt, size, pair, tmp_path, monkeypatch):
+        # each fault on either side of every piece boundary, the two in different pieces
+        # (and, at 96 characters, in one piece too); each path names the same fault
+        monkeypatch.setattr(records, "PARSE_CHUNK", size)
+        path = tmp_path / "rec"
+        for r in range(ROWS - 1):
+            for s in range(r + 1, ROWS):
+                faults = list(zip(pair, (r, s)))
+                data = _faulted(fmt, faults)
+                path.write_bytes(data)
+                expected = _expected(faults, path)
+                if set(pair) <= PIECE_FAULTS:  # the piece reader reports it
+                    with mock.patch.object(records, "_parse_lines", side_effect=AssertionError):
+                        assert _outcome(path, read_record) == expected, faults
+                        assert _outcome(data.decode()) == expected, faults
+                else:
+                    assert _outcome(path, read_record) == expected, faults
+                if "non-utf8" not in pair:
+                    assert _per_line_outcome(data.decode()) == expected, faults
+
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    def test_one_fault_in_any_row(self, fmt, size, kind, tmp_path, monkeypatch):
+        monkeypatch.setattr(records, "PARSE_CHUNK", size)
+        path = tmp_path / "rec"
+        for row in range(ROWS):
+            data = _faulted(fmt, [(kind, row)])
+            path.write_bytes(data)
+            outcome = _outcome(path, read_record)
+            if kind == "non-utf8":
+                assert outcome == f"{path}: line {row + 2}: not UTF-8 text"
+                continue
+            assert outcome == _outcome(data.decode()) == _per_line_outcome(data.decode())
+            # a blank line or a CR is lenient text: the per-line loop reads the record
+            assert isinstance(outcome, tuple) == (kind in ("blank", "crlf")), (row, outcome)
+
+    @pytest.mark.parametrize("l", [7, 10**12, 10**20])
+    def test_header_declaring_more_rows_than_the_file_holds(self, fmt, size, l, tmp_path,
+                                                            monkeypatch):
+        # today's row-count message, with no column allocated from n*l before the
+        # file's size shows it could hold that many rows
+        monkeypatch.setattr(records, "PARSE_CHUNK", size)
+        text = DIFF_TEXTS[fmt].replace("l=6", f"l={l}").replace('"l": 6', f'"l": {l}')
+        path = tmp_path / "rec"
+        path.write_text(text)
+        expected = f"record has {ROWS} pulse rows, but its header declares n*l = 2*{l} = {2 * l}"
+        assert _outcome(path, read_record) == _outcome(text) == _per_line_outcome(text) == expected
+
+
+@pytest.mark.parametrize("name", ["missing.csv", "."])
+def test_unreadable_path_raises_as_before(tmp_path, name):
+    # the OSError of reading the file whole, as read_record did before it read in pieces
+    path = tmp_path / name
+    with pytest.raises(OSError) as whole:
+        path.read_bytes()
+    with pytest.raises(type(whole.value), match=f"^{re.escape(str(whole.value))}$"):
+        read_record(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_record_from_a_named_pipe_is_read_once(tmp_path):
+    # a pipe reports no size, so it is read whole, from the one open: once its writer
+    # has gone, a second open would wait for another writer
+    fifo, text, outcomes = tmp_path / "rec", DIFF_TEXTS["csv"], []
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    reader = threading.Thread(target=lambda: outcomes.append(_outcome(fifo, read_record)),
+                              daemon=True)
+    fstat = os.fstat
+
+    def fstat_once_the_writer_is_gone(fd):
+        writer.join(10)
+        return fstat(fd)
+
+    with mock.patch.object(os, "fstat", fstat_once_the_writer_is_gone):
+        reader.start()
+        writer.start()
+        reader.join(10)
+    assert outcomes == [_outcome(text)]
+
+
+def test_read_record_holds_columns_not_text(tmp_path):
+    # a 2*10^5-row CSV of 52 characters a row is read a piece at a time: the reader
+    # holds the record's columns (18 bytes a row) and one piece, never the file's text
+    session = run_session(EprSource(20.0), ChannelModel(0.5), ProtocolKind.SQUEEZED_HOMODYNE,
+                          n=1, l=200_000, sifting_mode=SiftingMode.RANDOM_BASIS, rng_seed=1)
+    path = write_record(session, tmp_path / "rec.csv")
+    tracemalloc.start()
+    try:
+        back = read_record(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.pooled_b.tobytes() == session.pooled_b.tobytes()
+    assert peak < path.stat().st_size / 2, (peak, path.stat().st_size)
