@@ -18,7 +18,7 @@ subsampling.
 
 The entropy terms of one estimate (all rows and every fold) run through
 ``in_parallel`` and are summed in a fixed order, so estimates are
-deterministic for a fixed input ordering and jitter seed on any core count.
+deterministic for a fixed input ordering on any core count.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError, InsufficientDataError
 from .rates import Covariance2, conditional_variance
-
-#: jitter magnitude relative to the per-axis sample standard deviation,
-#: applied before the neighbor search so exact duplicates do not produce
-#: zero distances
-JITTER_SCALE = 1e-12
 
 #: subsampling folds used for standard errors
 FOLDS = 10
@@ -170,14 +165,6 @@ def _as_matrix(values) -> np.ndarray:
     return x
 
 
-def _jitter(x: np.ndarray, seed: int) -> np.ndarray:
-    scale = x.std(axis=0) * JITTER_SCALE
-    if not scale.any():
-        raise DegenerateDataError("all samples identical on some axis")
-    rng = np.random.default_rng(seed)
-    return x + rng.normal(0.0, 1.0, x.shape) * scale
-
-
 def _whiten(x: np.ndarray) -> tuple[np.ndarray, float]:
     """Map an (n, d) sample to unit sample covariance; return it with the
     entropy correction (bits) lost by the map, to be added back.
@@ -283,7 +270,7 @@ def _kth_neighbor_distance_tree(y: np.ndarray, k: int) -> np.ndarray:
     return eps
 
 
-def _knn_entropy_bits(x: np.ndarray, k: int, jitter_seed: int) -> float:
+def _knn_entropy_bits(x: np.ndarray, k: int) -> float:
     """Point estimate of the nearest-neighbor entropy (bits) for an
     (n, d) sample matrix."""
     # scipy is imported here, not at module level, so that commands which
@@ -291,25 +278,24 @@ def _knn_entropy_bits(x: np.ndarray, k: int, jitter_seed: int) -> float:
     from scipy.special import digamma, gammaln
 
     n, d = x.shape
-    y, log_det_bits = _whiten(_jitter(x, jitter_seed))
+    y, log_det_bits = _whiten(x)
     if d == 1:
         eps = _kth_neighbor_distance_1d(y[:, 0], k)
     else:
         eps = _kth_neighbor_distance_tree(y, k)
     if not eps.all():
-        raise DegenerateDataError(
-            f"zero distance to neighbor {k}: data is duplicate-heavy")
+        raise DegenerateDataError(f"zero distance to neighbor {k} at {n - np.count_nonzero(eps)} "
+                                  f"of {n} points: data is duplicate-heavy")
     log_unit_ball = (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0 + 1.0)
     nats = (digamma(n) - digamma(k) + log_unit_ball
             + d * float(np.mean(np.log(eps))))
     return nats / LOG2 + log_det_bits
 
 
-def _knn_estimate(terms, k: int, jitter_seed: int) -> EntropyEstimate:
+def _knn_estimate(terms, k: int) -> EntropyEstimate:
     """The k-NN estimate of sum(sign * H(x)) over the (sign, matrix) terms,
     whose matrices share their rows, on all rows, with the standard error
-    from the interleaved folds f::FOLDS, fold f jittered with seed
-    jitter_seed + 1 + f.
+    from the interleaved folds f::FOLDS.
 
     The (rows, term) entropies run through ``in_parallel`` in the order
     all rows, then folds 0..FOLDS-1, each in terms order, so the first
@@ -322,35 +308,32 @@ def _knn_estimate(terms, k: int, jitter_seed: int) -> EntropyEstimate:
             f"need at least {FOLDS * (k + 1)} samples for "
             f"k={k} with {FOLDS}-fold errors, got {count}")
 
-    runs = [(slice(None), jitter_seed)] + [
-        (slice(f, None, FOLDS), jitter_seed + 1 + f) for f in range(FOLDS)]
+    runs = [slice(None)] + [slice(f, None, FOLDS) for f in range(FOLDS)]
     # row slices are views, so listing every term copies no data
-    bits = iter(in_parallel(_knn_entropy_bits, [
-        (x[rows], k, seed) for rows, seed in runs for _, x in terms]))
+    bits = iter(in_parallel(_knn_entropy_bits, [(x[rows], k) for rows in runs for _, x in terms]))
     # summed left to right from 0, so two terms give the float H(x) - H(y) exactly
     value, *per_fold = [sum(sign * next(bits) for sign, _ in terms) for _ in runs]
     err = float(np.array(per_fold).std(ddof=1) / math.sqrt(FOLDS))
     return EntropyEstimate(value, err)
 
 
-def knn_differential_entropy(values, k: int = 4, jitter_seed: int = 0) -> EntropyEstimate:
+def knn_differential_entropy(values, k: int = 4) -> EntropyEstimate:
     """Nearest-neighbor differential entropy of a scalar (or vector)
     sample, in bits.
 
-    Consistent for any distribution with a density; duplicate-heavy data
-    degenerates the neighbor distances and raises DegenerateDataError.
+    Consistent for any distribution with a density. The estimate depends on
+    the data alone: where k + 1 values coincide, the k-th neighbor distance is
+    zero and DegenerateDataError names the share of such points.
     """
-    return _knn_estimate([(1, _as_matrix(values))], k, jitter_seed)
+    return _knn_estimate([(1, _as_matrix(values))], k)
 
 
-def conditional_entropy_estimate(s: SampleSet, k: int = 4,
-                                 jitter_seed: int = 0) -> EntropyEstimate:
+def conditional_entropy_estimate(s: SampleSet, k: int = 4) -> EntropyEstimate:
     """H(B|A) in bits, computed as H(A, B) - H(A) with the neighbor
     estimator; the standard error is taken on the per-fold differences so
     the two estimates' shared fluctuations cancel."""
     if conditional_variance(estimate_covariance(s)) <= 0:
         raise DegenerateDataError("B is an exact linear function of A: "
                                   "conditional spread is zero")
-    return _knn_estimate([(1, np.column_stack([s.a, s.b])), (-1, s.a[:, None])],
-                         k, jitter_seed)
+    return _knn_estimate([(1, np.column_stack([s.a, s.b])), (-1, s.a[:, None])], k)
 

@@ -27,13 +27,14 @@ chunks of ``ROW_CHUNK`` rows, one format string per format;
 ``read_record`` and ``loads`` read the rows ``PARSE_CHUNK`` characters at a
 time, cut at line ends: each piece goes through one ``findall`` of the
 format's anchored row pattern, which accepts the rows as ``dumps`` writes
-them, and is converted and checked before the next is read, so a record
-``dumps`` wrote is held as its columns, never as its text. Any other text
-(a header that is not first or breaks a rule, a blank or unmatched line, a
-file that is not UTF-8) is read whole by the per-line loop, which also
-takes the lenient forms (whitespace around a CSV number, ``1_0``, JSON keys
-in any order, blank lines). Both paths convert with ``int`` and ``float``
-and report the same faults, at the same lines, in the same order.
+them, with LF or CRLF line ends, and is converted and checked before the
+next is read, so a record ``dumps`` wrote is held as its columns, never as
+its text. Any other text (a header that is not first or breaks a rule, a
+blank or unmatched line, a lone CR line end, a file that is not UTF-8) is
+read whole by the per-line loop, which also takes the lenient forms
+(whitespace around a CSV number, ``1_0``, JSON keys in any order, blank
+lines). Both paths convert with ``int`` and ``float`` and report the same
+faults, at the same lines, in the same order.
 """
 
 from __future__ import annotations
@@ -110,13 +111,13 @@ _JSON_FLOAT = (r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0
 #: at most 18 digits, so every block and pulse fits the int64 columns
 _CSV_INT, _JSON_INT = r"([0-9]{1,18})", r"(-?(?:0|[1-9][0-9]{0,17}))"
 
-#: one whole pulse line of each format, as the fast reader accepts it, compiled
-#: when a record is read, not on import; the key is whether the record is json-lines
+#: one whole pulse line of each format, LF or CRLF ended, as the fast reader accepts it,
+#: compiled when a record is read, not on import; the key is whether it is json-lines
 ROW_PATTERNS = {
-    False: rf"(?m)^{_CSV_INT},{_CSV_INT},{_REPR_FLOAT},{_REPR_FLOAT},([qp]),([qp]),([01])$",
+    False: rf"(?m)^{_CSV_INT},{_CSV_INT},{_REPR_FLOAT},{_REPR_FLOAT},([qp]),([qp]),([01])\r?$",
     True: (rf'(?m)^\{{"block": {_JSON_INT}, "pulse": {_JSON_INT}, "a": {_JSON_FLOAT}, '
            rf'"b": {_JSON_FLOAT}, "label_a": "([qp])", "label_b": "([qp])", '
-           rf'"kept": ([01])\}}$'),
+           rf'"kept": ([01])\}}\r?$'),
 }
 
 
@@ -425,7 +426,7 @@ def _stream(first: str, pieces, size: int):
     the text, unless the first line is a header that follows the header's
     rules, the text can hold n*l rows, and every other line is a row as dumps
     writes it."""
-    first = first.removesuffix("\n")
+    first = first.removesuffix("\n").removesuffix("\r")
     try:
         if first.splitlines() != [first]:
             return None

@@ -166,10 +166,9 @@ class TestKnnEntropy:
         b = knn_differential_entropy(x + 1000.0)
         assert b.value == pytest.approx(a.value, abs=3 * (a.std_error + b.std_error))
 
-    def test_deterministic_for_fixed_seed(self, rng):
+    def test_same_data_gives_same_bits(self, rng):
         x = rng.normal(size=5_000)
-        assert (knn_differential_entropy(x, jitter_seed=7).value
-                == knn_differential_entropy(x, jitter_seed=7).value)
+        assert knn_differential_entropy(x) == knn_differential_entropy(x.copy())
 
     def test_duplicate_heavy_data_degenerates(self):
         with pytest.raises(DegenerateDataError):
@@ -198,10 +197,21 @@ class TestKnnEntropy:
             with pytest.raises(DegenerateDataError, match="^sample covariance is singular"):
                 knn_differential_entropy(np.column_stack(columns))
 
-    def test_survives_some_duplicates(self, rng):
-        x = np.round(rng.normal(size=50_000), 1)  # heavy ties, nonzero spread
+    def test_rounded_data_names_its_tied_share(self, rng):
+        # 3000 normal values rounded to 0.01: most have k = 7 or more others at distance zero
+        x = np.round(rng.normal(size=3000), 2)
+        _, copy_of, copies = np.unique(x, return_inverse=True, return_counts=True)
+        tied = int((copies[copy_of] > 7).sum())
+        assert 0 < tied < len(x)
+        message = f"zero distance to neighbor 7 at {tied} of 3000 points: data is duplicate-heavy"
+        with pytest.raises(DegenerateDataError, match=f"^{re.escape(message)}$"):
+            knn_differential_entropy(x, k=7)
+
+    def test_exact_pairs_give_a_finite_estimate(self, rng):
+        # every value twice: a pair is fewer than k + 1 copies, so no k-th distance is zero
+        x = np.repeat(rng.normal(size=N // 2), 2)
         est = knn_differential_entropy(x)
-        assert math.isfinite(est.value)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
 
     def test_gaussian_maximality(self, rng):
         # among all tested distributions, none beats the Gaussian entropy
@@ -262,12 +272,13 @@ class TestKthNeighborDistance1d:
                 assert np.array_equal(_kth_neighbor_distance_1d(y, k), self.tree(y, k))
 
     def test_exact_duplicates_degenerate(self):
-        # at 1e8 the jitter is below one ulp, so the duplicates stay exact
+        # ten copies of each value: every point has more than k others at distance zero
         x = 1e8 + np.repeat(np.arange(100.0), 10)
         y = x - x.mean()
         eps = _kth_neighbor_distance_1d(y, 4)
         assert np.array_equal(eps, self.tree(y, 4)) and not eps.any()
-        with pytest.raises(DegenerateDataError, match="zero distance"):
+        with pytest.raises(DegenerateDataError, match="^zero distance to neighbor 4 at 1000 of "
+                                                       "1000 points: data is duplicate-heavy$"):
             knn_differential_entropy(x)
 
 
@@ -415,7 +426,7 @@ class TestWhiten:
 
         def outcome():
             try:
-                knn_differential_entropy(values, jitter_seed=seed % 1000)
+                knn_differential_entropy(values)
             except DegenerateDataError as exc:
                 return str(exc)
             return None
@@ -443,24 +454,24 @@ class TestCores:
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
 
     def test_core_count_cannot_change_an_estimate(self, monkeypatch, pair):
-        # with threads switching every microsecond, every (rows, seed,
-        # term) entropy is still computed exactly once, by at most one
-        # thread per core
+        # with threads switching every microsecond, every (rows, term)
+        # entropy is still computed exactly once, by at most one thread per
+        # core; a term is known by its length and first row
         entropy_bits = estimators._knn_entropy_bits
         calls = []
 
-        def tracked(x, k, seed):
-            calls.append((threading.get_ident(), (seed, x.shape)))
-            return entropy_bits(x, k, seed)
+        def tracked(x, k):
+            calls.append((threading.get_ident(), (len(x), tuple(x[0]))))
+            return entropy_bits(x, k)
 
         monkeypatch.setattr(estimators, "_knn_entropy_bits", tracked)
         n = len(pair)
         estimates = {
-            "knn-1d": (lambda: knn_differential_entropy(pair.a, jitter_seed=5), (1,)),
+            "knn-1d": (lambda: knn_differential_entropy(pair.a), ([pair.a],)),
             "knn-2d": (lambda: knn_differential_entropy(
-                np.column_stack([pair.a, pair.b]), k=3, jitter_seed=5), (2,)),
-            "conditional": (lambda: conditional_entropy_estimate(pair, jitter_seed=5),
-                            (2, 1)),
+                np.column_stack([pair.a, pair.b]), k=3), ([pair.a, pair.b],)),
+            "conditional": (lambda: conditional_entropy_estimate(pair),
+                            ([pair.a, pair.b], [pair.a])),
         }
         results = {}
         interval = sys.getswitchinterval()
@@ -468,13 +479,13 @@ class TestCores:
         try:
             for cores in (1, 2, 8):
                 self.set_cores(monkeypatch, cores)
-                for name, (estimate, dims) in estimates.items():
+                for name, (estimate, matrices) in estimates.items():
                     calls.clear()
                     results[name, cores] = estimate()
                     threads, terms = zip(*calls)
-                    expected = [(5, (n, d)) for d in dims] + [
-                        (6 + f, (len(range(f, n, FOLDS)), d))
-                        for f in range(FOLDS) for d in dims]
+                    expected = [(n, tuple(c[0] for c in columns)) for columns in matrices] + [
+                        (len(range(f, n, FOLDS)), tuple(c[f] for c in columns))
+                        for f in range(FOLDS) for columns in matrices]
                     assert sorted(terms) == sorted(expected)
                     assert len(set(threads)) <= cores
         finally:
@@ -495,21 +506,22 @@ class TestCores:
         class TermFailed(Exception):
             pass
 
-        def failing(x, k, seed):
-            fold = seed - 1
+        def failing(x, k):
+            # a fold's first row is row f, and the all-rows term is the longest
+            fold = None if len(x) == len(pair) else int(np.flatnonzero(pair.a == x[0, 0])[0])
             if x.shape[1] == 1 and fold in (3, 7):
                 if fold == 7:
                     fold_7_failed.set()
                 elif cores > 1:
                     fold_7_failed.wait(timeout=30)
                 raise TermFailed(f"fold {fold}")
-            return entropy_bits(x, k, seed)
+            return entropy_bits(x, k)
 
         monkeypatch.setattr(estimators, "_knn_entropy_bits", failing)
         threads = threading.enumerate()
         terms = [(1, np.column_stack([pair.a, pair.b])), (-1, pair.a[:, None])]
         with pytest.raises(TermFailed, match="fold 3"):
-            _knn_estimate(terms, 4, 0)
+            _knn_estimate(terms, 4)
         assert threading.enumerate() == threads
 
 
@@ -624,22 +636,17 @@ class TestPinnedEstimates:
         return SampleSet(a, 0.8 * a + 0.6 * rng.normal(size=3000))
 
     def test_knn_1d(self, pair):
-        assert knn_differential_entropy(pair.a, jitter_seed=5) == EntropyEstimate(
-            2.0349471239175863, 0.03138189037170716)
-
-    def test_knn_1d_ties(self, pair):
-        assert knn_differential_entropy(
-            np.round(pair.a, 2), k=7, jitter_seed=1) == EntropyEstimate(
-            -18.489906378723482, 0.026226901580768673)
+        assert knn_differential_entropy(pair.a) == EntropyEstimate(
+            2.0349471239192187, 0.03138189037298379)
 
     def test_knn_2d(self, pair):
         assert knn_differential_entropy(
-            np.column_stack([pair.a, pair.b]), k=3, jitter_seed=5) == EntropyEstimate(
-            3.3477516358157757, 0.034626694857335286)
+            np.column_stack([pair.a, pair.b]), k=3) == EntropyEstimate(
+            3.347751635819053, 0.034626694857354166)
 
     def test_conditional(self, pair):
-        assert conditional_entropy_estimate(pair, jitter_seed=5) == EntropyEstimate(
-            1.2958715612020164, 0.029732181919972088)
+        assert conditional_entropy_estimate(pair) == EntropyEstimate(
+            1.2958715612017606, 0.02973218192038169)
 
 
 class TestConditionalEntropy:

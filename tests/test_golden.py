@@ -238,7 +238,7 @@ RATE_RECORD_DIGEST = "67a501c10bb6221e1f1d95663fcd8f1d5dd149c8cb11179d93227d1afa
 VERIFY_DISCRETE_DIGEST = "d1a2a3433433d858c0d85b7e45bc79e7603541f71e01db76d3f33cab0f5c7fa5"
 
 #: sha256 of the `verify --scope statistical --pulses 20000` manifest
-VERIFY_STATISTICAL_DIGEST = "65638f2d759c13ded1fd324930826fa260fec54eac08fff0eeaa9758b114f77c"
+VERIFY_STATISTICAL_DIGEST = "8b5565bffd1d872686d29aa15be003aa4dd87775329eb8e4a7032f32848e4d12"
 
 
 @pytest.fixture

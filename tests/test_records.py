@@ -737,7 +737,8 @@ def test_whole_column_reader_reads_canonical_text(fmt):
     ("csv", lambda lines: lines.insert(0, "")),
     ("csv", lambda lines: lines.insert(4, "")),
     ("csv", lambda lines: lines.__setitem__(2, lines[2].replace(",", ", ", 3))),
-    ("csv", lambda lines: lines.__setitem__(2, lines[2] + "\r")),
+    # a lone CR ends a row; a CRLF line end is read by the piece reader
+    ("csv", lambda lines: lines.__setitem__(slice(2, 4), [lines[2] + "\r" + lines[3]])),
     ("json-lines", lambda lines: lines.__setitem__(
         3, json.dumps(dict(reversed(json.loads(lines[3]).items()))))),
 ], ids=["leading-blank-line", "blank-line", "spaces", "carriage-return", "json-reordered"])
@@ -777,8 +778,9 @@ FAULTS = {
     "non-utf8": lambda lines, i, fmt: lines.__setitem__(i, lines[i][:5] + "\udcff" + lines[i][5:]),
 }
 
-#: faults that a record as dumps writes it keeps on the piece reader, which reports them itself
-PIECE_FAULTS = {"kept", "non-finite", "position", "too-few", "too-many"}
+#: edits that keep a record as dumps writes it on the piece reader, which reports their
+#: faults itself
+PIECE_FAULTS = {"kept", "non-finite", "position", "too-few", "too-many", "crlf"}
 
 #: characters per piece: 24 is shorter than any line, so that every line is a piece of its
 #: own and every line end a piece boundary; 96 puts one to three CSV rows in a piece
@@ -822,12 +824,14 @@ class TestPieces:
     """read_record reads a file PARSE_CHUNK characters at a time; with pieces of a
     few dozen characters it must give what loads and the per-line loop give."""
 
-    @pytest.mark.parametrize("end", ["\n", ""], ids=["final-newline", "no-final-newline"])
+    @pytest.mark.parametrize("end", ["\n", "", "\r\n"],
+                             ids=["final-newline", "no-final-newline", "crlf"])
     def test_file_reads_as_its_text(self, fmt, size, end, tmp_path, monkeypatch):
+        # in the crlf case "\r\n" ends every line, as in a file saved on Windows
         monkeypatch.setattr(records, "PARSE_CHUNK", size)
-        text = DIFF_TEXTS[fmt].removesuffix("\n") + end
+        text = DIFF_TEXTS[fmt].removesuffix("\n").replace("\n", end or "\n") + end
         path = tmp_path / "rec"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         with mock.patch.object(records, "_parse_lines", side_effect=AssertionError):
             outcome = _outcome(path, read_record)
             assert outcome == _outcome(text)
@@ -868,12 +872,17 @@ class TestPieces:
         for row in range(ROWS):
             data = _faulted(fmt, [(kind, row)])
             path.write_bytes(data)
-            outcome = _outcome(path, read_record)
+            if kind in PIECE_FAULTS:  # the per-line loop fails if it runs
+                with mock.patch.object(records, "_parse_lines", side_effect=AssertionError):
+                    outcome = _outcome(path, read_record)
+            else:
+                outcome = _outcome(path, read_record)
             if kind == "non-utf8":
                 assert outcome == f"{path}: line {row + 2}: not UTF-8 text"
                 continue
             assert outcome == _outcome(data.decode()) == _per_line_outcome(data.decode())
-            # a blank line or a CR is lenient text: the per-line loop reads the record
+            # a blank line is lenient text, which the per-line loop reads, and a CRLF line
+            # end the piece reader reads: both give the record
             assert isinstance(outcome, tuple) == (kind in ("blank", "crlf")), (row, outcome)
 
     @pytest.mark.parametrize("l", [7, 10**12, 10**20])
@@ -921,12 +930,15 @@ def test_record_from_a_named_pipe_is_read_once(tmp_path):
     assert outcomes == [_outcome(text)]
 
 
-def test_read_record_holds_columns_not_text(tmp_path):
-    # a 2*10^5-row CSV of 52 characters a row is read a piece at a time: the reader
-    # holds the record's columns (18 bytes a row) and one piece, never the file's text
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_read_record_holds_columns_not_text(tmp_path, end):
+    # a 2*10^5-row CSV of 52 characters a row is read a piece at a time, with either
+    # line end: the reader holds the record's columns (18 bytes a row) and one piece,
+    # never the file's text
     session = run_session(EprSource(20.0), ChannelModel(0.5), ProtocolKind.SQUEEZED_HOMODYNE,
                           n=1, l=200_000, sifting_mode=SiftingMode.RANDOM_BASIS, rng_seed=1)
     path = write_record(session, tmp_path / "rec.csv")
+    path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
     tracemalloc.start()
     try:
         back = read_record(path)
