@@ -9,12 +9,13 @@ it (a Cholesky factor of the sample covariance) over the second moments
 that ``estimate_covariance`` sums, in fixed MOMENT_CHUNK slices combined
 with ``math.fsum``; it uses no BLAS or LAPACK, so neither the BLAS build
 nor its thread count moves an estimate. In 1-d the k-th neighbor
-distances come from one sort and a window of k neighbors on each side,
-exactly equal to a k-d tree's; in 2-d and above they come from scipy's
-``cKDTree``, queried in the tree's own leaf order for the k-th distance
-alone. scipy is imported on the first estimate, so code that never
-estimates an entropy does not load it. Standard errors come from 10-fold
-subsampling.
+distances come from one sort and a window of k neighbors on each side;
+in 2-d and above from the column sweep, which takes candidates from
+windows in sorted columns of grid cells and keeps a k-th distance only
+where no point left out can be nearer. Both equal a k-d tree's
+(``scipy.spatial.cKDTree``) bit for bit, and the digamma and unit-ball
+constants equal ``scipy.special``'s, yet the package imports no scipy.
+Standard errors come from 10-fold subsampling.
 
 The entropy terms of one estimate (all rows and every fold) run through
 ``in_parallel`` and are summed in a fixed order, so estimates are
@@ -52,6 +53,17 @@ _SINGULAR = ("sample covariance is singular: the data has no spread in some "
 
 LOG2 = math.log(2.0)
 
+#: width of the column sweep's cells, in (k+1)-th neighbor distances at the
+#: centre of a unit normal
+SWEEP_WIDTH = 2.0
+
+#: points on each side of a query, along the swept axis, that the column
+#: sweep's first pass takes from each column of the band
+SWEEP_WINDOW = 6
+
+#: candidate distances the column sweep forms at a time
+SWEEP_BLOCK = 1 << 16
+
 
 def in_parallel(function, calls) -> list:
     """``[function(*args) for args in calls]`` (a list), run on one thread per
@@ -59,8 +71,8 @@ def in_parallel(function, calls) -> list:
     started for one core or one call). Calls start in order, none after a
     failure, and the first failing call's error is raised once the started
     ones end. The threads gain where the calls release the GIL, as numpy does.
-    The calls must not start thread pools of their own, such as a BLAS's or
-    a ``workers`` argument's, which would fight these threads for the cores."""
+    The calls must not start thread pools of their own, such as a BLAS's,
+    which would fight these threads for the cores."""
     results, errors = [None] * len(calls), {}
     todo, lock = iter(range(len(calls))), threading.Lock()
 
@@ -105,7 +117,8 @@ class SampleSet:
             raise DomainError("sample arrays must be 1-d and of equal length")
         if len(a) < 2:
             raise InsufficientDataError(f"need at least 2 samples, got {len(a)}")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        # NaN propagates through min and max, so this allocates no mask
+        if not all(np.isfinite(column.min()) and np.isfinite(column.max()) for column in (a, b)):
             raise DomainError("samples must be finite")
 
     def __len__(self) -> int:
@@ -250,44 +263,220 @@ def _kth_neighbor_distance_1d(y: np.ndarray, k: int) -> np.ndarray:
     return eps
 
 
-def _kth_neighbor_distance_tree(y: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each row of an (n, d) sample to its k-th nearest other
-    row, in input order, equal to ``cKDTree(y).query(y, k=k + 1)[0][:, k]``.
+def _kth_neighbor_distance_sweep(y: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each row of an (n, d) sample, d >= 2, to its k-th nearest
+    other row, in input order, equal to ``cKDTree(y).query(y, k=k + 1)[0][:, k]``
+    bit for bit: the column sweep.
 
-    The points are queried in the tree's leaf order, so neighboring
-    queries walk the same nodes, and only the k-th distance is kept. Each
-    distance is the same sum of squares of coordinate differences
-    whatever the tree's shape, so the unbalanced, uncompacted tree (the
-    faster to build) gives the same bits. One thread per query: the
-    estimate's terms already hold the cores.
+    One axis is swept: the one whose points crowd least along it. The others are
+    cut into cells SWEEP_WIDTH times as wide as the (k+1)-th neighbor distance at
+    the centre of a unit normal (whitened data has unit covariance), and each
+    column of cells is sorted along the swept axis. A point's candidates are, in
+    every column of a band of (2R + 1)^(d-1) around its own, the 2W + 1 points
+    nearest it along that axis (R = 1 and W = SWEEP_WINDOW at first). Each
+    squared distance is the sum of squared coordinate differences, left to
+    right, as the tree forms it, and the k-th smallest, the point itself being
+    the one at distance 0, is kept if it is at most the computed coordinate
+    difference to every point left out: on each cell axis to the nearest
+    coordinate of the cells beyond the band (cumulative minima and maxima over
+    slabs of cells), on the swept axis to the first point beyond each window. A
+    computed distance is at least its computed difference along any one axis,
+    since rounding and sqrt are monotone and sqrt(fl(t*t)) == |t| (unless t*t
+    underflows, as in 1-d), so the test needs no slack. A point that fails
+    retries with twice the band or twice the window, whichever failed, and
+    takes every point as a candidate once the band and window would hold as
+    many.
     """
-    from scipy.spatial import cKDTree
+    n, d = y.shape
+    axes = d - 1
+    # the sweep runs along the axis whose points crowd least (the greatest median
+    # gap between sorted values, on a sample); the others are cut into cells
+    gaps = np.median(np.diff(np.sort(y[::max(1, n >> 12)], axis=0), axis=0), axis=0)
+    lead = int(np.argmax(gaps))
+    cross = [j for j in range(d) if j != lead]
+    width = SWEEP_WIDTH * ((k + 1) * (2.0 * math.pi) ** (d / 2.0)
+                           / (n * math.exp(_log_unit_ball(d)))) ** (1.0 / d)
+    # each column is laid out below as a row of -inf on the swept axis, its points
+    # and 2W + 2 rows of +inf (W = SWEEP_WINDOW), so no first-pass window reaches
+    # another column
+    gap = 2 * SWEEP_WINDOW + 3
+    # cells beyond +-half join the outermost, so there are at most n / gap
+    # columns and the layout has fewer than 2n rows
+    half = max(0, int(((n / gap) ** (1.0 / axes) - 3.0) // 2))
+    cell = np.clip(np.floor(y[:, cross] / width), -half, half).astype(np.intp)
+    cell -= cell.min(axis=0) - 1  # cells 0 and dims - 1 stay empty
+    dims = cell.max(axis=0) + 2
+    strides = np.ones(axes, dtype=np.intp)
+    strides[:-1] = np.cumprod(dims[:0:-1])[::-1]
+    column = cell @ strides
 
-    tree = cKDTree(y, balanced_tree=False, compact_nodes=False)
-    dist, _ = tree.query(y[tree.indices], k=[k + 1], workers=1)
-    eps = np.empty(len(y))
-    eps[tree.indices] = dist[:, 0]
-    return eps
+    # the extreme coordinate on each cell axis of the cells above (or below) a cell
+    above, below = [], []
+    for i, j in enumerate(cross):
+        least = np.full(dims[i] + 1, np.inf)
+        np.minimum.at(least, cell[:, i], y[:, j])
+        greatest = np.full(dims[i] + 1, -np.inf)
+        np.maximum.at(greatest[1:], cell[:, i], y[:, j])
+        above.append(np.minimum.accumulate(least[::-1])[::-1])  # least in cells >= c
+        below.append(np.maximum.accumulate(greatest))  # greatest in cells < c
+
+    # points sorted by column, then along the sweep axis; ties in any order
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(y[:, lead])] = np.arange(n)
+    keys = column * n + rank
+    order = np.argsort(keys)
+    keys, rank, column, cell = keys[order], rank[order], column[order], cell[order]
+    ncols = int(strides[0] * dims[0])
+    starts = np.searchsorted(column, np.arange(ncols + 1))
+    first = starts[:-1] + gap * np.arange(ncols) + 1
+    stop = starts[1:] + gap * np.arange(ncols) + 1
+    place = np.arange(n) + gap * column + 1
+    coords = []
+    for j in range(d):
+        values = np.full(n + gap * ncols, np.inf)
+        values[place] = y[order, j]
+        coords.append(values)
+    last = coords[lead]
+    last[first - 1] = -np.inf
+
+    eps = np.empty(n)
+    radius = np.ones(n, dtype=np.intp)
+    window = np.full(n, SWEEP_WINDOW, dtype=np.intp)
+
+    def sweep(queries, r, w):
+        """Set eps for the queries whose band of radius r and windows of w
+        points on each side pass the test; double r or w for the others and
+        return them."""
+        band = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * axes, indexing="ij"),
+                        axis=-1).reshape(-1, axes)
+        span = 2 * w + 1
+        candidates = len(band) * span
+        if candidates >= n:
+            points = [values[place] for values in coords]
+            rows = max(1, SWEEP_BLOCK // n)
+            for start in range(0, len(queries), rows):
+                q = queries[start:start + rows]
+                dist = sum(np.square(values - values[q, None]) for values in points)
+                eps[q] = np.sqrt(np.partition(dist, k, axis=1)[:, k])
+            return queries[:0]
+        p = [values[place[queries]] for values in coords]
+        band_bound = np.full(len(queries), np.inf)
+        for i, j in enumerate(cross):
+            u = cell[queries, i]
+            np.minimum(band_bound, above[i][np.minimum(u + r + 1, dims[i])] - p[j], out=band_bound)
+            np.minimum(band_bound, p[j] - below[i][np.maximum(u - r, 0)], out=band_bound)
+        kth, window_bound = np.empty(len(queries)), np.empty(len(queries))
+        shifts = np.arange(span)[:, None]
+        rows = max(1, SWEEP_BLOCK // candidates)
+        for start in range(0, len(queries), rows):
+            block = slice(start, start + rows)
+            q = queries[block]
+            # one row per column of the band: its first and stopping rows, and
+            # where the query's swept coordinate would fall in it
+            target = np.ascontiguousarray(
+                (np.clip(cell[q, None, :] + band, 0, dims - 1) @ strides).T)
+            a, b = first[target], stop[target]
+            at = np.searchsorted(keys, target * n + rank[q]) + gap * target + 1
+            lo = np.minimum(np.maximum(at - w, a), np.maximum(a, b - span))
+            hi = lo + span
+            index = (lo[:, None, :] + shifts).reshape(candidates, len(q))
+            if w > SWEEP_WINDOW:  # longer than the padding: stop at the +inf row
+                np.minimum(index, np.repeat(b, span, axis=0), out=index)
+                np.minimum(hi, b, out=hi)
+            squares = []
+            for values, value in zip(coords, p):
+                square = values[index]
+                square -= value[block]
+                squares.append(np.square(square, out=square))
+            for square in squares[1:-1]:
+                squares[0] += square
+            dist = np.empty((len(q), candidates))
+            np.add(squares[0], squares[-1], out=dist.T)
+            dist.sort(axis=1)
+            kth[block] = np.sqrt(dist[:, k])
+            swept = p[lead][block]
+            window_bound[block] = np.minimum(swept - last[lo - 1], last[hi] - swept).min(axis=0)
+        band_ok, window_ok = kth <= band_bound, kth <= window_bound
+        ok = band_ok & window_ok
+        eps[queries[ok]] = kth[ok]
+        radius[queries[~band_ok]] *= 2
+        window[queries[~window_ok]] *= 2
+        return queries[~ok]
+
+    pending = np.arange(n)
+    while len(pending):
+        state = radius[pending] * (n + 1) + window[pending]
+        pending = np.concatenate([sweep(pending[state == s], int(s // (n + 1)), int(s % (n + 1)))
+                                  for s in np.unique(state)])
+    out = np.empty(n)
+    out[order] = eps
+    return out
+
+
+#: digamma's asymptotic series in cephes ``psi``, in z = 1/x^2, highest power first
+_PSI_SERIES = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3,
+               -4.16666666666666666667e-3, 3.96825396825396825397e-3, -8.33333333333333333333e-3,
+               8.33333333333333333333e-2)
+
+EULER = 0.57721566490153286061
+
+#: log Gamma(5/2) = log(3 sqrt(pi)/4), rounded to the nearest double as cephes
+#: ``lgam``'s rational approximation gives it
+LOG_GAMMA_5_2 = 0.2846828704729192
+
+
+def _digamma(n: int) -> float:
+    """digamma(n) at a positive integer, equal to ``scipy.special.digamma(n)``
+    bit for bit: cephes ``psi``, the harmonic sum less Euler's constant up to
+    10, and above it log(n) - 1/(2n) - z*A(z), z = 1/n^2, with A its 7-term
+    series summed by Horner's rule."""
+    if n <= 10:
+        total = 0.0
+        for i in range(1, n):
+            total += 1.0 / i
+        return total - EULER
+    x = float(n)
+    z = 1.0 / (x * x)
+    series = _PSI_SERIES[0]
+    for coefficient in _PSI_SERIES[1:]:
+        series = series * z + coefficient
+    return math.log(x) - 0.5 / x - z * series
+
+
+def _log_unit_ball(d: int) -> float:
+    """log of the d-dimensional unit ball's volume, pi^(d/2)/Gamma(d/2 + 1),
+    equal to ``(d/2)*log(pi) - scipy.special.gammaln(d/2 + 1)`` bit for bit
+    up to d = 23: cephes ``lgam`` steps Gamma(d/2 + 1) down by the recurrence to
+    Gamma(2) = 1 or Gamma(5/2), multiplying its factors in that order, and adds
+    the logs. From x = d/2 + 1 = 13 on, where cephes sums Stirling's series,
+    ``math.lgamma`` stands in, a few ulps from it."""
+    x = d / 2.0 + 1.0
+    if x >= 13.0:
+        return (d / 2.0) * math.log(math.pi) - math.lgamma(x)
+    z, u = 1.0, x
+    while u >= 3.0:
+        u -= 1.0
+        z *= u
+    if u < 2.0:
+        z /= u
+        u += 1.0
+    log_gamma = math.log(z) if u == 2.0 else math.log(z) + LOG_GAMMA_5_2
+    return (d / 2.0) * math.log(math.pi) - log_gamma
 
 
 def _knn_entropy_bits(x: np.ndarray, k: int) -> float:
     """Point estimate of the nearest-neighbor entropy (bits) for an
     (n, d) sample matrix."""
-    # scipy is imported here, not at module level, so that commands which
-    # never estimate an entropy do not pay its import time
-    from scipy.special import digamma, gammaln
-
     n, d = x.shape
     y, log_det_bits = _whiten(x)
     if d == 1:
         eps = _kth_neighbor_distance_1d(y[:, 0], k)
     else:
-        eps = _kth_neighbor_distance_tree(y, k)
+        eps = _kth_neighbor_distance_sweep(y, k)
     if not eps.all():
         raise DegenerateDataError(f"zero distance to neighbor {k} at {n - np.count_nonzero(eps)} "
                                   f"of {n} points: data is duplicate-heavy")
-    log_unit_ball = (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0 + 1.0)
-    nats = (digamma(n) - digamma(k) + log_unit_ball
+    nats = (_digamma(n) - _digamma(k) + _log_unit_ball(d)
             + d * float(np.mean(np.log(eps))))
     return nats / LOG2 + log_det_bits
 

@@ -1038,6 +1038,7 @@ def test_exit_status_map(runner, monkeypatch, outcome, code, message):
 
 SCIPY_FREE_SCRIPT = """
 import sys
+import numpy as np
 import cvqkd, cvqkd.cli
 from click.testing import CliRunner
 
@@ -1047,20 +1048,22 @@ def scipy_modules():
 assert not scipy_modules(), ("import", scipy_modules())
 for args in (["rate", "--cov", "20,10.5,14.124446891825535",
               "--protocol", "squeezed_homodyne"],
-             ["verify", "--scope", "discrete", "--trials", "20"]):
+             ["verify", "--scope", "discrete", "--trials", "20"],
+             ["verify", "--scope", "statistical", "--pulses", "20000"]):
     result = CliRunner().invoke(cvqkd.cli.main, args)
     assert result.exit_code == 0, (args, result.output)
     assert not scipy_modules(), (args, scipy_modules())
+cvqkd.knn_differential_entropy(np.random.default_rng(0).normal(size=(3000, 3)))
+assert not scipy_modules(), ("knn_differential_entropy", scipy_modules())
 """
 
 
-def test_scipy_loads_only_for_entropy_estimates():
-    # scipy's import costs about 0.5 s, and only the k-NN entropy
-    # estimator uses it: a fresh interpreter must not load it for the
-    # package, the CLI, or commands that estimate no entropy
+def test_scipy_never_loads():
+    # scipy's import costs about 0.3 s and 37 MiB: neither the package, the
+    # CLI, nor an entropy estimate in one or more dimensions may load it
     src = str(Path(cvqkd.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT],
-                            capture_output=True, text=True, timeout=120,
+                            capture_output=True, text=True, timeout=300,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
 

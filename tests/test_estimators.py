@@ -12,19 +12,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
+from scipy.special import digamma, gammaln
 
 from cvqkd import (
+    ATTACK_CATALOG,
+    CATALOG_SOURCE,
     Covariance2,
     DegenerateDataError,
     DomainError,
     EntropyEstimate,
     InsufficientDataError,
+    ProtocolKind,
     SampleSet,
+    SiftingMode,
     conditional_entropy_estimate,
     estimate_covariance,
     gaussian_conditional_entropy,
     gaussian_entropy,
     knn_differential_entropy,
+    run_session,
     vacuum_entropy,
 )
 from cvqkd import estimators
@@ -32,9 +38,11 @@ from cvqkd.estimators import (
     FOLDS,
     MOMENT_CHUNK,
     SINGULAR_RATIO,
+    _digamma,
     _knn_estimate,
     _kth_neighbor_distance_1d,
-    _kth_neighbor_distance_tree,
+    _kth_neighbor_distance_sweep,
+    _log_unit_ball,
     _whiten,
     in_parallel,
 )
@@ -61,6 +69,16 @@ class TestSampleSet:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             SampleSet(np.array([1.0, np.nan]), np.array([0.0, 0.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_rejects_non_finite_anywhere(self, value, position, side):
+        # the check reads each column's min and max, through which NaN propagates
+        columns = {"a": np.arange(5.0), "b": -np.arange(5.0)}
+        columns[side][position] = value
+        with pytest.raises(DomainError, match="^samples must be finite$"):
+            SampleSet(**columns)
 
     def test_rejects_unequal_lengths(self):
         with pytest.raises(DomainError, match="^sample arrays must be 1-d and of equal length$"):
@@ -282,17 +300,77 @@ class TestKthNeighborDistance1d:
             knn_differential_entropy(x)
 
 
+def tree_kth(y, k):
+    return cKDTree(y).query(y, k=k + 1)[0][:, k]
+
+
 class TestKthNeighborDistanceTree:
-    """The leaf-order query of an unbalanced tree, keeping only the k-th
-    distance, equals the default tree's full query bit for bit."""
+    """The column sweep's k-th distances equal the default k-d tree's full
+    query bit for bit."""
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_matches_default_tree(self, rng, k):
-        for n in (k + 1, 2 * k + 1, 3 * k, 2000):
-            for y in (rng.normal(size=(n, 2)), rng.uniform(size=(n, 2)),
-                      np.round(rng.normal(size=(n, 2)), 1)):  # ties, duplicates
-                reference = cKDTree(y).query(y, k=k + 1)[0][:, k]
-                assert np.array_equal(_kth_neighbor_distance_tree(y, k), reference)
+        # d = 3 and 4 draw from a generator of their own, so the module's draws
+        # for the tests after this one stay as they were
+        for d, gen in ((2, rng), (3, np.random.default_rng(k)), (4, np.random.default_rng(k))):
+            for n in (k + 1, 2 * k + 1, 3 * k, 2000):
+                for y in (gen.normal(size=(n, d)), gen.uniform(size=(n, d)),
+                          np.round(gen.normal(size=(n, d)), 1)):  # ties, duplicates
+                    assert np.array_equal(_kth_neighbor_distance_sweep(y, k), tree_kth(y, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), k=st.integers(1, 8),
+           size=st.integers(0, 3000), kind=st.sampled_from(
+               ["normal", "ties", "duplicates", "lattice", "clusters", "outliers", "lines"]),
+           log_scale=st.floats(-3.0, 3.0))
+    def test_matches_tree_on_any_data(self, seed, d, k, size, kind, log_scale):
+        rng = np.random.default_rng(seed)
+        n = k + 1 + size % (3000 - k)
+        y = rng.normal(size=(n, d))
+        if kind == "ties":
+            y = np.round(y, 1)
+        elif kind == "duplicates":
+            y[n // 2:] = y[:n - n // 2]
+        elif kind == "lattice":
+            y = rng.integers(-3, 4, size=(n, d)).astype(float)
+        elif kind == "clusters":
+            y[: n // 2] = 1e-3 * y[: n // 2] + 50.0
+            y[n // 2:] *= 1e-3
+        elif kind == "outliers":
+            y[:3] *= 1e4
+        elif kind == "lines":  # two thin tilted lines across the first axis
+            y[:, -1] = np.sign(y[:, -1]) + 1e-3 * y[:, 0]
+        y *= 10.0 ** log_scale
+        assert np.array_equal(_kth_neighbor_distance_sweep(y, k), tree_kth(y, k))
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_matches_tree_on_whitened_catalog_shapes(self, n):
+        # the four noise shapes of the attack catalog, as the estimator sees them:
+        # whitened (a, b) pairs of a 10^5-pulse session, or one 10^4-row fold
+        for offset, channel in enumerate(ATTACK_CATALOG.values()):
+            record = run_session(CATALOG_SOURCE, channel, ProtocolKind.SQUEEZED_HOMODYNE,
+                                 n=1, l=100_000, sifting_mode=SiftingMode.QUANTUM_MEMORY,
+                                 rng_seed=offset)
+            s = record.samples()
+            y, _ = _whiten(np.column_stack([s.a, s.b])[::100_000 // n])
+            assert np.array_equal(_kth_neighbor_distance_sweep(y, 4), tree_kth(y, 4))
+
+
+class TestSpecialFunctions:
+    """The digamma and unit-ball replicas equal scipy.special's bit for bit."""
+
+    def test_digamma_at_every_integer_to_1e5(self):
+        n = np.arange(1, 100_001)
+        assert np.array_equal([_digamma(int(i)) for i in n], digamma(n.astype(float)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**9))
+    def test_digamma_at_any_integer(self, n):
+        assert _digamma(n) == digamma(float(n))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_log_unit_ball(self, d):
+        assert _log_unit_ball(d) == (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0 + 1.0)
 
 
 #: the message of a singular sample covariance, word for word
@@ -314,7 +392,7 @@ def eigen_whitened(x):
 
 def kth_distances(y, k=4):
     return (_kth_neighbor_distance_1d(y[:, 0], k) if y.shape[1] == 1
-            else _kth_neighbor_distance_tree(y, k))
+            else _kth_neighbor_distance_sweep(y, k))
 
 
 class TestWhiten:
