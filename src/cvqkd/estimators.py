@@ -308,7 +308,7 @@ def _kth_neighbor_distance_sweep(y: np.ndarray, k: int) -> np.ndarray:
     dims = cell.max(axis=0) + 2
     strides = np.ones(axes, dtype=np.intp)
     strides[:-1] = np.cumprod(dims[:0:-1])[::-1]
-    column = cell @ strides
+    ncols = int(strides[0] * dims[0])
 
     # the extreme coordinate on each cell axis of the cells above (or below) a cell
     above, below = [], []
@@ -320,63 +320,59 @@ def _kth_neighbor_distance_sweep(y: np.ndarray, k: int) -> np.ndarray:
         above.append(np.minimum.accumulate(least[::-1])[::-1])  # least in cells >= c
         below.append(np.maximum.accumulate(greatest))  # greatest in cells < c
 
-    # points sorted by column, then along the sweep axis; ties in any order
-    rank = np.empty(n, dtype=np.intp)
-    rank[np.argsort(y[:, lead])] = np.arange(n)
-    keys = column * n + rank
+    # a point's key is its column times n plus its rank along the swept axis
+    # (ties in any order); points are sorted by key
+    keys = cell @ strides
+    del cell
+    keys *= n
+    keys[np.argsort(y[:, lead])] += np.arange(n)
     order = np.argsort(keys)
-    keys, rank, column, cell = keys[order], rank[order], column[order], cell[order]
-    ncols = int(strides[0] * dims[0])
-    starts = np.searchsorted(column, np.arange(ncols + 1))
+    keys = keys[order]
+    starts = np.searchsorted(keys, np.arange(ncols + 1) * n)
     first = starts[:-1] + gap * np.arange(ncols) + 1
     stop = starts[1:] + gap * np.arange(ncols) + 1
-    place = np.arange(n) + gap * column + 1
+    place = np.arange(n) + gap * (keys // n) + 1
     coords = []
     for j in range(d):
         values = np.full(n + gap * ncols, np.inf)
         values[place] = y[order, j]
         coords.append(values)
+    del place
     last = coords[lead]
     last[first - 1] = -np.inf
-
-    eps = np.empty(n)
-    radius = np.ones(n, dtype=np.intp)
-    window = np.full(n, SWEEP_WINDOW, dtype=np.intp)
+    out = np.empty(n)
 
     def sweep(queries, r, w):
-        """Set eps for the queries whose band of radius r and windows of w
-        points on each side pass the test; double r or w for the others and
-        return them."""
+        """Set the k-th distance of each sorted point in queries whose band of
+        radius r and windows of w points on each side pass the test; return
+        the others, keyed by the band radius and window they retry with."""
         band = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * axes, indexing="ij"),
                         axis=-1).reshape(-1, axes)
         span = 2 * w + 1
         candidates = len(band) * span
         if candidates >= n:
-            points = [values[place] for values in coords]
             rows = max(1, SWEEP_BLOCK // n)
             for start in range(0, len(queries), rows):
-                q = queries[start:start + rows]
-                dist = sum(np.square(values - values[q, None]) for values in points)
-                eps[q] = np.sqrt(np.partition(dist, k, axis=1)[:, k])
-            return queries[:0]
-        p = [values[place[queries]] for values in coords]
-        band_bound = np.full(len(queries), np.inf)
-        for i, j in enumerate(cross):
-            u = cell[queries, i]
-            np.minimum(band_bound, above[i][np.minimum(u + r + 1, dims[i])] - p[j], out=band_bound)
-            np.minimum(band_bound, p[j] - below[i][np.maximum(u - r, 0)], out=band_bound)
-        kth, window_bound = np.empty(len(queries)), np.empty(len(queries))
+                q = order[queries[start:start + rows]]
+                dist = sum(np.square(y[:, j] - y[q, j, None]) for j in range(d))
+                out[q] = np.sqrt(np.partition(dist, k, axis=1)[:, k])
+            return {}
         shifts = np.arange(span)[:, None]
         rows = max(1, SWEEP_BLOCK // candidates)
+        retry = {}
         for start in range(0, len(queries), rows):
-            block = slice(start, start + rows)
-            q = queries[block]
+            q = queries[start:start + rows]
+            key = keys[q]
+            column = key // n
+            rank = key - column * n
+            cells = column[:, None] // strides % dims
+            p = [values[q + gap * column + 1] for values in coords]
             # one row per column of the band: its first and stopping rows, and
             # where the query's swept coordinate would fall in it
             target = np.ascontiguousarray(
-                (np.clip(cell[q, None, :] + band, 0, dims - 1) @ strides).T)
+                (np.clip(cells[:, None, :] + band, 0, dims - 1) @ strides).T)
             a, b = first[target], stop[target]
-            at = np.searchsorted(keys, target * n + rank[q]) + gap * target + 1
+            at = np.searchsorted(keys, target * n + rank) + gap * target + 1
             lo = np.minimum(np.maximum(at - w, a), np.maximum(a, b - span))
             hi = lo + span
             index = (lo[:, None, :] + shifts).reshape(candidates, len(q))
@@ -386,30 +382,35 @@ def _kth_neighbor_distance_sweep(y: np.ndarray, k: int) -> np.ndarray:
             squares = []
             for values, value in zip(coords, p):
                 square = values[index]
-                square -= value[block]
+                square -= value
                 squares.append(np.square(square, out=square))
             for square in squares[1:-1]:
                 squares[0] += square
             dist = np.empty((len(q), candidates))
             np.add(squares[0], squares[-1], out=dist.T)
             dist.sort(axis=1)
-            kth[block] = np.sqrt(dist[:, k])
-            swept = p[lead][block]
-            window_bound[block] = np.minimum(swept - last[lo - 1], last[hi] - swept).min(axis=0)
-        band_ok, window_ok = kth <= band_bound, kth <= window_bound
-        ok = band_ok & window_ok
-        eps[queries[ok]] = kth[ok]
-        radius[queries[~band_ok]] *= 2
-        window[queries[~window_ok]] *= 2
-        return queries[~ok]
+            kth = np.sqrt(dist[:, k])
+            window_ok = kth <= np.minimum(p[lead] - last[lo - 1], last[hi] - p[lead]).min(axis=0)
+            band_ok = np.ones(len(q), dtype=bool)
+            for i, j in enumerate(cross):
+                band_ok &= kth <= above[i][np.minimum(cells[:, i] + r + 1, dims[i])] - p[j]
+                band_ok &= kth <= p[j] - below[i][np.maximum(cells[:, i] - r, 0)]
+            ok = band_ok & window_ok
+            out[order[q[ok]]] = kth[ok]
+            for state, failed in (((2 * r, w), window_ok & ~band_ok),
+                                  ((r, 2 * w), band_ok & ~window_ok),
+                                  ((2 * r, 2 * w), ~(band_ok | window_ok))):
+                if failed.any():
+                    retry.setdefault(state, []).append(q[failed])
+        return {state: np.concatenate(parts) for state, parts in retry.items()}
 
-    pending = np.arange(n)
-    while len(pending):
-        state = radius[pending] * (n + 1) + window[pending]
-        pending = np.concatenate([sweep(pending[state == s], int(s // (n + 1)), int(s % (n + 1)))
-                                  for s in np.unique(state)])
-    out = np.empty(n)
-    out[order] = eps
+    pending = {(1, SWEEP_WINDOW): np.arange(n)}
+    while pending:
+        retry = {}
+        for (r, w), queries in pending.items():
+            for state, failed in sweep(queries, r, w).items():
+                retry.setdefault(state, []).append(failed)
+        pending = {state: np.concatenate(parts) for state, parts in retry.items()}
     return out
 
 
