@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, InsufficientDataError
-from .rates import Covariance2, conditional_variance
+from .rates import Covariance2
 
 #: subsampling folds used for standard errors
 FOLDS = 10
@@ -201,6 +201,26 @@ def _whiten(x: np.ndarray) -> tuple[np.ndarray, float]:
     up to d*SINGULAR_RATIO; it may pass a smaller one, but keeps the map finite."""
     d = x.shape[1]
     means, cov = _moments(*x.T)
+    if (factor := _cholesky(cov)) is None:
+        raise DegenerateDataError(_SINGULAR)
+    slopes, pivots = factor
+    y, residuals = np.empty_like(x), []
+    for j in range(d):
+        # the last residual is needed by no other column, so it is formed in place
+        column = y[:, j]
+        residual = (x[:, j] - means[j] if j < d - 1
+                    else np.subtract(x[:, j], means[j], out=column))
+        for slope, earlier in zip(slopes[j], residuals):
+            residual -= slope * earlier
+        residuals.append(residual)
+        np.divide(residual, math.sqrt(pivots[j]), out=column)
+    return y, 0.5 * math.log2(math.prod(pivots))
+
+
+def _cholesky(cov: list[list[float]]) -> tuple[list, list] | None:
+    """The slopes c_jk/p_k and the pivots p_j of _whiten's map for the covariance
+    cov, or None where _whiten's rule counts cov singular."""
+    d = len(cov)
     trace = sum(cov[j][j] for j in range(d))
     # with one or two columns the pivots need only be positive to divide by: in
     # 1-d that is the whole rule, and in 2-d the determinant rule below decides
@@ -212,23 +232,12 @@ def _whiten(x: np.ndarray) -> tuple[np.ndarray, float]:
             covs.append(cov[j][k] - sum(slope * c for slope, c in zip(slopes[k], covs)))
         pivot = cov[j][j] - sum(c * c / p for c, p in zip(covs, pivots))
         if pivot <= floor:
-            raise DegenerateDataError(_SINGULAR)
+            return None
         slopes.append([c / p for c, p in zip(covs, pivots)])
         pivots.append(pivot)
-    det = math.prod(pivots)
-    if d == 2 and det <= _SINGULAR_DET * trace * trace:
-        raise DegenerateDataError(_SINGULAR)
-    y, residuals = np.empty_like(x), []
-    for j in range(d):
-        # the last residual is needed by no other column, so it is formed in place
-        column = y[:, j]
-        residual = (x[:, j] - means[j] if j < d - 1
-                    else np.subtract(x[:, j], means[j], out=column))
-        for slope, earlier in zip(slopes[j], residuals):
-            residual -= slope * earlier
-        residuals.append(residual)
-        np.divide(residual, math.sqrt(pivots[j]), out=column)
-    return y, 0.5 * math.log2(det)
+    if d == 2 and math.prod(pivots) <= _SINGULAR_DET * trace * trace:
+        return None
+    return slopes, pivots
 
 
 def _kth_neighbor_distance_1d(y: np.ndarray, k: int) -> np.ndarray:
@@ -521,8 +530,11 @@ def knn_differential_entropy(values, k: int = 4) -> EntropyEstimate:
 def conditional_entropy_estimate(s: SampleSet, k: int = 4) -> EntropyEstimate:
     """H(B|A) in bits, computed as H(A, B) - H(A) with the neighbor
     estimator; the standard error is taken on the per-fold differences so
-    the two estimates' shared fluctuations cancel."""
-    if conditional_variance(estimate_covariance(s)) <= 0:
+    the two estimates' shared fluctuations cancel. Data that _whiten's 2-d rule
+    counts singular, which every copy B = A is, raises before k is checked; a
+    constant A is left to _whiten to name."""
+    _, cov = _moments(s.a, s.b)
+    if cov[0][0] > 0 and _cholesky(cov) is None:
         raise DegenerateDataError("B is an exact linear function of A: "
                                   "conditional spread is zero")
     return _knn_estimate([(1, np.column_stack([s.a, s.b])), (-1, s.a[:, None])], k)

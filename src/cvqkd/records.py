@@ -24,17 +24,20 @@ each number by its type too, so a record built with ``EprSource(20)`` writes
 Both formats are written by one row loop that formats the columns in
 chunks of ``ROW_CHUNK`` rows, one format string per format;
 ``write_record`` streams the chunks to the file and ``dumps`` joins them.
-``read_record`` and ``loads`` read the rows ``PARSE_CHUNK`` characters at a
-time, cut at line ends: each piece goes through one ``findall`` of the
-format's anchored row pattern, which accepts the rows as ``dumps`` writes
-them, with LF or CRLF line ends, and is converted and checked before the
-next is read, so a record ``dumps`` wrote is held as its columns, never as
-its text. Any other text (a header that is not first or breaks a rule, a
-blank or unmatched line, a lone CR line end, a file that is not UTF-8) is
-read whole by the per-line loop, which also takes the lenient forms
-(whitespace around a CSV number, ``1_0``, JSON keys in any order, blank
-lines). Both paths convert with ``int`` and ``float`` and report the same
-faults, at the same lines, in the same order.
+
+A record is read along one path. Lines end at ``"\n"``, with an optional
+``"\r"`` before it; no other character ends a line. The first line is the
+header, whose faults are reported before any row is read. The rows are then
+read ``PARSE_CHUNK`` characters at a time, cut at line ends: each piece goes
+through one ``findall`` of the format's anchored row pattern, which accepts
+the rows as ``dumps`` writes them, and is converted and checked before the
+next is read, so a record is held as its columns, never as its text. The
+first line that the pattern does not match is reported at its line number,
+with the fault its row splitter names (a missing field, a number that does
+not convert, a label other than ``q`` or ``p``), or, if it names none (a
+blank line, whitespace around a number, ``1_0``, JSON keys in another
+order), as not a row as cvqkd writes it. Then come the row count and the
+row invariants of ``ROW_FAULTS``, each at its first row.
 """
 
 from __future__ import annotations
@@ -96,11 +99,11 @@ CSV_ROW = "{},{},{!r},{!r},{},{},{}".format
 JSON_ROW = ('{{"block": {}, "pulse": {}, "a": {!r}, "b": {!r}, '
             '"label_a": "{}", "label_b": "{}", "kept": {}}}').format
 
-#: characters per piece of the fast reader, extended to the next line end
+#: characters per piece of the reader, extended to the next line end
 PARSE_CHUNK = 1 << 17
 
 #: characters of the shortest row line either row pattern accepts, line end included;
-#: a header declaring more rows than a text of its size holds goes to the per-line loop
+#: no column is allocated for a header declaring more rows than a text of its size holds
 MIN_ROW_CHARS = len("0,0,nan,nan,q,q,1\n")
 
 #: a float as repr writes it, and a float token of JSON's number grammar (a
@@ -108,10 +111,11 @@ MIN_ROW_CHARS = len("0,0,nan,nan,q,q,1\n")
 _REPR_FLOAT = r"(-?(?:[0-9]+\.[0-9]+(?:e[+-][0-9]+)?|[0-9]+e[+-][0-9]+|inf|nan))"
 _JSON_FLOAT = (r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
                r"|NaN|-?Infinity)")
-#: at most 18 digits, so every block and pulse fits the int64 columns
-_CSV_INT, _JSON_INT = r"([0-9]{1,18})", r"(-?(?:0|[1-9][0-9]{0,17}))"
+#: at most 18 digits, so every block and pulse fits the int64 columns; a signed one
+#: is read, so that the position check names it
+_CSV_INT, _JSON_INT = r"(-?[0-9]{1,18})", r"(-?(?:0|[1-9][0-9]{0,17}))"
 
-#: one whole pulse line of each format, LF or CRLF ended, as the fast reader accepts it,
+#: one whole pulse line of each format, LF or CRLF ended, as the reader accepts it,
 #: compiled when a record is read, not on import; the key is whether it is json-lines
 ROW_PATTERNS = {
     False: rf"(?m)^{_CSV_INT},{_CSV_INT},{_REPR_FLOAT},{_REPR_FLOAT},([qp]),([qp]),([01])\r?$",
@@ -164,26 +168,28 @@ def shape_from_string(text: str):
 
 #: the row invariants' faults, in the order they are reported
 ROW_FAULTS = ("kept flag contradicts the labels", "kept pulse has a non-finite value",
-              "block and pulse do not follow the row's position (n={n})")
+              "block and pulse do not follow the row's position (n={n})",
+              "labels disagree under quantum_memory sifting")
 
 
-def _row_faults(start, n, block, pulse, a, b, label_a, label_b, kept) -> list:
+def _row_faults(start, n, memory, block, pulse, a, b, label_a, label_b, kept) -> list:
     """For each of ROW_FAULTS, the first of the rows start, start + 1, ... of
     these columns that breaks its invariant, or None: a pulse is kept exactly
-    when the labels agree, every kept pulse has finite values, and row i is
-    pulse i % n of block i // n."""
+    when the labels agree, every kept pulse has finite values, row i is
+    pulse i % n of block i // n, and, if memory (quantum_memory sifting),
+    every pulse's labels agree."""
     position_block, position_pulse = np.divmod(np.arange(start, start + len(a)), n)
     return [start + int(bad.argmax()) if bad.any() else None for bad in (
         kept != (label_a == label_b), kept & ~(np.isfinite(a) & np.isfinite(b)),
-        (block != position_block) | (pulse != position_pulse))]
+        (block != position_block) | (pulse != position_pulse), memory & (label_a != label_b))]
 
 
-def _check_rows(faults, line, n) -> None:
+def _check_rows(faults, n) -> None:
     """ParseError at the first row of the first of ROW_FAULTS that some
-    piece's _row_faults found, cited by its file line, line(row)."""
+    piece's _row_faults found, cited by its file line: row i is on line i + 2."""
     for k, fault in enumerate(ROW_FAULTS):
         if rows := [piece[k] for piece in faults if piece[k] is not None]:
-            raise ParseError(f"line {line(rows[0])}: {fault.format(n=n)}")
+            raise ParseError(f"line {rows[0] + 2}: {fault.format(n=n)}")
 
 
 def _check_count(rows: int, experiment: dict) -> None:
@@ -324,8 +330,8 @@ def _split_json_row(line: str):
 
 
 def _parse_header(first: str):
-    """The header pairs of a record's first non-blank line, and whether the
-    record is json-lines."""
+    """The header pairs of a record's first line, and whether the record is
+    json-lines."""
     if first.startswith(HEADER_MAGIC):
         items = [item.partition("=") for item in first[len(HEADER_MAGIC):].split()]
         if malformed := [key for key, sep, _ in items if not sep]:
@@ -359,25 +365,26 @@ def _pieces(chunks):
         yield rest
 
 
-def _parse_columns(pieces, pattern: str):
-    """For each whole-line piece of pulse lines, its block, pulse, a, b,
-    label_a, label_b and kept columns; None, and no more, at the first piece
-    with a line that does not match pattern in full. Each piece goes through
-    one findall, whose strings are freed before the next piece is read."""
-    findall = re.compile(pattern).findall
+def _parse_columns(pieces, is_json: bool):
+    """For each whole-line piece of pulse lines, the first on file line 2, its
+    block, pulse, a, b, label_a, label_b and kept columns. Each piece goes
+    through one findall, whose strings are freed before the next piece is
+    read; a piece with a line that is not a row as dumps writes it raises
+    _unmatched's ParseError."""
+    pattern = re.compile(ROW_PATTERNS[is_json])
+    line = 2
     for piece in pieces:
-        columns = _match_columns(findall(piece),
-                                 piece.count("\n") + (piece[-1] != "\n"))
+        columns = _match_columns(pattern.findall(piece))
+        lines = piece.count("\n") + (piece[-1] != "\n")
+        # a match is one whole line, so every line matched when the counts agree
+        if len(columns[0]) != lines:
+            raise _unmatched(piece, line, pattern, is_json)
+        line += lines
         yield columns
-        if columns is None:
-            return
 
 
-def _match_columns(matches: list, lines: int):
-    """The columns of one piece's row matches, or None unless it has lines of them."""
-    # a match is one whole line, so every line matched when the counts agree
-    if len(matches) != lines:
-        return None
+def _match_columns(matches: list):
+    """The columns of one piece's row matches."""
     count = len(matches)
     block, pulse, a, b, label_a, label_b, kept = (map(itemgetter(group), matches)
                                                   for group in range(len(ROW_KEYS)))
@@ -387,21 +394,25 @@ def _match_columns(matches: list, lines: int):
             _is_char(kept, "1"))
 
 
-def _parse_lines(lines: list, numbers: list, split_row):
-    """The columns of the given non-blank lines, one line at a time; a line
-    that does not parse raises ParseError citing its number."""
-    block, pulse = np.empty((2, len(numbers)), dtype=np.int64)
-    a, b, label_a, label_b, kept = (np.empty(len(numbers), dtype)
-                                    for dtype in (*COLUMN_DTYPES, bool))
-    for i, number in enumerate(numbers):
-        try:
-            (block[i], pulse[i], a[i], b[i], label_a_char, label_b_char,
-             kept[i]) = split_row(lines[number - 1])
-            label_a[i] = _flag("label_a", label_a_char, LABEL_CHARS, "'q' or 'p'")
-            label_b[i] = _flag("label_b", label_b_char, LABEL_CHARS, "'q' or 'p'")
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ParseError(f"line {number}: {exc}") from exc
-    return block, pulse, a, b, label_a, label_b, kept
+def _unmatched(piece: str, line: int, pattern, is_json: bool) -> ParseError:
+    """The ParseError of the first line of piece that pattern does not match,
+    cited by its file line, piece's first line being file line line: the fault
+    its row splitter, the columns' conversions and the label flags name, or,
+    where they name none, that it is not a row as cvqkd writes it."""
+    number, text = next((number, text) for number, text in
+                        enumerate(piece.removesuffix("\n").split("\n"), line)
+                        if not pattern.fullmatch(text))
+    text = text.removesuffix("\r")
+    try:
+        if text:  # a blank line is named as not a row
+            block, pulse, a, b, label_a, label_b, _ = (
+                _split_json_row if is_json else _split_csv_row)(text)
+            np.int64(block), np.int64(pulse), float(a), float(b)  # as the columns convert
+            _flag("label_a", label_a, LABEL_CHARS, "'q' or 'p'")
+            _flag("label_b", label_b, LABEL_CHARS, "'q' or 'p'")
+    except (OverflowError, TypeError, ValueError) as exc:
+        return ParseError(f"line {number}: {exc}")
+    return ParseError(f"line {number}: not a row as cvqkd writes it")
 
 
 def _experiment(pairs: list, is_json: bool) -> dict:
@@ -419,68 +430,38 @@ def _experiment(pairs: list, is_json: bool) -> dict:
             "channel": channel}
 
 
-def _stream(first: str, pieces, size: int):
-    """The record whose text, of size characters or more, is its first line
-    and then the given whole-line pieces, parsed and checked a piece at a time
-    into columns of the header's n*l rows. None, for the per-line loop to read
-    the text, unless the first line is a header that follows the header's
-    rules, the text can hold n*l rows, and every other line is a row as dumps
-    writes it."""
-    first = first.removesuffix("\n").removesuffix("\r")
-    try:
-        if first.splitlines() != [first]:
-            return None
-        pairs, is_json = _parse_header(first)
-        experiment = _experiment(pairs, is_json)
-    except ValueError:  # the per-line loop reports it, after any fault of a row
-        return None
+def _stream(first: str, pieces, size: int) -> BlockRecord:
+    """The record whose text, of size characters or more, is its header line
+    first and then the given whole-line pieces of the header's n*l pulse rows,
+    parsed and checked a piece at a time into columns. A text too short to
+    hold n*l rows gets no columns; its rows are only counted."""
+    pairs, is_json = _parse_header(first.removesuffix("\n").removesuffix("\r"))
+    experiment = _experiment(pairs, is_json)
     n, total = experiment["n"], experiment["n"] * experiment["l"]
-    if total * MIN_ROW_CHARS > size + 1:  # the last row may lack its line end
-        return None
-    a, pooled_b, label_a, label_b = (np.empty(total, dtype) for dtype in COLUMN_DTYPES)
+    memory = experiment["sifting_mode"] is SiftingMode.QUANTUM_MEMORY
+    held = total if total * MIN_ROW_CHARS <= size + 1 else 0  # the last row may lack its line end
+    a, pooled_b, label_a, label_b = (np.empty(held, dtype) for dtype in COLUMN_DTYPES)
     done, faults = 0, []
-    for columns in _parse_columns(pieces, ROW_PATTERNS[is_json]):
-        if columns is None:
-            return None
+    for columns in _parse_columns(pieces, is_json):
         rows = slice(done, done + len(columns[0]))
         done = rows.stop
-        if done <= total:  # rows beyond n*l are only counted
-            faults.append(_row_faults(rows.start, n, *columns))
+        if done <= held:  # rows beyond the columns are only counted
+            faults.append(_row_faults(rows.start, n, memory, *columns))
             _, _, a[rows], b, label_a[rows], label_b[rows], _ = columns
             pooled_b[rows] = flip_p(b, label_b[rows])
     _check_count(done, experiment)
-    _check_rows(faults, lambda row: row + 2, n)  # no blank line: row i is on line i + 2
+    _check_rows(faults, n)
     return BlockRecord(**experiment, a=a, pooled_b=pooled_b, label_a=label_a, label_b=label_b)
 
 
-def _per_line(text: str) -> BlockRecord:
-    """The record text holds, read one line at a time, with its whole columns
-    checked at once: the reader of any text dumps does not write."""
-    lines = text.splitlines()
-    numbers = [number for number, line in enumerate(lines, 1) if line]
-    pairs, is_json = _parse_header(lines[numbers[0] - 1] if numbers else "")
-    numbers = numbers[1:]
-    columns = _parse_lines(lines, numbers, _split_json_row if is_json else _split_csv_row)
-    experiment = _experiment(pairs, is_json)
-    _check_count(len(numbers), experiment)
-    n = experiment["n"]
-    _check_rows([_row_faults(0, n, *columns)], numbers.__getitem__, n)
-    _, _, a, b, label_a, label_b, _ = columns
-    return BlockRecord(**experiment, a=a, pooled_b=flip_p(b, label_b), label_a=label_a,
-                       label_b=label_b)
-
-
 def loads(text: str) -> BlockRecord:
-    """Parse a record from text, detecting the format from its first
-    non-blank line. Blank lines are skipped but counted, so errors cite
-    the line a user sees. A record whose header is its first line and
-    whose every other line is a row as dumps writes it is parsed a piece
-    at a time; any other text goes through the per-line loop."""
+    """Parse a record from text, as the module docstring sets out: its header
+    line first, its format read from that line, then one pulse row per line,
+    read a piece at a time."""
     header_end = text.find("\n") + 1 or len(text)
     chunks = (text[start:start + PARSE_CHUNK]
               for start in range(header_end, len(text), PARSE_CHUNK))
-    record = _stream(text[:header_end], _pieces(chunks), len(text))
-    return _per_line(text) if record is None else record
+    return _stream(text[:header_end], _pieces(chunks), len(text))
 
 
 def write_record(record: BlockRecord, path, fmt: str = "csv") -> Path:
@@ -506,19 +487,16 @@ def _decoded(data: bytes, path) -> str:
 
 
 def read_record(path) -> BlockRecord:
-    """The record a file holds, as loads reads its text. A file that loads
-    reads a piece at a time is read PARSE_CHUNK characters at a time, as
-    strict UTF-8 with its line ends kept, and never held whole; any other
-    file, or one that reports no size (a pipe), is read whole, once."""
-    with open(path, encoding="utf-8", newline="") as file:
+    """The record a file holds, as loads reads its text. The file is read
+    PARSE_CHUNK characters at a time, as strict UTF-8 with its line ends kept,
+    and never held whole; a file that reports no size (a pipe) is read whole,
+    once, and so is one that is not UTF-8, to name the line of its first
+    other byte."""
+    with open(path, encoding="utf-8", newline="\n") as file:  # lines end at "\n" alone
         if size := os.fstat(file.fileno()).st_size:
             try:
-                record = _stream(file.readline(),
-                                 _pieces(iter(partial(file.read, PARSE_CHUNK), "")), size)
-            except UnicodeDecodeError:  # _decoded names its line
-                record = None
-            if record is not None:
-                return record
-            file.buffer.seek(0)
-        text = _decoded(file.buffer.read(), path)
-    return _per_line(text)
+                return _stream(file.readline(),
+                               _pieces(iter(partial(file.read, PARSE_CHUNK), "")), size)
+            except UnicodeDecodeError:
+                file.buffer.seek(0)
+        return loads(_decoded(file.buffer.read(), path))

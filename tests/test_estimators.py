@@ -745,9 +745,14 @@ class TestConditionalEntropy:
         with pytest.raises(DegenerateDataError):
             conditional_entropy_estimate(SampleSet(x, x))
 
-    def test_spread_checked_before_k(self, rng):
-        # an input failing both checks reports the zero spread
-        x = rng.normal(size=20)
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 60),
+           scale=st.floats(1e-6, 1e6))
+    @example(seed=0, size=20, scale=1.0)
+    def test_spread_checked_before_k(self, seed, size, scale):
+        # an exact copy B = A fails both checks and reports the zero spread, even where
+        # its conditional variance v - v*v/v rounds above 0
+        x = np.random.default_rng(seed).normal(0.0, scale, size)
         with pytest.raises(DegenerateDataError, match="conditional spread is zero"):
             conditional_entropy_estimate(SampleSet(x, x), k=0)
 

@@ -51,13 +51,13 @@ class TestRoundTrip:
 
     def test_pooled_column_round_trips_bit_for_bit(self, record, fmt):
         # Bob's pooled values come back byte for byte, signed zeros and discarded
-        # infinities included, through the whole-column reader and the per-line one
+        # infinities included, with LF and with CRLF line ends
         pooled = record.pooled_b.copy()
         kept, discarded = np.flatnonzero(record.kept), np.flatnonzero(~record.kept)
         pooled[kept[:6]] = [0.0, -0.0] * 3
         pooled[discarded[:2]] = [np.inf, -np.inf]
         text = dumps(dataclasses.replace(record, pooled_b=pooled), fmt)
-        for back in (loads(text), loads("\n" + text)):
+        for back in (loads(text), loads(text.replace("\n", "\r\n"))):
             assert back.pooled_b.tobytes() == pooled.tobytes()
 
     def test_replaced_labels_write_their_own_flags(self, record, fmt):
@@ -83,8 +83,9 @@ class TestRoundTrip:
         assert dumps(loads(text), fmt) == text
 
     def test_leading_blank_line(self, record, fmt):
-        back = loads("\n" + dumps(record, fmt))
-        assert np.array_equal(back.a, record.a)
+        # the header is the first line, so a blank line before it is not a record
+        with pytest.raises(ParseError, match="^not a cvqkd record: unrecognized first line$"):
+            loads("\n" + dumps(record, fmt))
 
     def test_file_round_trip(self, record, fmt, tmp_path):
         path = write_record(record, tmp_path / "rec.dat", fmt)
@@ -189,20 +190,27 @@ class TestParseErrors:
             loads("\n".join(lines))
 
     @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
-    @pytest.mark.parametrize("edit, problem", [
-        pytest.param({"a": lambda v: "x"}, {"csv": "could not convert string to float",
-                                            "json-lines": "a must be a number, got 'x'"},
-                     id="bad-float"),
-        pytest.param({"kept": lambda k: 1 - k},
-                     dict.fromkeys(("csv", "json-lines"), "kept flag contradicts the labels"),
-                     id="bad-kept-flag"),
-    ])
-    def test_error_cites_file_line_after_blank_line(self, record, fmt, edit, problem):
+    @pytest.mark.parametrize("edit", [pytest.param({"a": lambda v: "x"}, id="bad-float"),
+                                      pytest.param({"kept": lambda k: 1 - k}, id="bad-kept-flag")])
+    def test_error_cites_file_line_after_blank_line(self, record, fmt, edit):
+        # a blank line is not a row: it is the fault named, at its own file line,
+        # before the fault of the row after it (now file line 7)
         lines = dumps(record, fmt).splitlines()
         lines[5] = _edit_row(lines[5], fmt, **edit)
-        lines.insert(3, "")  # the edited row is now file line 7
-        with pytest.raises(ParseError, match=f"line 7: .*{problem[fmt]}"):
+        lines.insert(3, "")
+        with pytest.raises(ParseError, match="^line 4: not a row as cvqkd writes it$"):
             loads("\n".join(lines))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_quantum_memory_labels_disagree(self, fmt):
+        # under quantum_memory sifting Bob measures Alice's quadrature, so every
+        # pulse's labels agree; a row whose labels differ is refused, kept flag or not
+        rows = [(0, 0, 1.5, 1.25, "q", "q", 1), (1, 0, -2.0, -1.5, "q", "p", 0)]
+        with pytest.raises(ParseError,
+                           match="^line 3: labels disagree under quantum_memory sifting$"):
+            loads(_hand_record(fmt, rows))
+        back = loads(_hand_record(fmt, rows, sifting="random_basis"))
+        assert back.kept.tolist() == [True, False]
 
     @pytest.mark.parametrize("fmt, key, value, problem", [
         pytest.param(*case, id=f"{case[0]}-{case[1]}={case[2]!r:.12}") for case in [
@@ -450,7 +458,8 @@ class TestHeaderRanges:
     shape contradicts its channel, or whose channel noise variance is not
     finite, is a parse error too."""
 
-    ROWS = [(0, 0, 1.5, 1.25, "q", "q", 1), (1, 0, -2.0, -1.5, "p", "q", 0)]
+    # labels that agree on every row, as quantum_memory sifting writes them
+    ROWS = [(0, 0, 1.5, 1.25, "q", "q", 1), (1, 0, -2.0, -1.5, "p", "p", 1)]
 
     def test_valid_header_loads(self, fmt):
         back = loads(_hand_record(fmt, self.ROWS))
@@ -697,60 +706,101 @@ def _outcome(text, read=loads):
             record.source, record.channel)
 
 
-def _per_line_outcome(text: str):
-    """_outcome with the piece reader declining, so every row goes through
-    the per-line loop."""
-    with mock.patch.object(records, "_stream", return_value=None):
-        return _outcome(text)
-
-
 @settings(max_examples=400, deadline=None)
 @given(text=edited_records())
-def test_whole_column_reader_agrees_with_per_line_loop(text):
-    assert _outcome(text) == _per_line_outcome(text)
+def test_edited_record_loads_or_names_its_fault(text):
+    # a record with one edit either loads, as the columns and configuration that
+    # its re-serialization loads to, or raises ParseError, citing a line it has
+    try:
+        record = loads(text)
+    except ParseError as exc:
+        if line := re.match(r"line (\d+): ", str(exc)):
+            assert 2 <= int(line[1]) <= text.count("\n") + 1, exc
+        return
+    assert _outcome(dumps(record, "json-lines" if text.startswith("{") else "csv")) == \
+        _outcome(text)
+
+
+#: what each format reports of a character put into its header (line 0) or a row
+#: (lines 1 and 12) at column 20, which is inside a CSV header item, a CSV row's a
+#: and, in json-lines, before the header's second key and after a row's "pulse"
+LINE_BREAK_FAULTS = {
+    ("csv", True): lambda line, char: "malformed header item 'protoc'",
+    ("json-lines", True): lambda line, char: None if char == "\r" else (
+        "bad json-lines header: Expecting property name enclosed in double quotes: "
+        "line 1 column 21 (char 20)"),
+    ("csv", False): lambda line, char: "could not convert string to float: "
+                                       f"{line.split(',')[2]!r}",
+    ("json-lines", False): lambda line, char: "not a row as cvqkd writes it" if char == "\r"
+    else "Expecting ':' delimiter: line 1 column 21 (char 20)",
+}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
 @pytest.mark.parametrize("line", [0, 1, 12])
 @pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
-def test_whole_column_reader_agrees_on_line_breaks(fmt, line, char):
-    # line breaks that splitlines() honors and a "\n" split does not, in the
-    # header, a row and the last row
+def test_whole_column_reader_agrees_on_line_breaks(fmt, line, char, tmp_path):
+    # lines break at "\n" alone, in a file as in a text: a character that splitlines()
+    # also breaks at, in the header, a row or the last row, is part of its line, and a
+    # fault is cited at the line number a "\n" split gives; JSON takes "\r" as whitespace
     lines = DIFF_TEXTS[fmt].split("\n")
     lines[line] = lines[line][:20] + char + lines[line][20:]
-    text = "\n".join(lines)
-    assert _outcome(text) == _per_line_outcome(text)
+    problem = LINE_BREAK_FAULTS[fmt, line == 0](lines[line], char)
+    path = tmp_path / "rec"
+    path.write_bytes("\n".join(lines).encode())
+    outcome = _outcome(path, read_record)
+    assert outcome == _outcome("\n".join(lines))
+    if problem is None:
+        assert outcome == _outcome(DIFF_TEXTS[fmt])
+    else:
+        assert outcome == (problem if line == 0 else f"line {line + 1}: {problem}")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
 def test_whole_column_reader_reads_canonical_text(fmt):
-    # the per-line loop fails if it runs, so these loads take the fast path
-    text = DIFF_TEXTS[fmt]
-    with mock.patch.object(records, "_parse_lines", side_effect=AssertionError):
-        back = loads(text)
+    back = loads(DIFF_TEXTS[fmt])
     for column in ("a", "b", "label_a", "label_b", "kept"):
         assert getattr(back, column).tobytes() == getattr(DIFF_RECORD, column).tobytes()
-    assert _outcome(text) == _per_line_outcome(text)
 
 
-@pytest.mark.parametrize("fmt, edit", [
-    ("csv", lambda lines: lines.insert(0, "")),
-    ("csv", lambda lines: lines.insert(4, "")),
-    ("csv", lambda lines: lines.__setitem__(2, lines[2].replace(",", ", ", 3))),
-    # a lone CR ends a row; a CRLF line end is read by the piece reader
-    ("csv", lambda lines: lines.__setitem__(slice(2, 4), [lines[2] + "\r" + lines[3]])),
+def _set_a(line: str, fmt: str, a: str) -> str:
+    """One pulse line of either format with its a written as the text a."""
+    if fmt == "csv":
+        return ",".join(a if i == 2 else part for i, part in enumerate(line.split(",")))
+    return re.sub(r'"a": [^,]*', f'"a": {a}', line)
+
+
+@pytest.mark.parametrize("fmt, edit, problem", [
+    ("csv", lambda lines: lines.insert(0, ""), "not a cvqkd record: unrecognized first line"),
+    ("csv", lambda lines: lines.insert(4, ""), "line 5: not a row as cvqkd writes it"),
+    ("csv", lambda lines: lines.__setitem__(2, lines[2].replace(",", ", ", 3)),
+     "line 3: not a row as cvqkd writes it"),
+    # a lone CR does not end a row; a CRLF line end does
+    ("csv", lambda lines: lines.__setitem__(slice(2, 4), [lines[2] + "\r" + lines[3]]),
+     "line 3: expected 7 fields, got 13"),
     ("json-lines", lambda lines: lines.__setitem__(
-        3, json.dumps(dict(reversed(json.loads(lines[3]).items()))))),
-], ids=["leading-blank-line", "blank-line", "spaces", "carriage-return", "json-reordered"])
-def test_whole_column_reader_declines_lenient_text(fmt, edit):
-    # text the per-line loop reads and dumps never writes
+        3, json.dumps(dict(reversed(json.loads(lines[3]).items())))),
+     "line 4: not a row as cvqkd writes it"),
+    ("csv", lambda lines: lines.__setitem__(2, _set_a(lines[2], "csv", "+1.5")),
+     "line 3: not a row as cvqkd writes it"),
+    ("csv", lambda lines: lines.__setitem__(2, _set_a(lines[2], "csv", "1_0.5")),
+     "line 3: not a row as cvqkd writes it"),
+    ("csv", lambda lines: lines.__setitem__(2, _set_a(lines[2], "csv", "15")),
+     "line 3: not a row as cvqkd writes it"),
+    ("json-lines", lambda lines: lines.__setitem__(2, _set_a(lines[2], "json-lines", "15")),
+     "line 3: not a row as cvqkd writes it"),
+    ("json-lines", lambda lines: lines.__setitem__(2, lines[2].replace(": ", ":")),
+     "line 3: not a row as cvqkd writes it"),
+    ("csv", lambda lines: lines.insert(len(lines) - 1, ""),
+     "line 14: not a row as cvqkd writes it"),
+], ids=["leading-blank-line", "blank-line", "spaces", "carriage-return", "json-reordered",
+        "plus-sign", "underscore", "integer-a", "json-integer-a", "json-no-space",
+        "trailing-blank-line"])
+def test_whole_column_reader_declines_lenient_text(fmt, edit, problem):
+    # text the reader never takes, as dumps never writes it, each named at its line
     lines = DIFF_TEXTS[fmt].split("\n")
     edit(lines)
-    text = "\n".join(lines)
-    header_end = text.find("\n") + 1
-    pattern = records.ROW_PATTERNS[fmt == "json-lines"]
-    assert list(records._parse_columns([text[header_end:]], pattern))[-1] is None
-    assert isinstance(_outcome(text), tuple)
+    assert _outcome("\n".join(lines)) == problem
 
 
 def _set_fields(line: str, fmt: str, **values) -> str:
@@ -778,13 +828,10 @@ FAULTS = {
     "non-utf8": lambda lines, i, fmt: lines.__setitem__(i, lines[i][:5] + "\udcff" + lines[i][5:]),
 }
 
-#: edits that keep a record as dumps writes it on the piece reader, which reports their
-#: faults itself
-PIECE_FAULTS = {"kept", "non-finite", "position", "too-few", "too-many", "crlf"}
-
 #: characters per piece: 24 is shorter than any line, so that every line is a piece of its
-#: own and every line end a piece boundary; 96 puts one to three CSV rows in a piece
-PIECE_SIZES = [24, 96]
+#: own and every line end a piece boundary; 96 puts one to three CSV rows in a piece; the
+#: default puts the whole record in one
+PIECE_SIZES = [24, 96, records.PARSE_CHUNK]
 
 ROWS = DIFF_RECORD.total_pulses
 
@@ -799,22 +846,23 @@ def _faulted(fmt: str, faults) -> bytes:
 
 
 def _expected(faults, path) -> str:
-    """The message of the first of two faults in rows r < s that the rules report:
-    a byte that is not UTF-8 first, then a row count, then ROW_FAULTS in order,
-    each at its first row; a blank line before a row moves it one line down."""
-    (first, r), (second, s) = faults
-    line = {r: r + 2, s: s + 2 + (first == "blank")}
-    for kind in ("non-utf8", "too-few", "too-many", "kept", "non-finite", "position"):
-        row = r if first == kind else s if second == kind else None
+    """The message of the first of some (kind, row) faults, in rising rows, that the
+    rules report: a byte that is not UTF-8 first, then a line that is not a row,
+    then a row count, then ROW_FAULTS in order, each at its first row, which is on
+    file line row + 2 (a fault reported is never after a line another one adds)."""
+    for kind in ("non-utf8", "blank", "too-few", "too-many", "kept", "non-finite", "position"):
+        row = next((row for fault, row in faults if fault == kind), None)
         if row is None:
             continue
         if kind == "non-utf8":
-            return f"{path}: line {line[row]}: not UTF-8 text"
+            return f"{path}: line {row + 2}: not UTF-8 text"
+        if kind == "blank":
+            return f"line {row + 2}: not a row as cvqkd writes it"
         if kind.startswith("too"):
             rows = ROWS + (kind == "too-many") - (kind == "too-few")
             return f"record has {rows} pulse rows, but its header declares n*l = 2*6 = {ROWS}"
         fault = records.ROW_FAULTS[["kept", "non-finite", "position"].index(kind)]
-        return f"line {line[row]}: {fault.format(n=2)}"
+        return f"line {row + 2}: {fault.format(n=2)}"
     raise AssertionError(faults)
 
 
@@ -822,7 +870,8 @@ def _expected(faults, path) -> str:
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
 class TestPieces:
     """read_record reads a file PARSE_CHUNK characters at a time; with pieces of a
-    few dozen characters it must give what loads and the per-line loop give."""
+    few dozen characters it must give what loads gives, and name each fault at its
+    line."""
 
     @pytest.mark.parametrize("end", ["\n", "", "\r\n"],
                              ids=["final-newline", "no-final-newline", "crlf"])
@@ -832,10 +881,8 @@ class TestPieces:
         text = DIFF_TEXTS[fmt].removesuffix("\n").replace("\n", end or "\n") + end
         path = tmp_path / "rec"
         path.write_bytes(text.encode())
-        with mock.patch.object(records, "_parse_lines", side_effect=AssertionError):
-            outcome = _outcome(path, read_record)
-            assert outcome == _outcome(text)
-        assert isinstance(outcome, tuple) and outcome == _per_line_outcome(text)
+        outcome = _outcome(path, read_record)
+        assert isinstance(outcome, tuple) and outcome == _outcome(text)
         assert outcome[0] == [getattr(DIFF_RECORD, column).tobytes()
                               for column in ("a", "b", "label_a", "label_b", "kept")]
 
@@ -847,7 +894,8 @@ class TestPieces:
     ], ids="-then-".join)
     def test_two_faults_in_any_two_rows(self, fmt, size, pair, tmp_path, monkeypatch):
         # each fault on either side of every piece boundary, the two in different pieces
-        # (and, at 96 characters, in one piece too); each path names the same fault
+        # (and, at 96 characters or more, in one piece too); a file and its text name
+        # the same fault
         monkeypatch.setattr(records, "PARSE_CHUNK", size)
         path = tmp_path / "rec"
         for r in range(ROWS - 1):
@@ -856,14 +904,9 @@ class TestPieces:
                 data = _faulted(fmt, faults)
                 path.write_bytes(data)
                 expected = _expected(faults, path)
-                if set(pair) <= PIECE_FAULTS:  # the piece reader reports it
-                    with mock.patch.object(records, "_parse_lines", side_effect=AssertionError):
-                        assert _outcome(path, read_record) == expected, faults
-                        assert _outcome(data.decode()) == expected, faults
-                else:
-                    assert _outcome(path, read_record) == expected, faults
+                assert _outcome(path, read_record) == expected, faults
                 if "non-utf8" not in pair:
-                    assert _per_line_outcome(data.decode()) == expected, faults
+                    assert _outcome(data.decode()) == expected, faults
 
     @pytest.mark.parametrize("kind", sorted(FAULTS))
     def test_one_fault_in_any_row(self, fmt, size, kind, tmp_path, monkeypatch):
@@ -872,18 +915,13 @@ class TestPieces:
         for row in range(ROWS):
             data = _faulted(fmt, [(kind, row)])
             path.write_bytes(data)
-            if kind in PIECE_FAULTS:  # the per-line loop fails if it runs
-                with mock.patch.object(records, "_parse_lines", side_effect=AssertionError):
-                    outcome = _outcome(path, read_record)
+            outcome = _outcome(path, read_record)
+            if kind != "non-utf8":
+                assert outcome == _outcome(data.decode()), row
+            if kind == "crlf":  # one CRLF line end among LF ones is a line end
+                assert outcome == _outcome(DIFF_TEXTS[fmt]), row
             else:
-                outcome = _outcome(path, read_record)
-            if kind == "non-utf8":
-                assert outcome == f"{path}: line {row + 2}: not UTF-8 text"
-                continue
-            assert outcome == _outcome(data.decode()) == _per_line_outcome(data.decode())
-            # a blank line is lenient text, which the per-line loop reads, and a CRLF line
-            # end the piece reader reads: both give the record
-            assert isinstance(outcome, tuple) == (kind in ("blank", "crlf")), (row, outcome)
+                assert outcome == _expected([(kind, row)], path), row
 
     @pytest.mark.parametrize("l", [7, 10**12, 10**20])
     def test_header_declaring_more_rows_than_the_file_holds(self, fmt, size, l, tmp_path,
@@ -895,7 +933,19 @@ class TestPieces:
         path = tmp_path / "rec"
         path.write_text(text)
         expected = f"record has {ROWS} pulse rows, but its header declares n*l = 2*{l} = {2 * l}"
-        assert _outcome(path, read_record) == _outcome(text) == _per_line_outcome(text) == expected
+        assert _outcome(path, read_record) == _outcome(text) == expected
+
+    def test_header_declaring_more_rows_names_a_line_that_is_not_a_row(self, fmt, size,
+                                                                       tmp_path, monkeypatch):
+        # the rows of such a header are counted, not held, and still read as rows
+        monkeypatch.setattr(records, "PARSE_CHUNK", size)
+        text = DIFF_TEXTS[fmt].replace("l=6", f"l={10**20}").replace('"l": 6', f'"l": {10**20}')
+        lines = text.split("\n")
+        lines.insert(9, "")
+        path = tmp_path / "rec"
+        path.write_text("\n".join(lines))
+        expected = "line 10: not a row as cvqkd writes it"
+        assert _outcome(path, read_record) == _outcome("\n".join(lines)) == expected
 
 
 @pytest.mark.parametrize("name", ["missing.csv", "."])

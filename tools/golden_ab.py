@@ -22,7 +22,7 @@ depends on the BLAS kernel or its thread count:
     OPENBLAS_CORETYPE=Nehalem PYTHONPATH=src python3 tools/golden_ab.py > change-nehalem.txt
     diff change.txt change-1.txt && diff change.txt change-nehalem.txt
 
-It takes no options. The whole list of 195 commands runs in about 13 s on
+It takes no options. The whole list of 196 commands runs in about 13 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -260,7 +260,7 @@ def commands():
                                       "--steps", "2", "--eps", "1e200",
                                       "--out", "sweep-coherent-overflow.csv"]
 
-    # valid records in forms dumps never writes, read by the per-line loop
+    # records in forms dumps never writes, each refused at its first such line
     for name in LENIENT_RECORDS:
         yield f"rate-record-lenient-{name}", ["rate", "--record", name, "--format", "json"]
 
@@ -387,6 +387,10 @@ def commands():
         yield f"error-simulate-config-{name}", ["simulate", "--config", f"config-{name}.json",
                                                 "--out", f"config-{name}.csv"]
 
+    # a quantum_memory record whose third row's labels disagree, with its kept flag 0
+    yield "error-rate-record-memory-labels-disagree", [
+        "rate", "--record", "memory-labels-disagree.csv"]
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -408,8 +412,8 @@ def json_record(header=HEADER, rows=ROWS, keys=ROW_KEYS) -> str:
                       *(json.dumps({key: row[key] for key in keys}) for row in rows)]) + "\n"
 
 
-#: valid records that are not as dumps writes them: a leading blank line, a
-#: CSV a with a plus sign, json-lines rows with b before a
+#: records that are not as dumps writes them: a leading blank line, a CSV a
+#: with a plus sign, json-lines rows with b before a
 LENIENT_RECORDS = {
     "blank-line.csv": lambda: "\n" + csv_record(),
     "blank-line.jsonl": lambda: "\n" + json_record(),
@@ -419,9 +423,9 @@ LENIENT_RECORDS = {
 }
 
 
-def third_row(label_a, label_b) -> list:
-    """ROWS with the labels of its third row, file line 4, replaced."""
-    return [*ROWS[:2], (*ROWS[2][:4], label_a, label_b, ROWS[2][6]), *ROWS[3:]]
+def third_row(label_a, label_b, kept=ROWS[2][6]) -> list:
+    """ROWS with the labels of its third row, file line 4, replaced, and its kept flag."""
+    return [*ROWS[:2], (*ROWS[2][:4], label_a, label_b, kept), *ROWS[3:]]
 
 
 #: the header fields of the valid record, without seed
@@ -497,6 +501,7 @@ def run():
             (root / name).write_text(text())
         for name, text in CONFIGS.items():
             (root / f"config-{name}.json").write_text(text)
+        (root / "memory-labels-disagree.csv").write_text(csv_record(rows=third_row("q", "p", 0)))
         header, first, *rows = json_record().splitlines(keepends=True)
         (root / "row-repeated-key.jsonl").write_text(
             "".join([header, first.replace("}", ', "a": 1.5}'), *rows]))
