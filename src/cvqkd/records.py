@@ -27,17 +27,18 @@ chunks of ``ROW_CHUNK`` rows, one format string per format;
 
 A record is read along one path. Lines end at ``"\n"``, with an optional
 ``"\r"`` before it; no other character ends a line. The first line is the
-header, whose faults are reported before any row is read. The rows are then
-read ``PARSE_CHUNK`` characters at a time, cut at line ends: each piece goes
-through one ``findall`` of the format's anchored row pattern, which accepts
-the rows as ``dumps`` writes them, and is converted and checked before the
-next is read, so a record is held as its columns, never as its text. The
-first line that the pattern does not match is reported at its line number,
-with the fault its row splitter names (a missing field, a number that does
-not convert, a label other than ``q`` or ``p``), or, if it names none (a
-blank line, whitespace around a number, ``1_0``, JSON keys in another
-order), as not a row as cvqkd writes it. Then come the row count and the
-row invariants of ``ROW_FAULTS``, each at its first row.
+header, whose faults are reported before any row is read; a CSV header must
+be ``#cvqkd-record`` and one `` key=value`` per item, as ``dumps`` writes it.
+The rows are then read ``PARSE_CHUNK`` characters at a time, cut at line
+ends: each piece goes through one ``findall`` of the format's anchored row
+pattern, which accepts the rows as ``dumps`` writes them, and is converted
+and checked before the next is read, so a record is held as its columns,
+never as its text. The first line that the pattern does not match is reported
+at its line number, with the fault its row splitter names (a missing field, a
+number that does not convert, a label other than ``q`` or ``p``), or, if it
+names none (a blank line, whitespace around a number, ``1_0``, JSON keys in
+another order), as not a row as cvqkd writes it. Then come the row count and
+the row invariants of ``ROW_FAULTS``, each at its first row.
 """
 
 from __future__ import annotations
@@ -336,6 +337,8 @@ def _parse_header(first: str):
         items = [item.partition("=") for item in first[len(HEADER_MAGIC):].split()]
         if malformed := [key for key, sep, _ in items if not sep]:
             raise ParseError(f"malformed header item {malformed[0]!r}")
+        if first != " ".join([HEADER_MAGIC, *("".join(item) for item in items)]):
+            raise ParseError("not a record header as cvqkd writes it: one space before each item")
         return [(key, value) for key, _, value in items], False
     if first.startswith("{"):
         pairs = json_object(first, "bad json-lines header")

@@ -356,8 +356,15 @@ class TestKthNeighborDistanceTree:
             assert np.array_equal(_kth_neighbor_distance_sweep(y, 4), tree_kth(y, 4))
 
 
+def scipy_log_unit_ball(d):
+    """The unit-ball constant as scipy.special.gammaln gives it."""
+    return (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0 + 1.0)
+
+
 class TestSpecialFunctions:
-    """The digamma and unit-ball replicas equal scipy.special's bit for bit."""
+    """The digamma replica equals scipy.special's bit for bit. The unit-ball
+    constant, from math.lgamma, is within 4e-15 relative of gammaln's form, and
+    the k = 4 entropy constant in 1-d and 2-d rounds to the same double."""
 
     def test_digamma_at_every_integer_to_1e5(self):
         n = np.arange(1, 100_001)
@@ -368,9 +375,22 @@ class TestSpecialFunctions:
     def test_digamma_at_any_integer(self, n):
         assert _digamma(n) == digamma(float(n))
 
-    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("d", range(1, 65))
     def test_log_unit_ball(self, d):
-        assert _log_unit_ball(d) == (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0 + 1.0)
+        expected = scipy_log_unit_ball(d)
+        assert abs(_log_unit_ball(d) - expected) <= 4e-15 * max(1.0, abs(expected))
+
+    def test_k4_constant_rounds_as_scipy_at_every_n_to_1e6(self):
+        # psi(n) - psi(4) + log V_d, summed left to right as _knn_entropy_bits sums it
+        shifted = np.array([_digamma(n) for n in range(6, 10**6 + 1)]) - _digamma(4)
+        for d in (1, 2):
+            assert np.array_equal(shifted + _log_unit_ball(d), shifted + scipy_log_unit_ball(d))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(6, 10**9), st.sampled_from([1, 2]))
+    def test_k4_constant_rounds_as_scipy_at_any_n(self, n, d):
+        shifted = _digamma(n) - _digamma(4)
+        assert shifted + _log_unit_ball(d) == shifted + scipy_log_unit_ball(d)
 
 
 #: the message of a singular sample covariance, word for word

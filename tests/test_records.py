@@ -430,6 +430,31 @@ class TestHeaderRules:
         back = loads("\n".join(lines))
         assert back.source == record.source and back.channel == record.channel
 
+    @pytest.mark.parametrize("spaced", [
+        lambda h: h.replace(" sifting=", "  sifting="),
+        lambda h: h.replace(" sifting=", "\tsifting="),
+        lambda h: h.replace(" protocol=", "\tprotocol="),
+        lambda h: h.replace(" protocol=", "  protocol="),
+        lambda h: h.replace(" n=", "\x1cn="),
+        lambda h: h.replace(" n=", "\u2028n="),
+        lambda h: h + "\t",
+        lambda h: h + " ",
+    ], ids=["double-space", "tab", "tab-after-magic", "double-space-after-magic",
+            "file-separator", "line-separator", "trailing-tab", "trailing-space"])
+    def test_csv_header_is_read_as_written(self, record, spaced, tmp_path):
+        # str.split() separates these items and strips the last value, but the
+        # header is "#cvqkd-record" and one " key=value" per item, as dumps writes it
+        header, rows = dumps(record).split("\n", 1)
+        text = spaced(header) + "\n" + rows
+        path = tmp_path / "rec.csv"
+        path.write_bytes(text.encode())
+        for read, source in ((loads, text), (read_record, path)):
+            with pytest.raises(ParseError, match="^not a record header as cvqkd writes it: "
+                                                 "one space before each item$"):
+                read(source)
+        result = CliRunner().invoke(main, ["rate", "--record", str(path)])
+        assert result.exit_code == 3
+
 
 #: header fields of a small hand-written record
 HAND_HEADER = {"protocol": "squeezed_homodyne", "sifting": "quantum_memory", "n": 1, "l": 2,

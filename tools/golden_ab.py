@@ -22,7 +22,7 @@ depends on the BLAS kernel or its thread count:
     OPENBLAS_CORETYPE=Nehalem PYTHONPATH=src python3 tools/golden_ab.py > change-nehalem.txt
     diff change.txt change-1.txt && diff change.txt change-nehalem.txt
 
-It takes no options. The whole list of 196 commands runs in about 13 s on
+It takes no options. The whole list of 198 commands runs in about 13 s on
 a 2-core machine, most of it writing the four multi-chunk records of about
 5*10^5 pulses each.
 """
@@ -391,6 +391,10 @@ def commands():
     yield "error-rate-record-memory-labels-disagree", [
         "rate", "--record", "memory-labels-disagree.csv"]
 
+    # CSV headers whose items are separated by two spaces or by a tab
+    for name in SPACED_HEADERS:
+        yield f"error-rate-record-{name}", ["rate", "--record", name]
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -468,6 +472,13 @@ UNCONVERTED_RECORDS = {
 }
 
 
+#: CSV records whose header separates two items as str.split() would, but dumps never does
+SPACED_HEADERS = {
+    "header-double-space.csv": lambda: csv_record().replace(" sifting=", "  sifting="),
+    "header-tab.csv": lambda: csv_record().replace(" sifting=", "\tsifting="),
+}
+
+
 #: config files of the config cases: an integer of 5001 digits and a repeated key
 CONFIGS = {
     "huge-integer": '{"l": 100, "seed": 1' + "0" * 5000 + "}\n",
@@ -497,7 +508,8 @@ def run():
             for ext, write in (("csv", csv_record), ("jsonl", json_record)):
                 (root / f"header-{name}.{ext}").write_text(
                     write(header={**HEADER, **fields}, rows=rows))
-        for name, text in {**LENIENT_RECORDS, **MALFORMED_RECORDS, **UNCONVERTED_RECORDS}.items():
+        for name, text in {**LENIENT_RECORDS, **MALFORMED_RECORDS, **UNCONVERTED_RECORDS,
+                           **SPACED_HEADERS}.items():
             (root / name).write_text(text())
         for name, text in CONFIGS.items():
             (root / f"config-{name}.json").write_text(text)
