@@ -211,7 +211,7 @@ def simulate(config, out, fmt, **overrides):
                          cfg.n, cfg.l, cfg.sifting, cfg.seed)
     records.write_record(record, path, cfg.format)
     click.echo(f"wrote {path} ({cfg.format}, {record.total_pulses} pulses)")
-    kept = int(record.kept.sum())
+    kept = record.kept_count
     click.echo(f"kept {kept} pulses (fraction {kept / record.total_pulses:.4f}, "
                f"sifting {record.sifting_mode.value})")
     # a record of fewer than 2 kept pulses is valid, but has no sample covariance

@@ -11,6 +11,11 @@ Randomness: a counter-based Philox generator keyed by the session seed,
 split into one substream per chunk of whole blocks (~2**18 pulses). The
 chunks run through ``estimators.in_parallel``, each writing its own slice
 of the columns, so the bytes do not depend on how many cores there are.
+
+Each chunk is drawn into its columns: the pipeline's steps update in place
+the arrays they are handed, so beyond its slices of the columns a chunk
+holds three chunk-sized float arrays (Alice's and Bob's p values and one for
+the draws), and the int64 label draw while only two of them exist.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError
-from .estimators import SampleSet, in_parallel
+from .estimators import MOMENT_CHUNK, SampleSet, in_parallel
 from .rates import Covariance2, Moments, ProtocolKind, _require, _sqrt
 
 #: target pulses per RNG substream; chunks always hold whole blocks
@@ -60,8 +65,8 @@ class GaussianNoise:
     def matching(cls, variance: float) -> "GaussianNoise":
         return cls()
 
-    def draw(self, size: int, rng: np.random.Generator, variance: float) -> np.ndarray:
-        return rng.normal(0.0, math.sqrt(variance), size)
+    def draw(self, out: np.ndarray, rng: np.random.Generator, variance: float) -> None:
+        _normal(out, rng, math.sqrt(variance))
 
 
 @dataclass(frozen=True)
@@ -90,10 +95,15 @@ class TwoComponentMixture:
         v1 = variance / 5.0
         return cls(0.5, 0.5, v1, 9.0 * v1)
 
-    def draw(self, size, rng, variance):
-        pick = rng.random(size) < self.w1
-        std = np.where(pick, math.sqrt(self.v1), math.sqrt(self.v2))
-        return rng.normal(0.0, 1.0, size) * std
+    def draw(self, out, rng, variance):
+        # rng.normal(0.0, 1.0) * np.where(pick, sqrt(v1), sqrt(v2)) on a 1-d out,
+        # a slice at a time (a masked multiply is about three times slower)
+        pick = rng.random(out=out) < self.w1
+        _normal(out, rng)
+        for start in range(0, out.size, MOMENT_CHUNK):
+            part = out[start:start + MOMENT_CHUNK]
+            part *= np.where(pick[start:start + MOMENT_CHUNK],
+                             math.sqrt(self.v1), math.sqrt(self.v2))
 
 
 @dataclass(frozen=True)
@@ -115,8 +125,11 @@ class UniformNoise:
     def matching(cls, variance: float) -> "UniformNoise":
         return cls(math.sqrt(3.0 * variance))
 
-    def draw(self, size, rng, variance):
-        return rng.uniform(-self.halfwidth, self.halfwidth, size)
+    def draw(self, out, rng, variance):
+        # rng.uniform(-halfwidth, halfwidth) forms low + (high - low) * u
+        rng.random(out=out)
+        out *= 2.0 * self.halfwidth
+        out -= self.halfwidth
 
 
 @dataclass(frozen=True)
@@ -146,9 +159,17 @@ class DiscreteDisplacement:
     def matching(cls, variance: float) -> "DiscreteDisplacement":
         return cls(math.sqrt(variance), 1.0)
 
-    def draw(self, size, rng, variance):
-        u = rng.random(size)
-        return self.magnitude * (np.sign(u - 0.5) * (np.abs(u - 0.5) < self.probability / 2.0))
+    def draw(self, out, rng, variance):
+        # magnitude * sign(u - 0.5) where |u - 0.5| < probability/2, else a zero
+        # of the sign of u - 0.5 (u - 0.5 is exact for every u in [0, 1))
+        d = rng.random(out=out)
+        d -= 0.5
+        half = self.probability / 2.0
+        inside = d < half
+        inside &= d > -half
+        np.sign(d, out=d)
+        d *= inside
+        d *= self.magnitude
 
 
 NOISE_SHAPES = (GaussianNoise, TwoComponentMixture, UniformNoise, DiscreteDisplacement)
@@ -250,24 +271,46 @@ class SiftingMode(Enum):
 
 
 # ---------------------------------------------------------------------------
-# elementary sampling operations
+# elementary sampling operations: each step updates, in place, the arrays it is
+# handed; the public operations copy their inputs and run the same steps
+
+def _normal(out, rng, scale=1.0):
+    """Fill out with rng.normal(0.0, scale, out.shape), bit for bit, and return it:
+    numpy forms 0.0 + scale*z, and adding 0.0 turns a -0.0 into +0.0 as that does."""
+    rng.standard_normal(out=out)
+    out *= scale
+    out += 0.0
+    return out
+
 
 def simulate_epr_pulse(src: EprSource, rng: np.random.Generator, size: int):
     """Draw quadrature outcomes (qa, pa, qb0, pb0) of the twin beams before
     the channel, as arrays of size pulses."""
+    qa, pa, qb0, pb0 = np.empty((4, size))
+    _draw_epr(rng, qa, qb0, pa, pb0)
+    _mix_epr(src, qa, pa, qb0, pb0, np.empty(size))
+    return qa, pa, qb0, pb0
+
+
+def _draw_epr(rng, x1, x2, y1, y2):
+    """Draw the twin beams' four standard normals, in this order."""
+    for out in (x1, x2, y1, y2):
+        _normal(out, rng)
+
+
+def _mix_epr(src, x1, y1, x2, y2, scratch):
+    """Turn the draws into qa = x1, pa = y1, qb0 = x2 and pb0 = y2, in place,
+    with the roundings of sv * x1, sv * y1, gain * x1 + residual * x2 and
+    -gain * y1 + residual * y2 (addition commutes)."""
     sv = math.sqrt(src.v)
     gain = src.cross_correlation / sv
     residual = src.n0 / sv
-    # in place, with the same roundings as sv * x1, gain * x1 + residual * x2,
-    # sv * y1 and -gain * y1 + residual * y2 (addition commutes)
-    x1, x2, y1, y2 = rng.normal(0.0, 1.0, (4, size))
     x2 *= residual
-    x2 += gain * x1
+    x2 += np.multiply(gain, x1, out=scratch)
     y2 *= residual
-    y2 -= gain * y1
+    y2 -= np.multiply(gain, y1, out=scratch)
     x1 *= sv
     y1 *= sv
-    return x1, y1, x2, y2
 
 
 def apply_attack(qb0, pb0, ch: ChannelModel, rng: np.random.Generator,
@@ -278,33 +321,41 @@ def apply_attack(qb0, pb0, ch: ChannelModel, rng: np.random.Generator,
     The pulses form consecutive blocks of n; with rho_block > 0 and n > 1
     the noise within a block is correlated (all q noise is drawn first).
     """
+    qb = np.array(qb0, dtype=float)
+    pb = np.array(pb0, dtype=float)
+    _attack(qb.reshape(-1), pb.reshape(-1), ch, rng, n0, n, np.empty(qb.size))
+    return qb, pb
+
+
+def _attack(qb, pb, ch, rng, n0, n, noise):
+    """apply_attack in place on 1-d qb and pb, drawing into noise."""
     ch.validate_shape(n0)
-    qb0 = np.asarray(qb0, dtype=float)
-    pb0 = np.asarray(pb0, dtype=float)
-    if n < 1 or qb0.size % n:
-        raise ConfigurationError(f"{qb0.size} pulses do not fill blocks of n={n}")
+    if n < 1 or qb.size % n:
+        raise ConfigurationError(f"{qb.size} pulses do not fill blocks of n={n}")
     var = ch.noise_variance(n0)
     root_t = math.sqrt(ch.t)
+    rho = ch.rho_block
+    for x in (qb, pb):
+        if rho > 0.0 and n > 1:
+            _block_noise(noise, rng, rho, n, var)
+        else:
+            ch.shape.draw(noise, rng, var)
+        # the sum root_t * x + noise (addition commutes)
+        x *= root_t
+        x += noise
 
-    def noise(size):
-        rho = ch.rho_block
-        if not (rho > 0.0 and n > 1):
-            return ch.shape.draw(size, rng, var)
-        # exchangeable within-block correlation: every pulse's noise shares
-        # a common block component with weight sqrt(rho)
-        common = rng.normal(0.0, 1.0, size // n)
-        mixed = rng.normal(0.0, 1.0, size)
-        mixed *= math.sqrt(1.0 - rho)
-        mixed += math.sqrt(rho) * np.repeat(common, n)
-        mixed *= math.sqrt(var)
-        return mixed
 
-    # each sum is formed in its noise array; the inputs are left untouched
-    qb = noise(qb0.size).reshape(qb0.shape)
-    qb += root_t * qb0
-    pb = noise(pb0.size).reshape(pb0.shape)
-    pb += root_t * pb0
-    return qb, pb
+def _block_noise(out, rng, rho, n, variance):
+    """Fill out with Gaussian noise of the given variance, exchangeably correlated
+    within blocks of n: every pulse's noise shares a common block component with
+    weight sqrt(rho)."""
+    common = rng.normal(0.0, 1.0, out.size // n)
+    common *= math.sqrt(rho)
+    _normal(out, rng)
+    out *= math.sqrt(1.0 - rho)
+    blocks = out.reshape(-1, n)
+    blocks += common[:, None]
+    out *= math.sqrt(variance)
 
 
 def measure_alice(qa, pa, protocol: ProtocolKind, rng: np.random.Generator,
@@ -312,24 +363,27 @@ def measure_alice(qa, pa, protocol: ProtocolKind, rng: np.random.Generator,
     """Alice's detection of both quadratures; returns (qa_measured,
     pa_measured), of which the caller keeps the labeled one.
 
-    Homodyne: exact, the inputs as float arrays, drawing nothing.
+    Homodyne: exact, copies of the inputs as float arrays, drawing nothing.
     Heterodyne: both through the 50:50 splitter, each picking up an
     independent vacuum contribution, (value + vacuum)/sqrt(2).
     """
-    qa = np.atleast_1d(np.asarray(qa, dtype=float))
-    pa = np.atleast_1d(np.asarray(pa, dtype=float))
+    qa = np.array(qa, dtype=float, ndmin=1)
+    pa = np.array(pa, dtype=float, ndmin=1)
+    _measure_alice(qa, pa, protocol, rng, n0, np.empty(qa.shape))
+    return qa, pa
+
+
+def _measure_alice(qa, pa, protocol, rng, n0, vacuum):
+    """measure_alice in place, drawing into vacuum."""
     if protocol is ProtocolKind.SQUEEZED_HOMODYNE:
-        return qa, pa
+        return
     root_half = math.sqrt(0.5)
     vac_std = math.sqrt(n0)
-    # each result is formed in its vacuum array; the inputs are left untouched
-    qa_m = rng.normal(0.0, vac_std, qa.shape)
-    qa_m += qa
-    qa_m *= root_half
-    pa_m = rng.normal(0.0, vac_std, pa.shape)
-    np.subtract(pa, pa_m, out=pa_m)
-    pa_m *= root_half
-    return qa_m, pa_m
+    # vacuum + qa and pa - vacuum (addition commutes)
+    qa += _normal(vacuum, rng, vac_std)
+    qa *= root_half
+    pa -= _normal(vacuum, rng, vac_std)
+    pa *= root_half
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +429,23 @@ class BlockRecord:
         """The sifting flags: a pulse is kept when Alice's and Bob's labels agree."""
         return self.label_a == self.label_b
 
+    @property
+    def kept_count(self) -> int:
+        """How many pulses are kept, counted one MOMENT_CHUNK slice at a time, so
+        that no per-pulse flags are made."""
+        return sum(int(np.count_nonzero(self.label_a[start:start + MOMENT_CHUNK]
+                                        == self.label_b[start:start + MOMENT_CHUNK]))
+                   for start in range(0, self.total_pulses, MOMENT_CHUNK))
+
     def samples(self) -> SampleSet:
         """Kept pulses as a SampleSet of Alice's values and Bob's pooled ones.
         When every pulse is kept, both are read-only views of the record's
-        columns, not copies."""
-        kept = self.kept
-        if kept.all():
+        columns, not copies, and no per-pulse flags are made."""
+        if self.kept_count == self.total_pulses:
             a, b = self.a.view(), self.pooled_b.view()
             a.flags.writeable = b.flags.writeable = False
         else:
+            kept = self.kept
             a, b = self.a[kept], self.pooled_b[kept]
         return SampleSet(a, b)
 
@@ -426,12 +488,15 @@ def run_session(src: EprSource, ch: ChannelModel, protocol: ProtocolKind | str,
                        a=a, pooled_b=pooled_b, label_a=label_a, label_b=label_b)
 
 
-# one chunk, written in place into its slices of the four columns; its own
+# one chunk, drawn in place into its slices of the four columns; its own
 # function so that its temporaries are freed as soon as it returns
 def _generate_chunk(src, ch, protocol, n, sifting_mode, rng, out):
     a, b, label_a, label_b = out
     m = len(a)
-    qa, pa, qb0, pb0 = simulate_epr_pulse(src, rng, size=m)
+    # the EPR draws x1, x2, y1, y2 land in a, b, pa and pb, which become Alice's
+    # q, Bob's q, Alice's p and Bob's p values
+    pa, pb = np.empty(m), np.empty(m)
+    _draw_epr(rng, a, b, pa, pb)
 
     label_a[:] = rng.integers(0, 2, m)
     if sifting_mode is SiftingMode.RANDOM_BASIS:
@@ -439,15 +504,13 @@ def _generate_chunk(src, ch, protocol, n, sifting_mode, rng, out):
     else:
         label_b[:] = label_a
 
+    scratch = np.empty(m)
+    _mix_epr(src, a, pa, b, pb, scratch)
     # Bob's values pooled: q as measured, p negated (see BlockRecord)
-    qb, pb = apply_attack(qb0, pb0, ch, rng, src.n0, n)
-    np.negative(pb, out=b)
-    np.copyto(b, qb, where=label_b == Q)
-    del qb, pb
-
-    qa_m, pa_m = measure_alice(qa, pa, protocol, rng, src.n0)
-    np.copyto(a, pa_m)
-    np.copyto(a, qa_m, where=label_a == Q)
+    _attack(b, pb, ch, rng, src.n0, n, scratch)
+    np.copyto(b, np.negative(pb, out=pb), where=label_b == P)
+    _measure_alice(a, pa, protocol, rng, src.n0, scratch)
+    np.copyto(a, pa, where=label_a == P)
 
 
 def analytic_covariance(src: EprSource, ch: ChannelModel,

@@ -79,9 +79,37 @@ class TestNoiseShapes:
         for shape in (GaussianNoise(), TwoComponentMixture.matching(2.0),
                       UniformNoise.matching(2.0),
                       DiscreteDisplacement(2.0, 0.5)):
-            draw = shape.draw(n, rng, 2.0)
+            draw = np.empty(n)
+            assert shape.draw(draw, rng, 2.0) is None
             assert float(draw.mean()) == pytest.approx(0.0, abs=0.02)
             assert float(draw.var()) == pytest.approx(2.0, rel=0.02)
+
+    @pytest.mark.parametrize("shape", [
+        GaussianNoise(), TwoComponentMixture.matching(2.0), TwoComponentMixture(0.5, 0.5, 0.0, 4.0),
+        UniformNoise.matching(2.0), DiscreteDisplacement(2.0, 0.5), DiscreteDisplacement(2.0, 1.0),
+    ], ids=["gaussian", "mixture", "mixture-v1-0", "uniform", "displacement",
+            "displacement-p-1"])
+    def test_draw_is_its_numpy_expression(self, shape):
+        # each shape fills its buffer with the bits of the numpy expression it
+        # names, signed zeros included, drawing the same numbers from the stream
+        size, variance = 100_003, 2.0
+        ours, theirs = np.random.default_rng(21), np.random.default_rng(21)
+        out = np.empty(size)
+        shape.draw(out, ours, variance)
+        if isinstance(shape, GaussianNoise):
+            expected = theirs.normal(0.0, math.sqrt(variance), size)
+        elif isinstance(shape, TwoComponentMixture):
+            pick = theirs.random(size) < shape.w1
+            std = np.where(pick, math.sqrt(shape.v1), math.sqrt(shape.v2))
+            expected = theirs.normal(0.0, 1.0, size) * std
+        elif isinstance(shape, UniformNoise):
+            expected = theirs.uniform(-shape.halfwidth, shape.halfwidth, size)
+        else:
+            u = theirs.random(size)
+            expected = shape.magnitude * (np.sign(u - 0.5)
+                                          * (np.abs(u - 0.5) < shape.probability / 2.0))
+        assert out.tobytes() == expected.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestSourceAndChannel:
@@ -139,6 +167,29 @@ class TestSourceAndChannel:
     def test_nan_rejected(self, make):
         with pytest.raises(ConfigurationError):
             make()
+
+
+class TestInPlaceNormal:
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 7.5, 0.0, 5e-324])
+    def test_is_rng_normal_bit_for_bit(self, scale):
+        # a zero or subnormal scale turns every negative draw into -0.0 before
+        # the 0.0 is added, as numpy's 0.0 + scale*z does
+        m = 100_001
+        ours, theirs = np.random.default_rng(22), np.random.default_rng(22)
+        out = simulator._normal(np.empty(m), ours, scale)
+        expected = theirs.normal(0.0, scale, m)
+        assert out.tobytes() == expected.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        if scale in (0.0, 5e-324):
+            assert not np.signbit(out[out == 0.0]).any()
+
+    def test_negative_zero_draw_becomes_positive_zero(self):
+        class Draws:
+            def standard_normal(self, out):
+                out[:] = [-0.0, 0.0, -1.5, 2.0]
+
+        out = simulator._normal(np.empty(4), Draws(), 3.0)
+        assert out.tobytes() == np.array([0.0, 0.0, -4.5, 6.0]).tobytes()
 
 
 class TestEprPulse:
@@ -338,6 +389,33 @@ class TestRunSession:
         after = [column.tobytes() for column in (rec.a, rec.pooled_b, rec.label_a, rec.label_b)]
         assert after == before
 
+    def test_all_kept_samples_allocate_no_flags(self):
+        # samples() of a 10**6-pulse all-kept session checks the labels one
+        # slice at a time, never as one byte per pulse
+        rec = run_session(EprSource(8.0), ChannelModel(0.7, 0.2), HOMODYNE, n=1,
+                          l=1_000_000, sifting_mode=SiftingMode.QUANTUM_MEMORY, rng_seed=20)
+        tracemalloc.start()
+        try:
+            samples = rec.samples()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 1_000_000
+        assert peak < 2**17
+
+    @pytest.mark.parametrize("sifting", list(SiftingMode))
+    def test_kept_count_counts_the_kept_flags(self, sifting):
+        rec = run_session(EprSource(8.0), ChannelModel(0.7, 0.2), HOMODYNE, n=3,
+                          l=70_001, sifting_mode=sifting, rng_seed=21)
+        assert rec.kept_count == int(rec.kept.sum()) == len(rec.samples())
+        assert (rec.kept_count == rec.total_pulses) == (sifting is SiftingMode.QUANTUM_MEMORY)
+        # one disagreement in the last slice is counted, and its pulse dropped
+        labels = rec.label_a.copy()
+        labels[-1] ^= 1
+        dropped = dataclasses.replace(rec, label_b=labels)
+        assert dropped.kept_count == rec.total_pulses - 1
+        assert dropped.samples().a.tobytes() == rec.a[:-1].tobytes()
+
     def test_all_kept_samples_allocate_no_column(self):
         # the traced peak of pooling a 10**6-pulse all-kept session and taking
         # its covariance stays below half of one float column
@@ -461,26 +539,69 @@ class TestSecondMomentEquivalence:
             channel.validate_shape(CATALOG_SOURCE.n0)
 
 
+def pipeline_channel(kind, rho_block=0.0):
+    """A lossy, noisy channel with noise of the named shape, or block-correlated
+    Gaussian noise when rho_block > 0."""
+    shape = simulator.SHAPE_KINDS[kind].matching(ChannelModel(0.7, 0.2).noise_variance())
+    return ChannelModel(0.7, 0.2, shape, rho_block)
+
+
+#: (rho_block, shape kind): every shape, and block-correlated Gaussian noise
+PIPELINE_NOISE = [(0.0, kind) for kind in simulator.SHAPE_KINDS] + [(0.3, "gaussian")]
+
+
 class TestSessionPipeline:
-    @pytest.mark.parametrize("protocol", [HOMODYNE, HETERODYNE])
-    @pytest.mark.parametrize("rho_block", [0.0, 0.3])
-    def test_session_is_the_public_pipeline(self, protocol, rho_block):
-        # one chunk of a session is exactly the public operations on the
+    @pytest.mark.parametrize("rho_block, protocol, kind, sifting, n", [
+        pytest.param(rho_block, protocol, kind, sifting, n,
+                     id=f"{rho_block}-{protocol}-{kind}-{sifting.value}-{n}")
+        for rho_block in (0.0, 0.3) for protocol in (HOMODYNE, HETERODYNE)
+        for kind in simulator.SHAPE_KINDS if (rho_block, kind) in PIPELINE_NOISE
+        for sifting in SiftingMode for n in (1, 3)])
+    def test_session_is_the_public_pipeline(self, monkeypatch, rho_block, protocol, kind,
+                                            sifting, n):
+        # each chunk of a session is exactly the public operations on the
         # chunk's substream, in draw order: EPR pair, label_a, label_b, q
-        # noise, p noise, then Alice's vacuum noise
-        src, ch, n, l = EprSource(6.0), ChannelModel(0.7, 0.2, rho_block=rho_block), 4, 50
-        rec = run_session(src, ch, protocol, n=n, l=l,
-                          sifting_mode=SiftingMode.RANDOM_BASIS, rng_seed=23)
-        rng = np.random.Generator(np.random.Philox(23).jumped(0))
-        qa, pa, qb0, pb0 = simulate_epr_pulse(src, rng, size=n * l)
-        label_a = rng.integers(0, 2, n * l).astype(np.uint8)
-        label_b = rng.integers(0, 2, n * l).astype(np.uint8)
-        qb, pb = apply_attack(qb0, pb0, ch, rng, src.n0, n)
-        qa_m, pa_m = measure_alice(qa, pa, protocol, rng, src.n0)
-        a = np.where(label_a == 0, qa_m, pa_m)
-        assert np.array_equal(rec.a, a)
-        assert np.array_equal(rec.b, np.where(label_b == 0, qb, pb))
-        assert np.array_equal(rec.kept, label_a == label_b)
+        # noise, p noise, then Alice's vacuum noise; three whole chunks of 333
+        # blocks and a partial one of 50 blocks
+        monkeypatch.setattr(simulator, "CHUNK_PULSES", 1_000)
+        src, ch, l = EprSource(6.0), pipeline_channel(kind, rho_block), 3 * (1_000 // n) + 50
+        rec = run_session(src, ch, protocol, n=n, l=l, sifting_mode=sifting, rng_seed=23)
+        per_chunk = (1_000 // n) * n
+        starts = range(0, n * l, per_chunk)
+        assert len(starts) == 4
+        for chunk, start in enumerate(starts):
+            m = min(per_chunk, n * l - start)
+            rng = np.random.Generator(np.random.Philox(23).jumped(chunk))
+            qa, pa, qb0, pb0 = simulate_epr_pulse(src, rng, size=m)
+            label_a = rng.integers(0, 2, m).astype(np.uint8)
+            label_b = (rng.integers(0, 2, m).astype(np.uint8)
+                       if sifting is SiftingMode.RANDOM_BASIS else label_a)
+            qb, pb = apply_attack(qb0, pb0, ch, rng, src.n0, n)
+            qa_m, pa_m = measure_alice(qa, pa, protocol, rng, src.n0)
+            rows = slice(start, start + m)
+            assert rec.a[rows].tobytes() == np.where(label_a == Q, qa_m, pa_m).tobytes()
+            assert rec.b[rows].tobytes() == np.where(label_b == Q, qb, pb).tobytes()
+            assert rec.label_a[rows].tobytes() == label_a.tobytes()
+            assert rec.label_b[rows].tobytes() == label_b.tobytes()
+
+    @pytest.mark.parametrize("protocol", [HOMODYNE, HETERODYNE])
+    @pytest.mark.parametrize("sifting", list(SiftingMode))
+    @pytest.mark.parametrize("rho_block, kind", PIPELINE_NOISE)
+    def test_chunk_holds_under_32_bytes_a_pulse(self, protocol, sifting, rho_block, kind):
+        # a 2**18-pulse chunk drawn into preallocated columns holds at most three
+        # chunk-sized float arrays and a few flags; the block noise's common
+        # draws add a quarter of one at n = 2
+        m, n = 1 << 18, 2 if rho_block else 1
+        out = [np.empty(m, dtype) for dtype in simulator.COLUMN_DTYPES]
+        rng = np.random.Generator(np.random.Philox(25))
+        tracemalloc.start()
+        try:
+            simulator._generate_chunk(EprSource(6.0), pipeline_channel(kind, rho_block), protocol,
+                                      n, sifting, rng, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * m
 
     def test_block_noise_needs_whole_blocks(self):
         rng = np.random.default_rng(24)
